@@ -12,9 +12,16 @@ variable (probabilistic, with its parameter, named f1, f2, ... in allocation
 order) or a free variable (a placeholder for a function argument).  The
 registration order *is* the global variable order.
 
-``wmc`` computes the weighted model count over the root's support: one
-bottom-up pass, each reachable node visited once, with a factor of
-(weight_true + weight_false) for every support variable a branch skips.
+``wmc`` computes the weighted model count over the root's support in time
+linear in the BDD: one post-order walk collects the reachable nodes and the
+support, and one bottom-up pass visits each node once.  A branch that skips
+support variables takes the product of (weight_true + weight_false) over
+them; prefix products of those sums, with a running count of zero sums,
+give that factor in O(1).  Counts, prefix products and factors are all
+(mantissa, exponent) pairs from ``math.frexp``, so no intermediate value
+underflows or overflows whatever the weights; the root's pair is kept in
+``last_wmc_scaled`` for callers that need ratios of counts below the double
+range.
 
 Construction is single-threaded; after it completes, read-only queries
 (wmc, node_count, evaluate, to_dot) are safe to run concurrently.
@@ -22,7 +29,7 @@ Construction is single-threaded; after it completes, read-only queries
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +68,7 @@ class BddManager:
         self._flip_count = 0
         self.max_nodes = max_nodes
         self.last_wmc_visits = 0
+        self.last_wmc_scaled = (0.0, 0)
         self.wmc_calls = 0
 
     # -- variables ----------------------------------------------------------
@@ -297,9 +305,6 @@ class BddManager:
         memo[f] = result
         return result
 
-    def compose_one(self, f: int, level: int, g: int) -> int:
-        return self.compose(f, {level: g})
-
     def restrict(self, f: int, level: int, value: bool) -> int:
         return self.compose(f, {level: TRUE if value else FALSE})
 
@@ -325,56 +330,94 @@ class BddManager:
     def wmc(self, root: int, weights: dict) -> float:
         """Weighted model count over the support of ``root``.
 
-        ``weights`` maps variable levels to (weight_true, weight_false).
-        Bottom-up, memoized; the visit counter is exposed for tests via
-        ``last_wmc_visits``.
+        ``weights`` maps variable levels to (weight_true, weight_false).  One
+        linear pass: each reachable node is visited once and every skipped
+        variable run costs O(1).  The count is carried as a (mantissa,
+        exponent) pair, kept in ``last_wmc_scaled``; the float
+        ``ldexp(mantissa, exponent)`` is returned.  The number of nodes
+        visited is kept in ``last_wmc_visits``.
         """
         self.wmc_calls += 1
-        support = self.support(root)
+        var, hi_arr, lo_arr = self._var, self._hi, self._lo
+        order = []  # reachable internal nodes, children before parents
+        levels = set()
+        q = {}  # reachable internal nodes; their counts are filled in below
+        stack = [root] if root > 1 else []
+        while stack:
+            n = stack.pop()
+            if n < 0:
+                order.append(~n)
+                continue
+            if n in q:
+                continue
+            q[n] = None
+            levels.add(var[n])
+            stack.append(~n)
+            h, l = hi_arr[n], lo_arr[n]
+            if h > 1 and h not in q:
+                stack.append(h)
+            if l > 1 and l not in q:
+                stack.append(l)
+        support = sorted(levels)
         for level in support:
             if level not in weights:
                 raise MissingWeightError(
                     f"no weight for variable {self.labels[level].name}"
                 )
-        sums = {level: weights[level][0] + weights[level][1] for level in support}
 
-        def gap(after_level: int, until_level: int) -> float:
-            # Product of (wt + wf) over support variables strictly between.
-            lo_i = bisect_right(support, after_level)
-            hi_i = bisect_left(support, until_level)
-            factor = 1.0
-            for i in range(lo_i, hi_i):
-                factor *= sums[support[i]]
-            return factor
-
-        memo = {FALSE: 0.0, TRUE: 1.0}
-        visits = 0
-        stack = [root]
-        var, hi_arr, lo_arr = self._var, self._hi, self._lo
-        while stack:
-            n = stack[-1]
-            if n in memo:
-                stack.pop()
-                continue
-            h, l = hi_arr[n], lo_arr[n]
-            ready = True
-            if h not in memo:
-                stack.append(h)
-                ready = False
-            if l not in memo:
-                stack.append(l)
-                ready = False
-            if not ready:
-                continue
-            stack.pop()
-            level = var[n]
+        # P[i] is the product of (wt + wf) over support[:i] leaving out the
+        # zero sums, Z[i] the number of zero sums left out.  The factor for
+        # the variables strictly between support positions i and j is then
+        # P[j] / P[i + 1], or exactly 0 when Z[j] != Z[i + 1].  Per level,
+        # ``scaled`` holds the literal weights divided by P[i + 1], Z[i + 1],
+        # and P[i], Z[i]; every pair is a (mantissa, exponent) from frexp.
+        frexp, ldexp = math.frexp, math.ldexp
+        pm, pe, zeros = 0.5, 1, 0  # P[0] = 1.0
+        scaled = {}
+        for level in support:
             wt, wf = weights[level]
-            high_part = wt * memo[h] * gap(level, var[h])
-            low_part = wf * memo[l] * gap(level, var[l])
-            memo[n] = high_part + low_part
-            visits += 1
-        self.last_wmc_visits = visits
-        return memo[root]
+            before = (pm, pe, zeros)
+            total = wt + wf
+            if total == 0.0:
+                zeros += 1
+            else:
+                m, e = frexp(total)
+                pm, d = frexp(pm * m)
+                pe += e + d
+            tm, te = frexp(wt)
+            fm, fe = frexp(wf)
+            scaled[level] = (tm / pm, te - pe, fm / pm, fe - pe, zeros, *before)
+
+        # q[n] is count(n) * P[i] for n at support position i, with Z[i]; the
+        # terminals sit at position len(support).
+        q[FALSE] = (0.0, 0, zeros)
+        q[TRUE] = (pm, pe, zeros)
+        for n in order:
+            tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
+            hm, he, hz = q[hi_arr[n]]
+            lm, le, lz = q[lo_arr[n]]
+            hm = tm * hm if hz == znext else 0.0
+            lm = fm * lm if lz == znext else 0.0
+            he += te
+            le += fe
+            if not lm:
+                m, e = hm, he
+            elif not hm:
+                m, e = lm, le
+            elif he >= le:
+                m, e = hm + ldexp(lm, le - he), he
+            else:
+                m, e = lm + ldexp(hm, he - le), le
+            m, d = frexp(m * bm)
+            q[n] = (m, e + d + be, bz)
+        self.last_wmc_visits = len(order)
+        # The root sits at position 0, where P[0] = 1.
+        m, e, _ = q[root]
+        self.last_wmc_scaled = (m, e)
+        try:
+            return ldexp(m, e)
+        except OverflowError:
+            return math.copysign(math.inf, m)
 
     def node_count(self, *roots: int) -> int:
         """Distinct internal nodes reachable from ``roots`` plus reachable

@@ -3,7 +3,10 @@
 Every query is a ratio of weighted model counts on the shared manager: the
 accepting formula's count is the normalizing constant, and conjoining the
 formula tuple's agreement with a concrete value (pointwise iff) selects that
-value's mass.  A zero normalizing constant makes every posterior zero.
+value's mass.  Counts are ratioed as the manager's (mantissa, exponent)
+pairs, so a posterior stays exact when the normalizing constant lies below
+the double range.  Only a true zero normalizing constant (a zero mantissa,
+as for an accepting formula that is FALSE) makes every posterior zero.
 
 Compilation happens once; queries reuse the manager.  The iff/conjunction
 scaffolding a query builds does create nodes, so queries are serialized (run
@@ -12,6 +15,7 @@ them from one thread); they perform no other construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +51,27 @@ def check_closed(cp: CompiledProgram) -> None:
             )
 
 
-def accepting_probability(cp: CompiledProgram) -> float:
+def _count(mgr, root: int, weights: dict) -> tuple:
+    """The weighted model count of ``root`` as a (mantissa, exponent) pair."""
+    mgr.wmc(root, weights)
+    return mgr.last_wmc_scaled
+
+
+def _ratio(numerator: tuple, denominator: tuple) -> float:
+    """numerator / denominator of two scaled counts, the denominator nonzero."""
+    return math.ldexp(numerator[0] / denominator[0], numerator[1] - denominator[1])
+
+
+def _accepting(cp: CompiledProgram) -> tuple:
+    """The accepting probability and its scaled count: the one normalizing
+    constant a query computes."""
     check_closed(cp)
-    return cp.manager.wmc(cp.accepting, cp.weights)
+    mgr = cp.manager
+    return mgr.wmc(cp.accepting, cp.weights), mgr.last_wmc_scaled
+
+
+def accepting_probability(cp: CompiledProgram) -> float:
+    return _accepting(cp)[0]
 
 
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
@@ -57,11 +79,11 @@ def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
     if not _shape_matches(cp.formula, value):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
     mgr = cp.manager
-    denominator = mgr.wmc(cp.accepting, cp.weights)
-    if denominator == 0.0:
+    denominator = _count(mgr, cp.accepting, cp.weights)
+    if denominator[0] == 0.0:
         return 0.0
     selected = mgr.apply_and(pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting)
-    return mgr.wmc(selected, cp.weights) / denominator
+    return _ratio(_count(mgr, selected, cp.weights), denominator)
 
 
 def _shape_matches(t, v: S.Value) -> bool:
@@ -79,36 +101,40 @@ def full_distribution(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES)
 
     One wmc for the normalizing constant plus one per value.
     """
-    check_closed(cp)
+    return _distribution(cp, _accepting(cp)[1], max_leaves)
+
+
+def _distribution(cp: CompiledProgram, denominator: tuple, max_leaves: int) -> dict:
     leaves = S.bool_leaf_count(cp.output_ty)
     if leaves > max_leaves:
         raise OutputTooWideError(leaves, max_leaves)
     mgr = cp.manager
-    denominator = mgr.wmc(cp.accepting, cp.weights)
     out = {}
     for value in S.enumerate_values(cp.output_ty):
-        if denominator == 0.0:
+        if denominator[0] == 0.0:
             out[value] = 0.0
             continue
         selected = mgr.apply_and(
             pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting
         )
-        out[value] = mgr.wmc(selected, cp.weights) / denominator
+        out[value] = _ratio(_count(mgr, selected, cp.weights), denominator)
     return out
 
 
 def marginals(cp: CompiledProgram) -> list:
     """Per-leaf true-probabilities: [(path, probability)] with 'l'/'r' paths."""
-    check_closed(cp)
+    return _marginals(cp, _accepting(cp)[1])
+
+
+def _marginals(cp: CompiledProgram, denominator: tuple) -> list:
     mgr = cp.manager
-    denominator = mgr.wmc(cp.accepting, cp.weights)
     out = []
     for path, node in leaf_paths(cp.formula):
-        if denominator == 0.0:
+        if denominator[0] == 0.0:
             out.append((path, 0.0))
             continue
-        numerator = mgr.wmc(mgr.apply_and(node, cp.accepting), cp.weights)
-        out.append((path, numerator / denominator))
+        numerator = _count(mgr, mgr.apply_and(node, cp.accepting), cp.weights)
+        out.append((path, _ratio(numerator, denominator)))
     return out
 
 
@@ -130,8 +156,8 @@ def render_value(value: S.Value, surface_ty: Optional[S.Ty]) -> str:
 
 
 def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> InferenceResult:
-    accepting = accepting_probability(cp)
-    dist = full_distribution(cp, max_leaves)
+    accepting, denominator = _accepting(cp)
+    dist = _distribution(cp, denominator, max_leaves)
     entries = [
         (render_value(value, cp.surface_output_ty), probability)
         for value, probability in dist.items()
@@ -140,8 +166,8 @@ def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVE
 
 
 def marginals_result(cp: CompiledProgram) -> InferenceResult:
-    accepting = accepting_probability(cp)
-    entries = [(path if path else "value", p) for path, p in marginals(cp)]
+    accepting, denominator = _accepting(cp)
+    entries = [(path if path else "value", p) for path, p in _marginals(cp, denominator)]
     return InferenceResult(accepting, "marginals", entries)
 
 

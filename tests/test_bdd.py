@@ -2,7 +2,9 @@
 counting against direct enumeration, and size bounds."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +358,62 @@ class TestWmc:
             root = build(mgr, levels, random_tree(rng, 8, 5))
             mgr.wmc(root, weights)
             assert mgr.last_wmc_visits <= mgr.node_count(root)
+
+
+    @pytest.mark.parametrize("zero_sum", [(0.0, 0.0), (1.5, -1.5)])
+    def test_skipped_variable_with_zero_weight_sum(self, zero_sum):
+        # f2 is skipped on the f1-false branch of ite(f1, f2, f3), so that
+        # branch contributes 0; random formulas put the zero-sum variable
+        # inside other gaps.
+        mgr, levels = fresh_manager(3)
+        weights = {levels[0]: (0.25, 0.75), levels[1]: zero_sum, levels[2]: (0.5, 0.25)}
+        root = mgr.ite(mgr.var(levels[0]), mgr.var(levels[1]), mgr.var(levels[2]))
+        assert mgr.wmc(root, weights) == pytest.approx(
+            wmc_brute_force(mgr, root, weights), abs=1e-15
+        )
+        rng = random.Random(17)
+        mgr, levels = fresh_manager(7)
+        for _ in range(40):
+            weights = {l: (rng.uniform(0, 1), rng.uniform(0, 1)) for l in levels}
+            weights[levels[rng.randrange(7)]] = zero_sum
+            root = build(mgr, levels, random_tree(rng, 7, 5))
+            assert mgr.wmc(root, weights) == pytest.approx(
+                wmc_brute_force(mgr, root, weights), abs=1e-12
+            )
+            assert mgr.last_wmc_visits <= mgr.node_count(root)
+
+    @pytest.mark.parametrize("literal", [(0.3, 0.2), (1.2, 0.8)])
+    def test_long_skipped_run_leaves_the_double_range(self, literal):
+        # ite(f0, f1 && ... && f[run + 1], f[run + 1]) skips the run f1..f[run]
+        # on its f0-false branch.  With every variable weighted ``literal``
+        # the count is wt^(run + 2) + wf * (wt + wf)^run * wt; at run = 10
+        # the brute force confirms that closed form, and at run = 1,500 the
+        # factor (wt + wf)^run = 2^-1500 or 2^1500 leaves the double range.
+        wt, wf = literal
+
+        def closed_form(run):
+            t, f = Fraction(wt), Fraction(wf)
+            return t ** (run + 2) + f * (t + f) ** run * t
+
+        for run in (10, 1500):
+            mgr, levels = fresh_manager(run + 2)
+            conjunction = TRUE
+            for level in reversed(levels[1:]):
+                conjunction = mgr.apply_and(mgr.var(level), conjunction)
+            root = mgr.ite(mgr.var(levels[0]), conjunction, mgr.var(levels[-1]))
+            weights = {l: literal for l in levels}
+            count = mgr.wmc(root, weights)
+            assert mgr.last_wmc_visits <= mgr.node_count(root)
+            mantissa, exponent = mgr.last_wmc_scaled
+            scaled = Fraction(mantissa) * Fraction(2) ** exponent
+            assert abs(scaled / closed_form(run) - 1) < 1e-12
+            if run == 10:
+                assert float(closed_form(run)) == pytest.approx(
+                    wmc_brute_force(mgr, root, weights), rel=1e-12
+                )
+                assert count == pytest.approx(float(scaled), rel=1e-15)
+            else:
+                assert count == (0.0 if wt + wf < 1 else math.inf)
 
 
 class TestConditionalIndependenceBound:

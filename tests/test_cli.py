@@ -2,11 +2,12 @@
 
 import json
 import re
+import sys
 
 import pytest
 
 from flipc.cli import main
-from flipc.suites import benchmark_text
+from flipc.suites import benchmark_text, caesar_source
 
 
 @pytest.fixture
@@ -134,6 +135,19 @@ class TestInfer:
         assert code == 0
         assert "result l 0.2" in out
         assert "result r 0.7" in out
+
+    def test_below_range_accepting_is_noted_on_stderr(self, capsys, tmp_path, write_benchmark):
+        path = tmp_path / "caesar.dice"
+        path.write_text(caesar_source(512))
+        code, out, err = run(capsys, "infer", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == JSON_KEYS
+        assert report["accepting"] < sys.float_info.min
+        assert {r["value"]: r["prob"] for r in report["results"]}["2"] == pytest.approx(0.25)
+        assert err.count("note:") == 1 and "below the normal double range" in err
+        code, _, err = run(capsys, "infer", write_benchmark("evidence_or.dice"))
+        assert code == 0 and err == ""
 
 
 class TestTranslate:

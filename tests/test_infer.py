@@ -1,6 +1,8 @@
 """Query layer: accepting probability, value probabilities, distributions,
 and marginals."""
 
+import sys
+
 import pytest
 
 from flipc import infer, syntax as S
@@ -10,6 +12,7 @@ from flipc.compiler import (
     _Compilation,
     compile_expr,
     compile_program,
+    compile_source,
     form,
 )
 from flipc.errors import (
@@ -19,7 +22,7 @@ from flipc.errors import (
 )
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
-from flipc.suites import benchmark_text
+from flipc.suites import benchmark_text, caesar_source
 from flipc.typecheck import typecheck_program
 
 from conftest import compile_text, max_distribution_delta
@@ -128,6 +131,38 @@ class TestFullDistribution:
         infer.accepting_probability(compiled)
         infer.accepting_probability(compiled)
         assert len(compiled.manager._var) == store_size
+
+
+    def test_result_computes_one_denominator(self, monkeypatch):
+        # One closedness check (a support walk) and one accepting count per
+        # result, then one count per value or leaf.
+        compiled, _ = compile_text("let x = flip 0.1 in let o = observe x || flip 0.4 in (x, flip 0.7)")
+        mgr = compiled.manager
+        support_calls = []
+        support = mgr.support
+        monkeypatch.setattr(mgr, "support", lambda *roots: support_calls.append(roots) or support(*roots))
+        for query, numerators in ((infer.distribution_result, 4), (infer.marginals_result, 2)):
+            support_calls.clear()
+            before = mgr.wmc_calls
+            query(compiled)
+            assert mgr.wmc_calls - before == 1 + numerators
+            assert len(support_calls) == 1
+
+
+class TestBelowDoubleRange:
+    @pytest.mark.parametrize("chars", [512, 1024])
+    def test_caesar_posteriors_stay_exact(self, chars):
+        # Every key explains a uniform ciphertext equally well; from 455
+        # characters on the accepting probability is below the normal range.
+        compiled, _ = compile_source(caesar_source(chars))
+        result = infer.distribution_result(compiled)
+        assert result.accepting < sys.float_info.min
+        posterior = dict(result.entries)
+        for key in "0123":
+            assert posterior.pop(key) == pytest.approx(0.25, abs=1e-12)
+        assert set(posterior.values()) == {0.0}
+        assert [p for _, p in infer.marginals(compiled)] == [pytest.approx(0.25, abs=1e-12)] * 4
+        assert infer.prob_of_value(compiled, S.one_hot_value(4, 2)) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestMarginals:
