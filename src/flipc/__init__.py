@@ -14,7 +14,6 @@ from .compiler import (
     Leaf,
     Pair,
     apply_call,
-    broadcast_and,
     compile_expr,
     compile_function,
     compile_program,
@@ -22,7 +21,6 @@ from .compiler import (
     form,
     inline_program,
     pointwise_iff,
-    pointwise_or,
     tuple_of_value,
 )
 from .desugar import (

@@ -7,6 +7,17 @@ equal exactly when the formulas are logically equivalent under the manager's
 variable order.  There are no complement edges and no garbage collection;
 the store only grows within a run (an optional node cap guards runaways).
 
+Every Boolean operation is one ``ite`` (if-then-else): and, or, iff and not
+are ``ite`` calls with terminal or negated branches.  ``ite`` normalises its
+triple before looking it up in the one computed table, ``_computed``: a
+branch equal to the guard becomes a terminal, and the symmetric and/or forms
+take the smaller handle as guard.  When every guard variable precedes the
+branches' variables, the result is the guard with its terminals rerouted to
+the branches, built in one pass by ``_rewire``.  The rewire and ``compose``
+memos are local to one call and dropped when it returns, so ``_unique`` and
+``_computed`` are the only tables that grow.  Nodes are created only in
+``_mk``.
+
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, with its parameter, named f1, f2, ... in allocation
 order) or a free variable (a placeholder for a function argument).  The
@@ -56,14 +67,8 @@ class BddManager:
         self._hi = [0, 1]
         self._lo = [0, 1]
         self._maxvar = [-1, -1]  # largest level in each node's subgraph
-        self._unique: dict = {}
-        self._and_cache: dict = {}
-        self._or_cache: dict = {}
-        self._iff_cache: dict = {}
-        self._not_cache: dict = {}
-        self._ite_cache: dict = {}
-        self._rewire_caches: dict = {}
-        self._compose_caches: dict = {}
+        self._unique: dict = {}  # (level, hi, lo) -> node
+        self._computed: dict = {}  # normalised (g, t, e) -> ite result
         self.labels: list[VarLabel] = []
         self._flip_count = 0
         self.max_nodes = max_nodes
@@ -120,9 +125,6 @@ class BddManager:
             raise IndexError(f"unregistered variable level {level}")
         return self._mk(level, TRUE, FALSE)
 
-    def is_terminal(self, node: int) -> bool:
-        return node <= 1
-
     def level_of(self, node: int) -> int:
         return self._var[node]
 
@@ -132,145 +134,65 @@ class BddManager:
     def low(self, node: int) -> int:
         return self._lo[node]
 
-    def label_of(self, node: int) -> VarLabel:
-        return self.labels[self._var[node]]
-
     # -- boolean operations ---------------------------------------------------
 
     def apply_and(self, a: int, b: int) -> int:
-        if a == FALSE or b == FALSE:
-            return FALSE
-        if a == TRUE:
-            return b
-        if b == TRUE or a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        cached = self._and_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._branch(self.apply_and, a, b)
-        self._and_cache[key] = result
-        return result
+        return self.ite(a, b, FALSE)
 
     def apply_or(self, a: int, b: int) -> int:
-        if a == TRUE or b == TRUE:
-            return TRUE
-        if a == FALSE:
-            return b
-        if b == FALSE or a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        cached = self._or_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._branch(self.apply_or, a, b)
-        self._or_cache[key] = result
-        return result
+        return self.ite(a, TRUE, b)
 
     def apply_iff(self, a: int, b: int) -> int:
-        if a == b:
-            return TRUE
-        if a == TRUE:
-            return b
-        if b == TRUE:
-            return a
-        if a == FALSE:
-            return self.negate(b)
-        if b == FALSE:
-            return self.negate(a)
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        cached = self._iff_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._branch(self.apply_iff, a, b)
-        self._iff_cache[key] = result
-        return result
-
-    def _branch(self, op, a: int, b: int) -> int:
-        la, lb = self._var[a], self._var[b]
-        level = la if la < lb else lb
-        ah, al = (self._hi[a], self._lo[a]) if la == level else (a, a)
-        bh, bl = (self._hi[b], self._lo[b]) if lb == level else (b, b)
-        return self._mk(level, op(ah, bh), op(al, bl))
+        return self.ite(a, b, self.negate(b))
 
     def negate(self, a: int) -> int:
-        if a == TRUE:
-            return FALSE
-        if a == FALSE:
-            return TRUE
-        cached = self._not_cache.get(a)
-        if cached is not None:
-            return cached
-        result = self._mk(self._var[a], self.negate(self._hi[a]), self.negate(self._lo[a]))
-        self._not_cache[a] = result
-        self._not_cache[result] = a
-        return result
+        return self.ite(a, FALSE, TRUE)
 
     def ite(self, g: int, t: int, e: int) -> int:
-        if g == TRUE:
-            return t
-        if g == FALSE:
-            return e
+        if t == g:
+            t = TRUE
+        if e == g:
+            e = FALSE
+        if g <= 1:
+            return t if g == TRUE else e
         if t == e:
             return t
         if t == TRUE and e == FALSE:
             return g
-        if t == FALSE and e == TRUE:
-            return self.negate(g)
+        # and (e FALSE) and or (t TRUE) are symmetric: the smaller handle
+        # guards, so both operand orders share one table entry.
+        if e == FALSE and t < g:
+            g, t = t, g
+        elif t == TRUE and e < g:
+            g, e = e, g
+        key = (g, t, e)
+        result = self._computed.get(key)
+        if result is not None:
+            return result
         var, hi, lo = self._var, self._hi, self._lo
         if self._maxvar[g] < var[t] and self._maxvar[g] < var[e]:
             # All of the guard's variables precede the branches': the result
             # is the guard with its terminals rerouted to the branches.
-            return self._rewire(g, t, e)
-        key = (g, t, e)
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            return cached
-        level = min(var[g], var[t], var[e])
-        gh, gl = (hi[g], lo[g]) if var[g] == level else (g, g)
-        th, tl = (hi[t], lo[t]) if var[t] == level else (t, t)
-        eh, el = (hi[e], lo[e]) if var[e] == level else (e, e)
-        result = self._mk(level, self.ite(gh, th, eh), self.ite(gl, tl, el))
-        self._ite_cache[key] = result
+            result = self._rewire(g, t, e)
+        else:
+            level = min(var[g], var[t], var[e])
+            gh, gl = (hi[g], lo[g]) if var[g] == level else (g, g)
+            th, tl = (hi[t], lo[t]) if var[t] == level else (t, t)
+            eh, el = (hi[e], lo[e]) if var[e] == level else (e, e)
+            result = self._mk(level, self.ite(gh, th, eh), self.ite(gl, tl, el))
+        self._computed[key] = result
         return result
 
     def _rewire(self, g: int, t: int, e: int) -> int:
-        memo = self._rewire_caches.get((t, e))
-        if memo is None:
-            memo = {TRUE: t, FALSE: e}
-            self._rewire_caches[(t, e)] = memo
-        var, hi_arr, lo_arr = self._var, self._hi, self._lo
-        maxvar, unique, cap = self._maxvar, self._unique, self.max_nodes
-        memo_get = memo.get
+        """``g`` with TRUE replaced by ``t`` and FALSE by ``e``, in one pass
+        over ``g``'s nodes; the memo lives for this call only."""
+        memo = {TRUE: t, FALSE: e}
+        memo_get, var, hi, lo, mk = memo.get, self._var, self._hi, self._lo, self._mk
 
         def rec(n: int) -> int:
             result = memo_get(n)
-            if result is not None:
-                return result
-            h = rec(hi_arr[n])
-            l = rec(lo_arr[n])
-            if h == l:
-                result = h
-            else:
-                level = var[n]
-                candidate = len(var)
-                result = unique.setdefault((level, h, l), candidate)
-                if result == candidate:
-                    if cap is not None and candidate > cap:
-                        del unique[(level, h, l)]
-                        raise NodeLimitError(f"node store exceeded the cap of {cap}")
-                    var.append(level)
-                    hi_arr.append(h)
-                    lo_arr.append(l)
-                    deeper = maxvar[h] if maxvar[h] >= maxvar[l] else maxvar[l]
-                    maxvar.append(level if level > deeper else deeper)
-            memo[n] = result
+            if result is None:
+                result = memo[n] = mk(var[n], rec(hi[n]), rec(lo[n]))
             return result
 
         return rec(g)
@@ -283,10 +205,7 @@ class BddManager:
         ite(g, f restricted to var=true, f restricted to var=false)."""
         if not mapping:
             return f
-        cache_key = tuple(sorted(mapping.items()))
-        memo = self._compose_caches.setdefault(cache_key, {})
-        max_level = max(mapping)
-        return self._compose(f, mapping, memo, max_level)
+        return self._compose(f, mapping, {}, max(mapping))
 
     def _compose(self, f: int, mapping: dict, memo: dict, max_level: int) -> int:
         if f <= 1 or self._var[f] > max_level:

@@ -20,10 +20,10 @@ The JSON report always carries exactly the keys {accepting, query, results,
 flips, nodes, compile_ms, query_ms}; results entries are {value, prob}.
 Table probabilities are printed with 12 significant digits; JSON carries
 full binary64 values.  An accepting probability below the normal double
-range is printed rounded (possibly to 0), with a note on stderr when the
-posteriors are nonzero; the posteriors themselves stay exact.  Exit codes:
-0 success, 1 user error, 2 internal invariant failure (including an oracle
-or self-test mismatch).
+range is printed rounded (possibly to 0), with a note on stderr whenever it
+is not zero, for every query; the posteriors themselves stay exact.  Exit
+codes: 0 success, 1 user error, 2 internal invariant failure (including an
+oracle or self-test mismatch).
 
 The environment variable FLIPC_MAX_NODES caps the BDD node store
 (default 50,000,000 nodes).
@@ -115,10 +115,10 @@ def cmd_infer(args) -> int:
         print(f"nodes {nodes}")
         print(f"compile_ms {compile_ms:.3f}")
         print(f"query_ms {query_ms:.3f}")
-    if result.accepting < sys.float_info.min and any(p != 0.0 for _, p in result.entries):
+    if result.accepting < sys.float_info.min and result.accepting_scaled[0] != 0.0:
         print(
-            f"note: the accepting probability is below the normal double range and is "
-            f"shown rounded as {_fmt(result.accepting)}; the posteriors are exact",
+            f"note: the accepting probability is nonzero but below the normal double range "
+            f"and is shown rounded as {_fmt(result.accepting)}; the posteriors are exact",
             file=sys.stderr,
         )
 

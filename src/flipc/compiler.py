@@ -85,20 +85,6 @@ def form(mgr: BddManager, name: str, ty: S.Ty) -> CompiledTuple:
     raise ShapeMismatchError(f"cannot build a form for type {ty}")
 
 
-def broadcast_and(mgr: BddManager, g: int, t: CompiledTuple) -> CompiledTuple:
-    if isinstance(t, Leaf):
-        return Leaf(mgr.apply_and(g, t.node))
-    return Pair(broadcast_and(mgr, g, t.left), broadcast_and(mgr, g, t.right))
-
-
-def pointwise_or(mgr: BddManager, a: CompiledTuple, b: CompiledTuple) -> CompiledTuple:
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return Leaf(mgr.apply_or(a.node, b.node))
-    if isinstance(a, Pair) and isinstance(b, Pair):
-        return Pair(pointwise_or(mgr, a.left, b.left), pointwise_or(mgr, a.right, b.right))
-    raise ShapeMismatchError("pointwise disjunction of mismatched shapes")
-
-
 def pointwise_iff(mgr: BddManager, a: CompiledTuple, b: CompiledTuple) -> int:
     """Conjunction of per-leaf biconditionals, as a single formula."""
     if isinstance(a, Leaf) and isinstance(b, Leaf):

@@ -38,6 +38,7 @@ class InferenceResult:
     accepting: float
     query: str
     entries: list  # (display key, probability) pairs in enumeration order
+    accepting_scaled: tuple  # the accepting count as a (mantissa, exponent) pair
 
 
 def check_closed(cp: CompiledProgram) -> None:
@@ -162,14 +163,15 @@ def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVE
         (render_value(value, cp.surface_output_ty), probability)
         for value, probability in dist.items()
     ]
-    return InferenceResult(accepting, "distribution", entries)
+    return InferenceResult(accepting, "distribution", entries, denominator)
 
 
 def marginals_result(cp: CompiledProgram) -> InferenceResult:
     accepting, denominator = _accepting(cp)
     entries = [(path if path else "value", p) for path, p in _marginals(cp, denominator)]
-    return InferenceResult(accepting, "marginals", entries)
+    return InferenceResult(accepting, "marginals", entries, denominator)
 
 
 def accepting_result(cp: CompiledProgram) -> InferenceResult:
-    return InferenceResult(accepting_probability(cp), "accepting", [])
+    accepting, scaled = _accepting(cp)
+    return InferenceResult(accepting, "accepting", [], scaled)

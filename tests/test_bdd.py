@@ -203,6 +203,83 @@ def test_boolean_algebra_laws_on_handles(data):
     assert mgr.apply_iff(a, b) == mgr.ite(a, b, lnot(b))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rewire_shortcut_and_operand_order_against_truth_tables(data):
+    # The guard lives on levels 0-2 and the branches on 3-5, so every guard
+    # variable precedes the branches' and ite takes the rewire shortcut.
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    mgr, levels = fresh_manager(6)
+    rewires = []
+    rewire = mgr._rewire
+    mgr._rewire = lambda g, t, e: rewires.append(g) or rewire(g, t, e)
+    g_tree, t_tree, e_tree = random_tree(rng, 3, 3), random_tree(rng, 3, 3), random_tree(rng, 3, 3)
+    # Building the branches first gives them the smaller handles, so both
+    # operand orders reach the and/or normalisation.
+    if data.draw(st.booleans()):
+        t, e = build(mgr, levels[3:], t_tree), build(mgr, levels[3:], e_tree)
+        g = build(mgr, levels[:3], g_tree)
+    else:
+        g = build(mgr, levels[:3], g_tree)
+        t, e = build(mgr, levels[3:], t_tree), build(mgr, levels[3:], e_tree)
+    rewires.clear()
+    mgr._computed.clear()  # so no case below is answered by the build
+    node = {"g": g, "t": t, "e": e}
+    cases = [
+        (mgr.ite(g, t, e), lambda v: v["t"] if v["g"] else v["e"]),
+        (mgr.negate(g), lambda v: not v["g"]),
+        (mgr.negate(t), lambda v: not v["t"]),
+    ]
+    for x, y in (("g", "t"), ("t", "g")):
+        cases += [
+            (mgr.apply_and(node[x], node[y]), lambda v, x=x, y=y: v[x] and v[y]),
+            (mgr.apply_or(node[x], node[y]), lambda v, x=x, y=y: v[x] or v[y]),
+            (mgr.apply_iff(node[x], node[y]), lambda v, x=x, y=y: v[x] == v[y]),
+        ]
+    if g > 1:
+        assert rewires
+    for bits in itertools.product((False, True), repeat=6):
+        v = {
+            "g": eval_tree(g_tree, bits[:3]),
+            "t": eval_tree(t_tree, bits[3:]),
+            "e": eval_tree(e_tree, bits[3:]),
+        }
+        for root, expected in cases:
+            assert mgr.evaluate(root, dict(zip(levels, bits))) == expected(v)
+    assert mgr.apply_and(g, t) == mgr.apply_and(t, g)
+    assert mgr.apply_or(g, t) == mgr.apply_or(t, g)
+    assert mgr.apply_iff(g, t) == mgr.apply_iff(t, g)
+
+
+def test_node_cap_inside_rewire_leaves_the_manager_canonical():
+    def operands(mgr, levels):
+        g = TRUE
+        for level in levels[:8]:
+            g = mgr.apply_iff(g, mgr.var(level))  # parity of levels 0-7
+        t = mgr.apply_and(mgr.var(levels[8]), mgr.var(levels[9]))
+        e = mgr.apply_or(mgr.var(levels[10]), mgr.var(levels[11]))
+        return g, t, e
+
+    mgr, levels = fresh_manager(12)
+    g, t, e = operands(mgr, levels)
+    mgr.max_nodes = len(mgr._var) + 3
+    with pytest.raises(NodeLimitError) as caught:
+        mgr.ite(g, t, e)
+    assert any(entry.name == "_rewire" for entry in caught.traceback)
+    # No node was half made: each stored node has its one unique entry.
+    assert len(mgr._unique) == len(mgr._var) - 2
+    mgr.max_nodes = len(mgr._var) + 1000
+    result = mgr.ite(g, t, e)
+    assert result == mgr.apply_or(mgr.apply_and(g, t), mgr.apply_and(mgr.negate(g), e))
+    for bits in itertools.product((False, True), repeat=12):
+        expected = (bits[8] and bits[9]) if sum(bits[:8]) % 2 == 0 else (bits[10] or bits[11])
+        assert mgr.evaluate(result, dict(zip(levels, bits))) == expected
+    uncapped, uncapped_levels = fresh_manager(12)
+    assert mgr.node_count(result) == uncapped.node_count(
+        uncapped.ite(*operands(uncapped, uncapped_levels))
+    )
+
+
 class TestCompose:
     def test_substituting_a_variable_by_itself_elsewhere(self):
         mgr, levels = fresh_manager(3)

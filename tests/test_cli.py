@@ -146,6 +146,11 @@ class TestInfer:
         assert report["accepting"] < sys.float_info.min
         assert {r["value"]: r["prob"] for r in report["results"]}["2"] == pytest.approx(0.25)
         assert err.count("note:") == 1 and "below the normal double range" in err
+        # An accepting query has no posteriors; its note rests on the count.
+        code, out, err = run(capsys, "infer", str(path), "--query", "accepting")
+        assert code == 0
+        assert out.splitlines()[0] == "accepting 0"
+        assert err.count("note:") == 1 and "below the normal double range" in err
         code, _, err = run(capsys, "infer", write_benchmark("evidence_or.dice"))
         assert code == 0 and err == ""
 
