@@ -18,13 +18,19 @@ memos are local to one call and dropped when it returns, so ``_unique`` and
 ``_computed`` are the only tables that grow.  Nodes are created only in
 ``_mk``.
 
+There is one graph walk, ``_postorder``: an explicit-stack post-order over
+the nodes reachable from some roots.  ``_rewire`` and ``compose`` are loops
+over it that build each node's image from its children's, and ``support``,
+``node_count``, ``to_dot`` and ``wmc`` read it.  ``ite``'s Shannon expansion
+is the only recursion, and its depth is at most the number of levels.
+
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, with its parameter, named f1, f2, ... in allocation
 order) or a free variable (a placeholder for a function argument).  The
 registration order *is* the global variable order.
 
 ``wmc`` computes the weighted model count over the root's support in time
-linear in the BDD: one post-order walk collects the reachable nodes and the
+linear in the BDD: the post-order walk gives the reachable nodes and the
 support, and one bottom-up pass visits each node once.  A branch that skips
 support variables takes the product of (weight_true + weight_false) over
 them; prefix products of those sums, with a running count of zero sums,
@@ -187,15 +193,34 @@ class BddManager:
         """``g`` with TRUE replaced by ``t`` and FALSE by ``e``, in one pass
         over ``g``'s nodes; the memo lives for this call only."""
         memo = {TRUE: t, FALSE: e}
-        memo_get, var, hi, lo, mk = memo.get, self._var, self._hi, self._lo, self._mk
+        var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
+        for n in self._postorder((g,)):
+            memo[n] = mk(var[n], memo[hi[n]], memo[lo[n]])
+        return memo[g]
 
-        def rec(n: int) -> int:
-            result = memo_get(n)
-            if result is None:
-                result = memo[n] = mk(var[n], rec(hi[n]), rec(lo[n]))
-            return result
-
-        return rec(g)
+    def _postorder(self, roots, max_level: int = _TERMINAL_LEVEL - 1) -> list[int]:
+        """Internal nodes reachable from ``roots`` through nodes at levels up
+        to ``max_level``, each once, children before parents.  The high child
+        is walked before the low one, as a recursive walk would."""
+        var, hi, lo = self._var, self._hi, self._lo
+        order = []
+        seen = set()
+        # Terminals sit at _TERMINAL_LEVEL, above any max_level, so the one
+        # level test also keeps them off the stack.
+        stack = [r for r in roots if var[r] <= max_level]
+        while stack:
+            n = stack.pop()
+            if n < 0:
+                order.append(~n)
+            elif n not in seen:
+                seen.add(n)
+                stack.append(~n)
+                l, h = lo[n], hi[n]
+                if var[l] <= max_level and l not in seen:
+                    stack.append(l)
+                if var[h] <= max_level and h not in seen:
+                    stack.append(h)
+        return order
 
     # -- substitution -----------------------------------------------------------
 
@@ -205,46 +230,23 @@ class BddManager:
         ite(g, f restricted to var=true, f restricted to var=false)."""
         if not mapping:
             return f
-        return self._compose(f, mapping, {}, max(mapping))
-
-    def _compose(self, f: int, mapping: dict, memo: dict, max_level: int) -> int:
-        if f <= 1 or self._var[f] > max_level:
-            return f
-        cached = memo.get(f)
-        if cached is not None:
-            return cached
-        level = self._var[f]
-        hi = self._compose(self._hi[f], mapping, memo, max_level)
-        lo = self._compose(self._lo[f], mapping, memo, max_level)
-        g = mapping.get(level)
-        if g is None:
-            result = self.ite(self.var(level), hi, lo)
-        else:
-            result = self.ite(g, hi, lo)
-        memo[f] = result
-        return result
-
-    def restrict(self, f: int, level: int, value: bool) -> int:
-        return self.compose(f, {level: TRUE if value else FALSE})
+        memo = {}  # nodes above max(mapping) and terminals map to themselves
+        var, hi, lo = self._var, self._hi, self._lo
+        for n in self._postorder((f,), max(mapping)):
+            level = var[n]
+            g = mapping.get(level)
+            memo[n] = self.ite(
+                self.var(level) if g is None else g,
+                memo.get(hi[n], hi[n]),
+                memo.get(lo[n], lo[n]),
+            )
+        return memo.get(f, f)
 
     # -- queries -----------------------------------------------------------------
 
     def support(self, *roots: int) -> list[int]:
         """Sorted levels of all variables reachable from ``roots``."""
-        seen = set()
-        levels = set()
-        stack = [r for r in roots if r > 1]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            levels.add(self._var[n])
-            if self._hi[n] > 1:
-                stack.append(self._hi[n])
-            if self._lo[n] > 1:
-                stack.append(self._lo[n])
-        return sorted(levels)
+        return sorted({self._var[n] for n in self._postorder(roots)})
 
     def wmc(self, root: int, weights: dict) -> float:
         """Weighted model count over the support of ``root``.
@@ -258,26 +260,8 @@ class BddManager:
         """
         self.wmc_calls += 1
         var, hi_arr, lo_arr = self._var, self._hi, self._lo
-        order = []  # reachable internal nodes, children before parents
-        levels = set()
-        q = {}  # reachable internal nodes; their counts are filled in below
-        stack = [root] if root > 1 else []
-        while stack:
-            n = stack.pop()
-            if n < 0:
-                order.append(~n)
-                continue
-            if n in q:
-                continue
-            q[n] = None
-            levels.add(var[n])
-            stack.append(~n)
-            h, l = hi_arr[n], lo_arr[n]
-            if h > 1 and h not in q:
-                stack.append(h)
-            if l > 1 and l not in q:
-                stack.append(l)
-        support = sorted(levels)
+        order = self._postorder((root,))
+        support = sorted({var[n] for n in order})
         for level in support:
             if level not in weights:
                 raise MissingWeightError(
@@ -309,8 +293,7 @@ class BddManager:
 
         # q[n] is count(n) * P[i] for n at support position i, with Z[i]; the
         # terminals sit at position len(support).
-        q[FALSE] = (0.0, 0, zeros)
-        q[TRUE] = (pm, pe, zeros)
+        q = {FALSE: (0.0, 0, zeros), TRUE: (pm, pe, zeros)}
         for n in order:
             tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
             hm, he, hz = q[hi_arr[n]]
@@ -341,25 +324,10 @@ class BddManager:
     def node_count(self, *roots: int) -> int:
         """Distinct internal nodes reachable from ``roots`` plus reachable
         terminals; shared subgraphs count once."""
-        seen = set()
-        terminals = set()
-        stack = []
-        for r in roots:
-            if r <= 1:
-                terminals.add(r)
-            else:
-                stack.append(r)
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            for child in (self._hi[n], self._lo[n]):
-                if child <= 1:
-                    terminals.add(child)
-                else:
-                    stack.append(child)
-        return len(seen) + len(terminals)
+        order = self._postorder(roots)
+        terminals = {r for r in roots if r <= 1}
+        terminals.update(c for n in order for c in (self._hi[n], self._lo[n]) if c <= 1)
+        return len(order) + len(terminals)
 
     def evaluate(self, root: int, assignment: dict) -> bool:
         """Truth value under a total assignment (levels to booleans)."""
@@ -376,23 +344,14 @@ class BddManager:
             '  false [shape=box, label="F"];',
             '  true [shape=box, label="T"];',
         ]
-        seen = set()
-        order = []
-        stack = [node for _, node in sorted(roots.items()) if node > 1]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            order.append(n)
-            stack.extend(c for c in (self._hi[n], self._lo[n]) if c > 1)
+        order = sorted(self._postorder(roots.values()))
 
         def ref(n: int) -> str:
             return "true" if n == TRUE else "false" if n == FALSE else f"n{n}"
 
-        for n in sorted(order):
+        for n in order:
             lines.append(f'  n{n} [shape=circle, label="{self.labels[self._var[n]].name}"];')
-        for n in sorted(order):
+        for n in order:
             lines.append(f"  n{n} -> {ref(self._hi[n])};")
             lines.append(f"  n{n} -> {ref(self._lo[n])} [style=dashed];")
         for name, node in sorted(roots.items()):

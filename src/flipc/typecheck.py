@@ -19,6 +19,8 @@ from .errors import (
     UnboundIdentifierError,
 )
 
+_MISSING = object()
+
 
 def typecheck_program(program: S.Program) -> S.Program:
     """Annotate ``program`` in place and return it."""
@@ -88,10 +90,22 @@ def _infer(e: S.Expr, env: dict, signatures: dict) -> S.Ty:
     if isinstance(e, S.Tup):
         return S.ProdTy(_check(e.left, env, signatures), _check(e.right, env, signatures))
     if isinstance(e, S.Let):
-        bound = _check(e.bound, env, signatures)
-        inner = dict(env)
-        inner[e.name] = bound
-        return _check(e.body, inner, signatures)
+        # A let chain is typed in one loop that binds in place and undoes the
+        # bindings after the body, so a chain of n binders costs O(n) memory.
+        chain = []  # (let, the type its name had before it)
+        while isinstance(e, S.Let):
+            bound = _check(e.bound, env, signatures)
+            chain.append((e, env.get(e.name, _MISSING)))
+            env[e.name] = bound
+            e = e.body
+        ty = _check(e, env, signatures)
+        for let, old in reversed(chain):
+            let.ty = ty
+            if old is _MISSING:
+                del env[let.name]
+            else:
+                env[let.name] = old
+        return ty
     if isinstance(e, S.Ite):
         guard = _check(e.guard, env, signatures)
         if guard != S.BOOL:

@@ -37,6 +37,18 @@ class TestTypecheck:
     def test_literal_tuple_type(self):
         assert typecheck_expr(parse_expr("(true, false)")) == S.ProdTy(S.BOOL, S.BOOL)
 
+    def test_let_chains_restore_shadowed_names_and_type_every_let(self):
+        e = parse_expr(
+            "let x = (true, false) in let y = snd x in"
+            " ((let x = flip 0.5 in let z = x && y in z), fst x)"
+        )
+        pair = S.ProdTy(S.BOOL, S.BOOL)
+        assert typecheck_expr(e) == pair
+        lets = [(n.name, str(n.ty)) for n in S.walk_nodes(e) if isinstance(n, S.Let)]
+        assert sorted(lets) == sorted(
+            [("x", str(pair)), ("y", str(pair)), ("x", "Bool"), ("z", "Bool")]
+        )
+
     def test_non_bool_guard_rejected(self):
         with pytest.raises(TypeMismatchError):
             typecheck_expr(parse_expr("if (true, true) then true else false"))

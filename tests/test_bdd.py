@@ -4,6 +4,7 @@ counting against direct enumeration, and size bounds."""
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,67 @@ def test_node_cap_inside_rewire_leaves_the_manager_canonical():
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_postorder_lists_each_reachable_node_once_children_first(data):
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    mgr, levels = fresh_manager(6)
+    roots = [build(mgr, levels, random_tree(rng, 6, 4)) for _ in range(data.draw(st.integers(1, 3)))]
+    max_level = data.draw(st.integers(-1, 6))
+    order = mgr._postorder(roots, max_level)
+    reachable, stack = set(), [r for r in roots if r > 1]
+    while stack:
+        n = stack.pop()
+        if n not in reachable:
+            reachable.add(n)
+            stack += [c for c in (mgr.high(n), mgr.low(n)) if c > 1]
+    assert len(order) == len(set(order))
+    assert set(order) == {n for n in reachable if mgr.level_of(n) <= max_level}
+    position = {n: i for i, n in enumerate(order)}
+    for n in order:
+        for child in (mgr.high(n), mgr.low(n)):
+            if child > 1 and mgr.level_of(child) <= max_level:
+                assert position[child] < position[n]
+    # One root is walked in the order of a recursive walk, high child first,
+    # which is the order in which _rewire and compose create nodes.
+    expected = []
+
+    def visit(n):
+        if n > 1 and mgr.level_of(n) <= max_level and n not in expected:
+            visit(mgr.high(n))
+            visit(mgr.low(n))
+            expected.append(n)
+
+    visit(roots[0])
+    assert mgr._postorder(roots[:1], max_level) == expected
+
+
+def test_rewire_and_compose_of_a_5000_level_chain_need_no_recursion():
+    mgr, levels = fresh_manager(5002)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        g = mgr.var(levels[4999])
+        for level in reversed(levels[:4999]):
+            g = mgr.apply_or(mgr.var(level), g)  # x0 || x1 || ... || x4999
+        rewires = []
+        rewire = mgr._rewire
+        mgr._rewire = lambda g, t, e: rewires.append(g) or rewire(g, t, e)
+        chosen = mgr.ite(g, mgr.var(levels[5000]), mgr.var(levels[5001]))
+        assert rewires == [g]
+        composed = mgr.compose(g, {levels[4999]: mgr.var(levels[5001])})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mgr.node_count(chosen) == 5000 + 2 + 2
+    assert mgr.node_count(composed) == 4999 + 1 + 2
+    for on in ([], [0], [2500], [4999], [5000], [5001], [4999, 5000], [4999, 5001]):
+        bits = dict.fromkeys(levels, False) | dict.fromkeys(on, True)
+        any_of_g = any(bits[level] for level in levels[:5000])
+        assert mgr.evaluate(chosen, bits) == (bits[5000] if any_of_g else bits[5001])
+        any_of_composed = any(bits[level] for level in levels[:4999]) or bits[5001]
+        assert mgr.evaluate(composed, bits) == any_of_composed
+
+
 class TestCompose:
     def test_substituting_a_variable_by_itself_elsewhere(self):
         mgr, levels = fresh_manager(3)
@@ -309,7 +371,7 @@ class TestCompose:
             target = levels[rng.randrange(5)]
             composed = mgr.compose(f, {target: g})
             expected = mgr.ite(
-                g, mgr.restrict(f, target, True), mgr.restrict(f, target, False)
+                g, mgr.compose(f, {target: TRUE}), mgr.compose(f, {target: FALSE})
             )
             assert composed == expected
 

@@ -12,6 +12,7 @@ from flipc.compiler import (
     apply_call,
     compile_function,
     compile_program,
+    compile_source,
     form,
     inline_program,
     iter_leaves,
@@ -365,3 +366,12 @@ def test_store_sizes_are_pinned(suite, mode):
     infer.distribution_result(compiled)
     assert (after_compile, len(compiled.manager._var)) == sizes[mode]
     assert compiled.node_count() == nodes
+
+
+def test_a_30000_let_chain_compiles_and_is_queried_in_linear_memory():
+    # Typechecking once copied the environment per binder, which ran out of
+    # memory on this program.
+    text = "".join(f"let x{i} = flip 0.5 in " for i in range(30000)) + "x0"
+    compiled, _ = compile_source(text)
+    result = infer.distribution_result(compiled)
+    assert dict(result.entries) == pytest.approx({"false": 0.5, "true": 0.5})
