@@ -22,7 +22,10 @@ There is one graph walk, ``_postorder``: an explicit-stack post-order over
 the nodes reachable from some roots.  ``_rewire`` and ``compose`` are loops
 over it that build each node's image from its children's, and ``support``,
 ``node_count``, ``to_dot`` and ``wmc`` read it.  ``ite``'s Shannon expansion
-is the only recursion, and its depth is at most the number of levels.
+is the only recursion, and its depth is at most the number of levels, so
+registering a variable raises the interpreter's recursion limit, if needed,
+to the level count plus a fixed headroom.  This is the one place flipc
+touches that limit: the front-end passes run on an explicit stack.
 
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, with its parameter, named f1, f2, ... in allocation
@@ -47,16 +50,17 @@ Construction is single-threaded; after it completes, read-only queries
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from ._util import grow_recursion_limit
 from .errors import MissingWeightError, NodeLimitError
 
 FALSE = 0
 TRUE = 1
 
 _TERMINAL_LEVEL = 1 << 40
+_STACK_HEADROOM = 2000
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,10 @@ class BddManager:
     def _new_label(self, kind: str, name: str, theta) -> int:
         index = len(self.labels)
         self.labels.append(VarLabel(index, kind, name, theta))
-        grow_recursion_limit(3 * len(self.labels))
+        # ite recurses at most once per level; the headroom covers its callers.
+        needed = len(self.labels) + _STACK_HEADROOM
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
         return index
 
     def set_flip_theta(self, level: int, theta: float) -> None:

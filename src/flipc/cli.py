@@ -22,8 +22,9 @@ Table probabilities are printed with 12 significant digits; JSON carries
 full binary64 values.  An accepting probability below the normal double
 range is printed rounded (possibly to 0), with a note on stderr whenever it
 is not zero, for every query; the posteriors themselves stay exact.  Exit
-codes: 0 success, 1 user error, 2 internal invariant failure (including an
-oracle or self-test mismatch).
+codes: 0 success, 1 user error (including a program nested deeper than the
+interpreter's recursion limit allows), 2 internal invariant failure
+(including an oracle or self-test mismatch).
 
 The environment variable FLIPC_MAX_NODES caps the BDD node store
 (default 50,000,000 nodes).
@@ -244,6 +245,15 @@ def main(argv=None) -> int:
     except InternalError as error:
         print(f"internal error: {error}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # Values and types recurse once per bit of an int(n), and the oracle
+        # once per level of nesting; both stay plain recursions.
+        print(
+            "error: program nests too deeply for the interpreter's recursion limit "
+            "(a very wide int(n), or --oracle-check on a deeply nested program)",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import syntax as S
-from ._util import grow_recursion_limit
 from .bdd import FALSE, TRUE, BddManager
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
@@ -189,11 +188,12 @@ _MISSING = object()
 
 
 def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledExpr:
-    formula, accepting = _compile(ctx, env, e)
+    formula, accepting = S.trampoline(_compile(ctx, env, e))
     return CompiledExpr(formula, accepting, ctx.weights)
 
 
 def _compile(ctx: _Compilation, env: dict, e: S.Expr):
+    """Step: the (formula tuple, accepting formula) of ``e``."""
     mgr = ctx.mgr
     if isinstance(e, S.Lit):
         return tuple_of_value(e.value), TRUE
@@ -206,16 +206,12 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr):
             return Leaf(TRUE), TRUE
         level = ctx.new_flip(e.theta)
         return Leaf(mgr.var(level)), TRUE
-    if isinstance(e, S.Fst):
+    if isinstance(e, (S.Fst, S.Snd)):
         t = _compile_atom(ctx, env, e.arg)
+        first = isinstance(e, S.Fst)
         if not isinstance(t, Pair):
-            raise ShapeMismatchError("fst of a non-tuple", e.span)
-        return t.left, TRUE
-    if isinstance(e, S.Snd):
-        t = _compile_atom(ctx, env, e.arg)
-        if not isinstance(t, Pair):
-            raise ShapeMismatchError("snd of a non-tuple", e.span)
-        return t.right, TRUE
+            raise ShapeMismatchError(f"{'fst' if first else 'snd'} of a non-tuple", e.span)
+        return (t.left if first else t.right), TRUE
     if isinstance(e, S.Tup):
         left = _compile_atom(ctx, env, e.left)
         right = _compile_atom(ctx, env, e.right)
@@ -230,31 +226,22 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr):
         if not isinstance(guard, Leaf):
             raise ShapeMismatchError("conditional on a non-boolean", e.span)
         g = guard.node
-        then_formula, then_accepting = _compile(ctx, env, e.then)
-        else_formula, else_accepting = _compile(ctx, env, e.orelse)
+        then_formula, then_accepting = yield _compile(ctx, env, e.then)
+        else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
         formula = pointwise_ite(mgr, g, then_formula, else_formula)
         accepting = mgr.ite(g, then_accepting, else_accepting)
         return formula, accepting
     if isinstance(e, S.Let):
-        # Let chains are handled in one loop: bind each formula tuple in the
-        # environment, then conjoin all accepting formulas around the body's.
-        undo = []
-        gammas = []
-        while isinstance(e, S.Let):
-            bound_formula, bound_accepting = _compile(ctx, env, e.bound)
-            if bound_accepting != TRUE:
-                gammas.append(bound_accepting)
-            undo.append((e.name, env.get(e.name, _MISSING)))
-            env[e.name] = bound_formula
-            e = e.body
-        formula, accepting = _compile(ctx, env, e)
-        for gamma in reversed(gammas):
-            accepting = mgr.apply_and(gamma, accepting)
-        for name, old in reversed(undo):
-            if old is _MISSING:
-                del env[name]
-            else:
-                env[name] = old
+        bound_formula, bound_accepting = yield _compile(ctx, env, e.bound)
+        old = env.get(e.name, _MISSING)
+        env[e.name] = bound_formula
+        formula, accepting = yield _compile(ctx, env, e.body)
+        if bound_accepting != TRUE:
+            accepting = mgr.apply_and(bound_accepting, accepting)
+        if old is _MISSING:
+            del env[e.name]
+        else:
+            env[e.name] = old
         return formula, accepting
     if isinstance(e, S.Call):
         arg = _compile_atom(ctx, env, e.arg)
@@ -277,7 +264,7 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     previous = ctx.recording
     ctx.recording = recorded
     try:
-        formula, accepting = _compile(ctx, {func.formal: formal}, func.body)
+        formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
         ctx.recording = previous
     return CompiledFunction(formal, formula, accepting, recorded)
@@ -331,7 +318,6 @@ def compile_program(
         raise FlipcError(f"unknown compilation mode {mode!r}")
     if mode == "inline":
         program = inline_program(program)
-    grow_recursion_limit(sum(1 for _ in S.program_nodes(program)))
     mgr = BddManager(max_nodes=max_nodes)
     order_levels = None
     if order is not None:
@@ -379,50 +365,44 @@ def _register_order(mgr: BddManager, program: S.Program, order: list) -> list:
 def inline_program(program: S.Program) -> S.Program:
     """Replace every call with a freshly alpha-renamed copy of the callee's
     body; the result has no functions."""
-    grow_recursion_limit(sum(1 for _ in S.program_nodes(program)))
     counter = itertools.count()
     completed: dict[str, S.Function] = {}
 
-    def transform(e: S.Expr) -> S.Expr:
+    def transform(e: S.Expr):
+        """Step: ``e`` with every call inlined."""
         if isinstance(e, (S.Lit, S.Ident, S.Flip)):
             return e
         if isinstance(e, S.Let):
-            chain = []
-            while isinstance(e, S.Let):
-                chain.append((e.name, transform(e.bound)))
-                e = e.body
-            body = transform(e)
-            for name, bound in reversed(chain):
-                body = S.Let(name, bound, body)
-            return body
-        if isinstance(e, S.Fst):
-            return S.Fst(transform(e.arg))
-        if isinstance(e, S.Snd):
-            return S.Snd(transform(e.arg))
+            return S.Let(e.name, (yield transform(e.bound)), (yield transform(e.body)))
+        if isinstance(e, (S.Fst, S.Snd, S.Observe)):
+            return type(e)((yield transform(e.arg)))
         if isinstance(e, S.Tup):
-            return S.Tup(transform(e.left), transform(e.right))
+            return S.Tup((yield transform(e.left)), (yield transform(e.right)))
         if isinstance(e, S.Ite):
-            return S.Ite(transform(e.guard), transform(e.then), transform(e.orelse))
-        if isinstance(e, S.Observe):
-            return S.Observe(transform(e.arg))
+            guard = yield transform(e.guard)
+            then = yield transform(e.then)
+            return S.Ite(guard, then, (yield transform(e.orelse)))
         if isinstance(e, S.Call):
             func = completed[e.func]
-            return _instantiate(func.body, {func.formal: transform(e.arg)}, counter)
+            subst = {func.formal: (yield transform(e.arg))}
+            return (yield _instantiate(func.body, subst, counter))
         raise InternalError(f"cannot inline non-core expression {type(e).__name__}")
 
     for func in program.functions:
         completed[func.name] = S.Function(
-            func.name, func.params, func.return_ty, transform(func.body)
+            func.name, func.params, func.return_ty, S.trampoline(transform(func.body))
         )
-    main = transform(program.main)
+    main = S.trampoline(transform(program.main))
     result = S.Program([], main)
     result.main.ty = program.main.ty
     return result
 
 
-def _instantiate(e: S.Expr, subst: dict, counter) -> S.Expr:
-    """Copy ``e`` with every binder renamed fresh and ``subst`` applied to
-    free identifiers (capture is impossible: fresh names are reserved)."""
+def _instantiate(e: S.Expr, subst: dict, counter):
+    """Step: a copy of ``e`` with every binder renamed fresh and ``subst``
+    applied to free identifiers (capture is impossible: fresh names are
+    reserved).  Binders are added to ``subst`` in place and removed after
+    their body."""
     if isinstance(e, S.Lit):
         return e
     if isinstance(e, S.Ident):
@@ -431,34 +411,25 @@ def _instantiate(e: S.Expr, subst: dict, counter) -> S.Expr:
     if isinstance(e, S.Flip):
         return S.Flip(e.theta)
     if isinstance(e, S.Let):
-        chain = []
-        scope = dict(subst)
-        while isinstance(e, S.Let):
-            bound = _instantiate(e.bound, scope, counter)
-            fresh = f"$i{next(counter)}"
-            scope[e.name] = S.Ident(fresh)
-            chain.append((fresh, bound))
-            e = e.body
-        body = _instantiate(e, scope, counter)
-        for name, bound in reversed(chain):
-            body = S.Let(name, bound, body)
-        return body
-    if isinstance(e, S.Fst):
-        return S.Fst(_instantiate(e.arg, subst, counter))
-    if isinstance(e, S.Snd):
-        return S.Snd(_instantiate(e.arg, subst, counter))
+        bound = yield _instantiate(e.bound, subst, counter)
+        fresh = f"$i{next(counter)}"
+        old = subst.get(e.name, _MISSING)
+        subst[e.name] = S.Ident(fresh)
+        body = yield _instantiate(e.body, subst, counter)
+        if old is _MISSING:
+            del subst[e.name]
+        else:
+            subst[e.name] = old
+        return S.Let(fresh, bound, body)
+    if isinstance(e, (S.Fst, S.Snd, S.Observe)):
+        return type(e)((yield _instantiate(e.arg, subst, counter)))
     if isinstance(e, S.Tup):
-        return S.Tup(
-            _instantiate(e.left, subst, counter), _instantiate(e.right, subst, counter)
-        )
+        left = yield _instantiate(e.left, subst, counter)
+        return S.Tup(left, (yield _instantiate(e.right, subst, counter)))
     if isinstance(e, S.Ite):
-        return S.Ite(
-            _instantiate(e.guard, subst, counter),
-            _instantiate(e.then, subst, counter),
-            _instantiate(e.orelse, subst, counter),
-        )
-    if isinstance(e, S.Observe):
-        return S.Observe(_instantiate(e.arg, subst, counter))
+        guard = yield _instantiate(e.guard, subst, counter)
+        then = yield _instantiate(e.then, subst, counter)
+        return S.Ite(guard, then, (yield _instantiate(e.orelse, subst, counter)))
     if isinstance(e, S.Call):
         raise InternalError("call survived inlining")
     raise InternalError(f"cannot instantiate {type(e).__name__}")

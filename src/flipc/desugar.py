@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 
 from . import syntax as S
-from ._util import grow_recursion_limit
 from .errors import BadDistributionError, InternalError
 from .typecheck import typecheck_program
 
@@ -28,7 +27,6 @@ DISCRETE_SUM_TOLERANCE = 1e-6
 
 def desugar_program(program: S.Program) -> S.Program:
     """Full lowering of a typechecked surface program to core ANF."""
-    grow_recursion_limit(sum(1 for _ in S.program_nodes(program)))
     lowered = lower_params(program)
     functions = []
     for func in lowered.functions:
@@ -82,42 +80,43 @@ def lower_params(program: S.Program) -> S.Program:
 
 def desugar_expr(e: S.Expr) -> S.Expr:
     fresh = itertools.count()
-    return _ds(e, fresh)
+    return S.trampoline(_ds(e, fresh))
 
 
-def _ds(e: S.Expr, fresh) -> S.Expr:
+def _ds(e: S.Expr, fresh):
+    """Step: the desugared copy of ``e``."""
     if isinstance(e, (S.Lit, S.Ident, S.Flip)):
         return e
-    if isinstance(e, S.Fst):
-        return S.Fst(_ds(e.arg, fresh), span=e.span)
-    if isinstance(e, S.Snd):
-        return S.Snd(_ds(e.arg, fresh), span=e.span)
+    if isinstance(e, (S.Fst, S.Snd, S.Observe)):
+        return type(e)((yield _ds(e.arg, fresh)), span=e.span)
     if isinstance(e, S.Tup):
-        return S.Tup(_ds(e.left, fresh), _ds(e.right, fresh), span=e.span)
+        return S.Tup((yield _ds(e.left, fresh)), (yield _ds(e.right, fresh)), span=e.span)
     if isinstance(e, S.Let):
-        return S.Let(e.name, _ds(e.bound, fresh), _ds(e.body, fresh), span=e.span)
+        return S.Let(e.name, (yield _ds(e.bound, fresh)), (yield _ds(e.body, fresh)), span=e.span)
     if isinstance(e, S.Ite):
-        return S.Ite(_ds(e.guard, fresh), _ds(e.then, fresh), _ds(e.orelse, fresh), span=e.span)
-    if isinstance(e, S.Observe):
-        return S.Observe(_ds(e.arg, fresh), span=e.span)
+        guard = yield _ds(e.guard, fresh)
+        then = yield _ds(e.then, fresh)
+        return S.Ite(guard, then, (yield _ds(e.orelse, fresh)), span=e.span)
     if isinstance(e, S.Call):
-        return S.Call(e.func, _ds(e.arg, fresh), span=e.span)
+        return S.Call(e.func, (yield _ds(e.arg, fresh)), span=e.span)
     if isinstance(e, S.And):
-        return S.Ite(_ds(e.left, fresh), _ds(e.right, fresh), S.Lit(False), span=e.span)
+        left = yield _ds(e.left, fresh)
+        return S.Ite(left, (yield _ds(e.right, fresh)), S.Lit(False), span=e.span)
     if isinstance(e, S.Or):
-        return S.Ite(_ds(e.left, fresh), S.Lit(True), _ds(e.right, fresh), span=e.span)
+        left = yield _ds(e.left, fresh)
+        return S.Ite(left, S.Lit(True), (yield _ds(e.right, fresh)), span=e.span)
     if isinstance(e, S.Not):
-        return S.Ite(_ds(e.arg, fresh), S.Lit(False), S.Lit(True), span=e.span)
+        return S.Ite((yield _ds(e.arg, fresh)), S.Lit(False), S.Lit(True), span=e.span)
     if isinstance(e, S.Eq):
-        return _ds_eq(e, fresh)
+        return (yield _ds_eq(e, fresh))
     if isinstance(e, S.Discrete):
-        return desugar_discrete(e.params, fresh, span=e.span)
+        return (yield _ds(_discrete_expansion(e.params, fresh, e.span), fresh))
     if isinstance(e, S.IntLit):
         return S.Lit(S.one_hot_value(e.size, e.value), span=e.span)
     if isinstance(e, (S.IntAdd, S.IntMul)):
-        return _ds_int_arith(e, fresh)
+        return (yield _ds_int_arith(e, fresh))
     if isinstance(e, S.Iterate):
-        return desugar_iterate(e.func, _ds(e.init, fresh), e.count, span=e.span)
+        return desugar_iterate(e.func, (yield _ds(e.init, fresh)), e.count, span=e.span)
     raise TypeError(f"cannot desugar {type(e).__name__}")
 
 
@@ -140,6 +139,11 @@ def desugar_discrete(params: list, fresh=None, span=None) -> S.Expr:
     """
     if fresh is None:
         fresh = itertools.count()
+    return S.trampoline(_ds(_discrete_expansion(params, fresh, span), fresh))
+
+
+def _discrete_expansion(params: list, fresh, span) -> S.Expr:
+    """The surface let chain ``desugar_discrete`` lowers."""
     if not params:
         raise BadDistributionError("discrete needs at least one probability")
     for p in params:
@@ -173,7 +177,7 @@ def desugar_discrete(params: list, fresh=None, span=None) -> S.Expr:
         result = S.Tup(S.Ident(names[i]), result)
     for name, bound in reversed(bindings):
         result = S.Let(name, bound, result)
-    return _ds(result, fresh)
+    return result
 
 
 def _suffix_sums(params: list) -> list:
@@ -219,14 +223,15 @@ def _or_chain(terms: list) -> S.Expr:
     return result
 
 
-def _ds_eq(e: S.Eq, fresh) -> S.Expr:
-    left = _ds(e.left, fresh)
-    right = _ds(e.right, fresh)
+def _ds_eq(e: S.Eq, fresh):
+    """Step: ``==`` on booleans (iff) or one-hot integers."""
+    left = yield _ds(e.left, fresh)
+    right = yield _ds(e.right, fresh)
     if e.left.ty == S.BOOL:
         # Both sides bound first: the right side's flips happen either way.
         a, b = f"$e{next(fresh)}", f"$e{next(fresh)}"
         iff = S.Ite(S.Ident(a), S.Ident(b), S.Not(S.Ident(b)))
-        return _ds(S.Let(a, left, S.Let(b, right, iff)), fresh)
+        return (yield _ds(S.Let(a, left, S.Let(b, right, iff)), fresh))
     size = _int_size(e.left)
     bindings: list = []
     lhs = _bind_leaves(left, size, "a", fresh, bindings)
@@ -234,13 +239,14 @@ def _ds_eq(e: S.Eq, fresh) -> S.Expr:
     result = _or_chain([S.And(lhs[i], rhs[i]) for i in range(size)])
     for name, bound in reversed(bindings):
         result = S.Let(name, bound, result)
-    return _ds(result, fresh)
+    return (yield _ds(result, fresh))
 
 
-def _ds_int_arith(e, fresh) -> S.Expr:
+def _ds_int_arith(e, fresh):
+    """Step: ``+`` or ``*`` modulo the size, one or-chain per result bit."""
     size = _int_size(e.left)
-    left = _ds(e.left, fresh)
-    right = _ds(e.right, fresh)
+    left = yield _ds(e.left, fresh)
+    right = yield _ds(e.right, fresh)
     bindings: list = []
     lhs = _bind_leaves(left, size, "a", fresh, bindings)
     rhs = _bind_leaves(right, size, "b", fresh, bindings)
@@ -259,7 +265,7 @@ def _ds_int_arith(e, fresh) -> S.Expr:
         result = S.Tup(S.Ident(bit_names[r]), result)
     for name, bound in reversed(bindings):
         result = S.Let(name, bound, result)
-    return _ds(result, fresh)
+    return (yield _ds(result, fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -272,47 +278,36 @@ def normalize_anf(e: S.Expr) -> S.Expr:
     Hoisting is left to right; repeated application is a fixpoint after one
     pass.
     """
-    grow_recursion_limit(S.node_count(e))
     counter = itertools.count()
-    return _norm(e, counter)
+    return S.trampoline(_norm(e, counter))
 
 
-def _norm(e: S.Expr, counter) -> S.Expr:
+def _norm(e: S.Expr, counter):
+    """Step: ``e`` in A-normal form."""
     if isinstance(e, (S.Lit, S.Ident, S.Flip, S.IntLit, S.Discrete)):
         return e
     if isinstance(e, S.Let):
-        # Let chains are processed with a loop to keep recursion shallow.
-        chain = []
-        while isinstance(e, S.Let):
-            chain.append((e.name, _norm(e.bound, counter), e.span))
-            e = e.body
-        body = _norm(e, counter)
-        for name, bound, span in reversed(chain):
-            body = S.Let(name, bound, body, span=span)
-        return body
+        bound = yield _norm(e.bound, counter)
+        return S.Let(e.name, bound, (yield _norm(e.body, counter)), span=e.span)
     binds: list = []
     if isinstance(e, S.Ite):
-        guard = _atom(e.guard, binds, counter)
-        result: S.Expr = S.Ite(guard, _norm(e.then, counter), _norm(e.orelse, counter), span=e.span)
-    elif isinstance(e, S.Fst):
-        result = S.Fst(_atom(e.arg, binds, counter), span=e.span)
-    elif isinstance(e, S.Snd):
-        result = S.Snd(_atom(e.arg, binds, counter), span=e.span)
-    elif isinstance(e, S.Observe):
-        result = S.Observe(_atom(e.arg, binds, counter), span=e.span)
+        guard = yield _atom(e.guard, binds, counter)
+        then = yield _norm(e.then, counter)
+        result: S.Expr = S.Ite(guard, then, (yield _norm(e.orelse, counter)), span=e.span)
+    elif isinstance(e, (S.Fst, S.Snd, S.Observe)):
+        result = type(e)((yield _atom(e.arg, binds, counter)), span=e.span)
     elif isinstance(e, S.Tup):
-        left = _atom(e.left, binds, counter)
-        right = _atom(e.right, binds, counter)
-        result = S.Tup(left, right, span=e.span)
+        left = yield _atom(e.left, binds, counter)
+        result = S.Tup(left, (yield _atom(e.right, binds, counter)), span=e.span)
     elif isinstance(e, S.Call):
-        result = S.Call(e.func, _atom(e.arg, binds, counter), span=e.span)
+        result = S.Call(e.func, (yield _atom(e.arg, binds, counter)), span=e.span)
     elif isinstance(e, (S.And, S.Or, S.Eq, S.IntAdd, S.IntMul)):
-        cls = type(e)
-        result = cls(_norm(e.left, counter), _norm(e.right, counter), span=e.span)
+        left = yield _norm(e.left, counter)
+        result = type(e)(left, (yield _norm(e.right, counter)), span=e.span)
     elif isinstance(e, S.Not):
-        result = S.Not(_norm(e.arg, counter), span=e.span)
+        result = S.Not((yield _norm(e.arg, counter)), span=e.span)
     elif isinstance(e, S.Iterate):
-        result = S.Iterate(e.func, _norm(e.init, counter), e.count, span=e.span)
+        result = S.Iterate(e.func, (yield _norm(e.init, counter)), e.count, span=e.span)
     else:
         raise TypeError(f"cannot normalize {type(e).__name__}")
     for name, bound in reversed(binds):
@@ -320,8 +315,10 @@ def _norm(e: S.Expr, counter) -> S.Expr:
     return result
 
 
-def _atom(e: S.Expr, binds: list, counter) -> S.Expr:
-    normalized = _norm(e, counter)
+def _atom(e: S.Expr, binds: list, counter):
+    """Step: ``e`` normalized, bound to a fresh name in ``binds`` unless it
+    is atomic."""
+    normalized = yield _norm(e, counter)
     if S.is_atomic(normalized):
         return normalized
     name = f"$t{next(counter)}"
@@ -337,11 +334,12 @@ def static_flip_count(program: S.Program) -> int:
     """Number of flips the program performs with all calls expanded."""
     per_function: dict[str, int] = {}
     for func in program.functions:
-        per_function[func.name] = _flips(func.body, per_function)
-    return _flips(program.main, per_function)
+        per_function[func.name] = expr_flip_count(func.body, per_function)
+    return expr_flip_count(program.main, per_function)
 
 
-def _flips(e: S.Expr, per_function: dict) -> int:
+def expr_flip_count(e: S.Expr, per_function: dict) -> int:
+    """Flips ``e`` performs, given the flips of one call per function."""
     total = 0
     for node in S.walk_nodes(e):
         if isinstance(node, S.Flip):

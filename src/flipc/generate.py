@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import syntax as S
-from .desugar import static_flip_count
+from .desugar import expr_flip_count, static_flip_count
 
 
 @dataclass
@@ -177,7 +177,7 @@ class _Gen:
         func = S.Function(name, params, return_ty, body)
         # Cost of one call: the body's flips, including nested calls.
         table = {f.name: c for f, c in self.functions}
-        cost = _body_flips(body, table)
+        cost = expr_flip_count(body, table)
         self.functions.append((func, cost))
 
 
@@ -186,20 +186,6 @@ def _arg_ty(func: S.Function) -> S.Ty:
     for _, pty in reversed(func.params[:-1]):
         ty = S.ProdTy(pty, ty)
     return ty
-
-
-def _body_flips(e: S.Expr, table: dict) -> int:
-    total = 0
-    for node in S.walk_nodes(e):
-        if isinstance(node, S.Flip):
-            total += 1
-        elif isinstance(node, S.Discrete):
-            total += max(0, len(node.params) - 1)
-        elif isinstance(node, S.Call):
-            total += table[node.func]
-        elif isinstance(node, S.Iterate):
-            total += node.count * table[node.func]
-    return total
 
 
 def random_program(rng: random.Random, cfg: GenConfig | None = None) -> S.Program:

@@ -15,7 +15,11 @@ Two independent routes are implemented:
   in a table built left to right.  Core-ANF input only.
 
 Both are deliberately exponential in the number of flips; ``eval_program``
-refuses programs with more than ``FLIP_CAP`` flips.
+refuses programs with more than ``FLIP_CAP`` flips.  Both also stay plain
+recursions, one interpreter frame or more per level of nesting, so that the
+referee is as direct as possible: a program nested deeper than the
+interpreter's recursion limit allows raises ``RecursionError``, which the
+CLI reports as a user error.
 
 The accepting probability of an expression is the total accepted mass; the
 distributional (posterior) semantics divides by it, and is the all-zero map
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax as S
-from ._util import grow_recursion_limit
 from .desugar import static_flip_count
 from .errors import BadDistributionError, OracleLimitError
 
@@ -62,7 +65,6 @@ def eval_program(program: S.Program, max_flips: int = FLIP_CAP) -> OracleResult:
         raise OracleLimitError(
             f"enumeration refused: {flips} flips exceeds the cap of {max_flips}"
         )
-    grow_recursion_limit(4 * sum(1 for _ in S.program_nodes(program)))
     functions = {f.name: f for f in program.functions}
     unnormalized: Distribution = {}
     for value, weight, ok in _walk(program.main, {}, functions):
@@ -272,7 +274,6 @@ def _func_semantics(func: S.Function, table: FuncTable):
 
 def eval_program_denotational(program: S.Program) -> OracleResult:
     """Compositional-semantics route over a core-ANF program."""
-    grow_recursion_limit(4 * sum(1 for _ in S.program_nodes(program)))
     table = build_func_table(program)
     unnormalized = eval_unnormalized(program.main, {}, table)
     unnormalized = {v: m for v, m in unnormalized.items() if m != 0.0}

@@ -24,6 +24,15 @@ Grammar sketch (lowest precedence first; all binary operators associate left):
               | IDENT | IDENT '(' expr (',' expr)* ')'
               | '(' expr ')' | '(' expr ',' expr ')'
 
+The levels eq ... proj are numbered 1 to 7 (``_PREC_EQ`` ... ``_PREC_PROJ``)
+and parsed by precedence climbing: one step, ``_Parser.expr(min_prec)``,
+reads a prefix form or an atom and then every binary operator whose level
+is at least ``min_prec``, taking each right operand at one level above the
+operator's.  ``!`` (level 4) is a prefix only where a ``not`` may start, and
+``fst``/``snd`` (level 7) anywhere an operand may.  Level 0 is ``expr``.
+The pretty printer uses the same levels.  Parsing and printing are steps
+run by ``syntax.trampoline``, so nesting depth costs no interpreter stack.
+
 Lexical conventions (the kind of thing no formal grammar pins down, so they
 are fixed here): line comments start with ``//``; identifiers match
 ``[A-Za-z_][A-Za-z0-9_']*`` and may not be keywords; ``T``/``F`` are keyword
@@ -38,13 +47,29 @@ import re
 from dataclasses import dataclass
 
 from . import syntax as S
-from ._util import grow_recursion_limit
 from .errors import ParseError
 
 KEYWORDS = {
     "fun", "let", "in", "if", "then", "else", "observe", "flip",
     "discrete", "int", "iterate", "true", "false", "T", "F", "fst", "snd",
     "Bool",
+}
+
+# Operator levels, shared by the parser and the printer.  Level 0 is the
+# open-ended forms (let/if/observe), which swallow everything to their right
+# and need parentheses inside any operator.
+_PREC_EQ, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ADD, _PREC_MUL, _PREC_PROJ, _PREC_ATOM = range(1, 9)
+
+_BINARY = {
+    "==": (_PREC_EQ, S.Eq),
+    "||": (_PREC_OR, S.Or),
+    "&&": (_PREC_AND, S.And),
+    "+": (_PREC_ADD, S.IntAdd),
+    "*": (_PREC_MUL, S.IntMul),
+}
+_SYMBOL = {cls: op for op, (_, cls) in _BINARY.items()}
+_LEVEL = {cls: prec for prec, cls in _BINARY.values()} | {
+    S.Let: 0, S.Ite: 0, S.Observe: 0, S.Not: _PREC_NOT, S.Fst: _PREC_PROJ, S.Snd: _PREC_PROJ,
 }
 
 _TOKEN_RE = re.compile(
@@ -135,7 +160,7 @@ class _Parser:
             functions.append(self.function())
         if self.peek().kind == "eof":
             self.fail("expected main expression")
-        main = self.expr()
+        main = S.trampoline(self.expr())
         if self.peek().kind != "eof":
             self.fail("expected end of input")
         return S.Program(functions, main)
@@ -152,7 +177,7 @@ class _Parser:
         self.eat(":")
         ret = self.ty()
         self.eat("{")
-        body = self.expr()
+        body = S.trampoline(self.expr())
         self.eat("}")
         return S.Function(name, params, ret, body, span=self.span(start))
 
@@ -194,7 +219,7 @@ class _Parser:
             self.fail(f"expected {what}")
         return int(self.next().text)
 
-    def number(self, what: str) -> float:
+    def number(self, what: str) -> tuple[float, Token]:
         """Decimal literal or fraction a/b."""
         tok = self.peek()
         if tok.kind != "number":
@@ -210,93 +235,80 @@ class _Parser:
             value = value / denom
         return value, tok
 
-    def expr(self) -> S.Expr:
-        if self.at("let"):
-            # Let chains are parsed with a loop; recursion would overflow on
-            # the thousand-binding programs the benchmarks generate.
-            bindings = []
-            while self.at("let"):
-                start = self.next()
-                name = self.ident("binding name")
-                self.eat("=")
-                bound = self.expr()
-                self.eat("in")
-                bindings.append((name, bound, self.span(start)))
-            body = self.expr()
-            for name, bound, span in reversed(bindings):
-                body = S.Let(name, bound, body, span=span)
-            return body
-        if self.at("if"):
-            start = self.next()
-            guard = self.expr()
-            self.eat("then")
-            then = self.expr()
-            self.eat("else")
-            orelse = self.expr()
-            return S.Ite(guard, then, orelse, span=self.span(start))
-        if self.at("observe"):
-            start = self.next()
-            return S.Observe(self.expr(), span=self.span(start))
-        return self.eq_expr()
-
-    def eq_expr(self) -> S.Expr:
-        e = self.or_expr()
-        while self.at("=="):
-            tok = self.next()
-            e = S.Eq(e, self.or_expr(), span=self.span(tok))
-        return e
-
-    def or_expr(self) -> S.Expr:
-        e = self.and_expr()
-        while self.at("||"):
-            tok = self.next()
-            e = S.Or(e, self.and_expr(), span=self.span(tok))
-        return e
-
-    def and_expr(self) -> S.Expr:
-        e = self.not_expr()
-        while self.at("&&"):
-            tok = self.next()
-            e = S.And(e, self.not_expr(), span=self.span(tok))
-        return e
-
-    def not_expr(self) -> S.Expr:
-        if self.at("!"):
-            tok = self.next()
-            return S.Not(self.not_expr(), span=self.span(tok))
-        return self.add_expr()
-
-    def add_expr(self) -> S.Expr:
-        e = self.mul_expr()
-        while self.at("+"):
-            tok = self.next()
-            e = S.IntAdd(e, self.mul_expr(), span=self.span(tok))
-        return e
-
-    def mul_expr(self) -> S.Expr:
-        e = self.proj_expr()
-        while self.at("*"):
-            tok = self.next()
-            e = S.IntMul(e, self.proj_expr(), span=self.span(tok))
-        return e
-
-    def proj_expr(self) -> S.Expr:
-        if self.at("fst"):
-            tok = self.next()
-            return S.Fst(self.proj_expr(), span=self.span(tok))
-        if self.at("snd"):
-            tok = self.next()
-            return S.Snd(self.proj_expr(), span=self.span(tok))
-        return self.atom()
-
-    def atom(self) -> S.Expr:
+    def expr(self, min_prec: int = 0):
+        """Step: one expression whose binary operators all bind at least as
+        tightly as ``min_prec``.  Level 0 also admits let, if and observe;
+        '!' is admitted up to its own level, so ``a + !b`` is an error."""
         tok = self.peek()
-        if self.at("true") or self.at("T"):
+        if min_prec == 0 and self.at("let"):
             self.next()
-            return S.Lit(True, span=self.span(tok))
-        if self.at("false") or self.at("F"):
+            name = self.ident("binding name")
+            self.eat("=")
+            bound = yield self.expr()
+            self.eat("in")
+            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
+        if min_prec == 0 and self.at("if"):
             self.next()
-            return S.Lit(False, span=self.span(tok))
+            guard = yield self.expr()
+            self.eat("then")
+            then = yield self.expr()
+            self.eat("else")
+            return S.Ite(guard, then, (yield self.expr()), span=self.span(tok))
+        if min_prec == 0 and self.at("observe"):
+            self.next()
+            return S.Observe((yield self.expr()), span=self.span(tok))
+        if min_prec <= _PREC_NOT and self.at("!"):
+            self.next()
+            e = S.Not((yield self.expr(_PREC_NOT)), span=self.span(tok))
+        elif self.at("fst") or self.at("snd"):
+            self.next()
+            cls = S.Fst if tok.text == "fst" else S.Snd
+            e = cls((yield self.expr(_PREC_PROJ)), span=self.span(tok))
+        elif self.at("("):
+            self.next()
+            e = yield self.expr()
+            if self.at(","):
+                self.next()
+                e = S.mk_tup(e, (yield self.expr()), self.span(tok))
+            self.eat(")")
+        elif self.at("iterate"):
+            self.next()
+            self.eat("(")
+            func = self.ident("function name")
+            self.eat(",")
+            init = yield self.expr()
+            self.eat(",")
+            count = self.nat("iteration count")
+            self.eat(")")
+            e = S.Iterate(func, init, count, span=self.span(tok))
+        elif tok.kind == "ident" and self.tokens[self.pos + 1].text == "(":
+            self.next()
+            self.next()
+            args = [(yield self.expr())]
+            while self.at(","):
+                self.next()
+                args.append((yield self.expr()))
+            self.eat(")")
+            arg = args[-1]
+            for prev in reversed(args[:-1]):
+                arg = S.mk_tup(prev, arg, self.span(tok))
+            e = S.Call(tok.text, arg, span=self.span(tok))
+        else:
+            e = self.leaf()
+        while True:
+            op = self.peek()
+            prec, cls = _BINARY.get(op.text, (-1, None))
+            if prec < min_prec:
+                return e
+            self.next()
+            e = cls(e, (yield self.expr(prec + 1)), span=self.span(op))
+
+    def leaf(self) -> S.Expr:
+        """An operand with no subexpression."""
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.text in ("true", "T", "false", "F"):
+            self.next()
+            return S.Lit(tok.text in ("true", "T"), span=self.span(tok))
         if self.at("flip"):
             self.next()
             parenthesized = self.at("(")
@@ -334,48 +346,14 @@ class _Parser:
                     f"integer value {value} out of range for size {size}", self.span(tok)
                 )
             return S.IntLit(size, value, span=self.span(tok))
-        if self.at("iterate"):
-            self.next()
-            self.eat("(")
-            func = self.ident("function name")
-            self.eat(",")
-            init = self.expr()
-            self.eat(",")
-            count = self.nat("iteration count")
-            self.eat(")")
-            return S.Iterate(func, init, count, span=self.span(tok))
         if tok.kind == "ident":
-            name = self.next().text
-            if self.at("("):
-                self.next()
-                args = [self.expr()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.expr())
-                self.eat(")")
-                arg = args[-1]
-                for prev in reversed(args[:-1]):
-                    arg = S.mk_tup(prev, arg, self.span(tok))
-                return S.Call(name, arg, span=self.span(tok))
-            return S.Ident(name, span=self.span(tok))
-        if self.at("("):
             self.next()
-            first = self.expr()
-            if self.at(","):
-                self.next()
-                second = self.expr()
-                self.eat(")")
-                return S.mk_tup(first, second, self.span(tok))
-            self.eat(")")
-            return first
+            return S.Ident(tok.text, span=self.span(tok))
         self.fail("expected an expression")
 
 
-
 def parse_program(text: str, filename: str = "<input>") -> S.Program:
-    tokens = _lex(text, filename)
-    grow_recursion_limit(len(tokens) // 2)
-    return _Parser(tokens, filename).program()
+    return _Parser(_lex(text, filename), filename).program()
 
 
 def parse_expr(text: str, filename: str = "<input>") -> S.Expr:
@@ -386,11 +364,6 @@ def parse_expr(text: str, filename: str = "<input>") -> S.Expr:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-# Level 0 is reserved for the open-ended forms (let/if/observe), which
-# swallow everything to their right and need parentheses inside any operator.
-_PREC_EQ, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ADD, _PREC_MUL, _PREC_PROJ, _PREC_ATOM = range(1, 9)
-
-
 def _fmt_number(x: float) -> str:
     return repr(x)
 
@@ -400,68 +373,72 @@ def pretty_ty(ty: S.Ty) -> str:
 
 
 def pretty_expr(e: S.Expr) -> str:
-    grow_recursion_limit(S.node_count(e))
-    return _pp(e, 0)
+    out: list = []
+    S.trampoline(_pp(e, 0, out))
+    return "".join(out)
 
 
-def _pp(e: S.Expr, prec: int) -> str:
+def _pp(e: S.Expr, prec: int, out: list):
+    """Step: append the text of ``e`` to ``out``, in parentheses when its
+    level is below ``prec``."""
+    paren = prec > _LEVEL.get(type(e), _PREC_ATOM)
+    if paren:
+        out.append("(")
     if isinstance(e, S.Let):
-        # Iterative over let chains, mirroring the parser.
-        parts = []
-        while isinstance(e, S.Let):
-            parts.append(f"let {e.name} = {_pp(e.bound, 0)} in")
-            e = e.body
-        parts.append(_pp(e, 0))
-        text = "\n".join(parts)
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, S.Ite):
-        text = f"if {_pp(e.guard, 0)} then {_pp(e.then, 0)} else {_pp(e.orelse, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, S.Observe):
-        text = f"observe {_pp(e.arg, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, S.Eq):
-        return _binop(e.left, "==", e.right, _PREC_EQ, prec)
-    if isinstance(e, S.Or):
-        return _binop(e.left, "||", e.right, _PREC_OR, prec)
-    if isinstance(e, S.And):
-        return _binop(e.left, "&&", e.right, _PREC_AND, prec)
-    if isinstance(e, S.Not):
-        text = f"!{_pp(e.arg, _PREC_NOT)}"
-        return f"({text})" if prec > _PREC_NOT else text
-    if isinstance(e, S.IntAdd):
-        return _binop(e.left, "+", e.right, _PREC_ADD, prec)
-    if isinstance(e, S.IntMul):
-        return _binop(e.left, "*", e.right, _PREC_MUL, prec)
-    if isinstance(e, S.Fst):
-        text = f"fst {_pp(e.arg, _PREC_PROJ)}"
-        return f"({text})" if prec > _PREC_PROJ else text
-    if isinstance(e, S.Snd):
-        text = f"snd {_pp(e.arg, _PREC_PROJ)}"
-        return f"({text})" if prec > _PREC_PROJ else text
-    if isinstance(e, S.Lit):
-        return S.format_value(e.value)
-    if isinstance(e, S.Ident):
-        return e.name
-    if isinstance(e, S.Flip):
-        return f"flip {_fmt_number(e.theta)}"
-    if isinstance(e, S.Discrete):
-        return f"discrete({', '.join(_fmt_number(p) for p in e.params)})"
-    if isinstance(e, S.IntLit):
-        return f"int({e.size}, {e.value})"
-    if isinstance(e, S.Iterate):
-        return f"iterate({e.func}, {_pp(e.init, 0)}, {e.count})"
-    if isinstance(e, S.Tup):
-        return f"({_pp(e.left, 0)}, {_pp(e.right, 0)})"
-    if isinstance(e, S.Call):
-        return f"{e.func}({_pp(e.arg, 0)})"
-    raise TypeError(f"cannot print {type(e).__name__}")
-
-
-def _binop(left: S.Expr, op: str, right: S.Expr, my_prec: int, outer_prec: int) -> str:
-    # Left-associative: the right operand is printed one level tighter.
-    text = f"{_pp(left, my_prec)} {op} {_pp(right, my_prec + 1)}"
-    return f"({text})" if outer_prec > my_prec else text
+        out.append(f"let {e.name} = ")
+        yield _pp(e.bound, 0, out)
+        out.append(" in\n")
+        yield _pp(e.body, 0, out)
+    elif isinstance(e, S.Ite):
+        out.append("if ")
+        yield _pp(e.guard, 0, out)
+        out.append(" then ")
+        yield _pp(e.then, 0, out)
+        out.append(" else ")
+        yield _pp(e.orelse, 0, out)
+    elif isinstance(e, S.Observe):
+        out.append("observe ")
+        yield _pp(e.arg, 0, out)
+    elif type(e) in _SYMBOL:
+        # Left-associative: the right operand is printed one level tighter.
+        level = _LEVEL[type(e)]
+        yield _pp(e.left, level, out)
+        out.append(f" {_SYMBOL[type(e)]} ")
+        yield _pp(e.right, level + 1, out)
+    elif isinstance(e, S.Not):
+        out.append("!")
+        yield _pp(e.arg, _PREC_NOT, out)
+    elif isinstance(e, (S.Fst, S.Snd)):
+        out.append("fst " if isinstance(e, S.Fst) else "snd ")
+        yield _pp(e.arg, _PREC_PROJ, out)
+    elif isinstance(e, S.Lit):
+        out.append(S.format_value(e.value))
+    elif isinstance(e, S.Ident):
+        out.append(e.name)
+    elif isinstance(e, S.Flip):
+        out.append(f"flip {_fmt_number(e.theta)}")
+    elif isinstance(e, S.Discrete):
+        out.append(f"discrete({', '.join(_fmt_number(p) for p in e.params)})")
+    elif isinstance(e, S.IntLit):
+        out.append(f"int({e.size}, {e.value})")
+    elif isinstance(e, S.Iterate):
+        out.append(f"iterate({e.func}, ")
+        yield _pp(e.init, 0, out)
+        out.append(f", {e.count})")
+    elif isinstance(e, S.Tup):
+        out.append("(")
+        yield _pp(e.left, 0, out)
+        out.append(", ")
+        yield _pp(e.right, 0, out)
+        out.append(")")
+    elif isinstance(e, S.Call):
+        out.append(f"{e.func}(")
+        yield _pp(e.arg, 0, out)
+        out.append(")")
+    else:
+        raise TypeError(f"cannot print {type(e).__name__}")
+    if paren:
+        out.append(")")
 
 
 def pretty_program(p: S.Program) -> str:

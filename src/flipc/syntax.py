@@ -10,18 +10,51 @@ Types are ``Bool``, products, and (surface only) fixed-size integers, which
 desugar to right-nested one-hot tuples of booleans.
 
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
+
+Every front-end pass over expressions (parsing, typechecking, desugaring,
+A-normalization, compilation, inlining, printing) is written as *steps* run
+by ``trampoline``, so the depth of a program never becomes depth of the
+Python call stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Generator, Iterator, Optional, Union
 
 # Fresh names generated by desugaring and inlining start with this prefix.
 # The lexer rejects it, so generated names can never collide with user names.
 RESERVED_PREFIX = "$"
 
 Value = Union[bool, tuple]
+
+
+# ---------------------------------------------------------------------------
+# Recursion on an explicit stack
+
+
+def trampoline(step: Generator):
+    """Run the recursion rooted at ``step`` on a list instead of the C stack.
+
+    A step is a generator.  To call a sub-step it yields the sub-step's
+    generator, and the ``yield`` evaluates to that sub-step's return value;
+    the step's own ``return`` value goes back to its caller, or out of
+    ``trampoline`` for the root.  Steps must not use ``yield from``, which
+    nests on the C stack again.  An exception raised in a step propagates out
+    of ``trampoline`` unchanged; no step is resumed after it.
+    """
+    stack = [step]
+    value = None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +396,6 @@ def walk_nodes(e: Expr) -> Iterator[Expr]:
         node = stack.pop()
         yield node
         stack.extend(children(node))
-
-
-def node_count(e: Expr) -> int:
-    return sum(1 for _ in walk_nodes(e))
 
 
 def program_nodes(p: Program) -> Iterator[Expr]:

@@ -10,7 +10,6 @@ declared before them (no recursion, no forward references).
 from __future__ import annotations
 
 from . import syntax as S
-from ._util import grow_recursion_limit
 from .errors import (
     ObserveNonBoolError,
     RecursiveCallError,
@@ -24,8 +23,6 @@ _MISSING = object()
 
 def typecheck_program(program: S.Program) -> S.Program:
     """Annotate ``program`` in place and return it."""
-    total = sum(1 for _ in S.program_nodes(program))
-    grow_recursion_limit(total)
     signatures: dict[str, tuple[S.Ty, S.Ty]] = {}
     for func in program.functions:
         if func.name in signatures:
@@ -34,16 +31,16 @@ def typecheck_program(program: S.Program) -> S.Program:
             )
         formal_ty = _params_ty(func.params, func.span)
         env = dict(func.params)
-        body_ty = _check(func.body, env, signatures)
+        body_ty = S.trampoline(_check(func.body, env, signatures))
         if body_ty != func.return_ty:
             raise TypeMismatchError(func.return_ty, body_ty, func.span)
         signatures[func.name] = (formal_ty, func.return_ty)
-    _check(program.main, {}, signatures)
+    S.trampoline(_check(program.main, {}, signatures))
     return program
 
 
 def typecheck_expr(expr: S.Expr, env: dict | None = None) -> S.Ty:
-    return _check(expr, dict(env or {}), {})
+    return S.trampoline(_check(expr, dict(env or {}), {}))
 
 
 def _params_ty(params: list, span) -> S.Ty:
@@ -60,129 +57,114 @@ def _params_ty(params: list, span) -> S.Ty:
     return ty
 
 
-def _check(e: S.Expr, env: dict, signatures: dict) -> S.Ty:
-    ty = _infer(e, env, signatures)
-    e.ty = ty
-    return ty
-
-
-def _infer(e: S.Expr, env: dict, signatures: dict) -> S.Ty:
+def _check(e: S.Expr, env: dict, signatures: dict):
+    """Step: the type of ``e``, also recorded in ``e.ty``."""
     if isinstance(e, S.Lit):
-        return S.ty_of_value(e.value)
-    if isinstance(e, S.Ident):
+        ty = S.ty_of_value(e.value)
+    elif isinstance(e, S.Ident):
         if e.name not in env:
             raise UnboundIdentifierError(f"unbound identifier {e.name!r}", e.span)
-        return env[e.name]
-    if isinstance(e, S.Flip):
+        ty = env[e.name]
+    elif isinstance(e, S.Flip):
         if not 0.0 <= e.theta <= 1.0:
             raise TypeMismatchError("a probability in [0, 1]", e.theta, e.span)
-        return S.BOOL
-    if isinstance(e, S.Fst):
-        arg = _check(e.arg, env, signatures)
+        ty = S.BOOL
+    elif isinstance(e, (S.Fst, S.Snd)):
+        arg = yield _check(e.arg, env, signatures)
         if not isinstance(arg, S.ProdTy):
             raise TypeMismatchError("a tuple", arg, e.span)
-        return arg.left
-    if isinstance(e, S.Snd):
-        arg = _check(e.arg, env, signatures)
-        if not isinstance(arg, S.ProdTy):
-            raise TypeMismatchError("a tuple", arg, e.span)
-        return arg.right
-    if isinstance(e, S.Tup):
-        return S.ProdTy(_check(e.left, env, signatures), _check(e.right, env, signatures))
-    if isinstance(e, S.Let):
-        # A let chain is typed in one loop that binds in place and undoes the
-        # bindings after the body, so a chain of n binders costs O(n) memory.
-        chain = []  # (let, the type its name had before it)
-        while isinstance(e, S.Let):
-            bound = _check(e.bound, env, signatures)
-            chain.append((e, env.get(e.name, _MISSING)))
-            env[e.name] = bound
-            e = e.body
-        ty = _check(e, env, signatures)
-        for let, old in reversed(chain):
-            let.ty = ty
-            if old is _MISSING:
-                del env[let.name]
-            else:
-                env[let.name] = old
-        return ty
-    if isinstance(e, S.Ite):
-        guard = _check(e.guard, env, signatures)
+        ty = arg.left if isinstance(e, S.Fst) else arg.right
+    elif isinstance(e, S.Tup):
+        left = yield _check(e.left, env, signatures)
+        ty = S.ProdTy(left, (yield _check(e.right, env, signatures)))
+    elif isinstance(e, S.Let):
+        # Bind in place and undo after the body: no copy of env per binder.
+        bound = yield _check(e.bound, env, signatures)
+        old = env.get(e.name, _MISSING)
+        env[e.name] = bound
+        ty = yield _check(e.body, env, signatures)
+        if old is _MISSING:
+            del env[e.name]
+        else:
+            env[e.name] = old
+    elif isinstance(e, S.Ite):
+        guard = yield _check(e.guard, env, signatures)
         if guard != S.BOOL:
             raise TypeMismatchError(S.BOOL, guard, e.guard.span or e.span)
-        then = _check(e.then, env, signatures)
-        orelse = _check(e.orelse, env, signatures)
-        if then != orelse:
-            raise TypeMismatchError(then, orelse, e.span)
-        return then
-    if isinstance(e, S.Observe):
-        arg = _check(e.arg, env, signatures)
+        ty = yield _check(e.then, env, signatures)
+        orelse = yield _check(e.orelse, env, signatures)
+        if ty != orelse:
+            raise TypeMismatchError(ty, orelse, e.span)
+    elif isinstance(e, S.Observe):
+        arg = yield _check(e.arg, env, signatures)
         if arg != S.BOOL:
             raise ObserveNonBoolError(f"observe expects Bool, found {arg}", e.span)
-        return S.BOOL
-    if isinstance(e, S.Call):
+        ty = S.BOOL
+    elif isinstance(e, S.Call):
         if e.func not in signatures:
             raise RecursiveCallError(
                 f"call to {e.func!r}, which is not defined earlier in the program", e.span
             )
-        formal_ty, return_ty = signatures[e.func]
-        arg = _check(e.arg, env, signatures)
+        formal_ty, ty = signatures[e.func]
+        arg = yield _check(e.arg, env, signatures)
         if arg != formal_ty:
             raise TypeMismatchError(formal_ty, arg, e.span)
-        return return_ty
-    if isinstance(e, (S.And, S.Or)):
+    elif isinstance(e, (S.And, S.Or)):
         for side in (e.left, e.right):
-            ty = _check(side, env, signatures)
-            if ty != S.BOOL:
-                raise TypeMismatchError(S.BOOL, ty, side.span or e.span)
-        return S.BOOL
-    if isinstance(e, S.Not):
-        ty = _check(e.arg, env, signatures)
-        if ty != S.BOOL:
-            raise TypeMismatchError(S.BOOL, ty, e.span)
-        return S.BOOL
-    if isinstance(e, S.Eq):
-        left = _check(e.left, env, signatures)
-        right = _check(e.right, env, signatures)
-        if left == S.BOOL and right == S.BOOL:
-            return S.BOOL
+            side_ty = yield _check(side, env, signatures)
+            if side_ty != S.BOOL:
+                raise TypeMismatchError(S.BOOL, side_ty, side.span or e.span)
+        ty = S.BOOL
+    elif isinstance(e, S.Not):
+        arg = yield _check(e.arg, env, signatures)
+        if arg != S.BOOL:
+            raise TypeMismatchError(S.BOOL, arg, e.span)
+        ty = S.BOOL
+    elif isinstance(e, S.Eq):
+        left = yield _check(e.left, env, signatures)
+        right = yield _check(e.right, env, signatures)
         if isinstance(left, S.IntTy) and isinstance(right, S.IntTy):
             if left.size != right.size:
                 raise SizeMismatchError(left.size, right.size, e.span)
-            return S.BOOL
-        raise TypeMismatchError("two booleans or two same-size integers", f"{left} == {right}", e.span)
-    if isinstance(e, (S.IntAdd, S.IntMul)):
-        left = _check(e.left, env, signatures)
-        right = _check(e.right, env, signatures)
+        elif left != S.BOOL or right != S.BOOL:
+            raise TypeMismatchError(
+                "two booleans or two same-size integers", f"{left} == {right}", e.span
+            )
+        ty = S.BOOL
+    elif isinstance(e, (S.IntAdd, S.IntMul)):
+        left = yield _check(e.left, env, signatures)
+        right = yield _check(e.right, env, signatures)
         if not isinstance(left, S.IntTy) or not isinstance(right, S.IntTy):
             raise TypeMismatchError("two integers", f"{left} and {right}", e.span)
         if left.size != right.size:
             raise SizeMismatchError(left.size, right.size, e.span)
-        return left
-    if isinstance(e, S.IntLit):
+        ty = left
+    elif isinstance(e, S.IntLit):
         if not 0 <= e.value < e.size:
             raise TypeMismatchError(f"a value below {e.size}", e.value, e.span)
-        return S.IntTy(e.size)
-    if isinstance(e, S.Discrete):
+        ty = S.IntTy(e.size)
+    elif isinstance(e, S.Discrete):
         if not e.params:
             raise TypeMismatchError("at least one probability", "none", e.span)
-        return S.IntTy(len(e.params))
-    if isinstance(e, S.Iterate):
+        ty = S.IntTy(len(e.params))
+    elif isinstance(e, S.Iterate):
         if e.count < 0:
             raise TypeMismatchError("a non-negative count", e.count, e.span)
         if e.func not in signatures:
             raise RecursiveCallError(
                 f"iterate over {e.func!r}, which is not defined earlier in the program", e.span
             )
-        formal_ty, return_ty = signatures[e.func]
-        if formal_ty != return_ty:
+        formal_ty, ty = signatures[e.func]
+        if formal_ty != ty:
             raise TypeMismatchError(
                 "a function with equal argument and return types",
-                f"{formal_ty} -> {return_ty}",
+                f"{formal_ty} -> {ty}",
                 e.span,
             )
-        init = _check(e.init, env, signatures)
+        init = yield _check(e.init, env, signatures)
         if init != formal_ty:
             raise TypeMismatchError(formal_ty, init, e.span)
-        return return_ty
-    raise TypeError(f"cannot type {type(e).__name__}")
+    else:
+        raise TypeError(f"cannot type {type(e).__name__}")
+    e.ty = ty
+    return ty

@@ -1,11 +1,15 @@
 """Typechecking, desugaring, and A-normalization."""
 
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
+from flipc import infer, suites
 from flipc import syntax as S
+from flipc.compiler import compile_source, inline_program
 from flipc.desugar import (
     desugar_discrete,
     desugar_expr,
@@ -23,7 +27,7 @@ from flipc.errors import (
 )
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
-from flipc.parser import parse_expr, parse_program
+from flipc.parser import parse_expr, parse_program, pretty_program
 from flipc.typecheck import typecheck_expr, typecheck_program
 
 from conftest import frontend, max_distribution_delta
@@ -285,3 +289,63 @@ class TestDesugarProgram:
             lowered = eval_program(core)
             assert abs(surface.accepting - lowered.accepting) < 1e-12
             assert max_distribution_delta(surface.unnormalized, lowered.unnormalized) < 1e-12
+
+
+# Programs far deeper than the default recursion limit, in every shape that
+# once cost one interpreter frame per construct.
+DEEP_PROGRAMS = {
+    "let_chain_30000": "".join(f"let x{i} = flip 0.5 in " for i in range(30000)) + "x0",
+    "or_chain_5000": "let x = flip 0.5 in " + " || ".join(["x"] * 5000),
+    "iterate_5000": "fun f(x: Bool): Bool { !x } iterate(f, flip 0.5, 5000)",
+    "parens_2000": "(" * 2000 + "flip 0.5" + ")" * 2000,
+    "nots_2000": "!" * 2000 + "flip 0.5",
+    "then_nested_if_2000": "if flip 0.5 then " * 2000 + "true" + " else false" * 2000,
+    "else_if_chain_2000": "if flip 0.5 then true else " * 2000 + "false",
+}
+
+
+class TestExplicitStack:
+    @pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+    def test_front_end_runs_under_a_recursion_limit_of_200(self, name):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            program = parse_program(DEEP_PROGRAMS[name])
+            typecheck_program(program)
+            core = desugar_program(program)
+            inlined = inline_program(core)
+            printed = pretty_program(program) + pretty_program(inlined)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert after == 200
+        assert S.is_core(inlined.main) and printed
+
+    def test_compiling_a_one_level_program_leaves_the_limit_alone(self):
+        text = "let x = flip 0.5 in " + " || ".join(["x"] * 5000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(2500)
+        try:
+            compiled, _ = compile_source(text)
+            result = infer.distribution_result(compiled)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert after == 2500
+        assert dict(result.entries) == pytest.approx({"false": 0.5, "true": 0.5})
+
+    def test_fresh_names_are_unchanged(self):
+        # Desugaring and inlining number their fresh names ($t, $e, $i, $d, ...)
+        # in evaluation order; the digest pins that order for every bundled
+        # example and the four suites at n=8.
+        digest = hashlib.sha256()
+        texts = [suites.benchmark_text(name) for name in suites.benchmark_names()]
+        texts += [suites.suite_source(suite, 8) for suite in suites.SUITES]
+        for text in texts:
+            _, core = frontend(text)
+            digest.update(pretty_program(core).encode())
+            digest.update(pretty_program(inline_program(core)).encode())
+        assert len(texts) == 19
+        assert digest.hexdigest() == (
+            "49acc0be57ed0ea6016669c97fd606416e30171eb4cc98d7c68ec0aefc893c8e"
+        )

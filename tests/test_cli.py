@@ -1,11 +1,15 @@
 """Command-line driver: output formats, exit codes, and file side effects."""
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flipc
 from flipc.cli import main
 from flipc.suites import benchmark_text, caesar_source
 
@@ -217,3 +221,53 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--count", "5", "--seed", "3")
         assert code == 0
         assert "SELFTEST OK" in out
+
+
+def run_fresh(tmp_path, text, *flags):
+    """``flipc infer`` in a new interpreter, so the recursion limit starts at
+    its default whatever earlier tests did."""
+    path = tmp_path / "prog.dice"
+    path.write_text(text)
+    src = str(Path(flipc.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipc.cli", "infer", str(path), *flags],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 300 + "flip 0.5" + ")" * 300,
+            "!" * 2000 + "flip 0.5",
+            "if flip 0.5 then int(900, 3) == int(900, 3) else false",
+        ],
+        ids=["parens_300", "nots_2000", "int_900_equality"],
+    )
+    def test_inputs_that_once_overflowed_the_stack(self, tmp_path, text):
+        code, out, err = run_fresh(tmp_path, text)
+        assert code == 0, err
+        assert "result false 0.5\n" in out and "result true 0.5\n" in out
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("int(20000, 3) == int(20000, 3)", ()),
+            (
+                "let a = flip 0.5 in let b = flip 0.5 in "
+                + "".join(f"let c{i} = a && b in " for i in range(19998))
+                + "c0",
+                ("--oracle-check",),
+            ),
+        ],
+        ids=["int_20000_equality", "oracle_on_20000_lets"],
+    )
+    def test_too_deep_is_a_user_error_without_a_traceback(self, tmp_path, text, flags):
+        code, _, err = run_fresh(tmp_path, text, *flags)
+        assert code == 1
+        assert err.startswith("error: program nests too deeply")
+        assert "Traceback" not in err

@@ -65,6 +65,20 @@ class TestParse:
         e = parse_expr("a || b || c")
         assert isinstance(e, S.Or) and isinstance(e.left, S.Or)
 
+    def test_not_takes_arithmetic_but_is_no_operand_of_it(self):
+        e = parse_expr("!a + b && fst c * d")
+        assert isinstance(e, S.And)
+        assert isinstance(e.left, S.Not) and isinstance(e.left.arg, S.IntAdd)
+        assert isinstance(e.right, S.IntMul) and isinstance(e.right.left, S.Fst)
+        for text in ("a + !b", "a * !b", "fst !a", "a || let x = b in x"):
+            with pytest.raises(ParseError, match="expected an expression"):
+                parse_expr(text)
+
+    def test_open_forms_extend_to_the_right(self):
+        e = parse_expr("!(if a then b else c || d) == e")
+        assert isinstance(e, S.Eq) and isinstance(e.left.arg, S.Ite)
+        assert isinstance(e.left.arg.orelse, S.Or)
+
     def test_line_comments(self):
         program = parse_program("// a comment\nlet x = flip 0.5 in // tail\nx")
         assert isinstance(program.main, S.Let)
