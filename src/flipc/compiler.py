@@ -10,12 +10,28 @@ The rules, in brief: values become terminals; each flip allocates one fresh
 weighted variable; ``observe`` contributes its guard to the accepting
 formula and is itself trivially true; conditionals select between branch
 formulas under the compiled guard; ``let`` binds the bound expression's
-formula tuple in the environment (realizing substitution eagerly) and
-conjoins accepting formulas.  Functions compile once to a template over
-placeholder argument variables; each call refreshes the template's flips
-with fresh variables and substitutes the actual argument formulas by BDD
-composition.  Inline mode instead splices function bodies syntactically
-(with alpha-renaming) before compiling, as a differential baseline.
+formula tuple in the environment and conjoins accepting formulas.
+Functions compile once to a template over placeholder argument variables;
+each call refreshes the template's flips with fresh variables and
+substitutes the actual argument formulas by BDD composition.  Inline mode
+instead splices function bodies syntactically (with alpha-renaming) before
+compiling, as a differential baseline.
+
+A ``let`` whose bound builds new formulas (a conditional, a call or a
+``let``) holds each large leaf of the bound behind a fresh placeholder
+variable, registered after the bound's flips and before the body's.  The
+body compiles over the placeholders, and one simultaneous composition then
+substitutes the held formulas back.  Binding the formulas themselves would
+make every later layer copy them, so the store would grow quadratically
+along a chain of lets while the live BDD grows linearly.  A ``let`` in the
+bound of another ``let`` leaves its composition to the enclosing one, which
+composes the newest group first.  Nothing is held under an explicit
+variable order, which registers every flip up front, so a placeholder
+could not precede the body's flips; nor is a leaf rooted at a function's
+formal, since composing through the formals, which precede the template's
+flips, would be a full Shannon expansion.  Every placeholder is composed
+away before a template or the program is finished, so the result is the
+same canonical BDD.
 
 Flip variables enter the global BDD order in the syntactic order compilation
 reaches them; a call's refreshed flips are allocated contiguously at the
@@ -156,16 +172,23 @@ class CompiledProgram:
 # Compilation proper
 
 
+# A let-bound leaf is held behind a placeholder only when it has more nodes
+# than this; holding small formulas would add a level and a composition per
+# let for little saving in copies.
+HOLD_NODES = 32
+
+
 class _Compilation:
     def __init__(self, mgr: BddManager, order: Optional[list] = None):
         self.mgr = mgr
         self.weights: dict = {}
         self.funcs: dict = {}
         self.recording: Optional[list] = None
-        self._order_levels: Optional[list] = None
+        self._order_levels = order
         self._next_flip = 0
-        if order is not None:
-            self._order_levels = order
+        self.formals: frozenset = frozenset()  # levels of the current formal
+        self.held: list = []  # one {placeholder level: formula} group per let
+        self.placeholders: set = set()  # every placeholder level registered
 
     def new_flip(self, theta: float) -> int:
         if self._order_levels is not None:
@@ -189,11 +212,14 @@ _MISSING = object()
 
 def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledExpr:
     formula, accepting = S.trampoline(_compile(ctx, env, e))
+    _check_released(ctx, formula, accepting)
     return CompiledExpr(formula, accepting, ctx.weights)
 
 
-def _compile(ctx: _Compilation, env: dict, e: S.Expr):
-    """Step: the (formula tuple, accepting formula) of ``e``."""
+def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
+    """Step: the (formula tuple, accepting formula) of ``e``.  A ``let``
+    that is the bound of another (``in_bound``) leaves its held groups on
+    ``ctx.held`` for the enclosing ``let`` to compose."""
     mgr = ctx.mgr
     if isinstance(e, S.Lit):
         return tuple_of_value(e.value), TRUE
@@ -232,7 +258,10 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr):
         accepting = mgr.ite(g, then_accepting, else_accepting)
         return formula, accepting
     if isinstance(e, S.Let):
-        bound_formula, bound_accepting = yield _compile(ctx, env, e.bound)
+        mark = len(ctx.held)
+        bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, in_bound=True)
+        if isinstance(e.bound, _BUILDS) and ctx._order_levels is None:
+            bound_formula = _hold(ctx, bound_formula)
         old = env.get(e.name, _MISSING)
         env[e.name] = bound_formula
         formula, accepting = yield _compile(ctx, env, e.body)
@@ -242,12 +271,87 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr):
             del env[e.name]
         else:
             env[e.name] = old
+        if len(ctx.held) > mark and not in_bound:
+            formula, accepting = _release(ctx, mark, formula, accepting)
         return formula, accepting
     if isinstance(e, S.Call):
         arg = _compile_atom(ctx, env, e.arg)
         result = apply_call(ctx, e.func, arg)
         return result.formula, result.accepting
     raise InternalError(f"cannot compile non-core expression {type(e).__name__}")
+
+
+# Bounds that build new formulas; any other bound rebinds existing leaves.
+_BUILDS = (S.Ite, S.Call, S.Let)
+
+
+def _hold(ctx: _Compilation, t: CompiledTuple) -> CompiledTuple:
+    """``t`` with each large leaf replaced by a fresh placeholder variable;
+    the leaves replaced go on ``ctx.held`` as one group."""
+    mgr = ctx.mgr
+    group = {}
+
+    def hold(node: int) -> int:
+        level = mgr.level_of(node)
+        if (
+            node <= TRUE
+            # A leaf spanning at most 5 levels has at most 2**5 - 1 nodes.
+            or mgr._maxvar[node] - level < 5
+            or level in ctx.formals
+            or not _exceeds(mgr, node, HOLD_NODES)
+        ):
+            return node
+        placeholder = mgr.new_free(f"$hold{len(ctx.placeholders)}")
+        ctx.placeholders.add(placeholder)
+        group[placeholder] = node
+        return mgr.var(placeholder)
+
+    t = _map_tuple(t, hold)
+    if group:
+        ctx.held.append(group)
+    return t
+
+
+def _exceeds(mgr: BddManager, root: int, limit: int) -> bool:
+    """Whether more than ``limit`` internal nodes are reachable from
+    ``root``; the walk stops at the first node past the limit."""
+    seen = set()
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n > TRUE and n not in seen:
+            if len(seen) == limit:
+                return True
+            seen.add(n)
+            stack.append(mgr.low(n))
+            stack.append(mgr.high(n))
+    return False
+
+
+def _release(ctx: _Compilation, mark: int, formula: CompiledTuple, accepting: int):
+    """Compose the groups held above ``mark`` back into ``formula`` and
+    ``accepting``, newest first, since a newer group's formulas may mention
+    an older group's placeholders; each group is one simultaneous mapping."""
+    mgr = ctx.mgr
+    while len(ctx.held) > mark:
+        mapping = ctx.held.pop()
+        formula = _map_tuple(formula, lambda n: mgr.compose(n, mapping))
+        accepting = mgr.compose(accepting, mapping)
+    return formula, accepting
+
+
+def _check_released(ctx: _Compilation, formula: CompiledTuple, accepting: int) -> None:
+    """Every held group must have been composed back, leaving no placeholder
+    reachable from a finished compilation."""
+    if ctx.held:
+        raise InternalError(f"{len(ctx.held)} held let groups were never composed back")
+    if ctx.placeholders:
+        leaked = ctx.placeholders.intersection(
+            ctx.mgr.support(*iter_leaves(formula), accepting)
+        )
+        if leaked:
+            names = ", ".join(ctx.mgr.labels[level].name for level in sorted(leaked))
+            raise InternalError(f"let placeholders reachable after composition: {names}")
 
 
 def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledTuple:
@@ -261,12 +365,14 @@ def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledTuple:
 def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     formal = form(ctx.mgr, func.formal, func.formal_ty)
     recorded: list = []
-    previous = ctx.recording
+    previous = ctx.recording, ctx.formals
     ctx.recording = recorded
+    ctx.formals = frozenset(ctx.mgr.level_of(n) for n in iter_leaves(formal))
     try:
         formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
-        ctx.recording = previous
+        ctx.recording, ctx.formals = previous
+    _check_released(ctx, formula, accepting)
     return CompiledFunction(formal, formula, accepting, recorded)
 
 

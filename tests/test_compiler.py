@@ -5,6 +5,8 @@ import pytest
 
 from flipc import infer, syntax as S
 from flipc.bdd import FALSE, TRUE, BddManager
+from flipc import compiler
+from flipc.cli import main
 from flipc.compiler import (
     Leaf,
     Pair,
@@ -19,6 +21,7 @@ from flipc.compiler import (
     pointwise_iff,
     tuple_of_value,
 )
+from flipc.errors import InternalError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
 from flipc.suites import benchmark_text, suite_source
@@ -350,9 +353,9 @@ class TestBundledBenchmarks:
 # query, per mode, and node_count(), for each suite at n=64.  Canonicity makes
 # these exact: a refactor of the engine that allocates differently shows here.
 PINNED_STORE_SIZES = {
-    "chained-flips": ({"modular": (16643, 16900), "inline": (16643, 16900)}, 259),
-    "diamond": ({"modular": (4301, 4428), "inline": (16514, 16641)}, 130),
-    "ladder": ({"modular": (39779, 40031), "inline": (16323, 16575)}, 255),
+    "chained-flips": ({"modular": (2546, 2803), "inline": (2546, 2803)}, 259),
+    "diamond": ({"modular": (1381, 1508), "inline": (5139, 5266)}, 130),
+    "ladder": ({"modular": (6546, 6798), "inline": (3890, 4142)}, 255),
     "caesar-mini": ({"modular": (5973, 5985), "inline": (6722, 6734)}, 843),
 }
 
@@ -366,6 +369,113 @@ def test_store_sizes_are_pinned(suite, mode):
     infer.distribution_result(compiled)
     assert (after_compile, len(compiled.manager._var)) == sizes[mode]
     assert compiled.node_count() == nodes
+
+
+# An explicit order registers every flip up front, so no let is held behind
+# a placeholder: these are the store sizes of eager substitution.
+PINNED_ORDERED_STORE_SIZES = {
+    ("chained-flips", "forward"): (66051, 66564),
+    ("chained-flips", "reversed"): (2049, 2052),
+    ("diamond", "forward"): (65794, 66049),
+    ("diamond", "reversed"): (897, 1152),
+}
+
+
+@pytest.mark.parametrize("suite, direction", sorted(PINNED_ORDERED_STORE_SIZES))
+def test_store_sizes_under_an_explicit_order_are_pinned(suite, direction):
+    _, core = frontend(suite_source(suite, 128))
+    flips = sum(
+        isinstance(node, S.Flip) and 0.0 < node.theta < 1.0
+        for node in S.walk_nodes(inline_program(core).main)
+    )
+    order = [f"f{i + 1}" for i in range(flips)]
+    if direction == "reversed":
+        order.reverse()
+    compiled = compile_program(core, mode="inline", order=order)
+    after_compile = len(compiled.manager._var)
+    infer.distribution_result(compiled)
+    sizes = (after_compile, len(compiled.manager._var))
+    assert sizes == PINNED_ORDERED_STORE_SIZES[suite, direction]
+
+
+def store_size(suite, n, mode):
+    compiled, _ = compile_text(suite_source(suite, n), mode=mode)
+    return len(compiled.manager._var)
+
+
+@pytest.mark.parametrize(
+    "suite, mode", [("chained-flips", "modular"), ("ladder", "modular"), ("diamond", "inline")]
+)
+def test_store_grows_linearly(suite, mode):
+    # Binding each let's formula eagerly made every later layer copy it, so
+    # the store quadrupled when n doubled.
+    assert store_size(suite, 128, mode) <= 2.1 * store_size(suite, 64, mode)
+
+
+def test_a_512_block_chain_fits_a_100000_node_store():
+    compiled, _ = compile_source(suite_source("chained-flips", 512), max_nodes=100_000)
+    p = 0.1
+    for i in range(1, 2 * 512 + 1):
+        t, e = ((0.2, 0.3), (0.4, 0.5))[(i - 1) % 2]
+        p = p * t + (1 - p) * e
+    assert infer.prob_of_value(compiled, True) == pytest.approx(p, abs=1e-12)
+
+
+# Ten flips and a disjunction of pairs over them with 64 nodes in this
+# order: large enough that a let bound to it is held behind a placeholder.
+FLIPS = "".join(f"let a{i} = flip 0.{i + 2} in " for i in range(5)) + "".join(
+    f"let b{i} = flip 0.{i + 3} in " for i in range(5)
+)
+PAIRS = " || ".join(f"(a{i} && b{i})" for i in range(5))
+SHIFTED_PAIRS = " || ".join(f"(a{i} && b{(i + 1) % 5})" for i in range(5))
+
+HELD_PROGRAMS = {
+    "shadowing_let_in_bound": "let y = flip 0.3 in "
+    f"let x = (let y = ({FLIPS}{PAIRS}) in y || flip 0.2) in x && y",
+    # x's held formula mentions y's placeholder, so x's group composes first.
+    "nested_groups": f"{FLIPS}let x = (let y = {PAIRS} in {SHIFTED_PAIRS} || y) in "
+    "x || flip 0.5",
+    "observe_in_held_bound": f"let x = ({FLIPS}let t = {PAIRS} in let o = observe (t || a0) in t) in "
+    "x || flip 0.5",
+    "let_in_branch_in_bound": "let c = flip 0.4 in "
+    f"let x = if c then (let y = ({FLIPS}{PAIRS}) in y && flip 0.7) else flip 0.5 in x || c",
+    "held_call_result": f"fun large(s: Bool): Bool {{ ({FLIPS}{PAIRS}) || s }}\n"
+    "let c = flip 0.4 in let r = large(c) in r && flip 0.6",
+}
+
+
+def placeholders(compiled):
+    return [label.name for label in compiled.manager.labels if label.name.startswith("$hold")]
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("name", sorted(HELD_PROGRAMS))
+def test_held_lets_match_the_oracle(name, mode):
+    _, core = frontend(HELD_PROGRAMS[name])
+    compiled = compile_program(core, mode=mode)
+    assert placeholders(compiled)
+    assert compiled_vs_oracle_delta(compiled, core) < 1e-12
+
+
+def _keep_held(ctx, mark, formula, accepting):
+    return formula, accepting
+
+
+def _drop_held(ctx, mark, formula, accepting):
+    del ctx.held[mark:]
+    return formula, accepting
+
+
+@pytest.mark.parametrize("release", [_keep_held, _drop_held], ids=["kept", "dropped"])
+def test_a_leaked_placeholder_is_an_internal_error(monkeypatch, capsys, tmp_path, release):
+    monkeypatch.setattr(compiler, "_release", release)
+    path = tmp_path / "chain.dice"
+    path.write_text(suite_source("chained-flips", 16))
+    assert main(["infer", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("internal error: ")
+    _, core = frontend(HELD_PROGRAMS["held_call_result"])
+    with pytest.raises(InternalError):
+        compile_function(_Compilation(BddManager()), core.functions[0])
 
 
 def test_a_30000_let_chain_compiles_and_is_queried_in_linear_memory():
