@@ -23,14 +23,7 @@ from .compiler import (
     pointwise_iff,
     tuple_of_value,
 )
-from .desugar import (
-    desugar_discrete,
-    desugar_expr,
-    desugar_iterate,
-    desugar_program,
-    normalize_anf,
-    static_flip_count,
-)
+from .desugar import desugar_expr, desugar_program, static_flip_count
 from .infer import (
     InferenceResult,
     accepting_probability,

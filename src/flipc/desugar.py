@@ -1,17 +1,21 @@
-"""Lowering of surface programs to the core language.
+"""Lowering of surface programs to core ANF.
 
-The pipeline removes, in order: multi-parameter functions (rewritten to a
-single tuple-typed formal), bounded iteration (unrolled to nested calls),
-``discrete`` (expanded to a chain of guarded flips producing a one-hot
-tuple), integer literals and arithmetic (one-hot tuple formulas), and the
-boolean operators (rewritten to conditionals).  A final A-normalization pass
-restores the atomic-argument restriction of the core grammar.
+Multi-parameter functions are first rewritten to a single tuple-typed formal.
+Then one pass over each body lowers everything else, straight to A-normal
+form: bounded iteration (unrolled to nested calls), ``discrete`` (a chain of
+guarded flips producing a one-hot tuple), integer literals and arithmetic
+(one-hot tuple formulas), and the boolean operators (conditionals).  Where a
+construct needs an atom (a guard; the operand of ``fst``, ``snd``,
+``observe``, ``!`` or a call; a tuple component; the left side of ``&&`` or
+``||``) and its lowered operand is not one, the operand is bound to a fresh
+``$t`` name just outside the construct.  An expansion lowers only the text it
+generates over names bound to its already lowered operands.
 
 Generated binders use the reserved ``$`` prefix, which the parser rejects, so
 they can never capture user names.
 
 All entry points expect a typechecked input: integer desugaring reads the
-operand sizes off the ``ty`` annotations.
+operand sizes off the ``ty`` annotations.  The input is not modified.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ def desugar_program(program: S.Program) -> S.Program:
     lowered = lower_params(program)
     functions = []
     for func in lowered.functions:
-        body = normalize_anf(desugar_expr(func.body))
+        body = desugar_expr(func.body)
         params = [(func.formal, S.erase_int_types(func.formal_ty))]
         functions.append(S.Function(func.name, params, S.erase_int_types(func.return_ty), body))
-    main = normalize_anf(desugar_expr(lowered.main))
+    main = desugar_expr(lowered.main)
     result = S.Program(functions, main)
     for func in result.functions:
         if not S.is_core(func.body):
@@ -53,10 +57,6 @@ def lower_params(program: S.Program) -> S.Program:
         if len(func.params) == 1:
             functions.append(func)
             continue
-        formal_ty = func.params[-1][1]
-        for _, pty in reversed(func.params[:-1]):
-            formal_ty = S.ProdTy(pty, formal_ty)
-        body = func.body
         # Unpack right-nested components back into the declared names.
         bindings = []
         current = "$arg"
@@ -68,9 +68,10 @@ def lower_params(program: S.Program) -> S.Program:
                 bindings.append((name, S.Fst(S.Ident(current))))
                 bindings.append((rest, S.Snd(S.Ident(current))))
                 current = rest
-        for name, bound in reversed(bindings):
-            body = S.Let(name, bound, body)
-        functions.append(S.Function(func.name, [("$arg", formal_ty)], func.return_ty, body))
+        body = _wrap(bindings, func.body)
+        functions.append(
+            S.Function(func.name, [("$arg", S.params_ty(func.params))], func.return_ty, body)
+        )
     return S.Program(functions, program.main)
 
 
@@ -79,71 +80,94 @@ def lower_params(program: S.Program) -> S.Program:
 
 
 def desugar_expr(e: S.Expr) -> S.Expr:
-    fresh = itertools.count()
-    return S.trampoline(_ds(e, fresh))
+    """Lower a typechecked surface expression to core ANF in one pass."""
+    return S.trampoline(_ds(e, itertools.count(), itertools.count()))
 
 
-def _ds(e: S.Expr, fresh):
-    """Step: the desugared copy of ``e``."""
-    if isinstance(e, (S.Lit, S.Ident, S.Flip)):
+def _ds(e: S.Expr, fresh, temps):
+    """Step: ``e`` lowered to core ANF.
+
+    ``fresh`` numbers the names of expansions (``$d``, ``$e``, ``$a``, ...),
+    ``temps`` the ``$t`` names that hold a non-atomic operand of an atomic
+    position; both are consumed left to right.
+    """
+    if isinstance(e, S.Ident):
+        # A fresh leaf: typing the core must not retype the surface tree.
+        return S.Ident(e.name, span=e.span)
+    if isinstance(e, (S.Lit, S.Flip)):
         return e
-    if isinstance(e, (S.Fst, S.Snd, S.Observe)):
-        return type(e)((yield _ds(e.arg, fresh)), span=e.span)
-    if isinstance(e, S.Tup):
-        return S.Tup((yield _ds(e.left, fresh)), (yield _ds(e.right, fresh)), span=e.span)
-    if isinstance(e, S.Let):
-        return S.Let(e.name, (yield _ds(e.bound, fresh)), (yield _ds(e.body, fresh)), span=e.span)
-    if isinstance(e, S.Ite):
-        guard = yield _ds(e.guard, fresh)
-        then = yield _ds(e.then, fresh)
-        return S.Ite(guard, then, (yield _ds(e.orelse, fresh)), span=e.span)
-    if isinstance(e, S.Call):
-        return S.Call(e.func, (yield _ds(e.arg, fresh)), span=e.span)
-    if isinstance(e, S.And):
-        left = yield _ds(e.left, fresh)
-        return S.Ite(left, (yield _ds(e.right, fresh)), S.Lit(False), span=e.span)
-    if isinstance(e, S.Or):
-        left = yield _ds(e.left, fresh)
-        return S.Ite(left, S.Lit(True), (yield _ds(e.right, fresh)), span=e.span)
-    if isinstance(e, S.Not):
-        return S.Ite((yield _ds(e.arg, fresh)), S.Lit(False), S.Lit(True), span=e.span)
-    if isinstance(e, S.Eq):
-        return (yield _ds_eq(e, fresh))
-    if isinstance(e, S.Discrete):
-        return (yield _ds(_discrete_expansion(e.params, fresh, e.span), fresh))
     if isinstance(e, S.IntLit):
         return S.Lit(S.one_hot_value(e.size, e.value), span=e.span)
+    if isinstance(e, S.Let):
+        bound = yield _ds(e.bound, fresh, temps)
+        return S.Let(e.name, bound, (yield _ds(e.body, fresh, temps)), span=e.span)
+    if isinstance(e, S.Eq):
+        return (yield _ds_eq(e, fresh, temps))
     if isinstance(e, (S.IntAdd, S.IntMul)):
-        return (yield _ds_int_arith(e, fresh))
+        return (yield _ds_int_arith(e, fresh, temps))
+    if isinstance(e, S.Discrete):
+        return (yield _ds(_discrete_expansion(e.params, fresh, e.span), fresh, temps))
     if isinstance(e, S.Iterate):
-        return desugar_iterate(e.func, (yield _ds(e.init, fresh)), e.count, span=e.span)
-    raise TypeError(f"cannot desugar {type(e).__name__}")
+        # f(f(... f(init))), each call's argument hoisted innermost first.
+        result = yield _ds(e.init, fresh, temps)
+        for _ in range(e.count):
+            binds: list = []
+            arg = _name(result, binds, temps, e.span)
+            result = _wrap(binds, S.Call(e.func, arg, span=e.span))
+        return result
+    binds = []
+    if isinstance(e, S.Ite):
+        guard = _name((yield _ds(e.guard, fresh, temps)), binds, temps, e.guard.span)
+        then = yield _ds(e.then, fresh, temps)
+        result = S.Ite(guard, then, (yield _ds(e.orelse, fresh, temps)), span=e.span)
+    elif isinstance(e, (S.Fst, S.Snd, S.Observe)):
+        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        result = type(e)(arg, span=e.span)
+    elif isinstance(e, S.Tup):
+        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
+        right = _name((yield _ds(e.right, fresh, temps)), binds, temps, e.right.span)
+        result = S.Tup(left, right, span=e.span)
+    elif isinstance(e, S.Call):
+        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        result = S.Call(e.func, arg, span=e.span)
+    elif isinstance(e, S.And):
+        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
+        result = S.Ite(left, (yield _ds(e.right, fresh, temps)), S.Lit(False), span=e.span)
+    elif isinstance(e, S.Or):
+        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
+        result = S.Ite(left, S.Lit(True), (yield _ds(e.right, fresh, temps)), span=e.span)
+    elif isinstance(e, S.Not):
+        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        result = S.Ite(arg, S.Lit(False), S.Lit(True), span=e.span)
+    else:
+        raise TypeError(f"cannot desugar {type(e).__name__}")
+    return _wrap(binds, result)
 
 
-def desugar_iterate(func: str, init: S.Expr, count: int, span=None) -> S.Expr:
-    """k-fold application: iterate(f, init, k) becomes f(f(... f(init)))."""
-    if count < 0:
-        raise ValueError("iteration count must be non-negative")
-    result = init
-    for _ in range(count):
-        result = S.Call(func, result, span=span)
-    return result
+def _name(lowered: S.Expr, binds: list, temps, span) -> S.Expr:
+    """``lowered`` itself if atomic, else a fresh ``$t`` bound to it in ``binds``."""
+    if S.is_atomic(lowered):
+        return lowered
+    name = f"$t{next(temps)}"
+    binds.append((name, lowered))
+    return S.Ident(name, span=span)
 
 
-def desugar_discrete(params: list, fresh=None, span=None) -> S.Expr:
-    """One-hot expansion of ``discrete(p0, ..., pn-1)``.
+def _wrap(bindings: list, body: S.Expr) -> S.Expr:
+    """``body`` under ``let`` bindings, the first outermost."""
+    for name, bound in reversed(bindings):
+        body = S.Let(name, bound, body)
+    return body
+
+
+def _discrete_expansion(params: list, fresh, span) -> S.Expr:
+    """One-hot expansion of ``discrete(p0, ..., pn-1)``, over fresh names and
+    flips only.
 
     Indicator i is true when all earlier indicators are false and a coin with
     probability p_i over the remaining mass comes up heads; the last
     indicator needs no coin.  A remaining mass of zero emits ``flip 0``.
     """
-    if fresh is None:
-        fresh = itertools.count()
-    return S.trampoline(_ds(_discrete_expansion(params, fresh, span), fresh))
-
-
-def _discrete_expansion(params: list, fresh, span) -> S.Expr:
-    """The surface let chain ``desugar_discrete`` lowers."""
     if not params:
         raise BadDistributionError("discrete needs at least one probability")
     for p in params:
@@ -172,11 +196,13 @@ def _discrete_expansion(params: list, fresh, span) -> S.Expr:
         if expr is None:  # n == 1: the single indicator is always true
             expr = S.Lit(True)
         bindings.append((names[i], expr))
+    return _wrap(bindings, _tuple_of_names(names))
+
+
+def _tuple_of_names(names: list) -> S.Expr:
     result: S.Expr = S.Ident(names[-1])
-    for i in range(n - 2, -1, -1):
-        result = S.Tup(S.Ident(names[i]), result)
-    for name, bound in reversed(bindings):
-        result = S.Let(name, bound, result)
+    for name in reversed(names[:-1]):
+        result = S.Tup(S.Ident(name), result)
     return result
 
 
@@ -223,30 +249,28 @@ def _or_chain(terms: list) -> S.Expr:
     return result
 
 
-def _ds_eq(e: S.Eq, fresh):
+def _ds_eq(e: S.Eq, fresh, temps):
     """Step: ``==`` on booleans (iff) or one-hot integers."""
-    left = yield _ds(e.left, fresh)
-    right = yield _ds(e.right, fresh)
+    left = yield _ds(e.left, fresh, temps)
+    right = yield _ds(e.right, fresh, temps)
     if e.left.ty == S.BOOL:
         # Both sides bound first: the right side's flips happen either way.
         a, b = f"$e{next(fresh)}", f"$e{next(fresh)}"
-        iff = S.Ite(S.Ident(a), S.Ident(b), S.Not(S.Ident(b)))
-        return (yield _ds(S.Let(a, left, S.Let(b, right, iff)), fresh))
+        iff = S.Ite(S.Ident(a), S.Ident(b), S.Ite(S.Ident(b), S.Lit(False), S.Lit(True)))
+        return S.Let(a, left, S.Let(b, right, iff))
     size = _int_size(e.left)
     bindings: list = []
     lhs = _bind_leaves(left, size, "a", fresh, bindings)
     rhs = _bind_leaves(right, size, "b", fresh, bindings)
-    result = _or_chain([S.And(lhs[i], rhs[i]) for i in range(size)])
-    for name, bound in reversed(bindings):
-        result = S.Let(name, bound, result)
-    return (yield _ds(result, fresh))
+    result = yield _ds(_or_chain([S.And(lhs[i], rhs[i]) for i in range(size)]), fresh, temps)
+    return _wrap(bindings, result)
 
 
-def _ds_int_arith(e, fresh):
+def _ds_int_arith(e, fresh, temps):
     """Step: ``+`` or ``*`` modulo the size, one or-chain per result bit."""
     size = _int_size(e.left)
-    left = yield _ds(e.left, fresh)
-    right = yield _ds(e.right, fresh)
+    left = yield _ds(e.left, fresh, temps)
+    right = yield _ds(e.right, fresh, temps)
     bindings: list = []
     lhs = _bind_leaves(left, size, "a", fresh, bindings)
     rhs = _bind_leaves(right, size, "b", fresh, bindings)
@@ -258,72 +282,9 @@ def _ds_int_arith(e, fresh):
         for j in range(size):
             terms_per_bit[combine(i, j)].append(S.And(lhs[i], rhs[j]))
     bit_names = [f"$r{next(fresh)}_{r}" for r in range(size)]
-    for r in range(size):
-        bindings.append((bit_names[r], _or_chain(terms_per_bit[r])))
-    result: S.Expr = S.Ident(bit_names[-1])
-    for r in range(size - 2, -1, -1):
-        result = S.Tup(S.Ident(bit_names[r]), result)
-    for name, bound in reversed(bindings):
-        result = S.Let(name, bound, result)
-    return (yield _ds(result, fresh))
-
-
-# ---------------------------------------------------------------------------
-# A-normalization
-
-
-def normalize_anf(e: S.Expr) -> S.Expr:
-    """Hoist non-atomic subexpressions out of atomic positions.
-
-    Hoisting is left to right; repeated application is a fixpoint after one
-    pass.
-    """
-    counter = itertools.count()
-    return S.trampoline(_norm(e, counter))
-
-
-def _norm(e: S.Expr, counter):
-    """Step: ``e`` in A-normal form."""
-    if isinstance(e, (S.Lit, S.Ident, S.Flip, S.IntLit, S.Discrete)):
-        return e
-    if isinstance(e, S.Let):
-        bound = yield _norm(e.bound, counter)
-        return S.Let(e.name, bound, (yield _norm(e.body, counter)), span=e.span)
-    binds: list = []
-    if isinstance(e, S.Ite):
-        guard = yield _atom(e.guard, binds, counter)
-        then = yield _norm(e.then, counter)
-        result: S.Expr = S.Ite(guard, then, (yield _norm(e.orelse, counter)), span=e.span)
-    elif isinstance(e, (S.Fst, S.Snd, S.Observe)):
-        result = type(e)((yield _atom(e.arg, binds, counter)), span=e.span)
-    elif isinstance(e, S.Tup):
-        left = yield _atom(e.left, binds, counter)
-        result = S.Tup(left, (yield _atom(e.right, binds, counter)), span=e.span)
-    elif isinstance(e, S.Call):
-        result = S.Call(e.func, (yield _atom(e.arg, binds, counter)), span=e.span)
-    elif isinstance(e, (S.And, S.Or, S.Eq, S.IntAdd, S.IntMul)):
-        left = yield _norm(e.left, counter)
-        result = type(e)(left, (yield _norm(e.right, counter)), span=e.span)
-    elif isinstance(e, S.Not):
-        result = S.Not((yield _norm(e.arg, counter)), span=e.span)
-    elif isinstance(e, S.Iterate):
-        result = S.Iterate(e.func, (yield _norm(e.init, counter)), e.count, span=e.span)
-    else:
-        raise TypeError(f"cannot normalize {type(e).__name__}")
-    for name, bound in reversed(binds):
-        result = S.Let(name, bound, result)
-    return result
-
-
-def _atom(e: S.Expr, binds: list, counter):
-    """Step: ``e`` normalized, bound to a fresh name in ``binds`` unless it
-    is atomic."""
-    normalized = yield _norm(e, counter)
-    if S.is_atomic(normalized):
-        return normalized
-    name = f"$t{next(counter)}"
-    binds.append((name, normalized))
-    return S.Ident(name, span=e.span)
+    bits = [(bit_names[r], _or_chain(terms_per_bit[r])) for r in range(size)]
+    result = yield _ds(_wrap(bits, _tuple_of_names(bit_names)), fresh, temps)
+    return _wrap(bindings, result)
 
 
 # ---------------------------------------------------------------------------

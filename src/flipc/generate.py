@@ -141,7 +141,7 @@ class _Gen:
         if choice == "call":
             func, cost = rng.choice(callable_funcs)
             self.flips_left -= cost
-            arg_ty = _arg_ty(func)
+            arg_ty = S.params_ty(func.params)
             arg = self.expr(env, arg_ty, depth - 1)
             if self.cfg.allow_iterate and arg_ty == func.return_ty == ty and rng.random() < 0.3:
                 count = rng.randint(0, 2)
@@ -179,13 +179,6 @@ class _Gen:
         table = {f.name: c for f, c in self.functions}
         cost = expr_flip_count(body, table)
         self.functions.append((func, cost))
-
-
-def _arg_ty(func: S.Function) -> S.Ty:
-    ty = func.params[-1][1]
-    for _, pty in reversed(func.params[:-1]):
-        ty = S.ProdTy(pty, ty)
-    return ty
 
 
 def random_program(rng: random.Random, cfg: GenConfig | None = None) -> S.Program:

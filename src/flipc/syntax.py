@@ -4,7 +4,7 @@ One expression hierarchy covers both the surface language (boolean operators,
 ``discrete``, bounded integers, ``iterate``, arbitrary nesting) and the core
 language that the compiler and the reference evaluator consume.  The core
 subset restricts certain argument positions to *atomic* expressions (literals
-and identifiers); ``desugar.normalize_anf`` restores that restriction.
+and identifiers); ``desugar.desugar_expr`` lowers the surface language to it.
 
 Types are ``Bool``, products, and (surface only) fixed-size integers, which
 desugar to right-nested one-hot tuples of booleans.
@@ -12,9 +12,8 @@ desugar to right-nested one-hot tuples of booleans.
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
 
 Every front-end pass over expressions (parsing, typechecking, desugaring,
-A-normalization, compilation, inlining, printing) is written as *steps* run
-by ``trampoline``, so the depth of a program never becomes depth of the
-Python call stack.
+compilation, inlining, printing) is written as *steps* run by ``trampoline``,
+so the depth of a program never becomes depth of the Python call stack.
 """
 
 from __future__ import annotations
@@ -116,6 +115,15 @@ def int_backing_ty(size: int) -> Ty:
     ty: Ty = BOOL
     for _ in range(size - 1):
         ty = ProdTy(BOOL, ty)
+    return ty
+
+
+def params_ty(params: list) -> Ty:
+    """The right-nested tuple type of a parameter list ``[(name, Ty), ...]``:
+    the type of the single formal a multi-parameter function lowers to."""
+    ty = params[-1][1]
+    for _, pty in reversed(params[:-1]):
+        ty = ProdTy(pty, ty)
     return ty
 
 

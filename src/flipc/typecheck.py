@@ -51,10 +51,7 @@ def _params_ty(params: list, span) -> S.Ty:
         if name in seen:
             raise TypeMismatchError("distinct parameter names", f"duplicate {name!r}", span)
         seen.add(name)
-    ty = params[-1][1]
-    for _, pty in reversed(params[:-1]):
-        ty = S.ProdTy(pty, ty)
-    return ty
+    return S.params_ty(params)
 
 
 def _check(e: S.Expr, env: dict, signatures: dict):

@@ -1,4 +1,4 @@
-"""Typechecking, desugaring, and A-normalization."""
+"""Typechecking and desugaring to core ANF."""
 
 import hashlib
 import itertools
@@ -10,13 +10,8 @@ import pytest
 from flipc import infer, suites
 from flipc import syntax as S
 from flipc.compiler import compile_source, inline_program
-from flipc.desugar import (
-    desugar_discrete,
-    desugar_expr,
-    desugar_iterate,
-    desugar_program,
-    normalize_anf,
-)
+from flipc import desugar
+from flipc.desugar import desugar_expr, desugar_program
 from flipc.errors import (
     BadDistributionError,
     ObserveNonBoolError,
@@ -99,20 +94,23 @@ class TestTypecheck:
 
 
 class TestNormalizeAnf:
+    """``desugar_expr`` emits A-normal form directly."""
+
     def test_guard_hoisted(self):
         e = parse_expr("if flip 0.5 then true else false")
-        n = normalize_anf(e)
+        n = desugar_expr(e)
         assert isinstance(n, S.Let)
         assert isinstance(n.bound, S.Flip)
         assert isinstance(n.body, S.Ite)
         assert n.body.guard == S.Ident(n.name)
 
     def test_identity_on_atomic(self):
-        assert normalize_anf(S.Ident("x")) == S.Ident("x")
+        assert desugar_expr(S.Ident("x")) == S.Ident("x")
+        assert desugar_expr(S.Lit((True, False))) == S.Lit((True, False))
 
     def test_left_to_right_hoisting(self):
         e = parse_expr("(flip 0.1, flip 0.2)")
-        n = normalize_anf(e)
+        n = desugar_expr(e)
         assert isinstance(n, S.Let) and n.bound == S.Flip(0.1)
         assert isinstance(n.body, S.Let) and n.body.bound == S.Flip(0.2)
 
@@ -120,8 +118,8 @@ class TestNormalizeAnf:
         for _ in range(200):
             program = random_program(rng, GenConfig(max_flips=20, max_depth=4))
             typecheck_program(program)
-            once = normalize_anf(desugar_expr(program.main))
-            assert normalize_anf(once) == once
+            once = desugar_expr(program.main)
+            assert desugar_expr(once) == once
 
     def test_core_after_pipeline(self, rng):
         for _ in range(100):
@@ -138,7 +136,7 @@ class TestNormalizeAnf:
             program = random_program(rng, GenConfig(max_flips=10, max_depth=4))
             typecheck_program(program)
             before = eval_program(program)
-            anfed = S.Program(program.functions, normalize_anf(desugar_expr(program.main)))
+            anfed = S.Program(program.functions, desugar_expr(program.main))
             after = eval_program(anfed)
             assert abs(before.accepting - after.accepting) < 1e-12
             assert max_distribution_delta(before.unnormalized, after.unnormalized) < 1e-12
@@ -154,8 +152,9 @@ def let_chain(e):
 
 class TestDesugarDiscrete:
     def test_guarded_flip_expansion(self):
-        e = desugar_discrete([0.1, 0.4, 0.5])
+        e = desugar_expr(S.Discrete([0.1, 0.4, 0.5]))
         bindings, result = let_chain(e)
+        bindings = [(name, bound) for name, bound in bindings if name.startswith("$d")]
         assert len(bindings) == 3
         first = [n for n in S.walk_nodes(bindings[0][1]) if isinstance(n, S.Flip)]
         second = [n for n in S.walk_nodes(bindings[1][1]) if isinstance(n, S.Flip)]
@@ -166,8 +165,7 @@ class TestDesugarDiscrete:
         assert isinstance(result, S.Tup)
 
     def test_point_mass(self):
-        e = desugar_discrete([1.0])
-        program = S.Program([], normalize_anf(e))
+        program = S.Program([], desugar_expr(S.Discrete([1.0])))
         result = eval_program(program)
         assert result.unnormalized == {True: 1.0}
 
@@ -198,19 +196,20 @@ class TestDesugarDiscrete:
 
     def test_bad_distributions_rejected(self):
         with pytest.raises(BadDistributionError):
-            desugar_discrete([0.5, -0.1, 0.6])
+            desugar_expr(S.Discrete([0.5, -0.1, 0.6]))
         with pytest.raises(BadDistributionError):
-            desugar_discrete([0.5, 0.4])  # sums to 0.9
+            desugar_expr(S.Discrete([0.5, 0.4]))  # sums to 0.9
         with pytest.raises(BadDistributionError):
-            desugar_discrete([])
+            desugar_expr(S.Discrete([]))
 
     def test_small_drift_absorbed(self):
-        e = desugar_discrete([0.3, 0.3, 0.4 + 5e-7])
+        e = desugar_expr(S.Discrete([0.3, 0.3, 0.4 + 5e-7]))
         assert e is not None
 
     def test_zero_remaining_mass(self):
-        e = desugar_discrete([1.0, 0.0, 0.0])
+        e = desugar_expr(S.Discrete([1.0, 0.0, 0.0]))
         bindings, _ = let_chain(e)
+        bindings = [(name, bound) for name, bound in bindings if name.startswith("$d")]
         first = [n for n in S.walk_nodes(bindings[0][1]) if isinstance(n, S.Flip)]
         second = [n for n in S.walk_nodes(bindings[1][1]) if isinstance(n, S.Flip)]
         assert [f.theta for f in first] == [1.0]
@@ -226,14 +225,17 @@ def _all_executions(core):
 
 class TestDesugarIterate:
     def test_zero_is_init(self):
-        assert desugar_iterate("f", S.Ident("e"), 0) == S.Ident("e")
+        assert desugar_expr(S.Iterate("f", S.Ident("e"), 0)) == S.Ident("e")
 
     def test_one_is_single_call(self):
-        assert desugar_iterate("f", S.Ident("e"), 1) == S.Call("f", S.Ident("e"))
+        assert desugar_expr(S.Iterate("f", S.Ident("e"), 1)) == S.Call("f", S.Ident("e"))
 
     def test_three_fold_nesting(self):
-        e = desugar_iterate("diamond", S.Lit(True), 3)
-        assert e == S.Call("diamond", S.Call("diamond", S.Call("diamond", S.Lit(True))))
+        # Each call's argument is hoisted, innermost first.
+        e = desugar_expr(S.Iterate("diamond", S.Lit(True), 3))
+        first = S.Call("diamond", S.Lit(True))
+        second = S.Let("$t0", first, S.Call("diamond", S.Ident("$t0")))
+        assert e == S.Let("$t1", second, S.Call("diamond", S.Ident("$t1")))
 
 
 class TestDesugarIntOps:
@@ -289,6 +291,50 @@ class TestDesugarProgram:
             lowered = eval_program(core)
             assert abs(surface.accepting - lowered.accepting) < 1e-12
             assert max_distribution_delta(surface.unnormalized, lowered.unnormalized) < 1e-12
+
+    @pytest.mark.parametrize("text", [
+        "let x = discrete(0.5, 0.5) in x + x",
+        "fun f(k: int(3), b: Bool): int(3) { if b then k * k else k + int(3, 1) }"
+        " let y = discrete(0.2, 0.3, 0.5) in (f(y, flip 0.5) == y, !(fst (y == y, y)))",
+    ], ids=["int_sum", "int_function"])
+    def test_desugaring_leaves_its_input_alone(self, text):
+        program = parse_program(text)
+        typecheck_program(program)
+        annotations = [str(node.ty) for node in S.program_nodes(program)]
+        first = pretty_program(desugar_program(program))
+        assert pretty_program(desugar_program(program)) == first
+        assert [str(node.ty) for node in S.program_nodes(program)] == annotations
+
+
+def _lowering_steps(monkeypatch, text: str) -> int:
+    """Number of lowering steps ``desugar_program`` runs on ``text``."""
+    steps = 0
+    step = desugar._ds
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    program = parse_program(text)
+    typecheck_program(program)
+    with monkeypatch.context() as patch:
+        patch.setattr(desugar, "_ds", counted)
+        desugar_program(program)
+    return steps
+
+
+class TestLinearLowering:
+    # Each operand of a chain is lowered once, so the steps grow with the
+    # chain's length, not with its square.
+    @pytest.mark.parametrize("head, op", [
+        ("let x = discrete(0.5, 0.5) in x", " + x"),
+        ("let b = flip 0.5 in b", " == b"),
+    ], ids=["int_sum", "bool_iff"])
+    def test_operator_chains_lower_in_linear_steps(self, monkeypatch, head, op):
+        short = _lowering_steps(monkeypatch, head + op * 31)
+        long = _lowering_steps(monkeypatch, head + op * 63)
+        assert long <= 2.1 * short, (short, long)
 
 
 # Programs far deeper than the default recursion limit, in every shape that
