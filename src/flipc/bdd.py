@@ -21,7 +21,15 @@ memos are local to one call and dropped when it returns, so ``_unique`` and
 There is one graph walk, ``_postorder``: an explicit-stack post-order over
 the nodes reachable from some roots.  ``_rewire`` and ``compose`` are loops
 over it that build each node's image from its children's, and ``support``,
-``node_count``, ``to_dot`` and ``wmc`` read it.  ``ite``'s Shannon expansion
+``node_count``, ``to_dot`` and ``wmc`` read it.  ``compose`` substitutes
+formulas for variables, which is how a call instantiates a function
+template.  At a level it sends to TRUE or FALSE the walk follows only the
+child that constant picks, and the node takes that child's image, so a
+constant argument costs nothing in the branch it discards.  A level left
+unmapped, or sent to a positive literal whose level precedes both child
+images (a call's refreshed flips usually are), keeps the order: its image
+is made by ``_mk`` directly.  Every other image is an ``ite`` of the
+mapped formula over the child images.  ``ite``'s Shannon expansion
 is the only recursion, and its depth is at most the number of levels, so
 registering a variable raises the interpreter's recursion limit, if needed,
 to the level count plus a fixed headroom.  This is the one place flipc
@@ -205,10 +213,14 @@ class BddManager:
             memo[n] = mk(var[n], memo[hi[n]], memo[lo[n]])
         return memo[g]
 
-    def _postorder(self, roots, max_level: int = _TERMINAL_LEVEL - 1) -> list[int]:
+    def _postorder(
+        self, roots, max_level: int = _TERMINAL_LEVEL - 1, fixed: Optional[dict] = None
+    ) -> list[int]:
         """Internal nodes reachable from ``roots`` through nodes at levels up
         to ``max_level``, each once, children before parents.  The high child
-        is walked before the low one, as a recursive walk would."""
+        is walked before the low one, as a recursive walk would.  At a level
+        that ``fixed`` sends to TRUE or FALSE only the child that value picks
+        is walked."""
         var, hi, lo = self._var, self._hi, self._lo
         order = []
         seen = set()
@@ -223,6 +235,13 @@ class BddManager:
                 seen.add(n)
                 stack.append(~n)
                 l, h = lo[n], hi[n]
+                # Only a pruned walk pays for the level lookup; a child
+                # dropped here becomes a terminal, which is never pushed.
+                if fixed and var[n] in fixed:
+                    if fixed[var[n]]:
+                        l = FALSE
+                    else:
+                        h = FALSE
                 if var[l] <= max_level and l not in seen:
                     stack.append(l)
                 if var[h] <= max_level and h not in seen:
@@ -234,19 +253,38 @@ class BddManager:
     def compose(self, f: int, mapping: dict) -> int:
         """Simultaneously replace variables by formulas: ``mapping`` sends
         variable levels to node handles.  Equivalent to, per variable,
-        ite(g, f restricted to var=true, f restricted to var=false)."""
+        ite(g, f restricted to var=true, f restricted to var=false).
+
+        A level sent to TRUE or FALSE walks only the child it picks, and its
+        node takes that child's image.  A level left unmapped or sent to a
+        positive literal (a variable node) whose level precedes both child
+        images keeps the order, so its image is made directly by ``_mk``;
+        every other node's image is an ``ite``."""
         if not mapping:
             return f
-        memo = {}  # nodes above max(mapping) and terminals map to themselves
-        var, hi, lo = self._var, self._hi, self._lo
-        for n in self._postorder((f,), max(mapping)):
+        memo = {}  # nodes below max(mapping) and terminals map to themselves
+        var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
+        fixed = {level: g for level, g in mapping.items() if g <= TRUE}
+        for n in self._postorder((f,), max(mapping), fixed):
             level = var[n]
             g = mapping.get(level)
-            memo[n] = self.ite(
-                self.var(level) if g is None else g,
-                memo.get(hi[n], hi[n]),
-                memo.get(lo[n], lo[n]),
-            )
+            if g is not None and g <= TRUE:
+                child = hi[n] if g == TRUE else lo[n]
+                memo[n] = memo.get(child, child)
+                continue
+            h = memo.get(hi[n], hi[n])
+            l = memo.get(lo[n], lo[n])
+            if g is None:
+                top = level
+            elif hi[g] == TRUE and lo[g] == FALSE:
+                top = var[g]
+            else:
+                memo[n] = self.ite(g, h, l)
+                continue
+            if top < var[h] and top < var[l]:
+                memo[n] = mk(top, h, l)
+            else:
+                memo[n] = self.ite(self.var(top), h, l)
         return memo.get(f, f)
 
     # -- queries -----------------------------------------------------------------

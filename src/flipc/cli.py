@@ -111,8 +111,9 @@ def cmd_infer(args) -> int:
         for key, p in result.entries:
             print(f"result {key} {_fmt(p)}")
         print(f"flips {flips}")
-        if flips <= 62:
-            print(f"paths {2 ** flips}")
+        sampled = flips - compiled.template_flips
+        if sampled <= 62:
+            print(f"paths {2 ** sampled}")
         print(f"nodes {nodes}")
         print(f"compile_ms {compile_ms:.3f}")
         print(f"query_ms {query_ms:.3f}")

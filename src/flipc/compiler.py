@@ -146,9 +146,12 @@ class CompiledProgram:
     manager: BddManager
     expr: CompiledExpr
     output_ty: S.Ty
-    flip_count: int
+    flip_count: int  # every flip variable, a template's own included
     mode: str
     surface_output_ty: Optional[S.Ty] = None
+    # Flips allocated while compiling function templates: each call samples
+    # fresh copies of them, never the template's own.
+    template_flips: int = 0
 
     @property
     def formula(self) -> CompiledTuple:
@@ -437,7 +440,10 @@ def compile_program(
     output_ty = program.main.ty
     if output_ty is None:
         output_ty = _shape_ty(expr.formula)
-    return CompiledProgram(mgr, expr, output_ty, len(ctx.weights), mode)
+    template_flips = sum(len(func.flip_levels) for func in ctx.funcs.values())
+    return CompiledProgram(
+        mgr, expr, output_ty, len(ctx.weights), mode, template_flips=template_flips
+    )
 
 
 def _shape_ty(t: CompiledTuple) -> S.Ty:

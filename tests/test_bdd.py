@@ -288,18 +288,26 @@ def test_postorder_lists_each_reachable_node_once_children_first(data):
     mgr, levels = fresh_manager(6)
     roots = [build(mgr, levels, random_tree(rng, 6, 4)) for _ in range(data.draw(st.integers(1, 3)))]
     max_level = data.draw(st.integers(-1, 6))
-    order = mgr._postorder(roots, max_level)
+    # A pruned walk follows only the chosen child at a fixed level.
+    fixed = data.draw(st.dictionaries(st.sampled_from(levels), st.sampled_from((FALSE, TRUE))))
+
+    def children(n):
+        if mgr.level_of(n) in fixed:
+            return (mgr.high(n) if fixed[mgr.level_of(n)] == TRUE else mgr.low(n),)
+        return (mgr.high(n), mgr.low(n))
+
+    order = mgr._postorder(roots, max_level, fixed)
     reachable, stack = set(), [r for r in roots if r > 1]
     while stack:
         n = stack.pop()
-        if n not in reachable:
+        if n not in reachable and mgr.level_of(n) <= max_level:
             reachable.add(n)
-            stack += [c for c in (mgr.high(n), mgr.low(n)) if c > 1]
+            stack += [c for c in children(n) if c > 1]
     assert len(order) == len(set(order))
-    assert set(order) == {n for n in reachable if mgr.level_of(n) <= max_level}
+    assert set(order) == reachable
     position = {n: i for i, n in enumerate(order)}
     for n in order:
-        for child in (mgr.high(n), mgr.low(n)):
+        for child in children(n):
             if child > 1 and mgr.level_of(child) <= max_level:
                 assert position[child] < position[n]
     # One root is walked in the order of a recursive walk, high child first,
@@ -308,12 +316,12 @@ def test_postorder_lists_each_reachable_node_once_children_first(data):
 
     def visit(n):
         if n > 1 and mgr.level_of(n) <= max_level and n not in expected:
-            visit(mgr.high(n))
-            visit(mgr.low(n))
+            for child in children(n):
+                visit(child)
             expected.append(n)
 
     visit(roots[0])
-    assert mgr._postorder(roots[:1], max_level) == expected
+    assert mgr._postorder(roots[:1], max_level, fixed) == expected
 
 
 def test_rewire_and_compose_of_a_5000_level_chain_need_no_recursion():
@@ -398,6 +406,71 @@ class TestCompose:
                     full[levels[2]] = x2
                     want = eval_tree(f_tree, (expected_bits[0], expected_bits[1], x2))
                     assert mgr.evaluate(composed, full) == want
+
+    def test_every_kind_of_image_matches_shannon_and_substitution(self):
+        # f is over levels 0-3.  Each mapped level goes to a constant (the
+        # pruned walk), a rename to level + 4 (order-preserving unless a
+        # deeper image breaks it), a literal of any level (often out of
+        # order), a negated literal, or a formula over all eight levels.
+        rng = random.Random(12)
+        mgr, levels = fresh_manager(8)
+        kinds = ("const", "rename", "literal", "negated", "formula")
+        seen_kinds = set()
+        for _ in range(80):
+            f_tree = random_tree(rng, 4, 4)
+            f = build(mgr, levels, f_tree)
+            mapping, trees = {}, {}
+            for i in rng.sample(range(4), rng.randint(1, 4)):
+                kind = rng.choice(kinds)
+                seen_kinds.add(kind)
+                if kind == "const":
+                    trees[i] = ("const", rng.random() < 0.5)
+                elif kind == "rename":
+                    trees[i] = ("var", i + 4)
+                elif kind == "literal":
+                    trees[i] = ("var", rng.randrange(8))
+                elif kind == "negated":
+                    trees[i] = ("not", ("var", rng.randrange(8)))
+                else:
+                    trees[i] = random_tree(rng, 8, 3)
+                mapping[levels[i]] = build(mgr, levels, trees[i])
+            composed = mgr.compose(f, mapping)
+
+            target = rng.choice(sorted(mapping))
+            restricted = [mgr.compose(f, {**mapping, target: c}) for c in (TRUE, FALSE)]
+            assert composed == mgr.ite(mapping[target], *restricted)
+
+            for bits in itertools.product((False, True), repeat=8):
+                f_bits = [
+                    eval_tree(trees[i], bits) if i in trees else bits[i] for i in range(4)
+                ]
+                want = eval_tree(f_tree, f_bits)
+                assert mgr.evaluate(composed, dict(zip(levels, bits))) == want
+        assert seen_kinds == set(kinds)
+
+    def test_a_constant_argument_builds_only_the_branch_it_picks(self):
+        # f = if x then A else B, with A and B 20-variable parities (39 nodes
+        # each) over disjoint levels below x.  Sending x to TRUE and renaming
+        # every other variable further down must build A's image alone.
+        mgr = BddManager()
+        x = mgr.new_flip(0.5)
+        a_levels = [mgr.new_flip(0.5) for _ in range(20)]
+        b_levels = [mgr.new_flip(0.5) for _ in range(20)]
+        fresh = [mgr.new_flip(0.5) for _ in range(40)]
+
+        def parity(ls):
+            acc = FALSE
+            for level in reversed(ls):
+                acc = mgr.ite(mgr.var(level), mgr.negate(acc), acc)
+            return acc
+
+        f = mgr.ite(mgr.var(x), parity(a_levels), parity(b_levels))
+        mapping = {x: TRUE}
+        mapping.update((old, mgr.var(new)) for old, new in zip(a_levels + b_levels, fresh))
+        before = len(mgr._var)
+        image = mgr.compose(f, mapping)
+        assert image == parity(fresh[:20])
+        assert len(mgr._var) - before <= mgr.node_count(image) - 2
 
 
 class TestWmc:

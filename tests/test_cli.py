@@ -82,6 +82,18 @@ class TestInfer:
             results_i = [l for l in out_i.splitlines() if l.startswith("result ")]
             assert results_m and results_m == results_i, name
 
+    def test_modes_print_the_same_paths(self, capsys, write_benchmark, tmp_path):
+        # Modular mode also allocates each template's own flips, which no
+        # execution samples: 8 flips but 2**6 paths on diamond.dice.
+        iterate = tmp_path / "iterate.dice"
+        iterate.write_text(
+            "fun f(x: Bool): Bool { let y = flip 0.5 in x || y } iterate(f, false, 3)"
+        )
+        for path, paths in ((write_benchmark("diamond.dice"), 64), (str(iterate), 8)):
+            for mode in ("modular", "inline"):
+                _, out, _ = run(capsys, "infer", path, "--mode", mode)
+                assert f"paths {paths}" in out.splitlines(), (path, mode)
+
     def test_node_cap_environment_variable(self, capsys, write_benchmark, monkeypatch):
         monkeypatch.setenv("FLIPC_MAX_NODES", "3")
         code, _, err = run(capsys, "infer", write_benchmark("chain_small.dice"))

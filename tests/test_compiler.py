@@ -24,7 +24,7 @@ from flipc.compiler import (
 from flipc.errors import InternalError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
-from flipc.suites import benchmark_text, suite_source
+from flipc.suites import SUITES, benchmark_text, suite_source
 from flipc.typecheck import typecheck_program
 
 from conftest import compile_text, compiled_vs_oracle_delta, frontend
@@ -355,7 +355,7 @@ class TestBundledBenchmarks:
 PINNED_STORE_SIZES = {
     "chained-flips": ({"modular": (2546, 2803), "inline": (2546, 2803)}, 259),
     "diamond": ({"modular": (1381, 1508), "inline": (5139, 5266)}, 130),
-    "ladder": ({"modular": (6546, 6798), "inline": (3890, 4142)}, 255),
+    "ladder": ({"modular": (6545, 6797), "inline": (3890, 4142)}, 255),
     "caesar-mini": ({"modular": (5973, 5985), "inline": (6722, 6734)}, 843),
 }
 
@@ -369,6 +369,21 @@ def test_store_sizes_are_pinned(suite, mode):
     infer.distribution_result(compiled)
     assert (after_compile, len(compiled.manager._var)) == sizes[mode]
     assert compiled.node_count() == nodes
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_stored_node_is_ordered_reduced_and_unique(suite, mode):
+    # compose builds order-preserving images with _mk directly, not
+    # through ite; every node in the store must still be canonical.
+    compiled, _ = compile_text(suite_source(suite, 64), mode=mode)
+    mgr = compiled.manager
+    var, hi, lo = mgr._var, mgr._hi, mgr._lo
+    for n in range(2, len(var)):
+        assert var[n] < var[hi[n]] and var[n] < var[lo[n]], n
+        assert hi[n] != lo[n], n
+        assert mgr._unique[(var[n], hi[n], lo[n])] == n
+    assert len(mgr._unique) == len(var) - 2
 
 
 # An explicit order registers every flip up front, so no let is held behind
