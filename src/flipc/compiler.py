@@ -13,9 +13,15 @@ formulas under the compiled guard; ``let`` binds the bound expression's
 formula tuple in the environment and conjoins accepting formulas.
 Functions compile once to a template over placeholder argument variables;
 each call refreshes the template's flips with fresh variables and
-substitutes the actual argument formulas by BDD composition.  Inline mode
-instead splices function bodies syntactically (with alpha-renaming) before
-compiling, as a differential baseline.
+substitutes the actual argument formulas by BDD composition.  A call whose
+argument formulas repeat an earlier call's to the same function does not
+compose the template again: it renames the earlier instance's fresh flips
+to its own.  The argument formulas predate both calls' fresh flips, and the
+new flips are the newest levels, so the renaming keeps the variable order
+and every image is made directly (see ``BddManager.compose``); by
+canonicity the result is the handle full composition would give.  Inline
+mode instead splices function bodies syntactically (with alpha-renaming)
+before compiling, as a differential baseline.
 
 A ``let`` whose bound builds new formulas (a conditional, a call or a
 ``let``) holds each large leaf of the bound behind a fresh placeholder
@@ -135,7 +141,7 @@ class CompiledExpr:
 
 @dataclass
 class CompiledFunction:
-    formal_form: CompiledTuple
+    formal_levels: tuple  # level of each formal leaf, in leaf order
     formula: CompiledTuple
     accepting: int
     flip_levels: list  # template flips, refreshed per call
@@ -192,6 +198,9 @@ class _Compilation:
         self.formals: frozenset = frozenset()  # levels of the current formal
         self.held: list = []  # one {placeholder level: formula} group per let
         self.placeholders: set = set()  # every placeholder level registered
+        # (function name, argument leaf handles) -> (fresh flip levels,
+        # formula tuple, accepting) of the first call with those arguments.
+        self.instances: dict = {}
 
     def new_flip(self, theta: float) -> int:
         if self._order_levels is not None:
@@ -367,39 +376,51 @@ def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledTuple:
 
 def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     formal = form(ctx.mgr, func.formal, func.formal_ty)
+    formal_levels = tuple(ctx.mgr.level_of(n) for n in iter_leaves(formal))
     recorded: list = []
     previous = ctx.recording, ctx.formals
     ctx.recording = recorded
-    ctx.formals = frozenset(ctx.mgr.level_of(n) for n in iter_leaves(formal))
+    ctx.formals = frozenset(formal_levels)
     try:
         formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
         ctx.recording, ctx.formals = previous
     _check_released(ctx, formula, accepting)
-    return CompiledFunction(formal, formula, accepting, recorded)
+    return CompiledFunction(formal_levels, formula, accepting, recorded)
 
 
 def apply_call(ctx: _Compilation, func_name: str, arg: CompiledTuple) -> CompiledExpr:
     """Instantiate a compiled function: refresh its flips with fresh
     variables and substitute the argument formulas for the formal's
-    placeholders, both in one simultaneous composition."""
+    placeholders, both in one simultaneous composition.  If an earlier call
+    passed the same argument formulas, its instance is composed with the
+    renaming of its fresh flips to these instead."""
+    if ctx._order_levels is not None:
+        # Under an explicit order fresh flips are pre-registered levels, not
+        # the newest ones, so renaming a stored instance could break the order.
+        raise InternalError(f"call to {func_name} under an explicit variable order")
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
-    mapping = {}
-    for level in template.flip_levels:
-        theta = ctx.weights[level][0]
-        fresh = ctx.new_flip(theta)
-        mapping[level] = mgr.var(fresh)
-    formal_leaves = list(iter_leaves(template.formal_form))
-    arg_leaves = list(iter_leaves(arg))
-    if len(formal_leaves) != len(arg_leaves):
+    fresh = [ctx.new_flip(ctx.weights[level][0]) for level in template.flip_levels]
+    arg_leaves = tuple(iter_leaves(arg))
+    if len(template.formal_levels) != len(arg_leaves):
         raise ShapeMismatchError(
             f"call to {func_name}: argument shape does not match the formal"
         )
-    for placeholder, actual in zip(formal_leaves, arg_leaves):
-        mapping[mgr.level_of(placeholder)] = actual
-    formula = _map_tuple(template.formula, lambda n: mgr.compose(n, mapping))
-    accepting = mgr.compose(template.accepting, mapping)
+    key = (func_name, arg_leaves)
+    instance = ctx.instances.get(key)
+    if instance is None:
+        source = template.flip_levels, template.formula, template.accepting
+        mapping = dict(zip(template.formal_levels, arg_leaves))
+    else:
+        source, mapping = instance, {}
+    flips, formula, accepting = source
+    for level, flip in zip(flips, fresh):
+        mapping[level] = mgr.var(flip)
+    formula = _map_tuple(formula, lambda n: mgr.compose(n, mapping))
+    accepting = mgr.compose(accepting, mapping)
+    if instance is None:
+        ctx.instances[key] = (fresh, formula, accepting)
     return CompiledExpr(formula, accepting, ctx.weights)
 
 

@@ -44,7 +44,7 @@ and tuple-argument calls ``f((a, b))`` parse to the same tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -84,8 +84,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'number' | 'ident' | 'keyword' | 'op' | 'eof'
     text: str
     line: int
@@ -93,28 +92,32 @@ class Token:
 
 
 def _lex(text: str, filename: str) -> list[Token]:
+    # Columns are offsets from the start of the current line; only
+    # whitespace can hold a newline (a comment stops before it).
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    match = _TOKEN_RE.match
+    line, line_start = 1, 0
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
         if m is None:
+            col = pos - line_start + 1
             span = S.Span(filename, line, col, line, col + 1)
             raise ParseError(f"unexpected character {text[pos]!r}", span)
         kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
+        stop = m.end()
+        if kind == "ws":
+            newlines = text.count("\n", pos, stop)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, stop) + 1
+        elif kind != "comment":
+            tok_text = text[pos:stop]
             if kind == "ident" and tok_text in KEYWORDS:
                 kind = "keyword"
-            tokens.append(Token(kind, tok_text, line, col))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok_text) - tok_text.rfind("\n")
-        else:
-            col += len(tok_text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
+        pos = stop
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

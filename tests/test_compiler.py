@@ -131,7 +131,7 @@ class TestFunctions:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         template = compile_function(ctx, core.functions[0])
-        arg_level = mgr.level_of(next(iter_leaves(template.formal_form)))
+        (arg_level,) = template.formal_levels
         assert len(template.flip_levels) == 1
         flip_node = mgr.var(template.flip_levels[0])
         expected = mgr.apply_or(mgr.var(arg_level), flip_node)
@@ -194,10 +194,9 @@ class TestFunctions:
                 ctx.funcs[earlier.name] = compile_function(ctx, earlier)
             template = compile_function(ctx, func)
             table = build_func_table(core)
-            formal_levels = [mgr.level_of(n) for n in iter_leaves(template.formal_form)]
             for v in S.enumerate_values(func.formal_ty):
                 leaves = [TRUE if bit else FALSE for bit in S.value_leaves(v)]
-                mapping = dict(zip(formal_levels, leaves))
+                mapping = dict(zip(template.formal_levels, leaves))
                 gamma = mgr.compose(template.accepting, mapping)
                 total = 0.0
                 for w in S.enumerate_values(func.return_ty):
@@ -356,7 +355,7 @@ PINNED_STORE_SIZES = {
     "chained-flips": ({"modular": (2546, 2803), "inline": (2546, 2803)}, 259),
     "diamond": ({"modular": (1381, 1508), "inline": (5139, 5266)}, 130),
     "ladder": ({"modular": (6545, 6797), "inline": (3890, 4142)}, 255),
-    "caesar-mini": ({"modular": (5973, 5985), "inline": (6722, 6734)}, 843),
+    "caesar-mini": ({"modular": (2913, 2925), "inline": (6722, 6734)}, 843),
 }
 
 
@@ -500,3 +499,110 @@ def test_a_30000_let_chain_compiles_and_is_queried_in_linear_memory():
     compiled, _ = compile_source(text)
     result = infer.distribution_result(compiled)
     assert dict(result.entries) == pytest.approx({"false": 0.5, "true": 0.5})
+
+
+# Repeated calls: an instantiation whose argument formulas repeat an earlier
+# call's renames that call's stored instance instead of composing the
+# template again.
+
+
+@pytest.fixture
+def instantiations(monkeypatch):
+    """Wrap apply_call so that each instantiation is also built by composing
+    the template with the full mapping, and must give the same handles.
+    Yields a list of (ctx, function name, whether the call composed the
+    template): a full composition is the only one whose mapping sends the
+    formal's levels."""
+    calls = []
+    mappings = []
+    original = compiler.apply_call
+    compose = BddManager.compose
+
+    def spy(mgr, f, mapping):
+        mappings.append(mapping)
+        return compose(mgr, f, mapping)
+
+    def checked(ctx, func_name, arg):
+        template = ctx.funcs[func_name]
+        first = len(ctx.weights)
+        mappings.clear()
+        result = original(ctx, func_name, arg)
+        composed = any(template.formal_levels[0] in m for m in mappings)
+        mgr = ctx.mgr
+        fresh = list(ctx.weights)[first:]
+        mapping = dict(zip(template.formal_levels, iter_leaves(arg)))
+        mapping.update((level, mgr.var(flip)) for level, flip in zip(template.flip_levels, fresh))
+        expected = [compose(mgr, n, mapping) for n in iter_leaves(template.formula)]
+        assert list(iter_leaves(result.formula)) == expected
+        assert result.accepting == compose(mgr, template.accepting, mapping)
+        calls.append((ctx, func_name, composed))
+        return result
+
+    monkeypatch.setattr(BddManager, "compose", spy)
+    monkeypatch.setattr(compiler, "apply_call", checked)
+    return calls
+
+
+def random_core_programs(rng, count):
+    from flipc.desugar import desugar_program
+
+    done = 0
+    while done < count:
+        program = random_program(rng, GenConfig(max_flips=10, max_depth=4))
+        typecheck_program(program)
+        core = desugar_program(program)
+        if core.functions:
+            done += 1
+            yield core
+
+
+def test_renamed_instances_equal_full_composition(instantiations, rng):
+    compile_text(suite_source("caesar-mini", 64))
+    compile_text(benchmark_text("diamond.dice"))
+    first = len(instantiations)
+    for core in random_core_programs(rng, 40):
+        compiled = compile_program(core)
+        assert compiled_vs_oracle_delta(compiled, core) < 1e-9
+    # Random programs repeat arguments too, mostly constants.
+    assert not all(composed for _, _, composed in instantiations[first:])
+
+
+def test_caesar_composes_the_template_once_per_seen_constant(instantiations):
+    compile_text(suite_source("caesar-mini", 64))
+    assert len(instantiations) == 64
+    assert sum(composed for _, _, composed in instantiations) <= 4
+
+
+def test_a_flip_free_function_repeated_renames_nothing(instantiations):
+    compiled = compile_main(
+        "fun f(x: Bool): Bool { !x }\n"
+        "let a = flip 0.3 in let b = f(a) in let c = f(a) in (b, c)"
+    )
+    assert [composed for _, _, composed in instantiations] == [True, False]
+    assert compiled.formula.left == compiled.formula.right
+    assert compiled.flip_count == 1
+
+
+def test_a_call_in_a_template_is_renamed_at_a_repeat_in_main(instantiations):
+    text = (
+        "fun f(x: Bool): Bool { x && flip 0.4 }\n"
+        "fun g(y: Bool): Bool { let r = f(true) in r || y }\n"
+        "let a = g(flip 0.5) in let b = f(true) in (a, b)"
+    )
+    compiled, core = compile_text(text)
+    assert [(name, composed) for _, name, composed in instantiations] == [
+        ("f", True), ("g", True), ("f", False)
+    ]
+    ctx = instantiations[0][0]
+    stored, _, _ = ctx.instances["f", (TRUE,)]
+    assert stored == ctx.funcs["g"].flip_levels
+    assert compiled_vs_oracle_delta(compiled, core) < 1e-12
+
+
+def test_a_call_under_an_explicit_order_is_an_internal_error():
+    _, core = frontend("fun f(x: Bool): Bool { x && flip 0.4 }\nf(true)")
+    mgr = BddManager()
+    ctx = _Compilation(mgr, order=[mgr.new_flip(None, name="f1")])
+    ctx.funcs["f"] = compile_function(ctx, core.functions[0])
+    with pytest.raises(InternalError, match="explicit variable order"):
+        apply_call(ctx, "f", Leaf(TRUE))

@@ -7,7 +7,7 @@ import pytest
 from flipc import syntax as S
 from flipc.errors import ParseError
 from flipc.generate import GenConfig, random_program
-from flipc.parser import parse_expr, parse_program, pretty_expr, pretty_program
+from flipc.parser import _lex, parse_expr, parse_program, pretty_expr, pretty_program
 from flipc.suites import benchmark_names, benchmark_text
 
 
@@ -98,6 +98,23 @@ class TestParse:
         span = err.value.span
         assert span is not None
         assert 1 <= span.start_line <= text.count("\n") + 1
+
+    def test_token_positions_after_comments_and_blank_lines(self):
+        text = "// one\n// two\n\n  let x =\n\tflip 0.5 in // tail\n\n x"
+        tokens = [(t.kind, t.text, t.line, t.col) for t in _lex(text, "<t>")]
+        assert tokens == [
+            ("keyword", "let", 4, 3),
+            ("ident", "x", 4, 7),
+            ("op", "=", 4, 9),
+            ("keyword", "flip", 5, 2),
+            ("number", "0.5", 5, 7),
+            ("keyword", "in", 5, 11),
+            ("ident", "x", 7, 2),
+            ("eof", "", 7, 3),
+        ]
+        with pytest.raises(ParseError, match="unexpected character '#'") as err:
+            parse_program("// c\nlet x = flip 0.5 in\n  x && #")
+        assert err.value.span == S.Span("<input>", 3, 8, 3, 9)
 
     def test_iterate_and_int_syntax(self):
         program = parse_program(
