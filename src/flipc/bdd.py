@@ -40,16 +40,21 @@ variable (probabilistic, with its parameter, named f1, f2, ... in allocation
 order) or a free variable (a placeholder for a function argument).  The
 registration order *is* the global variable order.
 
-``wmc`` computes the weighted model count over the root's support in time
-linear in the BDD: the post-order walk gives the reachable nodes and the
-support, and one bottom-up pass visits each node once.  A branch that skips
-support variables takes the product of (weight_true + weight_false) over
-them; prefix products of those sums, with a running count of zero sums,
-give that factor in O(1).  Counts, prefix products and factors are all
-(mantissa, exponent) pairs from ``math.frexp``, so no intermediate value
-underflows or overflows whatever the weights; the root's pair is kept in
-``last_wmc_scaled`` for callers that need ratios of counts below the double
-range.
+``wmc`` computes weighted model counts in time linear in the BDD: the
+post-order walk gives the reachable nodes and the support, and one bottom-up
+pass visits each node once.  A branch that skips support variables takes the
+product of (weight_true + weight_false) over them; prefix products of those
+sums, with a running count of zero sums, give that factor in O(1).  Counts,
+prefix products and factors are all (mantissa, exponent) pairs from
+``math.frexp``, so no intermediate value underflows or overflows whatever
+the weights; the root's pair is kept in ``last_wmc_scaled`` for callers that
+need ratios of counts below the double range.  Several roots are counted in
+one walk and one pass over the union of their supports: a node's entry is
+its count over that whole support, so each root's count is read off its own
+entry.  That is the root's count over its own support times the weight sums
+of the union's other levels, and a flip's weights (theta, 1 - theta) sum to
+exactly 1.0 for every double theta in (0, 1), so for flip weights the counts
+are the single-root counts bit for bit.
 
 Construction is single-threaded; after it completes, read-only queries
 (wmc, node_count, evaluate, to_dot) are safe to run concurrently.
@@ -62,13 +67,22 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MissingWeightError, NodeLimitError
+from .errors import MissingWeightError, NodeLimitError, UnboundFreeVariableError
 
 FALSE = 0
 TRUE = 1
 
 _TERMINAL_LEVEL = 1 << 40
 _STACK_HEADROOM = 2000
+
+
+def _to_float(pair: tuple) -> float:
+    """``ldexp`` of a (mantissa, exponent) pair, infinite past the double
+    range."""
+    try:
+        return math.ldexp(*pair)
+    except OverflowError:
+        return math.copysign(math.inf, pair[0])
 
 
 @dataclass(frozen=True)
@@ -293,7 +307,7 @@ class BddManager:
         """Sorted levels of all variables reachable from ``roots``."""
         return sorted({self._var[n] for n in self._postorder(roots)})
 
-    def wmc(self, root: int, weights: dict) -> float:
+    def wmc(self, root, weights: dict):
         """Weighted model count over the support of ``root``.
 
         ``weights`` maps variable levels to (weight_true, weight_false).  One
@@ -302,16 +316,29 @@ class BddManager:
         exponent) pair, kept in ``last_wmc_scaled``; the float
         ``ldexp(mantissa, exponent)`` is returned.  The number of nodes
         visited is kept in ``last_wmc_visits``.
+
+        ``root`` may also be a tuple of roots, all counted in the same pass
+        over the union of their supports: then a tuple of floats is returned
+        and ``last_wmc_scaled`` holds a tuple of pairs, one per root.  Each
+        count is the root's own times the product of (wt + wf) over the
+        union's levels outside its support, which is exactly 1 for flip
+        weights (theta, 1 - theta).  A level without a weight raises
+        ``UnboundFreeVariableError`` if it is a free variable and
+        ``MissingWeightError`` otherwise.
         """
         self.wmc_calls += 1
+        roots = root if isinstance(root, tuple) else (root,)
         var, hi_arr, lo_arr = self._var, self._hi, self._lo
-        order = self._postorder((root,))
+        order = self._postorder(roots)
         support = sorted({var[n] for n in order})
         for level in support:
             if level not in weights:
-                raise MissingWeightError(
-                    f"no weight for variable {self.labels[level].name}"
-                )
+                label = self.labels[level]
+                if label.kind == "free":
+                    raise UnboundFreeVariableError(
+                        f"free variable {label.name} reachable from the counted formulas"
+                    )
+                raise MissingWeightError(f"no weight for variable {label.name}")
 
         # P[i] is the product of (wt + wf) over support[:i] leaving out the
         # zero sums, Z[i] the number of zero sums left out.  The factor for
@@ -337,7 +364,8 @@ class BddManager:
             scaled[level] = (tm / pm, te - pe, fm / pm, fe - pe, zeros, *before)
 
         # q[n] is count(n) * P[i] for n at support position i, with Z[i]; the
-        # terminals sit at position len(support).
+        # terminals sit at position len(support).  That is n's count over the
+        # whole support, or 0 when Z[i] is nonzero.
         q = {FALSE: (0.0, 0, zeros), TRUE: (pm, pe, zeros)}
         for n in order:
             tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
@@ -358,13 +386,13 @@ class BddManager:
             m, d = frexp(m * bm)
             q[n] = (m, e + d + be, bz)
         self.last_wmc_visits = len(order)
-        # The root sits at position 0, where P[0] = 1.
-        m, e, _ = q[root]
-        self.last_wmc_scaled = (m, e)
-        try:
-            return ldexp(m, e)
-        except OverflowError:
-            return math.copysign(math.inf, m)
+        pairs = tuple(q[r][:2] if q[r][2] == 0 else (0.0, 0) for r in roots)
+        counts = tuple(map(_to_float, pairs))
+        if isinstance(root, tuple):
+            self.last_wmc_scaled = pairs
+            return counts
+        self.last_wmc_scaled = pairs[0]
+        return counts[0]
 
     def node_count(self, *roots: int) -> int:
         """Distinct internal nodes reachable from ``roots`` plus reachable

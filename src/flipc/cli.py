@@ -67,6 +67,16 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
+def _oracle_delta(compiled, reference) -> float:
+    """The largest distance from the oracle over the accepting probability
+    and every value's posterior, which come from one counting pass."""
+    accepting, dist = infer.accepting_and_distribution(compiled)
+    worst = abs(accepting - reference.accepting)
+    for value, p in dist.items():
+        worst = max(worst, abs(p - reference.posterior(value)))
+    return worst
+
+
 def cmd_infer(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         text = handle.read()
@@ -126,9 +136,7 @@ def cmd_infer(args) -> int:
 
     if args.oracle_check:
         reference = eval_program(core)
-        worst = abs(infer.accepting_probability(compiled) - reference.accepting)
-        for value, p in infer.full_distribution(compiled).items():
-            worst = max(worst, abs(p - reference.posterior(value)))
+        worst = _oracle_delta(compiled, reference)
         if worst < ORACLE_TOLERANCE:
             print(f"ORACLE MATCH max|delta| {worst:.3g}")
         else:
@@ -188,9 +196,7 @@ def cmd_selftest(args) -> int:
         reference = eval_program(core)
         for mode in ("modular", "inline"):
             compiled = compile_program(core, mode=mode, max_nodes=node_cap())
-            delta = abs(infer.accepting_probability(compiled) - reference.accepting)
-            for value, p in infer.full_distribution(compiled).items():
-                delta = max(delta, abs(p - reference.posterior(value)))
+            delta = _oracle_delta(compiled, reference)
             worst = max(worst, delta)
             if delta >= ORACLE_TOLERANCE:
                 print(f"SELFTEST MISMATCH on program {i} ({mode}): |delta| {delta:.3g}", file=sys.stderr)

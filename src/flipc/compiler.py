@@ -24,14 +24,18 @@ mode instead splices function bodies syntactically (with alpha-renaming)
 before compiling, as a differential baseline.
 
 A ``let`` whose bound builds new formulas (a conditional, a call or a
-``let``) holds each large leaf of the bound behind a fresh placeholder
-variable, registered after the bound's flips and before the body's.  The
-body compiles over the placeholders, and one simultaneous composition then
-substitutes the held formulas back.  Binding the formulas themselves would
-make every later layer copy them, so the store would grow quadratically
-along a chain of lets while the live BDD grows linearly.  A ``let`` in the
-bound of another ``let`` leaves its composition to the enclosing one, which
-composes the newest group first.  Nothing is held under an explicit
+``let``) holds each large leaf of the bound that mentions a level the bound
+registered (one of its flips or an inner placeholder) behind a fresh
+placeholder variable, registered after the bound's flips and before the
+body's.  The body compiles over the placeholders, and one simultaneous
+composition then substitutes the held formulas back.  Binding the formulas
+themselves would make every later layer copy them, so the store would grow
+quadratically along a chain of lets while the live BDD grows linearly.  A
+leaf that only combines earlier levels (a partial sum of ``x + y``) is bound
+as it is: its placeholder would sit below the leaf's own levels, and
+composing it back would re-expand the formula through ``ite``.  A ``let``
+in the bound of another ``let`` leaves its composition to the enclosing
+one, which composes the newest group first.  Nothing is held under an explicit
 variable order, which registers every flip up front, so a placeholder
 could not precede the body's flips; nor is a leaf rooted at a function's
 formal, since composing through the formals, which precede the template's
@@ -271,9 +275,10 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
         return formula, accepting
     if isinstance(e, S.Let):
         mark = len(ctx.held)
+        first_level = mgr.num_levels()
         bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, in_bound=True)
         if isinstance(e.bound, _BUILDS) and ctx._order_levels is None:
-            bound_formula = _hold(ctx, bound_formula)
+            bound_formula = _hold(ctx, bound_formula, first_level)
         old = env.get(e.name, _MISSING)
         env[e.name] = bound_formula
         formula, accepting = yield _compile(ctx, env, e.body)
@@ -297,16 +302,20 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
 _BUILDS = (S.Ite, S.Call, S.Let)
 
 
-def _hold(ctx: _Compilation, t: CompiledTuple) -> CompiledTuple:
-    """``t`` with each large leaf replaced by a fresh placeholder variable;
-    the leaves replaced go on ``ctx.held`` as one group."""
+def _hold(ctx: _Compilation, t: CompiledTuple, first_level: int) -> CompiledTuple:
+    """``t`` with each large leaf that mentions a level from ``first_level``
+    on replaced by a fresh placeholder variable; the leaves replaced go on
+    ``ctx.held`` as one group."""
     mgr = ctx.mgr
     group = {}
 
     def hold(node: int) -> int:
         level = mgr.level_of(node)
         if (
-            node <= TRUE
+            # A terminal, or a leaf that only combines earlier levels: its
+            # placeholder would sit below its own levels, so composing it
+            # back would re-expand it.
+            mgr._maxvar[node] < first_level
             # A leaf spanning at most 5 levels has at most 2**5 - 1 nodes.
             or mgr._maxvar[node] - level < 5
             or level in ctx.formals

@@ -3,10 +3,20 @@
 Every query is a ratio of weighted model counts on the shared manager: the
 accepting formula's count is the normalizing constant, and conjoining the
 formula tuple's agreement with a concrete value (pointwise iff) selects that
-value's mass.  Counts are ratioed as the manager's (mantissa, exponent)
-pairs, so a posterior stays exact when the normalizing constant lies below
-the double range.  Only a true zero normalizing constant (a zero mantissa,
-as for an accepting formula that is FALSE) makes every posterior zero.
+value's mass.  A query first builds every root it needs (the accepting
+formula, one selecting root per value or leaf, and the formula leaves), then
+counts them all in one pass of ``BddManager.wmc`` over the union of their
+supports.  The selecting roots share nearly all their nodes with the
+accepting formula, so the pass visits each once.  Union-support counts equal
+the per-root counts exactly, because every flip's weights sum to exactly 1.
+The formula leaves are counted so that the pass's support covers the whole
+program: a free variable reachable from it raises
+``UnboundFreeVariableError``.
+
+Counts are ratioed as the manager's (mantissa, exponent) pairs, so a
+posterior stays exact when the normalizing constant lies below the double
+range.  Only a true zero normalizing constant (a zero mantissa, as for an
+accepting formula that is FALSE) makes every posterior zero.
 
 Compilation happens once; queries reuse the manager.  The iff/conjunction
 scaffolding a query builds does create nodes, so queries are serialized (run
@@ -28,7 +38,7 @@ from .compiler import (
     pointwise_iff,
     tuple_of_value,
 )
-from .errors import OutputTooWideError, ShapeMismatchError, UnboundFreeVariableError
+from .errors import OutputTooWideError, ShapeMismatchError
 
 DEFAULT_MAX_LEAVES = 20
 
@@ -41,50 +51,41 @@ class InferenceResult:
     accepting_scaled: tuple  # the accepting count as a (mantissa, exponent) pair
 
 
-def check_closed(cp: CompiledProgram) -> None:
-    """A queryable program may not mention placeholder argument variables."""
-    mgr = cp.manager
-    roots = list(iter_leaves(cp.formula)) + [cp.accepting]
-    for level in mgr.support(*roots):
-        if mgr.labels[level].kind == "free":
-            raise UnboundFreeVariableError(
-                f"free variable {mgr.labels[level].name} reachable from the program"
-            )
-
-
-def _count(mgr, root: int, weights: dict) -> tuple:
-    """The weighted model count of ``root`` as a (mantissa, exponent) pair."""
-    mgr.wmc(root, weights)
-    return mgr.last_wmc_scaled
-
-
 def _ratio(numerator: tuple, denominator: tuple) -> float:
     """numerator / denominator of two scaled counts, the denominator nonzero."""
     return math.ldexp(numerator[0] / denominator[0], numerator[1] - denominator[1])
 
 
-def _accepting(cp: CompiledProgram) -> tuple:
-    """The accepting probability and its scaled count: the one normalizing
-    constant a query computes."""
-    check_closed(cp)
+def _query(cp: CompiledProgram, selecting: list) -> tuple:
+    """Count the accepting formula, the ``selecting`` roots and the formula
+    leaves in one pass: the accepting probability, its scaled count and
+    each selecting root's posterior.  The leaves are counted only so that
+    a free variable reachable from the program raises
+    ``UnboundFreeVariableError``."""
     mgr = cp.manager
-    return mgr.wmc(cp.accepting, cp.weights), mgr.last_wmc_scaled
+    roots = (cp.accepting, *selecting, *iter_leaves(cp.formula))
+    accepting = mgr.wmc(roots, cp.weights)[0]
+    denominator, *scaled = mgr.last_wmc_scaled[: 1 + len(selecting)]
+    if denominator[0] == 0.0:
+        return accepting, denominator, [0.0] * len(selecting)
+    return accepting, denominator, [_ratio(count, denominator) for count in scaled]
 
 
 def accepting_probability(cp: CompiledProgram) -> float:
-    return _accepting(cp)[0]
+    return _query(cp, [])[0]
 
 
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
-    check_closed(cp)
     if not _shape_matches(cp.formula, value):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
+    return _query(cp, [_selecting(cp, value)])[2][0]
+
+
+def _selecting(cp: CompiledProgram, value: S.Value) -> int:
+    """The formula tuple's agreement with ``value``, conjoined with the
+    accepting formula."""
     mgr = cp.manager
-    denominator = _count(mgr, cp.accepting, cp.weights)
-    if denominator[0] == 0.0:
-        return 0.0
-    selected = mgr.apply_and(pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting)
-    return _ratio(_count(mgr, selected, cp.weights), denominator)
+    return mgr.apply_and(pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting)
 
 
 def _shape_matches(t, v: S.Value) -> bool:
@@ -98,45 +99,38 @@ def _shape_matches(t, v: S.Value) -> bool:
 
 
 def full_distribution(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> dict:
-    """Posterior over every inhabitant of the output type.
-
-    One wmc for the normalizing constant plus one per value.
-    """
-    return _distribution(cp, _accepting(cp)[1], max_leaves)
+    """Posterior over every inhabitant of the output type."""
+    return _distribution(cp, max_leaves)[2]
 
 
-def _distribution(cp: CompiledProgram, denominator: tuple, max_leaves: int) -> dict:
+def accepting_and_distribution(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> tuple:
+    """The accepting probability and the posterior over every inhabitant of
+    the output type, from one counting pass."""
+    accepting, _, dist = _distribution(cp, max_leaves)
+    return accepting, dist
+
+
+def _distribution(cp: CompiledProgram, max_leaves: int) -> tuple:
     leaves = S.bool_leaf_count(cp.output_ty)
     if leaves > max_leaves:
         raise OutputTooWideError(leaves, max_leaves)
-    mgr = cp.manager
-    out = {}
-    for value in S.enumerate_values(cp.output_ty):
-        if denominator[0] == 0.0:
-            out[value] = 0.0
-            continue
-        selected = mgr.apply_and(
-            pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting
-        )
-        out[value] = _ratio(_count(mgr, selected, cp.weights), denominator)
-    return out
+    values = list(S.enumerate_values(cp.output_ty))
+    selecting = [_selecting(cp, value) for value in values]
+    accepting, denominator, posteriors = _query(cp, selecting)
+    return accepting, denominator, dict(zip(values, posteriors))
 
 
 def marginals(cp: CompiledProgram) -> list:
     """Per-leaf true-probabilities: [(path, probability)] with 'l'/'r' paths."""
-    return _marginals(cp, _accepting(cp)[1])
+    return _marginals(cp)[2]
 
 
-def _marginals(cp: CompiledProgram, denominator: tuple) -> list:
+def _marginals(cp: CompiledProgram) -> tuple:
     mgr = cp.manager
-    out = []
-    for path, node in leaf_paths(cp.formula):
-        if denominator[0] == 0.0:
-            out.append((path, 0.0))
-            continue
-        numerator = _count(mgr, mgr.apply_and(node, cp.accepting), cp.weights)
-        out.append((path, _ratio(numerator, denominator)))
-    return out
+    paths, nodes = zip(*leaf_paths(cp.formula))
+    selecting = [mgr.apply_and(node, cp.accepting) for node in nodes]
+    accepting, denominator, posteriors = _query(cp, selecting)
+    return accepting, denominator, list(zip(paths, posteriors))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +151,7 @@ def render_value(value: S.Value, surface_ty: Optional[S.Ty]) -> str:
 
 
 def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> InferenceResult:
-    accepting, denominator = _accepting(cp)
-    dist = _distribution(cp, denominator, max_leaves)
+    accepting, denominator, dist = _distribution(cp, max_leaves)
     entries = [
         (render_value(value, cp.surface_output_ty), probability)
         for value, probability in dist.items()
@@ -167,11 +160,11 @@ def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVE
 
 
 def marginals_result(cp: CompiledProgram) -> InferenceResult:
-    accepting, denominator = _accepting(cp)
-    entries = [(path if path else "value", p) for path, p in _marginals(cp, denominator)]
+    accepting, denominator, marginal = _marginals(cp)
+    entries = [(path if path else "value", p) for path, p in marginal]
     return InferenceResult(accepting, "marginals", entries, denominator)
 
 
 def accepting_result(cp: CompiledProgram) -> InferenceResult:
-    accepting, scaled = _accepting(cp)
-    return InferenceResult(accepting, "accepting", [], scaled)
+    accepting, denominator, _ = _query(cp, [])
+    return InferenceResult(accepting, "accepting", [], denominator)

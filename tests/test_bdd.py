@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flipc.bdd import FALSE, TRUE, BddManager
-from flipc.errors import MissingWeightError, NodeLimitError
+from flipc.errors import MissingWeightError, NodeLimitError, UnboundFreeVariableError
 
 
 def fresh_manager(n_vars: int):
@@ -626,6 +626,89 @@ class TestWmc:
                 assert count == pytest.approx(float(scaled), rel=1e-15)
             else:
                 assert count == (0.0 if wt + wf < 1 else math.inf)
+
+
+class TestMultiRootWmc:
+    """One pass over several roots counts each over the union of their
+    supports."""
+
+    @staticmethod
+    def random_roots(rng, mgr, levels, count):
+        roots = [build(mgr, levels, random_tree(rng, len(levels), 5)) for _ in range(count)]
+        # Roots over a suffix of the levels leave the union's first levels
+        # outside their own support.
+        tail = levels[len(levels) // 2 :]
+        roots += [build(mgr, tail, random_tree(rng, len(tail), 4)), TRUE, FALSE]
+        return tuple(roots)
+
+    def test_flip_weights_give_the_single_root_pairs_exactly(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            mgr, levels = fresh_manager(9)
+            weights = {}
+            for level in levels:
+                theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
+                weights[level] = (theta, 1.0 - theta)
+            roots = self.random_roots(rng, mgr, levels, 5)
+            counts = mgr.wmc(roots, weights)
+            pairs = mgr.last_wmc_scaled
+            assert len(counts) == len(pairs) == len(roots)
+            for root, count, pair in zip(roots, counts, pairs):
+                assert mgr.wmc(root, weights) == count
+                assert mgr.last_wmc_scaled == pair
+
+    @pytest.mark.parametrize("zero_sum", [(0.0, 0.0), (1.5, -1.5)])
+    def test_other_levels_contribute_their_weight_sums(self, zero_sum):
+        # A root's count over the union is its own count times the weight
+        # sums of the union's levels outside its support; a zero sum there
+        # makes it exactly 0.
+        rng = random.Random(22)
+        for trial in range(60):
+            mgr, levels = fresh_manager(8)
+            weights = {l: (rng.uniform(0.1, 1), rng.uniform(0.1, 1)) for l in levels}
+            # The zero-sum level is outside the suffix root's support half of
+            # the time, and inside or outside the random roots'.
+            weights[levels[rng.randrange(8)]] = zero_sum
+            roots = self.random_roots(rng, mgr, levels, 4)
+            counts = mgr.wmc(roots, weights)
+            pairs = mgr.last_wmc_scaled
+            assert mgr.last_wmc_visits <= mgr.node_count(*roots)
+            union = set(mgr.support(*roots))
+            for root, count, (mantissa, exponent) in zip(roots, counts, pairs):
+                factor = math.prod(sum(weights[l]) for l in union - set(mgr.support(root)))
+                expected = mgr.wmc(root, weights) * factor
+                if expected == 0.0:
+                    assert count == 0.0 and mantissa == 0.0
+                else:
+                    assert count == pytest.approx(expected, rel=1e-12)
+                    assert math.ldexp(mantissa, exponent) == count
+
+    def test_visits_each_shared_node_once(self):
+        rng = random.Random(23)
+        mgr, levels = fresh_manager(8)
+        weights = {l: (0.3, 0.7) for l in levels}
+        for _ in range(30):
+            roots = self.random_roots(rng, mgr, levels, 6)
+            mgr.wmc(roots, weights)
+            assert mgr.last_wmc_visits <= mgr.node_count(*roots)
+            assert mgr.last_wmc_visits <= sum(mgr.node_count(r) for r in roots)
+
+    def test_one_root_in_a_tuple_is_the_single_root_count(self):
+        mgr, levels = fresh_manager(3)
+        weights = {l: (0.25, 0.75) for l in levels}
+        root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[2]))
+        (count,) = mgr.wmc((root,), weights)
+        (pair,) = mgr.last_wmc_scaled
+        assert count == mgr.wmc(root, weights) and pair == mgr.last_wmc_scaled
+
+    def test_a_free_variable_without_weight_is_unbound(self):
+        mgr, levels = fresh_manager(1)
+        free = mgr.var(mgr.new_free("x"))
+        weights = {levels[0]: (0.5, 0.5)}
+        with pytest.raises(UnboundFreeVariableError, match="x"):
+            mgr.wmc((mgr.var(levels[0]), free), weights)
+        with pytest.raises(MissingWeightError):
+            mgr.wmc((mgr.var(levels[0]), free), {})
 
 
 class TestConditionalIndependenceBound:

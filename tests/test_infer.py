@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from flipc import infer, syntax as S
-from flipc.bdd import BddManager
+from flipc.bdd import FALSE, BddManager
 from flipc.compiler import (
+    CompiledExpr,
     CompiledProgram,
     _Compilation,
     compile_expr,
@@ -52,6 +53,25 @@ class TestAcceptingProbability:
         program = CompiledProgram(mgr, expr, S.BOOL, 0, "modular")
         with pytest.raises(UnboundFreeVariableError):
             infer.accepting_probability(program)
+
+    def test_free_variable_only_in_the_output_is_rejected(self):
+        # The accepting formula is FALSE, so no count needs x; the pass still
+        # counts the formula leaves and finds x in its support.
+        mgr = BddManager()
+        ctx = _Compilation(mgr)
+        env = {"x": form(mgr, "x", S.BOOL)}
+        expr = compile_expr(ctx, env, S.Ident("x"))
+        program = CompiledProgram(mgr, CompiledExpr(expr.formula, FALSE, {}), S.BOOL, 0, "modular")
+        queries = (
+            infer.accepting_probability,
+            infer.full_distribution,
+            infer.marginals,
+            lambda cp: infer.prob_of_value(cp, True),
+            infer.accepting_result,
+        )
+        for query in queries:
+            with pytest.raises(UnboundFreeVariableError, match="free variable x"):
+                query(program)
 
 
 class TestProbOfValue:
@@ -118,12 +138,15 @@ class TestFullDistribution:
             if infer.accepting_probability(compiled) > 0:
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_wmc_call_budget(self):
+    def test_wmc_call_budget(self, monkeypatch):
+        # One counting pass for the normalizing constant and all four values.
         compiled, _ = compile_text("(flip 0.2, flip 0.7)")
-        before = compiled.manager.wmc_calls
-        infer.full_distribution(compiled)
-        n_values = 2 ** S.bool_leaf_count(compiled.output_ty)
-        assert compiled.manager.wmc_calls - before == 1 + n_values
+        mgr = compiled.manager
+        monkeypatch.setattr(mgr, "support", None)  # no separate support walk
+        before = mgr.wmc_calls
+        assert len(infer.full_distribution(compiled)) == 4
+        assert mgr.wmc_calls - before == 1
+        assert len(mgr.last_wmc_scaled) == 1 + 4 + 2  # accepting, values, leaves
 
     def test_accepting_query_builds_no_nodes(self):
         compiled, _ = compile_text(benchmark_text("evidence_or.dice"))
@@ -134,19 +157,22 @@ class TestFullDistribution:
 
 
     def test_result_computes_one_denominator(self, monkeypatch):
-        # One closedness check (a support walk) and one accepting count per
-        # result, then one count per value or leaf.
+        # One counting pass per result, over the accepting formula, one root
+        # per value or leaf and the formula leaves, and no support walk.
         compiled, _ = compile_text("let x = flip 0.1 in let o = observe x || flip 0.4 in (x, flip 0.7)")
         mgr = compiled.manager
-        support_calls = []
-        support = mgr.support
-        monkeypatch.setattr(mgr, "support", lambda *roots: support_calls.append(roots) or support(*roots))
-        for query, numerators in ((infer.distribution_result, 4), (infer.marginals_result, 2)):
-            support_calls.clear()
+        monkeypatch.setattr(mgr, "support", None)
+        queries = (
+            (infer.distribution_result, 4),
+            (infer.marginals_result, 2),
+            (infer.accepting_result, 0),
+        )
+        for query, numerators in queries:
             before = mgr.wmc_calls
-            query(compiled)
-            assert mgr.wmc_calls - before == 1 + numerators
-            assert len(support_calls) == 1
+            result = query(compiled)
+            assert mgr.wmc_calls - before == 1
+            assert len(mgr.last_wmc_scaled) == 1 + numerators + 2
+            assert mgr.last_wmc_scaled[0] == result.accepting_scaled
 
 
 class TestBelowDoubleRange:
