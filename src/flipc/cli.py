@@ -22,12 +22,13 @@ Table probabilities are printed with 12 significant digits; JSON carries
 full binary64 values.  An accepting probability below the normal double
 range is printed rounded (possibly to 0), with a note on stderr whenever it
 is not zero, for every query; the posteriors themselves stay exact.  Exit
-codes: 0 success, 1 user error (including a program nested deeper than the
-interpreter's recursion limit allows), 2 internal invariant failure
-(including an oracle or self-test mismatch).
+codes: 0 success, 1 user error (including a usage error, a non-positive
+count, and a program nested deeper than the interpreter's recursion limit
+allows), 2 internal invariant failure (including an oracle or self-test
+mismatch).
 
-The environment variable FLIPC_MAX_NODES caps the BDD node store
-(default 50,000,000 nodes).
+The environment variable FLIPC_MAX_NODES, a positive integer, caps the BDD
+node store (default 50,000,000 nodes).
 """
 
 from __future__ import annotations
@@ -53,14 +54,25 @@ DEFAULT_NODE_CAP = 50_000_000
 ORACLE_TOLERANCE = 1e-9
 
 
+def _positive_int(text: str) -> int:
+    """``text`` as a positive integer; anything else is a user error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def node_cap() -> int:
     raw = os.environ.get("FLIPC_MAX_NODES")
     if raw is None:
         return DEFAULT_NODE_CAP
     try:
-        return int(raw)
-    except ValueError:
-        raise FlipcError(f"FLIPC_MAX_NODES must be an integer, got {raw!r}")
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as error:
+        raise FlipcError(f"FLIPC_MAX_NODES {error}") from None
 
 
 def _fmt(p: float) -> str:
@@ -206,8 +218,17 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2, the code for an
+    internal invariant failure; subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flipc", description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="flipc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_infer = sub.add_parser("infer", help="compile a program and run a query")
@@ -230,12 +251,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="scaling benchmark, CSV output")
     p_bench.add_argument("suite", choices=suites.SUITES)
-    p_bench.add_argument("--max-n", type=int, default=256)
+    p_bench.add_argument("--max-n", type=_positive_int, default=256)
     p_bench.add_argument("-o", "--output", metavar="CSV")
     p_bench.set_defaults(run=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="random differential test against the oracle")
-    p_self.add_argument("--count", type=int, default=50)
+    p_self.add_argument("--count", type=_positive_int, default=50)
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(run=cmd_selftest)
     return parser

@@ -451,7 +451,8 @@ def compile_program(
     inline mode splices bodies syntactically first.  Both produce the same
     inference results.  An explicit variable ``order`` (flip names f1..fN,
     referring to syntactic order) is only meaningful for inline mode, where
-    each syntactic flip maps to exactly one variable.
+    each syntactic flip maps to exactly one variable.  The output type is
+    the shape of the compiled formula tuple.
     """
     if mode not in ("modular", "inline"):
         raise FlipcError(f"unknown compilation mode {mode!r}")
@@ -467,12 +468,9 @@ def compile_program(
     for func in program.functions:
         ctx.funcs[func.name] = compile_function(ctx, func)
     expr = compile_expr(ctx, {}, program.main)
-    output_ty = program.main.ty
-    if output_ty is None:
-        output_ty = _shape_ty(expr.formula)
     template_flips = sum(len(func.flip_levels) for func in ctx.funcs.values())
     return CompiledProgram(
-        mgr, expr, output_ty, len(ctx.weights), mode, template_flips=template_flips
+        mgr, expr, _shape_ty(expr.formula), len(ctx.weights), mode, template_flips=template_flips
     )
 
 
@@ -534,10 +532,7 @@ def inline_program(program: S.Program) -> S.Program:
         completed[func.name] = S.Function(
             func.name, func.params, func.return_ty, S.trampoline(transform(func.body))
         )
-    main = S.trampoline(transform(program.main))
-    result = S.Program([], main)
-    result.main.ty = program.main.ty
-    return result
+    return S.Program([], S.trampoline(transform(program.main)))
 
 
 def _instantiate(e: S.Expr, subst: dict, counter):
@@ -595,8 +590,7 @@ def compile_source(
     from .typecheck import typecheck_program
 
     ast = parse_program(text, filename)
-    typecheck_program(ast)
-    surface_ty = ast.main.ty
+    surface_ty = typecheck_program(ast)
     core = desugar_program(ast)
     compiled = compile_program(core, mode=mode, max_nodes=max_nodes, order=order)
     compiled.surface_output_ty = surface_ty

@@ -21,8 +21,8 @@ from .errors import (
 _MISSING = object()
 
 
-def typecheck_program(program: S.Program) -> S.Program:
-    """Annotate ``program`` in place and return it."""
+def typecheck_program(program: S.Program) -> S.Ty:
+    """Annotate ``program`` in place and return the type of its main."""
     signatures: dict[str, tuple[S.Ty, S.Ty]] = {}
     for func in program.functions:
         if func.name in signatures:
@@ -35,8 +35,7 @@ def typecheck_program(program: S.Program) -> S.Program:
         if body_ty != func.return_ty:
             raise TypeMismatchError(func.return_ty, body_ty, func.span)
         signatures[func.name] = (formal_ty, func.return_ty)
-    S.trampoline(_check(program.main, {}, signatures))
-    return program
+    return S.trampoline(_check(program.main, {}, signatures))
 
 
 def typecheck_expr(expr: S.Expr, env: dict | None = None) -> S.Ty:

@@ -9,7 +9,8 @@ import pytest
 
 from flipc import infer, suites
 from flipc import syntax as S
-from flipc.compiler import compile_source, inline_program
+from flipc.bif import net_to_program, parse_bif
+from flipc.compiler import compile_program, compile_source, inline_program
 from flipc import desugar
 from flipc.desugar import desugar_expr, desugar_program
 from flipc.errors import (
@@ -122,14 +123,29 @@ class TestNormalizeAnf:
             assert desugar_expr(once) == once
 
     def test_core_after_pipeline(self, rng):
-        for _ in range(100):
-            program = random_program(rng, GenConfig(max_flips=16, max_depth=4))
-            typecheck_program(program)
+        """Desugared output is core ANF and well typed: its main has the
+        erased surface type and the compiled output type, each body its
+        erased return type."""
+        programs = [
+            random_program(rng, GenConfig(max_flips=16, max_depth=4)) for _ in range(100)
+        ]
+        programs += [parse_program(suites.benchmark_text(n)) for n in suites.benchmark_names()]
+        programs += [parse_program(suites.suite_source(s, 4)) for s in suites.SUITES]
+        net = parse_bif(suites.benchmark_text("cancer.bif"))
+        programs += [net_to_program(net, name) for name in net.variable_names()]
+        for program in programs:
+            surface_ty = typecheck_program(program)
             core = desugar_program(program)
             assert S.is_core(core.main)
             for func in core.functions:
                 assert S.is_core(func.body)
                 assert len(func.params) == 1
+            core_ty = typecheck_program(core)
+            assert core_ty == S.erase_int_types(surface_ty)
+            for func, surface in zip(core.functions, program.functions, strict=True):
+                assert func.body.ty == S.erase_int_types(surface.return_ty)
+            for mode in ("modular", "inline"):
+                assert compile_program(core, mode=mode).output_ty == core_ty
 
     def test_preserves_distribution(self, rng):
         for _ in range(60):

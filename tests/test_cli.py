@@ -30,6 +30,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_or_exit(capsys, *argv):
+    """``run``, where a usage error's ``SystemExit`` gives the exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exit:
+        captured = capsys.readouterr()
+        return exit.code, captured.out, captured.err
+
+
 JSON_KEYS = {"accepting", "query", "results", "flips", "nodes", "compile_ms", "query_ms"}
 
 
@@ -94,11 +103,28 @@ class TestInfer:
                 _, out, _ = run(capsys, "infer", path, "--mode", mode)
                 assert f"paths {paths}" in out.splitlines(), (path, mode)
 
-    def test_node_cap_environment_variable(self, capsys, write_benchmark, monkeypatch):
-        monkeypatch.setenv("FLIPC_MAX_NODES", "3")
-        code, _, err = run(capsys, "infer", write_benchmark("chain_small.dice"))
+    @pytest.mark.parametrize(
+        "cap, argv, message",
+        [
+            ("3", [], "node store exceeded the cap of 3"),
+            ("-1", [], "FLIPC_MAX_NODES must be a positive integer, got '-1'"),
+            ("0", [], "FLIPC_MAX_NODES must be a positive integer, got '0'"),
+            (None, ["selftest", "--count", "-3"], "--count: must be a positive integer, got '-3'"),
+            (None, ["bench", "diamond", "--max-n", "0"], "--max-n: must be a positive integer"),
+        ],
+        ids=["cap-hit", "cap-negative", "cap-zero", "count-negative", "max-n-zero"],
+    )
+    def test_node_cap_environment_variable(
+        self, capsys, write_benchmark, monkeypatch, cap, argv, message
+    ):
+        """A cap that is hit, and a non-positive number from outside, are
+        user errors whose message names the input."""
+        if cap is not None:
+            monkeypatch.setenv("FLIPC_MAX_NODES", cap)
+        argv = argv or ["infer", write_benchmark("chain_small.dice")]
+        code, _, err = run_or_exit(capsys, *argv)
         assert code == 1
-        assert "cap" in err
+        assert message in err
 
     def test_type_error_reports_span(self, capsys, tmp_path):
         path = tmp_path / "ill.dice"
@@ -224,8 +250,11 @@ class TestBench:
         assert "result true 0.471" in out
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "nope"])
+        """Usage errors exit 1; 2 is kept for internal invariant failures."""
+        for argv in (["bench", "nope"], ["infer", "prog.dice", "--nope"]):
+            code, _, err = run_or_exit(capsys, *argv)
+            assert code == 1
+            assert "error:" in err
 
 
 class TestSelftest:
