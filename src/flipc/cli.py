@@ -22,10 +22,10 @@ Table probabilities are printed with 12 significant digits; JSON carries
 full binary64 values.  An accepting probability below the normal double
 range is printed rounded (possibly to 0), with a note on stderr whenever it
 is not zero, for every query; the posteriors themselves stay exact.  Exit
-codes: 0 success, 1 user error (including a usage error, a non-positive
-count, and a program nested deeper than the interpreter's recursion limit
-allows), 2 internal invariant failure (including an oracle or self-test
-mismatch).
+codes: 0 success, 1 user error (including a usage error, a file that cannot
+be read or is not UTF-8, a non-positive count, and a program nested deeper
+than the interpreter's recursion limit allows), 2 internal invariant failure
+(including an oracle or self-test mismatch).
 
 The environment variable FLIPC_MAX_NODES, a positive integer, caps the BDD
 node store (default 50,000,000 nodes).
@@ -81,11 +81,15 @@ def _fmt(p: float) -> str:
 
 def _oracle_delta(compiled, reference) -> float:
     """The largest distance from the oracle over the accepting probability
-    and every value's posterior, which come from one counting pass."""
+    and every value's posterior, which come from one counting pass.  Values
+    are taken from both sides, a missing one counting as probability 0, so
+    a value the query does not enumerate but the oracle gives mass to is a
+    mismatch."""
     accepting, dist = infer.accepting_and_distribution(compiled)
+    posterior = reference.distribution
     worst = abs(accepting - reference.accepting)
-    for value, p in dist.items():
-        worst = max(worst, abs(p - reference.posterior(value)))
+    for value in set(dist) | set(reference.unnormalized):
+        worst = max(worst, abs(dist.get(value, 0.0) - posterior.get(value, 0.0)))
     return worst
 
 
@@ -199,6 +203,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    """Compile seeded random programs in both modes and compare each with
+    the oracle.  The programs go through ``compile_program``, so the query
+    enumerates the erased output type: every Bool tuple backing an
+    ``int(n)``, one-hot or not, is compared."""
     rng = random.Random(args.seed)
     worst = 0.0
     for i in range(args.count):
@@ -267,8 +275,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (FlipcError, FileNotFoundError) as error:
+    except (FlipcError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as error:
+        print(f"error: {args.file} is not UTF-8 text ({error})", file=sys.stderr)
         return 1
     except InternalError as error:
         print(f"internal error: {error}", file=sys.stderr)

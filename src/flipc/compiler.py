@@ -155,10 +155,11 @@ class CompiledFunction:
 class CompiledProgram:
     manager: BddManager
     expr: CompiledExpr
+    # What a distribution query enumerates: the surface type from
+    # compile_source, the formula's shape from compile_program alone.
     output_ty: S.Ty
     flip_count: int  # every flip variable, a template's own included
     mode: str
-    surface_output_ty: Optional[S.Ty] = None
     # Flips allocated while compiling function templates: each call samples
     # fresh copies of them, never the template's own.
     template_flips: int = 0
@@ -583,8 +584,8 @@ def compile_source(
     max_nodes: Optional[int] = None,
     order: Optional[list] = None,
 ):
-    """parse -> typecheck -> desugar -> compile; returns the compiled program
-    and the desugared core program (the oracle's input)."""
+    """parse -> typecheck -> desugar -> compile; returns the compiled program,
+    its output type the surface type, and the core program (the oracle's input)."""
     from .desugar import desugar_program
     from .parser import parse_program
     from .typecheck import typecheck_program
@@ -593,5 +594,5 @@ def compile_source(
     surface_ty = typecheck_program(ast)
     core = desugar_program(ast)
     compiled = compile_program(core, mode=mode, max_nodes=max_nodes, order=order)
-    compiled.surface_output_ty = surface_ty
+    compiled.output_ty = surface_ty
     return compiled, core

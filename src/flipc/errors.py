@@ -75,9 +75,9 @@ class ShapeMismatchError(FlipcError):
 
 
 class OutputTooWideError(FlipcError):
-    def __init__(self, leaves: int, cap: int):
-        super().__init__(f"output type has {leaves} boolean leaves, cap is {cap}")
-        self.leaves = leaves
+    def __init__(self, values: int, cap: int):
+        super().__init__(f"output type has {values} values, cap is {cap}")
+        self.values = values
         self.cap = cap
 
 

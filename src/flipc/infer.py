@@ -13,6 +13,12 @@ The formula leaves are counted so that the pass's support covers the whole
 program: a free variable reachable from it raises
 ``UnboundFreeVariableError``.
 
+A distribution query enumerates the values of ``CompiledProgram.output_ty``,
+at most ``MAX_VALUES``: from ``compile_source`` the type as written, where an
+``int(n)`` has its n one-hot values.  The full pointwise iff selects each
+value's mass, so no posterior rests on integers staying one-hot; that the
+Bool tuples left out have mass 0 is checked against the oracle.
+
 Counts are ratioed as the manager's (mantissa, exponent) pairs, so a
 posterior stays exact when the normalizing constant lies below the double
 range.  Only a true zero normalizing constant (a zero mantissa, as for an
@@ -32,7 +38,6 @@ from typing import Optional
 from . import syntax as S
 from .compiler import (
     CompiledProgram,
-    Leaf,
     iter_leaves,
     leaf_paths,
     pointwise_iff,
@@ -40,7 +45,7 @@ from .compiler import (
 )
 from .errors import OutputTooWideError, ShapeMismatchError
 
-DEFAULT_MAX_LEAVES = 20
+MAX_VALUES = 2**20
 
 
 @dataclass
@@ -76,7 +81,7 @@ def accepting_probability(cp: CompiledProgram) -> float:
 
 
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
-    if not _shape_matches(cp.formula, value):
+    if S.ty_of_value(value) != S.erase_int_types(cp.output_ty):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
     return _query(cp, [_selecting(cp, value)])[2][0]
 
@@ -88,32 +93,22 @@ def _selecting(cp: CompiledProgram, value: S.Value) -> int:
     return mgr.apply_and(pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting)
 
 
-def _shape_matches(t, v: S.Value) -> bool:
-    if isinstance(t, Leaf):
-        return isinstance(v, bool)
-    return (
-        isinstance(v, tuple)
-        and _shape_matches(t.left, v[0])
-        and _shape_matches(t.right, v[1])
-    )
-
-
-def full_distribution(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> dict:
+def full_distribution(cp: CompiledProgram) -> dict:
     """Posterior over every inhabitant of the output type."""
-    return _distribution(cp, max_leaves)[2]
+    return _distribution(cp)[2]
 
 
-def accepting_and_distribution(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> tuple:
+def accepting_and_distribution(cp: CompiledProgram) -> tuple:
     """The accepting probability and the posterior over every inhabitant of
     the output type, from one counting pass."""
-    accepting, _, dist = _distribution(cp, max_leaves)
+    accepting, _, dist = _distribution(cp)
     return accepting, dist
 
 
-def _distribution(cp: CompiledProgram, max_leaves: int) -> tuple:
-    leaves = S.bool_leaf_count(cp.output_ty)
-    if leaves > max_leaves:
-        raise OutputTooWideError(leaves, max_leaves)
+def _distribution(cp: CompiledProgram) -> tuple:
+    count = S.value_count(cp.output_ty)
+    if count > MAX_VALUES:
+        raise OutputTooWideError(count, MAX_VALUES)
     values = list(S.enumerate_values(cp.output_ty))
     selecting = [_selecting(cp, value) for value in values]
     accepting, denominator, posteriors = _query(cp, selecting)
@@ -150,10 +145,10 @@ def render_value(value: S.Value, surface_ty: Optional[S.Ty]) -> str:
     return S.format_value(value)
 
 
-def distribution_result(cp: CompiledProgram, max_leaves: int = DEFAULT_MAX_LEAVES) -> InferenceResult:
-    accepting, denominator, dist = _distribution(cp, max_leaves)
+def distribution_result(cp: CompiledProgram) -> InferenceResult:
+    accepting, denominator, dist = _distribution(cp)
     entries = [
-        (render_value(value, cp.surface_output_ty), probability)
+        (render_value(value, cp.output_ty), probability)
         for value, probability in dist.items()
     ]
     return InferenceResult(accepting, "distribution", entries, denominator)

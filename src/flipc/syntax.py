@@ -135,19 +135,23 @@ def erase_int_types(ty: Ty) -> Ty:
     return ty
 
 
-def bool_leaf_count(ty: Ty) -> int:
+def value_count(ty: Ty) -> int:
+    """The number of inhabitants of ``ty``: 2 per Bool, n per ``int(n)``."""
     if isinstance(ty, ProdTy):
-        return bool_leaf_count(ty.left) + bool_leaf_count(ty.right)
+        return value_count(ty.left) * value_count(ty.right)
     if isinstance(ty, IntTy):
         return ty.size
-    return 1
+    return 2
 
 
 def enumerate_values(ty: Ty) -> Iterator[Value]:
-    """All inhabitants of ``ty``; the leftmost leaf is most significant."""
+    """All inhabitants of ``ty``, the leftmost most significant; ``int(n)`` by index."""
     if isinstance(ty, BoolTy):
         yield False
         yield True
+    elif isinstance(ty, IntTy):
+        for index in range(ty.size):
+            yield one_hot_value(ty.size, index)
     elif isinstance(ty, ProdTy):
         for left in enumerate_values(ty.left):
             for right in enumerate_values(ty.right):

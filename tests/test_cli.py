@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import flipc
-from flipc.cli import main
+from flipc.cli import ORACLE_TOLERANCE, _oracle_delta, main
+from flipc.compiler import compile_source
+from flipc.oracle import OracleResult
 from flipc.suites import benchmark_text, caesar_source
 
 
@@ -79,6 +81,27 @@ class TestInfer:
         )
         assert code == 0
         assert "ORACLE MATCH" in out
+
+    def test_caesar_rows_are_its_four_keys(self, capsys, write_benchmark):
+        # The output is an int(4): four rows in index order, no Bool tuple
+        # that is not one-hot.
+        path = write_benchmark("caesar_mini.dice")
+        code, out, _ = run(capsys, "infer", path)
+        assert code == 0
+        rows = [line.split()[1] for line in out.splitlines() if line.startswith("result ")]
+        assert rows == ["0", "1", "2", "3"]
+        code, out, _ = run(capsys, "infer", path, "--json")
+        assert code == 0
+        assert [entry["value"] for entry in json.loads(out)["results"]] == ["0", "1", "2", "3"]
+
+    def test_oracle_delta_refers_values_the_query_omits(self):
+        compiled, _ = compile_source("discrete(0.5, 0.5)")
+        exact = OracleResult({(True, False): 0.5, (False, True): 0.5}, 1.0)
+        assert _oracle_delta(compiled, exact) < ORACLE_TOLERANCE
+        # Mass on a Bool pair that is not one-hot, which the query does not
+        # enumerate, is a mismatch even where every enumerated value agrees.
+        leaky = OracleResult({(True, False): 0.5, (False, True): 0.5, (True, True): 0.25}, 1.0)
+        assert _oracle_delta(compiled, leaky) == pytest.approx(0.25)
 
     def test_modes_produce_identical_result_lines(self, capsys, write_benchmark):
         from flipc.suites import benchmark_names
@@ -163,6 +186,23 @@ class TestInfer:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("case", ["infer-directory", "infer-not-utf8", "translate-to-directory"])
+    def test_unreadable_input_is_a_user_error(self, capsys, tmp_path, case):
+        bad = tmp_path / "bad.dice"
+        bad.write_bytes(b"\xff\xfe flip 0.5")
+        bif = tmp_path / "cancer.bif"
+        bif.write_text(benchmark_text("cancer.bif"))
+        argv, named = {
+            "infer-directory": (["infer", str(tmp_path)], tmp_path),
+            "infer-not-utf8": (["infer", str(bad)], bad),
+            "translate-to-directory": (
+                ["translate", str(bif), "--query", "Xray", "-o", str(tmp_path)], tmp_path
+            ),
+        }[case]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and str(named) in err
+
     def test_parse_error_reports_span(self, capsys, tmp_path):
         path = tmp_path / "bad.dice"
         path.write_text("let x = flip 2.0 in x")
@@ -211,6 +251,9 @@ class TestTranslate:
         code, out, _ = run(capsys, "infer", str(out_path), "--oracle-check")
         assert code == 0
         assert "ORACLE MATCH" in out
+        # Xray has two states: one row each.
+        rows = [line.split()[1] for line in out.splitlines() if line.startswith("result ")]
+        assert rows == ["0", "1"]
 
     def test_bad_cpt_is_a_user_error(self, capsys, tmp_path):
         bif = tmp_path / "bad.bif"

@@ -23,6 +23,7 @@ from flipc.errors import (
 )
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
+from flipc.parser import pretty_program
 from flipc.suites import benchmark_text, caesar_source
 from flipc.typecheck import typecheck_program
 
@@ -92,6 +93,12 @@ class TestProbOfValue:
         compiled, _ = compile_text("flip 0.5")
         with pytest.raises(ShapeMismatchError):
             infer.prob_of_value(compiled, (True, False))
+        # An int(2) output takes a Bool pair, one-hot or not, and no Bool.
+        compiled, _ = compile_source("discrete(0.25, 0.75)")
+        assert infer.prob_of_value(compiled, (False, True)) == pytest.approx(0.75, abs=1e-12)
+        assert infer.prob_of_value(compiled, (True, True)) == 0.0
+        with pytest.raises(ShapeMismatchError):
+            infer.prob_of_value(compiled, True)
 
 
 class TestFullDistribution:
@@ -121,10 +128,15 @@ class TestFullDistribution:
             reference = eval_program(core).distribution
             assert max_distribution_delta(dist, reference) < 1e-9
 
-    def test_output_width_cap(self):
+    def test_output_width_cap(self, monkeypatch):
+        # The cap counts values: 20 Bools pass it, 21 do not.
+        assert S.value_count(S.int_backing_ty(20)) <= infer.MAX_VALUES
+        assert S.value_count(S.int_backing_ty(21)) > infer.MAX_VALUES
+        monkeypatch.setattr(infer, "MAX_VALUES", 4)
+        assert len(infer.full_distribution(compile_text("(flip 0.5, flip 0.5)")[0])) == 4
         compiled, _ = compile_text("(flip 0.5, (flip 0.5, flip 0.5))")
-        with pytest.raises(OutputTooWideError):
-            infer.full_distribution(compiled, max_leaves=2)
+        with pytest.raises(OutputTooWideError, match="output type has 8 values, cap is 4"):
+            infer.full_distribution(compiled)
 
     def test_sums_to_one_with_positive_accepting(self, rng):
         for _ in range(20):
@@ -175,6 +187,55 @@ class TestFullDistribution:
             assert mgr.last_wmc_scaled[0] == result.accepting_scaled
 
 
+def _uniform(n: int) -> str:
+    return "discrete(" + ", ".join([repr(1 / n)] * n) + ")"
+
+
+class TestSurfaceValues:
+    """compile_source queries the type as written: an int(n) has n values."""
+
+    def test_sixteen_values_give_sixteen_rows(self):
+        result = infer.distribution_result(compile_source(_uniform(16))[0])
+        assert [key for key, _ in result.entries] == [str(i) for i in range(16)]
+        assert [p for _, p in result.entries] == [pytest.approx(1 / 16, abs=1e-12)] * 16
+
+    def test_thirty_values_are_answered(self):
+        result = infer.distribution_result(compile_source(_uniform(30))[0])
+        assert len(result.entries) == 30
+        assert sum(p for _, p in result.entries) == pytest.approx(1.0, abs=1e-9)
+
+    def test_int_and_bool_give_six_rows(self):
+        compiled, _ = compile_source("(discrete(0.2, 0.3, 0.5), flip 0.4)")
+        result = infer.distribution_result(compiled)
+        expected = [
+            (f"({i}, {b})", p * (0.4 if b == "true" else 0.6))
+            for i, p in enumerate((0.2, 0.3, 0.5))
+            for b in ("false", "true")
+        ]
+        assert [key for key, _ in result.entries] == [key for key, _ in expected]
+        for (_, got), (_, want) in zip(result.entries, expected):
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_surface_rows_equal_erased_rows_and_the_rest_are_zero(self, rng):
+        checked = 0
+        for _ in range(100):
+            program = random_program(rng, GenConfig(max_flips=8, max_depth=4, allow_ints=True))
+            text = pretty_program(program)
+            compiled, _ = compile_source(text)
+            if S.erase_int_types(compiled.output_ty) == compiled.output_ty:
+                continue  # no integer in the output type
+            checked += 1
+            surface = infer.full_distribution(compiled)
+            erased = infer.full_distribution(compile_text(text)[0])
+            assert len(surface) == S.value_count(compiled.output_ty)
+            for value, p in erased.items():
+                if value in surface:
+                    assert surface[value] == pytest.approx(p, abs=1e-12)
+                else:
+                    assert p == 0.0
+        assert checked >= 20
+
+
 class TestBelowDoubleRange:
     @pytest.mark.parametrize("chars", [512, 1024])
     def test_caesar_posteriors_stay_exact(self, chars):
@@ -183,10 +244,8 @@ class TestBelowDoubleRange:
         compiled, _ = compile_source(caesar_source(chars))
         result = infer.distribution_result(compiled)
         assert result.accepting < sys.float_info.min
-        posterior = dict(result.entries)
-        for key in "0123":
-            assert posterior.pop(key) == pytest.approx(0.25, abs=1e-12)
-        assert set(posterior.values()) == {0.0}
+        assert [key for key, _ in result.entries] == ["0", "1", "2", "3"]
+        assert [p for _, p in result.entries] == [pytest.approx(0.25, abs=1e-12)] * 4
         assert [p for _, p in infer.marginals(compiled)] == [pytest.approx(0.25, abs=1e-12)] * 4
         assert infer.prob_of_value(compiled, S.one_hot_value(4, 2)) == pytest.approx(0.25, abs=1e-12)
 
