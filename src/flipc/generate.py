@@ -159,9 +159,11 @@ class _Gen:
         name = self.fresh()
         bound_ty = self.ty(1, 3)
         bound = self.expr(env, bound_ty, depth - 1)
-        inner = dict(env)
-        inner[name] = bound_ty
-        return S.Let(name, bound, self.expr(inner, ty, depth - 1))
+        # A fresh name shadows nothing: bind it for the body, then drop it.
+        env[name] = bound_ty
+        body = self.expr(env, ty, depth - 1)
+        del env[name]
+        return S.Let(name, bound, body)
 
     def function(self, index: int) -> None:
         n_params = 1 if self.rng.random() < 0.7 else 2

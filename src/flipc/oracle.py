@@ -106,6 +106,10 @@ def _walk(e: S.Expr, env: dict, functions: dict):
             for v2, w2, ok2 in _walk(e.right, env, functions):
                 yield (v1, v2), w1 * w2, ok1 and ok2
     elif isinstance(e, S.Let):
+        # The body gets its own copy of ``env``.  This walk is lazy: while
+        # the body's generator is suspended, a consumer such as the right
+        # side of a ``Tup`` reads ``env``, so a binding made in place would
+        # leak into it.
         for v1, w1, ok1 in _walk(e.bound, env, functions):
             inner = dict(env)
             inner[e.name] = v1
@@ -189,6 +193,7 @@ def _bind_params(func: S.Function, arg: S.Value) -> dict:
 # Compositional route (core ANF only)
 
 FuncTable = dict
+_MISSING = object()
 
 
 def eval_unnormalized(e: S.Expr, env: dict, table: FuncTable) -> Distribution:
@@ -221,13 +226,21 @@ def eval_unnormalized(e: S.Expr, env: dict, table: FuncTable) -> Distribution:
     if isinstance(e, S.Let):
         d1 = eval_unnormalized(e.bound, env, table)
         out: Distribution = {}
-        for v1, m1 in d1.items():
-            if m1 == 0.0:
-                continue
-            inner = dict(env)
-            inner[e.name] = v1
-            for v2, m2 in eval_unnormalized(e.body, inner, table).items():
-                out[v2] = out.get(v2, 0.0) + m1 * m2
+        # Evaluation is eager, so the body can see the binding in ``env``
+        # itself; the caller's binding of the name comes back afterwards.
+        old = env.get(e.name, _MISSING)
+        try:
+            for v1, m1 in d1.items():
+                if m1 == 0.0:
+                    continue
+                env[e.name] = v1
+                for v2, m2 in eval_unnormalized(e.body, env, table).items():
+                    out[v2] = out.get(v2, 0.0) + m1 * m2
+        finally:
+            if old is _MISSING:
+                env.pop(e.name, None)
+            else:
+                env[e.name] = old
         return out
     raise TypeError(f"not a core expression: {type(e).__name__}")
 

@@ -72,13 +72,23 @@ _LEVEL = {cls: prec for prec, cls in _BINARY.values()} | {
     S.Let: 0, S.Ite: 0, S.Observe: 0, S.Not: _PREC_NOT, S.Fst: _PREC_PROJ, S.Snd: _PREC_PROJ,
 }
 
+# One match per token.  The leading part absorbs the blanks and the ``//``
+# comment in front of a token, but never a newline: each newline is a match
+# of its own, so lines are counted there and nowhere else.  Every other
+# whitespace character that ``\s`` accepts (a lone ``\r``, U+3000, ``\x1c``,
+# ...) is a blank and starts no line.  ``bad`` catches any other character,
+# and ``eof`` the end, so the scan never skips text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>==|&&|\|\||[()!{},:=+*/])
+    [^\S\n]*(?://[^\n]*)?
+    (?:
+      (?P<nl>\n)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<op>==|&&|\|\||[()!{},:=+*/])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -91,34 +101,41 @@ class Token(NamedTuple):
     col: int
 
 
+# Tokens and spans are built with tuple.__new__, past the Python-level
+# __new__ of their NamedTuple classes: the lexer builds one per token and
+# the parser one span per node.
+_new = tuple.__new__
+
+
 def _lex(text: str, filename: str) -> list[Token]:
-    # Columns are offsets from the start of the current line; only
-    # whitespace can hold a newline (a comment stops before it).
+    # Columns are offsets from the start of the current line.
     tokens = []
-    match = _TOKEN_RE.match
+    append = tokens.append
+    new = _new
     line, line_start = 1, 0
-    pos, end = 0, len(text)
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            span = S.Span(filename, line, col, line, col + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        stop = m.end()
-        if kind == "ws":
-            newlines = text.count("\n", pos, stop)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, stop) + 1
-        elif kind != "comment":
-            tok_text = text[pos:stop]
-            if kind == "ident" and tok_text in KEYWORDS:
+        if kind == "ident":
+            tok_text = m[kind]
+            col = m.start(kind) - line_start + 1
+            if tok_text in KEYWORDS:
                 kind = "keyword"
-            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
-        pos = stop
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+            append(new(Token, (kind, tok_text, line, col)))
+        elif kind == "nl":
+            line += 1
+            line_start = m.end()
+        elif kind == "eof":
+            append(new(Token, (kind, "", line, m.start(kind) - line_start + 1)))
+            return tokens
+        elif kind == "bad":
+            col = m.start(kind) - line_start + 1
+            span = S.Span(filename, line, col, line, col + 1)
+            raise ParseError(f"unexpected character {m[kind]!r}", span)
+        else:
+            append(new(Token, (kind, m[kind], line, m.start(kind) - line_start + 1)))
+
+
+_BOOLS = {"true": True, "T": True, "false": False, "F": False}
 
 
 class _Parser:
@@ -128,30 +145,28 @@ class _Parser:
         self.filename = filename
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    #
+    # Only keyword and op tokens can carry the texts the grammar matches on
+    # (identifiers are never keywords), so a text test needs no kind test.
+    # The eof token's text is empty and matches nothing, so a matched token
+    # is never eof and consuming it is ``self.pos += 1``.
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("keyword", "op")
+        return self.tokens[self.pos].text == text
 
     def eat(self, text: str) -> Token:
-        if not self.at(text):
+        tok = self.tokens[self.pos]
+        if tok.text != text:
             self.fail(f"expected {text!r}", expected=frozenset({text}))
-        return self.next()
+        self.pos += 1
+        return tok
 
     def span(self, tok: Token) -> S.Span:
-        return S.Span(self.filename, tok.line, tok.col, tok.line, tok.col + max(1, len(tok.text)))
+        line, col = tok.line, tok.col
+        return _new(S.Span, (self.filename, line, col, line, col + (len(tok.text) or 1)))
 
     def fail(self, message: str, expected: frozenset = frozenset()):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise ParseError(f"{message}, found {shown!r}", self.span(tok), expected)
 
@@ -161,10 +176,10 @@ class _Parser:
         functions = []
         while self.at("fun"):
             functions.append(self.function())
-        if self.peek().kind == "eof":
+        if self.tokens[self.pos].kind == "eof":
             self.fail("expected main expression")
         main = S.trampoline(self.expr())
-        if self.peek().kind != "eof":
+        if self.tokens[self.pos].kind != "eof":
             self.fail("expected end of input")
         return S.Program(functions, main)
 
@@ -174,7 +189,7 @@ class _Parser:
         self.eat("(")
         params = [self.param()]
         while self.at(","):
-            self.next()
+            self.pos += 1
             params.append(self.param())
         self.eat(")")
         self.eat(":")
@@ -190,25 +205,27 @@ class _Parser:
         return (name, self.ty())
 
     def ident(self, what: str) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             self.fail(f"expected {what}")
-        return self.next().text
+        self.pos += 1
+        return tok.text
 
     def ty(self) -> S.Ty:
-        if self.at("Bool"):
-            self.next()
+        text = self.tokens[self.pos].text
+        if text == "Bool":
+            self.pos += 1
             return S.BOOL
-        if self.at("int"):
-            self.next()
+        if text == "int":
+            self.pos += 1
             self.eat("(")
             size = self.nat("integer size")
             self.eat(")")
             if size < 1:
                 self.fail("integer size must be at least 1")
             return S.IntTy(size)
-        if self.at("("):
-            self.next()
+        if text == "(":
+            self.pos += 1
             left = self.ty()
             self.eat(",")
             right = self.ty()
@@ -217,21 +234,22 @@ class _Parser:
         self.fail("expected a type")
 
     def nat(self, what: str) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "number" or not tok.text.isdigit():
             self.fail(f"expected {what}")
-        return int(self.next().text)
+        self.pos += 1
+        return int(tok.text)
 
     def number(self, what: str) -> tuple[float, Token]:
         """Decimal literal or fraction a/b."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "number":
             self.fail(f"expected {what}")
-        self.next()
+        self.pos += 1
         value = float(tok.text)
         if self.at("/"):
-            self.next()
-            denom_tok = self.peek()
+            self.pos += 1
+            denom_tok = self.tokens[self.pos]
             denom = self.nat("fraction denominator")
             if denom == 0:
                 raise ParseError("fraction denominator is zero", self.span(denom_tok))
@@ -241,82 +259,33 @@ class _Parser:
     def expr(self, min_prec: int = 0):
         """Step: one expression whose binary operators all bind at least as
         tightly as ``min_prec``.  Level 0 also admits let, if and observe;
-        '!' is admitted up to its own level, so ``a + !b`` is an error."""
-        tok = self.peek()
-        if min_prec == 0 and self.at("let"):
-            self.next()
-            name = self.ident("binding name")
-            self.eat("=")
-            bound = yield self.expr()
-            self.eat("in")
-            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
-        if min_prec == 0 and self.at("if"):
-            self.next()
-            guard = yield self.expr()
-            self.eat("then")
-            then = yield self.expr()
-            self.eat("else")
-            return S.Ite(guard, then, (yield self.expr()), span=self.span(tok))
-        if min_prec == 0 and self.at("observe"):
-            self.next()
-            return S.Observe((yield self.expr()), span=self.span(tok))
-        if min_prec <= _PREC_NOT and self.at("!"):
-            self.next()
-            e = S.Not((yield self.expr(_PREC_NOT)), span=self.span(tok))
-        elif self.at("fst") or self.at("snd"):
-            self.next()
-            cls = S.Fst if tok.text == "fst" else S.Snd
-            e = cls((yield self.expr(_PREC_PROJ)), span=self.span(tok))
-        elif self.at("("):
-            self.next()
-            e = yield self.expr()
-            if self.at(","):
-                self.next()
-                e = S.mk_tup(e, (yield self.expr()), self.span(tok))
-            self.eat(")")
-        elif self.at("iterate"):
-            self.next()
-            self.eat("(")
-            func = self.ident("function name")
-            self.eat(",")
-            init = yield self.expr()
-            self.eat(",")
-            count = self.nat("iteration count")
-            self.eat(")")
-            e = S.Iterate(func, init, count, span=self.span(tok))
-        elif tok.kind == "ident" and self.tokens[self.pos + 1].text == "(":
-            self.next()
-            self.next()
-            args = [(yield self.expr())]
-            while self.at(","):
-                self.next()
-                args.append((yield self.expr()))
-            self.eat(")")
-            arg = args[-1]
-            for prev in reversed(args[:-1]):
-                arg = S.mk_tup(prev, arg, self.span(tok))
-            e = S.Call(tok.text, arg, span=self.span(tok))
-        else:
-            e = self.leaf()
-        while True:
-            op = self.peek()
-            prec, cls = _BINARY.get(op.text, (-1, None))
-            if prec < min_prec:
-                return e
-            self.next()
-            e = cls(e, (yield self.expr(prec + 1)), span=self.span(op))
+        '!' is admitted up to its own level, so ``a + !b`` is an error.
 
-    def leaf(self) -> S.Expr:
-        """An operand with no subexpression."""
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("true", "T", "false", "F"):
-            self.next()
-            return S.Lit(tok.text in ("true", "T"), span=self.span(tok))
-        if self.at("flip"):
-            self.next()
-            parenthesized = self.at("(")
+        The first token is read once and the form is chosen by its text; a
+        form that ``min_prec`` does not admit is no expression here."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        text = tok.text
+        if tok.kind == "ident":
+            self.pos += 1
+            if tokens[self.pos].text == "(":
+                self.pos += 1
+                args = [(yield self.expr())]
+                while tokens[self.pos].text == ",":
+                    self.pos += 1
+                    args.append((yield self.expr()))
+                self.eat(")")
+                arg = args[-1]
+                for prev in reversed(args[:-1]):
+                    arg = S.mk_tup(prev, arg, self.span(tok))
+                e = S.Call(text, arg, span=self.span(tok))
+            else:
+                e = S.Ident(text, span=self.span(tok))
+        elif text == "flip":
+            self.pos += 1
+            parenthesized = tokens[self.pos].text == "("
             if parenthesized:
-                self.next()
+                self.pos += 1
             theta, theta_tok = self.number("flip probability")
             if parenthesized:
                 self.eat(")")
@@ -325,18 +294,52 @@ class _Parser:
                     f"flip probability {theta_tok.text} is outside [0, 1]",
                     self.span(theta_tok),
                 )
-            return S.Flip(theta, span=self.span(tok))
-        if self.at("discrete"):
-            self.next()
+            e = S.Flip(theta, span=self.span(tok))
+        elif text == "let" and min_prec == 0:
+            self.pos += 1
+            name = self.ident("binding name")
+            self.eat("=")
+            bound = yield self.expr()
+            self.eat("in")
+            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
+        elif text == "if" and min_prec == 0:
+            self.pos += 1
+            guard = yield self.expr()
+            self.eat("then")
+            then = yield self.expr()
+            self.eat("else")
+            return S.Ite(guard, then, (yield self.expr()), span=self.span(tok))
+        elif text == "(":
+            self.pos += 1
+            e = yield self.expr()
+            if tokens[self.pos].text == ",":
+                self.pos += 1
+                e = S.mk_tup(e, (yield self.expr()), self.span(tok))
+            self.eat(")")
+        elif text in _BOOLS:
+            self.pos += 1
+            e = S.Lit(_BOOLS[text], span=self.span(tok))
+        elif text == "observe" and min_prec == 0:
+            self.pos += 1
+            return S.Observe((yield self.expr()), span=self.span(tok))
+        elif text == "!" and min_prec <= _PREC_NOT:
+            self.pos += 1
+            e = S.Not((yield self.expr(_PREC_NOT)), span=self.span(tok))
+        elif text == "fst" or text == "snd":
+            self.pos += 1
+            cls = S.Fst if text == "fst" else S.Snd
+            e = cls((yield self.expr(_PREC_PROJ)), span=self.span(tok))
+        elif text == "discrete":
+            self.pos += 1
             self.eat("(")
             params = [self.number("probability")[0]]
-            while self.at(","):
-                self.next()
+            while tokens[self.pos].text == ",":
+                self.pos += 1
                 params.append(self.number("probability")[0])
             self.eat(")")
-            return S.Discrete(params, span=self.span(tok))
-        if self.at("int"):
-            self.next()
+            e = S.Discrete(params, span=self.span(tok))
+        elif text == "int":
+            self.pos += 1
             self.eat("(")
             size = self.nat("integer size")
             self.eat(",")
@@ -348,11 +351,27 @@ class _Parser:
                 raise ParseError(
                     f"integer value {value} out of range for size {size}", self.span(tok)
                 )
-            return S.IntLit(size, value, span=self.span(tok))
-        if tok.kind == "ident":
-            self.next()
-            return S.Ident(tok.text, span=self.span(tok))
-        self.fail("expected an expression")
+            e = S.IntLit(size, value, span=self.span(tok))
+        elif text == "iterate":
+            self.pos += 1
+            self.eat("(")
+            func = self.ident("function name")
+            self.eat(",")
+            init = yield self.expr()
+            self.eat(",")
+            count = self.nat("iteration count")
+            self.eat(")")
+            e = S.Iterate(func, init, count, span=self.span(tok))
+        else:
+            self.fail("expected an expression")
+        while True:
+            op = tokens[self.pos]
+            entry = _BINARY.get(op.text)
+            if entry is None or entry[0] < min_prec:
+                return e
+            self.pos += 1
+            prec, cls = entry
+            e = cls(e, (yield self.expr(prec + 1)), span=self.span(op))
 
 
 def parse_program(text: str, filename: str = "<input>") -> S.Program:

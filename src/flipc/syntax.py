@@ -19,7 +19,7 @@ so the depth of a program never becomes depth of the Python call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, Optional, Union
+from typing import Generator, Iterator, NamedTuple, Optional, Union
 
 # Fresh names generated by desugaring and inlining start with this prefix.
 # The lexer rejects it, so generated names can never collide with user names.
@@ -60,8 +60,11 @@ def trampoline(step: Generator):
 # Source spans
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """Where a node starts and ends.  A tuple, because the parser builds one
+    per node and a frozen dataclass costs one ``object.__setattr__`` per
+    field."""
+
     file: str
     start_line: int
     start_col: int

@@ -363,6 +363,9 @@ DEEP_PROGRAMS = {
     "nots_2000": "!" * 2000 + "flip 0.5",
     "then_nested_if_2000": "if flip 0.5 then " * 2000 + "true" + " else false" * 2000,
     "else_if_chain_2000": "if flip 0.5 then true else " * 2000 + "false",
+    "calls_2000": "fun f(x: Bool): Bool { x } " + "f(" * 2000 + "flip 0.5" + ")" * 2000,
+    "projections_2000": "fst " + "snd " * 1999 + "(flip 0.5, " * 2000 + "flip 0.5" + ")" * 2000,
+    "tuples_2000": "(flip 0.5, " * 2000 + "flip 0.5" + ")" * 2000,
 }
 
 

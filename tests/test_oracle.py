@@ -43,6 +43,13 @@ class TestUnnormalized:
         d = eval_unnormalized(core.main, {}, {})
         assert sum(d.values()) == 0.0
 
+    def test_let_binds_in_place_and_restores_the_callers_env(self):
+        _, core = frontend("let x = flip 0.25 in let y = !x in (x, y)")
+        env = {"x": (True, False)}
+        d = eval_unnormalized(core.main, env, {})
+        assert d == pytest.approx({(True, False): 0.25, (False, True): 0.75}, abs=1e-15)
+        assert env == {"x": (True, False)}
+
 
 class TestAccepting:
     def test_observed_disjunction(self):
@@ -101,6 +108,16 @@ class TestEvalProgram:
         _, core = frontend(chained_layers_source(30))
         with pytest.raises(OracleLimitError):
             eval_program(core)
+
+    def test_shadowing_let_inside_a_tuple_keeps_the_outer_binding(self):
+        # The path walk is lazy: the right component is read while the left
+        # component's let is suspended with its binding made.
+        text = "let x = true in (let x = flip 0.5 in x, x)"
+        surface, core = frontend(text)
+        expected = {(True, True): 0.5, (False, True): 0.5}
+        assert eval_program(surface).distribution == expected
+        assert eval_program(core).distribution == expected
+        assert eval_program_denotational(core).distribution == expected
 
     def test_cap_counts_flips_through_calls(self):
         text = benchmark_text("diamond.dice")

@@ -8,7 +8,7 @@ from flipc import syntax as S
 from flipc.errors import ParseError
 from flipc.generate import GenConfig, random_program
 from flipc.parser import _lex, parse_expr, parse_program, pretty_expr, pretty_program
-from flipc.suites import benchmark_names, benchmark_text
+from flipc.suites import SUITES, benchmark_names, benchmark_text, suite_source
 
 
 class TestParse:
@@ -116,6 +116,55 @@ class TestParse:
             parse_program("// c\nlet x = flip 0.5 in\n  x && #")
         assert err.value.span == S.Span("<input>", 3, 8, 3, 9)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # CRLF ends a line; a lone \r is a blank and does not.
+            ("x\r\ny\rz", [("ident", "x", 1, 1), ("ident", "y", 2, 1), ("ident", "z", 2, 3), ("eof", "", 2, 4)]),
+            (
+                "let\tx =\fflip\v0.5 in\r\n\t\tx",
+                [
+                    ("keyword", "let", 1, 1),
+                    ("ident", "x", 1, 5),
+                    ("op", "=", 1, 7),
+                    ("keyword", "flip", 1, 9),
+                    ("number", "0.5", 1, 14),
+                    ("keyword", "in", 1, 18),
+                    ("ident", "x", 2, 3),
+                    ("eof", "", 2, 4),
+                ],
+            ),
+            # Whitespace that \s accepts but that is no newline (U+3000, \x1c).
+            ("\u3000x\x1c\n y", [("ident", "x", 1, 2), ("ident", "y", 2, 2), ("eof", "", 2, 3)]),
+            # A comment on the last line with no newline after it.
+            ("x // tail", [("ident", "x", 1, 1), ("eof", "", 1, 10)]),
+            (
+                "let x = flip 0.5 in\n// last",
+                [
+                    ("keyword", "let", 1, 1),
+                    ("ident", "x", 1, 5),
+                    ("op", "=", 1, 7),
+                    ("keyword", "flip", 1, 9),
+                    ("number", "0.5", 1, 14),
+                    ("keyword", "in", 1, 18),
+                    ("eof", "", 2, 8),
+                ],
+            ),
+        ],
+    )
+    def test_token_positions_across_whitespace_kinds(self, text, expected):
+        assert [tuple(t) for t in _lex(text, "<t>")] == expected
+
+    @pytest.mark.parametrize(
+        "text, span",
+        [("\tx &&\t#", ("<t>", 1, 7, 1, 8)), ("x\n\t\t#", ("<t>", 2, 3, 2, 4))],
+    )
+    def test_unexpected_character_after_a_tab(self, text, span):
+        with pytest.raises(ParseError) as err:
+            _lex(text, "<t>")
+        assert str(err.value) == f"<t>:{span[1]}:{span[2]}: unexpected character '#'"
+        assert err.value.span == S.Span(*span)
+
     def test_iterate_and_int_syntax(self):
         program = parse_program(
             "fun f(x: int(4)): int(4) { x + int(4, 1) } iterate(f, int(4, 0), 3)"
@@ -126,6 +175,63 @@ class TestParse:
     def test_int_literal_range_checked(self):
         with pytest.raises(ParseError):
             parse_expr("int(4, 7)")
+
+
+# The token text each node's span must start at, by node type; a
+# callable picks it from the node.
+_START_TEXT = {
+    S.Let: "let", S.Ite: "if", S.Observe: "observe", S.Not: "!", S.Fst: "fst", S.Snd: "snd",
+    S.Flip: "flip", S.Discrete: "discrete", S.IntLit: "int", S.Iterate: "iterate",
+    S.Eq: "==", S.Or: "||", S.And: "&&", S.IntAdd: "+", S.IntMul: "*",
+    S.Ident: lambda e: e.name, S.Call: lambda e: e.func,
+}
+
+
+def _span_corpus():
+    texts = [benchmark_text(name) for name in benchmark_names()]
+    texts += [suite_source(suite, 8) for suite in SUITES]
+    rng = random.Random(13)
+    texts += [
+        pretty_program(random_program(rng, GenConfig(max_flips=30, max_depth=4)))
+        for _ in range(200)
+    ]
+    return texts
+
+
+class TestSpans:
+    def test_every_node_spans_the_token_it_starts_at(self):
+        for text in _span_corpus():
+            tokens = {(t.line, t.col): t for t in _lex(text, "<s>")}
+            program = parse_program(text, "<s>")
+            for f in program.functions:
+                assert tokens[f.span.start_line, f.span.start_col].text == "fun"
+            bodies = [f.body for f in program.functions] + [program.main]
+            for node in (n for body in bodies for n in S.walk_nodes(body)):
+                span = node.span
+                tok = tokens[span.start_line, span.start_col]
+                assert span.file == "<s>" and span.end_line == span.start_line
+                assert span.end_col - span.start_col == max(1, len(tok.text))
+                start = _START_TEXT.get(type(node))
+                if callable(start):
+                    start = start(node)
+                if start is not None:
+                    assert tok.text == start, (type(node).__name__, span)
+                else:
+                    # Literals start at their keyword, a tuple at its '(',
+                    # and a call's folded argument tuple at the call's name.
+                    assert isinstance(node, (S.Lit, S.Tup)), type(node).__name__
+                    assert tok.text in ("true", "T", "false", "F", "(") or tok.kind == "ident"
+
+    def test_span_is_a_value(self):
+        span = S.Span("f.dice", 3, 4, 3, 7)
+        assert span == S.Span("f.dice", 3, 4, 3, 7) and hash(span) == hash(S.Span("f.dice", 3, 4, 3, 7))
+        assert span != S.Span("f.dice", 3, 5, 3, 7)
+        assert str(span) == "f.dice:3:4"
+        assert (span.file, span.start_line, span.start_col, span.end_line, span.end_col) == (
+            "f.dice", 3, 4, 3, 7,
+        )
+        with pytest.raises(AttributeError):
+            span.start_col = 1
 
 
 class TestPrettyPrint:
