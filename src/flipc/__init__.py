@@ -8,11 +8,8 @@ weighted model counting.  See the README for the language and CLI.
 
 from .bdd import FALSE, TRUE, BddManager, VarLabel
 from .compiler import (
-    CompiledExpr,
     CompiledFunction,
     CompiledProgram,
-    Leaf,
-    Pair,
     apply_call,
     compile_expr,
     compile_function,
@@ -21,7 +18,6 @@ from .compiler import (
     form,
     inline_program,
     pointwise_iff,
-    tuple_of_value,
 )
 from .desugar import desugar_expr, desugar_program, static_flip_count
 from .infer import (

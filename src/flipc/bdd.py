@@ -36,9 +36,9 @@ to the level count plus a fixed headroom.  This is the one place flipc
 touches that limit: the front-end passes run on an explicit stack.
 
 Variables are registered up front with a label carrying their kind: a flip
-variable (probabilistic, with its parameter, named f1, f2, ... in allocation
-order) or a free variable (a placeholder for a function argument).  The
-registration order *is* the global variable order.
+variable (probabilistic, named f1, f2, ... in allocation order; its weights
+are passed to ``wmc``) or a free variable (a placeholder for a function
+argument).  The registration order *is* the global variable order.
 
 ``wmc`` computes weighted model counts in time linear in the BDD: the
 post-order walk gives the reachable nodes and the support, and one bottom-up
@@ -56,8 +56,11 @@ of the union's other levels, and a flip's weights (theta, 1 - theta) sum to
 exactly 1.0 for every double theta in (0, 1), so for flip weights the counts
 are the single-root counts bit for bit.
 
-Construction is single-threaded; after it completes, read-only queries
-(wmc, node_count, evaluate, to_dot) are safe to run concurrently.
+Construction is single-threaded.  After it completes, ``node_count``,
+``evaluate`` and ``to_dot`` only read the store and may run concurrently.
+``wmc`` reads the store too but writes ``wmc_calls``, ``last_wmc_visits``
+and ``last_wmc_scaled`` on the manager, so concurrent ``wmc`` calls
+overwrite one another's values there.
 """
 
 from __future__ import annotations
@@ -87,10 +90,8 @@ def _to_float(pair: tuple) -> float:
 
 @dataclass(frozen=True)
 class VarLabel:
-    index: int  # position in the global order
     kind: str  # 'flip' | 'free'
     name: str
-    theta: Optional[float] = None
 
 
 class BddManager:
@@ -110,27 +111,22 @@ class BddManager:
 
     # -- variables ----------------------------------------------------------
 
-    def new_flip(self, theta: Optional[float], name: Optional[str] = None) -> int:
+    def new_flip(self, name: Optional[str] = None) -> int:
         if name is None:
             name = f"f{self._flip_count + 1}"
         self._flip_count += 1
-        return self._new_label("flip", name, theta)
+        return self._new_label("flip", name)
 
     def new_free(self, name: str) -> int:
-        return self._new_label("free", name, None)
+        return self._new_label("free", name)
 
-    def _new_label(self, kind: str, name: str, theta) -> int:
-        index = len(self.labels)
-        self.labels.append(VarLabel(index, kind, name, theta))
+    def _new_label(self, kind: str, name: str) -> int:
+        self.labels.append(VarLabel(kind, name))
         # ite recurses at most once per level; the headroom covers its callers.
         needed = len(self.labels) + _STACK_HEADROOM
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
-        return index
-
-    def set_flip_theta(self, level: int, theta: float) -> None:
-        old = self.labels[level]
-        self.labels[level] = VarLabel(old.index, old.kind, old.name, theta)
+        return len(self.labels) - 1
 
     def num_levels(self) -> int:
         return len(self.labels)

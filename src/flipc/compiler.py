@@ -1,16 +1,19 @@
 """Compilation of core programs to weighted Boolean formulas over BDDs.
 
-Every expression compiles to a triple: a *formula tuple* (one BDD root per
-Bool leaf of the expression's type, true exactly when the expression
-evaluates to true on a given flip assignment, observations ignored), a
-single *accepting* formula (true exactly when every observe succeeds), and a
-weight map giving each flip variable's (theta, 1 - theta) literal weights.
+Every expression compiles to a pair: a *formula tuple* and a single
+*accepting* formula (true exactly when every observe succeeds).  A formula
+tuple is a BDD node handle or a 2-tuple of formula tuples, nested like the
+expression's type: one root per Bool leaf, true exactly when the expression
+evaluates to true on a given flip assignment, observations ignored.  One
+weight map for the whole program gives each flip variable's
+(theta, 1 - theta) literal weights.
 
-The rules, in brief: values become terminals; each flip allocates one fresh
-weighted variable; ``observe`` contributes its guard to the accepting
-formula and is itself trivially true; conditionals select between branch
-formulas under the compiled guard; ``let`` binds the bound expression's
-formula tuple in the environment and conjoins accepting formulas.
+The rules, in brief: a value is its own formula tuple, since False and True
+equal the FALSE and TRUE handles; each flip allocates one fresh weighted
+variable; ``observe`` contributes its guard to the accepting formula and
+is itself trivially true; conditionals select between branch formulas under
+the compiled guard; ``let`` binds the bound expression's formula tuple in
+the environment and conjoins accepting formulas.
 Functions compile once to a template over placeholder argument variables;
 each call refreshes the template's flips with fresh variables and
 substitutes the actual argument formulas by BDD composition.  A call whose
@@ -35,9 +38,9 @@ leaf that only combines earlier levels (a partial sum of ``x + y``) is bound
 as it is: its placeholder would sit below the leaf's own levels, and
 composing it back would re-expand the formula through ``ite``.  A ``let``
 in the bound of another ``let`` leaves its composition to the enclosing
-one, which composes the newest group first.  Nothing is held under an explicit
-variable order, which registers every flip up front, so a placeholder
-could not precede the body's flips; nor is a leaf rooted at a function's
+one, which composes the newest group first.  Nothing is held under an
+explicit variable order: it registers every flip up front, so no leaf
+mentions a level the bound registered.  Nor is a leaf rooted at a function's
 formal, since composing through the formals, which precede the template's
 flips, would be a full Shannon expansion.  Every placeholder is composed
 away before a template or the program is finished, so the result is the
@@ -63,72 +66,48 @@ from .bdd import FALSE, TRUE, BddManager
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
 
-@dataclass(frozen=True)
-class Leaf:
-    node: int
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: "CompiledTuple"
-    right: "CompiledTuple"
-
-
-CompiledTuple = Union[Leaf, Pair]
-
-
-def tuple_of_value(v: S.Value) -> CompiledTuple:
-    if isinstance(v, bool):
-        return Leaf(TRUE if v else FALSE)
-    return Pair(tuple_of_value(v[0]), tuple_of_value(v[1]))
-
-
-def iter_leaves(t: CompiledTuple):
-    if isinstance(t, Leaf):
-        yield t.node
+def iter_leaves(t):
+    if isinstance(t, tuple):
+        yield from iter_leaves(t[0])
+        yield from iter_leaves(t[1])
     else:
-        yield from iter_leaves(t.left)
-        yield from iter_leaves(t.right)
+        yield t
 
 
-def leaf_paths(t: CompiledTuple, prefix: str = ""):
+def leaf_paths(t, prefix: str = ""):
     """(path, node) per leaf; 'l'/'r' steps, empty path for a bare leaf."""
-    if isinstance(t, Leaf):
-        yield prefix, t.node
+    if isinstance(t, tuple):
+        yield from leaf_paths(t[0], prefix + "l")
+        yield from leaf_paths(t[1], prefix + "r")
     else:
-        yield from leaf_paths(t.left, prefix + "l")
-        yield from leaf_paths(t.right, prefix + "r")
+        yield prefix, t
 
 
-def form(mgr: BddManager, name: str, ty: S.Ty) -> CompiledTuple:
+def form(mgr: BddManager, name: str, ty: S.Ty):
     """Placeholder variables for an argument of type ``ty``: one free
     variable per Bool leaf, components suffixed _l and _r."""
     if isinstance(ty, S.BoolTy):
-        return Leaf(mgr.var(mgr.new_free(name)))
+        return mgr.var(mgr.new_free(name))
     if isinstance(ty, S.ProdTy):
-        return Pair(form(mgr, name + "_l", ty.left), form(mgr, name + "_r", ty.right))
+        return form(mgr, name + "_l", ty.left), form(mgr, name + "_r", ty.right)
     raise ShapeMismatchError(f"cannot build a form for type {ty}")
 
 
-def pointwise_iff(mgr: BddManager, a: CompiledTuple, b: CompiledTuple) -> int:
+def pointwise_iff(mgr: BddManager, a, b) -> int:
     """Conjunction of per-leaf biconditionals, as a single formula."""
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return mgr.apply_iff(a.node, b.node)
-    if isinstance(a, Pair) and isinstance(b, Pair):
-        return mgr.apply_and(
-            pointwise_iff(mgr, a.left, b.left), pointwise_iff(mgr, a.right, b.right)
-        )
+    if not isinstance(a, tuple) and not isinstance(b, tuple):
+        return mgr.apply_iff(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return mgr.apply_and(pointwise_iff(mgr, a[0], b[0]), pointwise_iff(mgr, a[1], b[1]))
     raise ShapeMismatchError("pointwise iff of mismatched shapes")
 
 
-def pointwise_ite(mgr: BddManager, g: int, t: CompiledTuple, e: CompiledTuple) -> CompiledTuple:
+def pointwise_ite(mgr: BddManager, g: int, t, e):
     # Leafwise ite(g, t, e) == (g and t) or (not g and e); one traversal.
-    if isinstance(t, Leaf) and isinstance(e, Leaf):
-        return Leaf(mgr.ite(g, t.node, e.node))
-    if isinstance(t, Pair) and isinstance(e, Pair):
-        return Pair(
-            pointwise_ite(mgr, g, t.left, e.left), pointwise_ite(mgr, g, t.right, e.right)
-        )
+    if not isinstance(t, tuple) and not isinstance(e, tuple):
+        return mgr.ite(g, t, e)
+    if isinstance(t, tuple) and isinstance(e, tuple):
+        return pointwise_ite(mgr, g, t[0], e[0]), pointwise_ite(mgr, g, t[1], e[1])
     raise ShapeMismatchError("conditional branches of mismatched shapes")
 
 
@@ -137,16 +116,9 @@ def pointwise_ite(mgr: BddManager, g: int, t: CompiledTuple, e: CompiledTuple) -
 
 
 @dataclass
-class CompiledExpr:
-    formula: CompiledTuple
-    accepting: int
-    weights: dict  # level -> (weight_true, weight_false); shared registry
-
-
-@dataclass
 class CompiledFunction:
     formal_levels: tuple  # level of each formal leaf, in leaf order
-    formula: CompiledTuple
+    formula: Union[int, tuple]  # formula tuple
     accepting: int
     flip_levels: list  # template flips, refreshed per call
 
@@ -154,7 +126,9 @@ class CompiledFunction:
 @dataclass
 class CompiledProgram:
     manager: BddManager
-    expr: CompiledExpr
+    formula: Union[int, tuple]  # formula tuple
+    accepting: int
+    weights: dict  # level -> (weight_true, weight_false), one for the program
     # What a distribution query enumerates: the surface type from
     # compile_source, the formula's shape from compile_program alone.
     output_ty: S.Ty
@@ -164,22 +138,9 @@ class CompiledProgram:
     # fresh copies of them, never the template's own.
     template_flips: int = 0
 
-    @property
-    def formula(self) -> CompiledTuple:
-        return self.expr.formula
-
-    @property
-    def accepting(self) -> int:
-        return self.expr.accepting
-
-    @property
-    def weights(self) -> dict:
-        return self.expr.weights
-
     def node_count(self) -> int:
         """Size of the multi-rooted BDD: all formula roots plus accepting."""
-        roots = list(iter_leaves(self.expr.formula)) + [self.expr.accepting]
-        return self.manager.node_count(*roots)
+        return self.manager.node_count(*iter_leaves(self.formula), self.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +159,8 @@ class _Compilation:
         self.weights: dict = {}
         self.funcs: dict = {}
         self.recording: Optional[list] = None
-        self._order_levels = order
-        self._next_flip = 0
+        # The pre-registered level of each syntactic flip, in syntactic order.
+        self._order = None if order is None else iter(order)
         self.formals: frozenset = frozenset()  # levels of the current formal
         self.held: list = []  # one {placeholder level: formula} group per let
         self.placeholders: set = set()  # every placeholder level registered
@@ -208,16 +169,7 @@ class _Compilation:
         self.instances: dict = {}
 
     def new_flip(self, theta: float) -> int:
-        if self._order_levels is not None:
-            if self._next_flip >= len(self._order_levels):
-                raise FlipcError("variable order names fewer flips than the program has")
-            level = self._order_levels[self._next_flip]
-            self.mgr.set_flip_theta(level, theta)
-        else:
-            level = self.mgr.new_flip(theta)
-        self._next_flip += 1
-        if level in self.weights:
-            raise InternalError(f"flip level {level} allocated twice")
+        level = self.mgr.new_flip() if self._order is None else next(self._order)
         self.weights[level] = (theta, 1.0 - theta)
         if self.recording is not None:
             self.recording.append(level)
@@ -227,10 +179,11 @@ class _Compilation:
 _MISSING = object()
 
 
-def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledExpr:
+def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> tuple:
+    """The (formula tuple, accepting formula) of ``e``."""
     formula, accepting = S.trampoline(_compile(ctx, env, e))
     _check_released(ctx, formula, accepting)
-    return CompiledExpr(formula, accepting, ctx.weights)
+    return formula, accepting
 
 
 def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
@@ -239,36 +192,32 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
     ``ctx.held`` for the enclosing ``let`` to compose."""
     mgr = ctx.mgr
     if isinstance(e, S.Lit):
-        return tuple_of_value(e.value), TRUE
+        return e.value, TRUE
     if isinstance(e, S.Ident):
         return env[e.name], TRUE
     if isinstance(e, S.Flip):
         if e.theta == 0.0:
-            return Leaf(FALSE), TRUE
+            return FALSE, TRUE
         if e.theta == 1.0:
-            return Leaf(TRUE), TRUE
-        level = ctx.new_flip(e.theta)
-        return Leaf(mgr.var(level)), TRUE
+            return TRUE, TRUE
+        return mgr.var(ctx.new_flip(e.theta)), TRUE
     if isinstance(e, (S.Fst, S.Snd)):
         t = _compile_atom(ctx, env, e.arg)
         first = isinstance(e, S.Fst)
-        if not isinstance(t, Pair):
+        if not isinstance(t, tuple):
             raise ShapeMismatchError(f"{'fst' if first else 'snd'} of a non-tuple", e.span)
-        return (t.left if first else t.right), TRUE
+        return t[0 if first else 1], TRUE
     if isinstance(e, S.Tup):
-        left = _compile_atom(ctx, env, e.left)
-        right = _compile_atom(ctx, env, e.right)
-        return Pair(left, right), TRUE
+        return (_compile_atom(ctx, env, e.left), _compile_atom(ctx, env, e.right)), TRUE
     if isinstance(e, S.Observe):
         guard = _compile_atom(ctx, env, e.arg)
-        if not isinstance(guard, Leaf):
+        if isinstance(guard, tuple):
             raise ShapeMismatchError("observe of a non-boolean", e.span)
-        return Leaf(TRUE), guard.node
+        return TRUE, guard
     if isinstance(e, S.Ite):
-        guard = _compile_atom(ctx, env, e.guard)
-        if not isinstance(guard, Leaf):
+        g = _compile_atom(ctx, env, e.guard)
+        if isinstance(g, tuple):
             raise ShapeMismatchError("conditional on a non-boolean", e.span)
-        g = guard.node
         then_formula, then_accepting = yield _compile(ctx, env, e.then)
         else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
         formula = pointwise_ite(mgr, g, then_formula, else_formula)
@@ -278,7 +227,7 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
         mark = len(ctx.held)
         first_level = mgr.num_levels()
         bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, in_bound=True)
-        if isinstance(e.bound, _BUILDS) and ctx._order_levels is None:
+        if isinstance(e.bound, _BUILDS):
             bound_formula = _hold(ctx, bound_formula, first_level)
         old = env.get(e.name, _MISSING)
         env[e.name] = bound_formula
@@ -293,9 +242,7 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
             formula, accepting = _release(ctx, mark, formula, accepting)
         return formula, accepting
     if isinstance(e, S.Call):
-        arg = _compile_atom(ctx, env, e.arg)
-        result = apply_call(ctx, e.func, arg)
-        return result.formula, result.accepting
+        return apply_call(ctx, e.func, _compile_atom(ctx, env, e.arg))
     raise InternalError(f"cannot compile non-core expression {type(e).__name__}")
 
 
@@ -303,7 +250,7 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
 _BUILDS = (S.Ite, S.Call, S.Let)
 
 
-def _hold(ctx: _Compilation, t: CompiledTuple, first_level: int) -> CompiledTuple:
+def _hold(ctx: _Compilation, t, first_level: int):
     """``t`` with each large leaf that mentions a level from ``first_level``
     on replaced by a fresh placeholder variable; the leaves replaced go on
     ``ctx.held`` as one group."""
@@ -313,9 +260,9 @@ def _hold(ctx: _Compilation, t: CompiledTuple, first_level: int) -> CompiledTupl
     def hold(node: int) -> int:
         level = mgr.level_of(node)
         if (
-            # A terminal, or a leaf that only combines earlier levels: its
-            # placeholder would sit below its own levels, so composing it
-            # back would re-expand it.
+            # A terminal, or a leaf that only combines earlier levels (any
+            # leaf under an explicit order): its placeholder would sit below
+            # its own levels, so composing it back would re-expand it.
             mgr._maxvar[node] < first_level
             # A leaf spanning at most 5 levels has at most 2**5 - 1 nodes.
             or mgr._maxvar[node] - level < 5
@@ -350,7 +297,7 @@ def _exceeds(mgr: BddManager, root: int, limit: int) -> bool:
     return False
 
 
-def _release(ctx: _Compilation, mark: int, formula: CompiledTuple, accepting: int):
+def _release(ctx: _Compilation, mark: int, formula, accepting: int):
     """Compose the groups held above ``mark`` back into ``formula`` and
     ``accepting``, newest first, since a newer group's formulas may mention
     an older group's placeholders; each group is one simultaneous mapping."""
@@ -362,7 +309,7 @@ def _release(ctx: _Compilation, mark: int, formula: CompiledTuple, accepting: in
     return formula, accepting
 
 
-def _check_released(ctx: _Compilation, formula: CompiledTuple, accepting: int) -> None:
+def _check_released(ctx: _Compilation, formula, accepting: int) -> None:
     """Every held group must have been composed back, leaving no placeholder
     reachable from a finished compilation."""
     if ctx.held:
@@ -376,9 +323,9 @@ def _check_released(ctx: _Compilation, formula: CompiledTuple, accepting: int) -
             raise InternalError(f"let placeholders reachable after composition: {names}")
 
 
-def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr) -> CompiledTuple:
+def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr):
     if isinstance(e, S.Lit):
-        return tuple_of_value(e.value)
+        return e.value
     if isinstance(e, S.Ident):
         return env[e.name]
     raise InternalError(f"non-atomic argument position: {type(e).__name__}")
@@ -399,16 +346,13 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     return CompiledFunction(formal_levels, formula, accepting, recorded)
 
 
-def apply_call(ctx: _Compilation, func_name: str, arg: CompiledTuple) -> CompiledExpr:
+def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     """Instantiate a compiled function: refresh its flips with fresh
     variables and substitute the argument formulas for the formal's
     placeholders, both in one simultaneous composition.  If an earlier call
     passed the same argument formulas, its instance is composed with the
-    renaming of its fresh flips to these instead."""
-    if ctx._order_levels is not None:
-        # Under an explicit order fresh flips are pre-registered levels, not
-        # the newest ones, so renaming a stored instance could break the order.
-        raise InternalError(f"call to {func_name} under an explicit variable order")
+    renaming of its fresh flips to these instead.  Returns the call's
+    (formula tuple, accepting formula)."""
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
     fresh = [ctx.new_flip(ctx.weights[level][0]) for level in template.flip_levels]
@@ -431,13 +375,13 @@ def apply_call(ctx: _Compilation, func_name: str, arg: CompiledTuple) -> Compile
     accepting = mgr.compose(accepting, mapping)
     if instance is None:
         ctx.instances[key] = (fresh, formula, accepting)
-    return CompiledExpr(formula, accepting, ctx.weights)
+    return formula, accepting
 
 
-def _map_tuple(t: CompiledTuple, fn) -> CompiledTuple:
-    if isinstance(t, Leaf):
-        return Leaf(fn(t.node))
-    return Pair(_map_tuple(t.left, fn), _map_tuple(t.right, fn))
+def _map_tuple(t, fn):
+    if isinstance(t, tuple):
+        return _map_tuple(t[0], fn), _map_tuple(t[1], fn)
+    return fn(t)
 
 
 def compile_program(
@@ -468,17 +412,18 @@ def compile_program(
     ctx = _Compilation(mgr, order=order_levels)
     for func in program.functions:
         ctx.funcs[func.name] = compile_function(ctx, func)
-    expr = compile_expr(ctx, {}, program.main)
+    formula, accepting = compile_expr(ctx, {}, program.main)
     template_flips = sum(len(func.flip_levels) for func in ctx.funcs.values())
     return CompiledProgram(
-        mgr, expr, _shape_ty(expr.formula), len(ctx.weights), mode, template_flips=template_flips
+        mgr,
+        formula,
+        accepting,
+        ctx.weights,
+        S.ty_of_value(formula),
+        len(ctx.weights),
+        mode,
+        template_flips=template_flips,
     )
-
-
-def _shape_ty(t: CompiledTuple) -> S.Ty:
-    if isinstance(t, Leaf):
-        return S.BOOL
-    return S.ProdTy(_shape_ty(t.left), _shape_ty(t.right))
 
 
 def _register_order(mgr: BddManager, program: S.Program, order: list) -> list:
@@ -495,7 +440,7 @@ def _register_order(mgr: BddManager, program: S.Program, order: list) -> list:
         )
     # Register the levels in the requested order; syntactic flip i then
     # claims the level registered under its name.
-    level_by_name = {name: mgr.new_flip(None, name=name) for name in order}
+    level_by_name = {name: mgr.new_flip(name) for name in order}
     return [level_by_name[f"f{i + 1}"] for i in range(len(flips))]
 
 

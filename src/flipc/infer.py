@@ -36,13 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as S
-from .compiler import (
-    CompiledProgram,
-    iter_leaves,
-    leaf_paths,
-    pointwise_iff,
-    tuple_of_value,
-)
+from .compiler import CompiledProgram, iter_leaves, leaf_paths, pointwise_iff
 from .errors import OutputTooWideError, ShapeMismatchError
 
 MAX_VALUES = 2**20
@@ -87,10 +81,10 @@ def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
 
 
 def _selecting(cp: CompiledProgram, value: S.Value) -> int:
-    """The formula tuple's agreement with ``value``, conjoined with the
-    accepting formula."""
+    """The formula tuple's agreement with ``value``, itself a constant
+    formula tuple, conjoined with the accepting formula."""
     mgr = cp.manager
-    return mgr.apply_and(pointwise_iff(mgr, cp.formula, tuple_of_value(value)), cp.accepting)
+    return mgr.apply_and(pointwise_iff(mgr, cp.formula, value), cp.accepting)
 
 
 def full_distribution(cp: CompiledProgram) -> dict:

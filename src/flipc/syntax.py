@@ -164,7 +164,9 @@ def enumerate_values(ty: Ty) -> Iterator[Value]:
 
 
 def ty_of_value(v: Value) -> Ty:
-    if isinstance(v, bool):
+    """The type of a value, or the shape of a formula tuple, whose leaves
+    are node handles."""
+    if isinstance(v, int):
         return BOOL
     return ProdTy(ty_of_value(v[0]), ty_of_value(v[1]))
 

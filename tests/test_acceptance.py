@@ -13,13 +13,7 @@ import numpy as np
 
 from flipc import infer, syntax as S
 from flipc.bdd import BddManager
-from flipc.compiler import (
-    compile_program,
-    compile_source,
-    iter_leaves,
-    pointwise_iff,
-    tuple_of_value,
-)
+from flipc.compiler import compile_program, compile_source, iter_leaves, pointwise_iff
 from flipc.desugar import desugar_program
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
@@ -53,7 +47,7 @@ def test_criterion_1_layered_chain_worked_example():
     compiled, _ = compile_text(benchmark_text("chain_small.dice"))
     p_true = infer.prob_of_value(compiled, True)
     mgr = compiled.manager
-    root = compiled.formula.node
+    root = compiled.formula
     high_count = mgr.wmc(mgr.high(root), compiled.weights)
     low_count = mgr.wmc(mgr.low(root), compiled.weights)
     elapsed = time.perf_counter() - start
@@ -174,7 +168,7 @@ def test_criterion_9_bdd_engine_properties():
     for trial in range(30):
         n = rng.randint(1, 10)
         mgr = BddManager()
-        levels = [mgr.new_flip(0.5) for _ in range(n)]
+        levels = [mgr.new_flip() for _ in range(n)]
         t1, t2 = random_tree(rng, n, 4), random_tree(rng, n, 4)
         n1, n2 = build(mgr, levels, t1), build(mgr, levels, t2)
         equivalent = all(
@@ -187,7 +181,7 @@ def test_criterion_9_bdd_engine_properties():
     for trial in range(30):
         n = rng.randint(2, 10)
         mgr = BddManager()
-        levels = [mgr.new_flip(0.5) for _ in range(n)]
+        levels = [mgr.new_flip() for _ in range(n)]
         root = build(mgr, levels, random_tree(rng, n, 4))
         arbitrary = {l: (rng.uniform(0, 2), rng.uniform(0, 2)) for l in levels}
         assert abs(mgr.wmc(root, arbitrary) - wmc_brute_force(mgr, root, arbitrary)) < 1e-12
@@ -217,7 +211,7 @@ def test_criterion_9_bdd_engine_properties():
         assert mgr.last_wmc_visits <= mgr.node_count(compiled.accepting), name
         for value in itertools.islice(S.enumerate_values(compiled.output_ty), 4):
             selected = mgr.apply_and(
-                pointwise_iff(mgr, compiled.formula, tuple_of_value(value)),
+                pointwise_iff(mgr, compiled.formula, value),
                 compiled.accepting,
             )
             mgr.wmc(selected, compiled.weights)
@@ -231,9 +225,9 @@ def test_criterion_10_conditional_independence_bound():
     violations = 0
     while checked < 50:
         mgr = BddManager()
-        left = [mgr.new_flip(0.5) for _ in range(rng.randint(1, 5))]
-        z = mgr.new_flip(0.5)
-        right = [mgr.new_flip(0.5) for _ in range(rng.randint(1, 5))]
+        left = [mgr.new_flip() for _ in range(rng.randint(1, 5))]
+        z = mgr.new_flip()
+        right = [mgr.new_flip() for _ in range(rng.randint(1, 5))]
         b1 = build(mgr, left + [z], random_tree(rng, len(left) + 1, 4))
         b2 = build(mgr, [z] + right, random_tree(rng, len(right) + 1, 4))
         if b1 <= 1 or b2 <= 1:

@@ -16,7 +16,7 @@ from flipc.errors import MissingWeightError, NodeLimitError, UnboundFreeVariable
 
 def fresh_manager(n_vars: int):
     mgr = BddManager()
-    levels = [mgr.new_flip(0.5) for _ in range(n_vars)]
+    levels = [mgr.new_flip() for _ in range(n_vars)]
     return mgr, levels
 
 
@@ -138,7 +138,7 @@ class TestNodeBasics:
 
     def test_node_cap(self):
         mgr = BddManager(max_nodes=4)
-        levels = [mgr.new_flip(0.5) for _ in range(8)]
+        levels = [mgr.new_flip() for _ in range(8)]
         with pytest.raises(NodeLimitError):
             acc = FALSE
             for level in levels:
@@ -365,7 +365,7 @@ class TestCompose:
         # The bound formula replaces the placeholder: (f2 or x)[x -> f1].
         mgr = BddManager()
         x = mgr.new_free("x")
-        f1, f2 = mgr.new_flip(0.1), mgr.new_flip(0.4)
+        f1, f2 = mgr.new_flip(), mgr.new_flip()
         body = mgr.apply_or(mgr.var(f2), mgr.var(x))
         result = mgr.compose(body, {x: mgr.var(f1)})
         assert result == mgr.apply_or(mgr.var(f1), mgr.var(f2))
@@ -453,10 +453,10 @@ class TestCompose:
         # each) over disjoint levels below x.  Sending x to TRUE and renaming
         # every other variable further down must build A's image alone.
         mgr = BddManager()
-        x = mgr.new_flip(0.5)
-        a_levels = [mgr.new_flip(0.5) for _ in range(20)]
-        b_levels = [mgr.new_flip(0.5) for _ in range(20)]
-        fresh = [mgr.new_flip(0.5) for _ in range(40)]
+        x = mgr.new_flip()
+        a_levels = [mgr.new_flip() for _ in range(20)]
+        b_levels = [mgr.new_flip() for _ in range(20)]
+        fresh = [mgr.new_flip() for _ in range(40)]
 
         def parity(ls):
             acc = FALSE
@@ -717,9 +717,9 @@ class TestConditionalIndependenceBound:
         violations = 0
         for _ in range(50):
             mgr = BddManager()
-            left = [mgr.new_flip(0.5) for _ in range(rng.randint(1, 4))]
-            z = mgr.new_flip(0.5)
-            right = [mgr.new_flip(0.5) for _ in range(rng.randint(1, 4))]
+            left = [mgr.new_flip() for _ in range(rng.randint(1, 4))]
+            z = mgr.new_flip()
+            right = [mgr.new_flip() for _ in range(rng.randint(1, 4))]
             b1 = build(mgr, left + [z], random_tree(rng, len(left) + 1, 4))
             b2 = build(mgr, [z] + right, random_tree(rng, len(right) + 1, 4))
             if mgr.node_count(b1, b2) <= 2:
@@ -764,6 +764,6 @@ class TestDotExport:
             "let z = if y then flip 0.4 else flip 0.5 in\n"
             "z"
         )
-        dot = compiled.manager.to_dot({"out": compiled.formula.node})
+        dot = compiled.manager.to_dot({"out": compiled.formula})
         assert len([l for l in dot.splitlines() if "shape=circle" in l]) == 5
         assert len([l for l in dot.splitlines() if "shape=box" in l]) == 2

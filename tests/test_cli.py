@@ -337,10 +337,18 @@ class TestNesting:
         assert code == 0, err
         assert "result false 0.5\n" in out and "result true 0.5\n" in out
 
+    def test_int_20000_equality_answers(self, tmp_path):
+        # Literals are their own formula tuples, so comparing two wide
+        # integers recurses nowhere.
+        code, out, err = run_fresh(tmp_path, "int(20000, 3) == int(20000, 3)")
+        assert code == 0, err
+        assert out.startswith("accepting 1\n")
+        assert "result false 0\n" in out and "result true 1\n" in out
+
     @pytest.mark.parametrize(
         "text, flags",
         [
-            ("int(20000, 3) == int(20000, 3)", ()),
+            ("int(20000, 3)", ()),
             (
                 "let a = flip 0.5 in let b = flip 0.5 in "
                 + "".join(f"let c{i} = a && b in " for i in range(19998))
@@ -348,7 +356,7 @@ class TestNesting:
                 ("--oracle-check",),
             ),
         ],
-        ids=["int_20000_equality", "oracle_on_20000_lets"],
+        ids=["int_20000_output", "oracle_on_20000_lets"],
     )
     def test_too_deep_is_a_user_error_without_a_traceback(self, tmp_path, text, flags):
         code, _, err = run_fresh(tmp_path, text, *flags)

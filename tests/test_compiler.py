@@ -8,8 +8,6 @@ from flipc.bdd import FALSE, TRUE, BddManager
 from flipc import compiler
 from flipc.cli import main
 from flipc.compiler import (
-    Leaf,
-    Pair,
     _Compilation,
     apply_call,
     compile_function,
@@ -19,7 +17,6 @@ from flipc.compiler import (
     inline_program,
     iter_leaves,
     pointwise_iff,
-    tuple_of_value,
 )
 from flipc.errors import InternalError
 from flipc.generate import GenConfig, random_program
@@ -39,13 +36,13 @@ class TestForm:
     def test_bool_is_one_leaf(self):
         mgr = BddManager()
         t = form(mgr, "x", S.BOOL)
-        assert isinstance(t, Leaf)
-        assert mgr.labels[mgr.level_of(t.node)].name == "x"
+        assert isinstance(t, int)
+        assert mgr.labels[mgr.level_of(t)].name == "x"
 
     def test_pair_uses_l_r_suffixes(self):
         mgr = BddManager()
         t = form(mgr, "x", S.ProdTy(S.BOOL, S.BOOL))
-        assert isinstance(t, Pair)
+        assert isinstance(t, tuple)
         names = [mgr.labels[mgr.level_of(n)].name for n in iter_leaves(t)]
         assert names == ["x_l", "x_r"]
 
@@ -58,16 +55,16 @@ class TestForm:
 class TestTupleOperators:
     def test_pointwise_iff_reflexive(self):
         mgr = BddManager()
-        t = Pair(Leaf(mgr.var(mgr.new_flip(0.5))), Leaf(mgr.var(mgr.new_flip(0.5))))
+        t = (mgr.var(mgr.new_flip()), mgr.var(mgr.new_flip()))
         assert pointwise_iff(mgr, t, t) == TRUE
 
     def test_pointwise_iff_is_conjunction_of_leaf_equalities(self):
         import itertools
 
         mgr = BddManager()
-        levels = [mgr.new_flip(0.5) for _ in range(4)]
-        a = Pair(Leaf(mgr.var(levels[0])), Leaf(mgr.var(levels[1])))
-        b = Pair(Leaf(mgr.var(levels[2])), Leaf(mgr.var(levels[3])))
+        levels = [mgr.new_flip() for _ in range(4)]
+        a = (mgr.var(levels[0]), mgr.var(levels[1]))
+        b = (mgr.var(levels[2]), mgr.var(levels[3]))
         node = pointwise_iff(mgr, a, b)
         for bits in itertools.product((False, True), repeat=4):
             assignment = dict(zip(levels, bits))
@@ -78,40 +75,40 @@ class TestTupleOperators:
 class TestCompileRules:
     def test_flip_allocates_one_weighted_variable(self):
         compiled = compile_main("flip 0.4")
-        assert isinstance(compiled.formula, Leaf)
-        level = compiled.manager.level_of(compiled.formula.node)
+        assert isinstance(compiled.formula, int)
+        level = compiled.manager.level_of(compiled.formula)
         assert compiled.weights[level] == (0.4, 0.6)
         assert compiled.accepting == TRUE
         assert compiled.flip_count == 1
 
     def test_constant_flips_fold_to_terminals(self):
         compiled = compile_main("(flip 0.0, flip 1.0)")
-        assert compiled.formula == Pair(Leaf(FALSE), Leaf(TRUE))
+        assert compiled.formula == (False, True)
         assert compiled.flip_count == 0
 
     def test_let_bound_disjunction(self):
         compiled = compile_main(benchmark_text("or_let.dice"))
         mgr = compiled.manager
         f1, f2 = mgr.var(0), mgr.var(1)
-        assert compiled.formula == Leaf(mgr.apply_or(f1, f2))
+        assert compiled.formula == mgr.apply_or(f1, f2)
         assert compiled.accepting == TRUE
 
     def test_observation_splits_formula_and_accepting(self):
         compiled = compile_main(benchmark_text("evidence_or.dice"))
         mgr = compiled.manager
         f1, f2 = mgr.var(0), mgr.var(1)
-        assert compiled.formula == Leaf(f1)
+        assert compiled.formula == f1
         assert compiled.accepting == mgr.apply_or(f1, f2)
 
     def test_observe_compiles_to_true_formula(self):
         compiled = compile_main("let x = flip 0.3 in observe x")
-        assert compiled.formula == Leaf(TRUE)
+        assert compiled.formula == TRUE
         assert compiled.accepting != TRUE
 
     def test_tuple_with_constant_component(self):
         compiled = compile_main("let x = flip 0.2 in (x, true)")
         mgr = compiled.manager
-        assert compiled.formula == Pair(Leaf(mgr.var(0)), Leaf(TRUE))
+        assert compiled.formula == (mgr.var(0), TRUE)
         assert compiled.accepting == TRUE
         assert list(compiled.weights.values()) == [(0.2, 0.8)]
 
@@ -122,7 +119,7 @@ class TestFunctions:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         template = compile_function(ctx, core.functions[0])
-        assert template.formula == Leaf(TRUE)
+        assert template.formula == TRUE
         assert template.accepting == TRUE
         assert template.flip_levels == []
 
@@ -136,7 +133,7 @@ class TestFunctions:
         flip_node = mgr.var(template.flip_levels[0])
         expected = mgr.apply_or(mgr.var(arg_level), flip_node)
         assert template.accepting == expected
-        assert template.formula == Leaf(expected)
+        assert template.formula == expected
 
     def test_diamond_template_matches_drawn_topology(self):
         _, core = frontend(benchmark_text("diamond.dice"))
@@ -145,7 +142,7 @@ class TestFunctions:
         template = compile_function(ctx, core.functions[0])
         # One internal node per variable (argument, route, drop) plus the two
         # terminals.
-        assert mgr.node_count(template.formula.node) == 5
+        assert mgr.node_count(template.formula) == 5
         assert len(template.flip_levels) == 2
 
     def test_identity_call_returns_the_argument_handle(self):
@@ -153,10 +150,10 @@ class TestFunctions:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         ctx.funcs["id"] = compile_function(ctx, core.functions[0])
-        arg = Leaf(mgr.var(ctx.new_flip(0.5)))
-        result = apply_call(ctx, "id", arg)
-        assert result.formula == arg
-        assert result.accepting == TRUE
+        arg = mgr.var(ctx.new_flip(0.5))
+        formula, accepting = apply_call(ctx, "id", arg)
+        assert formula == arg
+        assert accepting == TRUE
 
     def test_call_refreshes_flips_per_call_site(self):
         compiled = compile_main(benchmark_text("diamond.dice"))
@@ -166,9 +163,9 @@ class TestFunctions:
         assert len(set(levels)) == len(levels)
         # The program formula never mentions the template's variables.
         mgr = compiled.manager
-        support = mgr.support(compiled.formula.node, compiled.accepting)
+        support = mgr.support(compiled.formula, compiled.accepting)
         assert all(mgr.labels[l].kind == "flip" for l in support)
-        assert compiled.manager.node_count(compiled.formula.node) == 8
+        assert compiled.manager.node_count(compiled.formula) == 8
 
     def test_template_agrees_with_function_semantics_per_argument(self, rng):
         # Substituting any concrete argument into a compiled template yields
@@ -200,7 +197,7 @@ class TestFunctions:
                 gamma = mgr.compose(template.accepting, mapping)
                 total = 0.0
                 for w in S.enumerate_values(func.return_ty):
-                    phi = pointwise_iff(mgr, template.formula, tuple_of_value(w))
+                    phi = pointwise_iff(mgr, template.formula, w)
                     selected = mgr.compose(mgr.apply_and(phi, template.accepting), mapping)
                     got = mgr.wmc(selected, ctx.weights)
                     want = table[func.name](v).get(w, 0.0)
@@ -277,7 +274,7 @@ class TestCompilationCorrectness:
             mgr = compiled.manager
             for value in S.enumerate_values(compiled.output_ty):
                 selected = mgr.apply_and(
-                    pointwise_iff(mgr, compiled.formula, tuple_of_value(value)),
+                    pointwise_iff(mgr, compiled.formula, value),
                     compiled.accepting,
                 )
                 got = mgr.wmc(selected, compiled.weights)
@@ -309,7 +306,7 @@ class TestCompilationCorrectness:
             total = 0.0
             for value in S.enumerate_values(compiled.output_ty):
                 selected = mgr.apply_and(
-                    pointwise_iff(mgr, compiled.formula, tuple_of_value(value)),
+                    pointwise_iff(mgr, compiled.formula, value),
                     compiled.accepting,
                 )
                 total += mgr.wmc(selected, compiled.weights)
@@ -548,14 +545,15 @@ def instantiations(monkeypatch):
         first = len(ctx.weights)
         mappings.clear()
         result = original(ctx, func_name, arg)
+        formula, accepting = result
         composed = any(template.formal_levels[0] in m for m in mappings)
         mgr = ctx.mgr
         fresh = list(ctx.weights)[first:]
         mapping = dict(zip(template.formal_levels, iter_leaves(arg)))
         mapping.update((level, mgr.var(flip)) for level, flip in zip(template.flip_levels, fresh))
         expected = [compose(mgr, n, mapping) for n in iter_leaves(template.formula)]
-        assert list(iter_leaves(result.formula)) == expected
-        assert result.accepting == compose(mgr, template.accepting, mapping)
+        assert list(iter_leaves(formula)) == expected
+        assert accepting == compose(mgr, template.accepting, mapping)
         calls.append((ctx, func_name, composed))
         return result
 
@@ -600,7 +598,7 @@ def test_a_flip_free_function_repeated_renames_nothing(instantiations):
         "let a = flip 0.3 in let b = f(a) in let c = f(a) in (b, c)"
     )
     assert [composed for _, _, composed in instantiations] == [True, False]
-    assert compiled.formula.left == compiled.formula.right
+    assert compiled.formula[0] == compiled.formula[1]
     assert compiled.flip_count == 1
 
 
@@ -619,11 +617,3 @@ def test_a_call_in_a_template_is_renamed_at_a_repeat_in_main(instantiations):
     assert stored == ctx.funcs["g"].flip_levels
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
 
-
-def test_a_call_under_an_explicit_order_is_an_internal_error():
-    _, core = frontend("fun f(x: Bool): Bool { x && flip 0.4 }\nf(true)")
-    mgr = BddManager()
-    ctx = _Compilation(mgr, order=[mgr.new_flip(None, name="f1")])
-    ctx.funcs["f"] = compile_function(ctx, core.functions[0])
-    with pytest.raises(InternalError, match="explicit variable order"):
-        apply_call(ctx, "f", Leaf(TRUE))

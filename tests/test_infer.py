@@ -8,7 +8,6 @@ import pytest
 from flipc import infer, syntax as S
 from flipc.bdd import FALSE, BddManager
 from flipc.compiler import (
-    CompiledExpr,
     CompiledProgram,
     _Compilation,
     compile_expr,
@@ -50,8 +49,8 @@ class TestAcceptingProbability:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         env = {"x": form(mgr, "x", S.BOOL)}
-        expr = compile_expr(ctx, env, S.Ident("x"))
-        program = CompiledProgram(mgr, expr, S.BOOL, 0, "modular")
+        formula, accepting = compile_expr(ctx, env, S.Ident("x"))
+        program = CompiledProgram(mgr, formula, accepting, ctx.weights, S.BOOL, 0, "modular")
         with pytest.raises(UnboundFreeVariableError):
             infer.accepting_probability(program)
 
@@ -61,8 +60,8 @@ class TestAcceptingProbability:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         env = {"x": form(mgr, "x", S.BOOL)}
-        expr = compile_expr(ctx, env, S.Ident("x"))
-        program = CompiledProgram(mgr, CompiledExpr(expr.formula, FALSE, {}), S.BOOL, 0, "modular")
+        formula, _ = compile_expr(ctx, env, S.Ident("x"))
+        program = CompiledProgram(mgr, formula, FALSE, {}, S.BOOL, 0, "modular")
         queries = (
             infer.accepting_probability,
             infer.full_distribution,
