@@ -133,7 +133,6 @@ class CompiledProgram:
     # compile_source, the formula's shape from compile_program alone.
     output_ty: S.Ty
     flip_count: int  # every flip variable, a template's own included
-    mode: str
     # Flips allocated while compiling function templates: each call samples
     # fresh copies of them, never the template's own.
     template_flips: int = 0
@@ -421,7 +420,6 @@ def compile_program(
         ctx.weights,
         S.ty_of_value(formula),
         len(ctx.weights),
-        mode,
         template_flips=template_flips,
     )
 

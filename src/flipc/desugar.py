@@ -2,14 +2,15 @@
 
 Multi-parameter functions are first rewritten to a single tuple-typed formal.
 Then one pass over each body lowers everything else, straight to A-normal
-form: bounded iteration (unrolled to nested calls), ``discrete`` (a chain of
-guarded flips producing a one-hot tuple), integer literals and arithmetic
-(one-hot tuple formulas), and the boolean operators (conditionals).  Where a
-construct needs an atom (a guard; the operand of ``fst``, ``snd``,
-``observe``, ``!`` or a call; a tuple component; the left side of ``&&`` or
-``||``) and its lowered operand is not one, the operand is bound to a fresh
-``$t`` name just outside the construct.  An expansion lowers only the text it
-generates over names bound to its already lowered operands.
+form: bounded iteration (unrolled to nested calls), ``discrete`` (a chain
+``let $d = flip q in if $d then <one-hot literal> else ...``, already core),
+integer literals and arithmetic (one-hot tuple formulas), and the boolean
+operators (conditionals).  Where a construct needs an atom (a guard; the
+operand of ``fst``, ``snd``, ``observe``, ``!`` or a call; a tuple
+component; the left side of ``&&`` or ``||``) and its lowered operand is not
+one, the operand is bound to a fresh ``$t`` name just outside the construct.
+An integer expansion lowers only the text it generates over names bound to
+its already lowered operands.
 
 Generated binders use the reserved ``$`` prefix, which the parser rejects, so
 they can never capture user names.
@@ -102,7 +103,7 @@ def _ds(e: S.Expr, fresh, temps):
     if isinstance(e, (S.IntAdd, S.IntMul)):
         return (yield _ds_int_arith(e, fresh, temps))
     if isinstance(e, S.Discrete):
-        return (yield _ds(_discrete_expansion(e.params, fresh, e.span), fresh, temps))
+        return _discrete_chain(e.params, fresh, e.span)
     if isinstance(e, S.Iterate):
         # f(f(... f(init))), each call's argument hoisted innermost first.
         result = yield _ds(e.init, fresh, temps)
@@ -156,13 +157,13 @@ def _wrap(bindings: list, body: S.Expr) -> S.Expr:
     return body
 
 
-def _discrete_expansion(params: list, fresh, span) -> S.Expr:
-    """One-hot expansion of ``discrete(p0, ..., pn-1)``, over fresh names and
-    flips only.
+def _discrete_chain(params: list, fresh, span) -> S.Expr:
+    """Core ANF of ``discrete(p0, ..., pn-1)``: a chain of coins, each tossed
+    only when every earlier one came up tails.
 
-    Indicator i is true when all earlier indicators are false and a coin with
-    probability p_i over the remaining mass comes up heads; the last
-    indicator needs no coin.  A remaining mass of zero emits ``flip 0``.
+    Coin i has probability p_i over the remaining mass (``flip 0`` where that
+    mass is zero), and its then-branch is the one-hot value i; the last value
+    needs no coin.
     """
     if not params:
         raise BadDistributionError("discrete needs at least one probability")
@@ -176,23 +177,14 @@ def _discrete_expansion(params: list, fresh, span) -> S.Expr:
         )
     n = len(params)
     tag = next(fresh)
-    names = [f"$d{tag}_{i}" for i in range(n)]
-    bindings = []
-    for i in range(n):
-        if i == n - 1:
-            guarded: S.Expr | None = None
-        else:
-            rem = remaining[i]
-            theta = 0.0 if rem == 0.0 else min(max(params[i] / rem, 0.0), 1.0)
-            guarded = S.Flip(theta)
-        expr = guarded
-        for j in range(i - 1, -1, -1):
-            neg = S.Not(S.Ident(names[j]))
-            expr = neg if expr is None else S.And(neg, expr)
-        if expr is None:  # n == 1: the single indicator is always true
-            expr = S.Lit(True)
-        bindings.append((names[i], expr))
-    return _wrap(bindings, _tuple_of_names(names))
+    chain: S.Expr = S.Lit(S.one_hot_value(n, n - 1))
+    for i in range(n - 2, -1, -1):
+        rem = remaining[i]
+        theta = 0.0 if rem == 0.0 else min(max(params[i] / rem, 0.0), 1.0)
+        coin = f"$d{tag}_{i}"
+        then = S.Lit(S.one_hot_value(n, i))
+        chain = S.Let(coin, S.Flip(theta), S.Ite(S.Ident(coin), then, chain))
+    return chain
 
 
 def _tuple_of_names(names: list) -> S.Expr:

@@ -24,8 +24,6 @@ class GenConfig:
     max_functions: int = 2
     max_output_leaves: int = 4
     allow_observe: bool = True
-    allow_ints: bool = True
-    allow_iterate: bool = True
 
 
 THETAS = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -52,7 +50,7 @@ class _Gen:
             return S.ProdTy(
                 self.ty(depth - 1, left_budget), self.ty(depth - 1, max_leaves - left_budget)
             )
-        if self.cfg.allow_ints and max_leaves >= 2 and roll < 0.45:
+        if max_leaves >= 2 and roll < 0.45:
             return S.IntTy(self.rng.randint(2, min(4, max_leaves)))
         return S.BOOL
 
@@ -143,7 +141,7 @@ class _Gen:
             self.flips_left -= cost
             arg_ty = S.params_ty(func.params)
             arg = self.expr(env, arg_ty, depth - 1)
-            if self.cfg.allow_iterate and arg_ty == func.return_ty == ty and rng.random() < 0.3:
+            if arg_ty == func.return_ty == ty and rng.random() < 0.3:
                 count = rng.randint(0, 2)
                 if cost * count <= self.flips_left + cost:
                     self.flips_left -= cost * (count - 1) if count > 1 else 0

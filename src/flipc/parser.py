@@ -386,14 +386,6 @@ def parse_expr(text: str, filename: str = "<input>") -> S.Expr:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-def _fmt_number(x: float) -> str:
-    return repr(x)
-
-
-def pretty_ty(ty: S.Ty) -> str:
-    return str(ty)
-
-
 def pretty_expr(e: S.Expr) -> str:
     out: list = []
     S.trampoline(_pp(e, 0, out))
@@ -438,9 +430,9 @@ def _pp(e: S.Expr, prec: int, out: list):
     elif isinstance(e, S.Ident):
         out.append(e.name)
     elif isinstance(e, S.Flip):
-        out.append(f"flip {_fmt_number(e.theta)}")
+        out.append(f"flip {e.theta!r}")
     elif isinstance(e, S.Discrete):
-        out.append(f"discrete({', '.join(_fmt_number(p) for p in e.params)})")
+        out.append(f"discrete({', '.join(repr(p) for p in e.params)})")
     elif isinstance(e, S.IntLit):
         out.append(f"int({e.size}, {e.value})")
     elif isinstance(e, S.Iterate):
@@ -466,9 +458,9 @@ def _pp(e: S.Expr, prec: int, out: list):
 def pretty_program(p: S.Program) -> str:
     chunks = []
     for f in p.functions:
-        params = ", ".join(f"{name}: {pretty_ty(ty)}" for name, ty in f.params)
+        params = ", ".join(f"{name}: {ty}" for name, ty in f.params)
         chunks.append(
-            f"fun {f.name}({params}): {pretty_ty(f.return_ty)} {{\n{pretty_expr(f.body)}\n}}"
+            f"fun {f.name}({params}): {f.return_ty} {{\n{pretty_expr(f.body)}\n}}"
         )
     chunks.append(pretty_expr(p.main))
     return "\n\n".join(chunks) + "\n"

@@ -21,10 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Iterator, NamedTuple, Optional, Union
 
-# Fresh names generated by desugaring and inlining start with this prefix.
-# The lexer rejects it, so generated names can never collide with user names.
-RESERVED_PREFIX = "$"
-
 Value = Union[bool, tuple]
 
 
@@ -370,12 +366,6 @@ class Function:
 class Program:
     functions: list  # list of Function, call order: each body only calls earlier ones
     main: Expr
-
-    def function(self, name: str) -> Function:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

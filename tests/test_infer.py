@@ -50,7 +50,7 @@ class TestAcceptingProbability:
         ctx = _Compilation(mgr)
         env = {"x": form(mgr, "x", S.BOOL)}
         formula, accepting = compile_expr(ctx, env, S.Ident("x"))
-        program = CompiledProgram(mgr, formula, accepting, ctx.weights, S.BOOL, 0, "modular")
+        program = CompiledProgram(mgr, formula, accepting, ctx.weights, S.BOOL, 0)
         with pytest.raises(UnboundFreeVariableError):
             infer.accepting_probability(program)
 
@@ -61,7 +61,7 @@ class TestAcceptingProbability:
         ctx = _Compilation(mgr)
         env = {"x": form(mgr, "x", S.BOOL)}
         formula, _ = compile_expr(ctx, env, S.Ident("x"))
-        program = CompiledProgram(mgr, formula, FALSE, {}, S.BOOL, 0, "modular")
+        program = CompiledProgram(mgr, formula, FALSE, {}, S.BOOL, 0)
         queries = (
             infer.accepting_probability,
             infer.full_distribution,
@@ -218,7 +218,7 @@ class TestSurfaceValues:
     def test_surface_rows_equal_erased_rows_and_the_rest_are_zero(self, rng):
         checked = 0
         for _ in range(100):
-            program = random_program(rng, GenConfig(max_flips=8, max_depth=4, allow_ints=True))
+            program = random_program(rng, GenConfig(max_flips=8, max_depth=4))
             text = pretty_program(program)
             compiled, _ = compile_source(text)
             if S.erase_int_types(compiled.output_ty) == compiled.output_ty:
