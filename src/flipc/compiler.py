@@ -27,24 +27,30 @@ mode instead splices function bodies syntactically (with alpha-renaming)
 before compiling, as a differential baseline.
 
 A ``let`` whose bound builds new formulas (a conditional, a call or a
-``let``) holds each large leaf of the bound that mentions a level the bound
-registered (one of its flips or an inner placeholder) behind a fresh
-placeholder variable, registered after the bound's flips and before the
-body's.  The body compiles over the placeholders, and one simultaneous
-composition then substitutes the held formulas back.  Binding the formulas
-themselves would make every later layer copy them, so the store would grow
-quadratically along a chain of lets while the live BDD grows linearly.  A
-leaf that only combines earlier levels (a partial sum of ``x + y``) is bound
-as it is: its placeholder would sit below the leaf's own levels, and
-composing it back would re-expand the formula through ``ite``.  A ``let``
-in the bound of another ``let`` leaves its composition to the enclosing
-one, which composes the newest group first.  Nothing is held under an
-explicit variable order: it registers every flip up front, so no leaf
-mentions a level the bound registered.  Nor is a leaf rooted at a function's
-formal, since composing through the formals, which precede the template's
-flips, would be a full Shannon expansion.  Every placeholder is composed
-away before a template or the program is finished, so the result is the
-same canonical BDD.
+``let``) holds leaves of the bound behind fresh placeholder variables,
+registered after the bound's flips and before the body's.  The body
+compiles over the placeholders, and one simultaneous composition then
+substitutes the held formulas back.  Binding the formulas themselves would
+make every later layer copy them, so the store would grow quadratically
+along a chain of lets while the live BDD grows linearly.  The bound's
+surface type, which desugaring records on it, decides which leaves are
+held.  The leaves of an ``int(n)`` component never are: they are mutually
+exclusive, and independent placeholders would make the body build cases
+for value combinations that cannot happen.  Every other leaf is held when
+it mentions a level the bound registered (one of its flips or an inner
+placeholder) and its deepest level lies at least three below its root's; a
+narrower leaf has at most five nodes, too few to repay a level and a
+composition.  A leaf that only
+combines earlier levels (a partial sum of ``x + y``) is bound as it is: its
+placeholder would sit below the leaf's own levels, and composing it back
+would re-expand the formula through ``ite``.  A ``let`` in the bound of
+another ``let`` leaves its composition to the enclosing one, which composes
+the newest group first.  Nothing is held under an explicit variable order:
+it registers every flip up front, so no leaf mentions a level the bound
+registered.  Nor is a leaf rooted at a function's formal, since composing
+through the formals, which precede the template's flips, would be a full
+Shannon expansion.  Every placeholder is composed away before a template or
+the program is finished, so the result is the same canonical BDD.
 
 Flip variables enter the global BDD order in the syntactic order compilation
 reaches them; a call's refreshed flips are allocated contiguously at the
@@ -146,12 +152,6 @@ class CompiledProgram:
 # Compilation proper
 
 
-# A let-bound leaf is held behind a placeholder only when it has more nodes
-# than this; holding small formulas would add a level and a composition per
-# let for little saving in copies.
-HOLD_NODES = 32
-
-
 class _Compilation:
     def __init__(self, mgr: BddManager, order: Optional[list] = None):
         self.mgr = mgr
@@ -227,7 +227,7 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
         first_level = mgr.num_levels()
         bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, in_bound=True)
         if isinstance(e.bound, _BUILDS):
-            bound_formula = _hold(ctx, bound_formula, first_level)
+            bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
         old = env.get(e.name, _MISSING)
         env[e.name] = bound_formula
         formula, accepting = yield _compile(ctx, env, e.body)
@@ -248,52 +248,56 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
 # Bounds that build new formulas; any other bound rebinds existing leaves.
 _BUILDS = (S.Ite, S.Call, S.Let)
 
+# Marks, on the walk's stack in ``_hold``, where a pair's two components
+# are complete.
+_PAIR = object()
 
-def _hold(ctx: _Compilation, t, first_level: int):
-    """``t`` with each large leaf that mentions a level from ``first_level``
-    on replaced by a fresh placeholder variable; the leaves replaced go on
-    ``ctx.held`` as one group."""
+
+def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
+    """``t``, of surface type ``ty``, with each wide Bool leaf that mentions
+    a level from ``first_level`` on replaced by a fresh placeholder
+    variable; the leaves replaced go on ``ctx.held`` as one group.  A bound
+    without a type holds as if every leaf were Bool.
+
+    The leaves of an ``int(n)`` component are kept as they are: they are
+    mutually exclusive, and independent placeholders would make the body
+    build cases for value combinations that cannot happen.  A leaf whose
+    levels lie within three of its root's has at most five nodes, too few
+    to repay a level and a composition.  The walk pairs ``ty`` with ``t``
+    on an explicit stack, leaves left to right, and rebuilds the pairs on a
+    second one."""
     mgr = ctx.mgr
+    maxvar = mgr._maxvar
     group = {}
-
-    def hold(node: int) -> int:
-        level = mgr.level_of(node)
-        if (
+    done = []
+    todo = [(t, ty)]
+    while todo:
+        t, ty = todo.pop()
+        if t is _PAIR:
+            right = done.pop()
+            done.append((done.pop(), right))
+        elif isinstance(ty, S.IntTy):
+            done.append(t)
+        elif isinstance(t, tuple):
+            left_ty, right_ty = (ty.left, ty.right) if isinstance(ty, S.ProdTy) else (None, None)
+            todo += ((_PAIR, None), (t[1], right_ty), (t[0], left_ty))
+        elif (
             # A terminal, or a leaf that only combines earlier levels (any
             # leaf under an explicit order): its placeholder would sit below
             # its own levels, so composing it back would re-expand it.
-            mgr._maxvar[node] < first_level
-            # A leaf spanning at most 5 levels has at most 2**5 - 1 nodes.
-            or mgr._maxvar[node] - level < 5
-            or level in ctx.formals
-            or not _exceeds(mgr, node, HOLD_NODES)
+            maxvar[t] < first_level
+            or maxvar[t] - mgr.level_of(t) < 3
+            or mgr.level_of(t) in ctx.formals
         ):
-            return node
-        placeholder = mgr.new_free(f"$hold{len(ctx.placeholders)}")
-        ctx.placeholders.add(placeholder)
-        group[placeholder] = node
-        return mgr.var(placeholder)
-
-    t = _map_tuple(t, hold)
+            done.append(t)
+        else:
+            placeholder = mgr.new_free(f"$hold{len(ctx.placeholders)}")
+            ctx.placeholders.add(placeholder)
+            group[placeholder] = t
+            done.append(mgr.var(placeholder))
     if group:
         ctx.held.append(group)
-    return t
-
-
-def _exceeds(mgr: BddManager, root: int, limit: int) -> bool:
-    """Whether more than ``limit`` internal nodes are reachable from
-    ``root``; the walk stops at the first node past the limit."""
-    seen = set()
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n > TRUE and n not in seen:
-            if len(seen) == limit:
-                return True
-            seen.add(n)
-            stack.append(mgr.low(n))
-            stack.append(mgr.high(n))
-    return False
+    return done[0]
 
 
 def _release(ctx: _Compilation, mark: int, formula, accepting: int):
@@ -457,7 +461,8 @@ def inline_program(program: S.Program) -> S.Program:
         if isinstance(e, (S.Lit, S.Ident, S.Flip)):
             return e
         if isinstance(e, S.Let):
-            return S.Let(e.name, (yield transform(e.bound)), (yield transform(e.body)))
+            bound = yield transform(e.bound)
+            return S.Let(e.name, bound, (yield transform(e.body)), ty=e.ty)
         if isinstance(e, (S.Fst, S.Snd, S.Observe)):
             return type(e)((yield transform(e.arg)))
         if isinstance(e, S.Tup):
@@ -465,11 +470,16 @@ def inline_program(program: S.Program) -> S.Program:
         if isinstance(e, S.Ite):
             guard = yield transform(e.guard)
             then = yield transform(e.then)
-            return S.Ite(guard, then, (yield transform(e.orelse)))
+            return S.Ite(guard, then, (yield transform(e.orelse)), ty=e.ty)
         if isinstance(e, S.Call):
             func = completed[e.func]
             subst = {func.formal: (yield transform(e.arg))}
-            return (yield _instantiate(func.body, subst, counter))
+            body = yield _instantiate(func.body, subst, counter)
+            if not S.is_atomic(body):
+                # A fresh copy: as a let bound it holds by the call's type,
+                # as the call does in modular mode.
+                body.ty = e.ty
+            return body
         raise InternalError(f"cannot inline non-core expression {type(e).__name__}")
 
     for func in program.functions:
@@ -501,7 +511,7 @@ def _instantiate(e: S.Expr, subst: dict, counter):
             del subst[e.name]
         else:
             subst[e.name] = old
-        return S.Let(fresh, bound, body)
+        return S.Let(fresh, bound, body, ty=e.ty)
     if isinstance(e, (S.Fst, S.Snd, S.Observe)):
         return type(e)((yield _instantiate(e.arg, subst, counter)))
     if isinstance(e, S.Tup):
@@ -510,7 +520,7 @@ def _instantiate(e: S.Expr, subst: dict, counter):
     if isinstance(e, S.Ite):
         guard = yield _instantiate(e.guard, subst, counter)
         then = yield _instantiate(e.then, subst, counter)
-        return S.Ite(guard, then, (yield _instantiate(e.orelse, subst, counter)))
+        return S.Ite(guard, then, (yield _instantiate(e.orelse, subst, counter)), ty=e.ty)
     if isinstance(e, S.Call):
         raise InternalError("call survived inlining")
     raise InternalError(f"cannot instantiate {type(e).__name__}")

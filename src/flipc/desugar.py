@@ -17,8 +17,15 @@ they can never capture user names.
 
 All entry points expect a typechecked input: integer desugaring reads the
 operand sizes off the ``ty`` annotations.  The input is not modified.  The
-output is not typechecked: nothing reads its ``ty`` fields, and the tests
-check that it is well typed.
+output is not typechecked, and the tests check that it is well typed.  Its
+one type annotation the compiler reads is on a ``let`` bound: the surface
+type of a surface ``let``'s bound, a ``$t`` temporary's operand, an integer
+operator's operand or an ``iterate`` argument, stored once per bound
+without a walk over the type.  It keeps ``int(n)``, so the compiler can
+tell a one-hot integer's leaves, which it never holds behind independent
+placeholders, from independent Bools.  Bounds over Bool terms that
+desugaring writes itself (an integer operator's or-chains, the sides of a
+Bool ``==``) may carry none, which the compiler reads as Bool.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ def _ds(e: S.Expr, fresh, temps):
         return S.Lit(S.one_hot_value(e.size, e.value), span=e.span)
     if isinstance(e, S.Let):
         bound = yield _ds(e.bound, fresh, temps)
+        bound.ty = e.bound.ty
         return S.Let(e.name, bound, (yield _ds(e.body, fresh, temps)), span=e.span)
     if isinstance(e, S.Eq):
         return (yield _ds_eq(e, fresh, temps))
@@ -109,45 +117,48 @@ def _ds(e: S.Expr, fresh, temps):
         result = yield _ds(e.init, fresh, temps)
         for _ in range(e.count):
             binds: list = []
-            arg = _name(result, binds, temps, e.span)
+            arg = _name(result, e, binds, temps)
             result = _wrap(binds, S.Call(e.func, arg, span=e.span))
         return result
     binds = []
     if isinstance(e, S.Ite):
-        guard = _name((yield _ds(e.guard, fresh, temps)), binds, temps, e.guard.span)
+        guard = _name((yield _ds(e.guard, fresh, temps)), e.guard, binds, temps)
         then = yield _ds(e.then, fresh, temps)
         result = S.Ite(guard, then, (yield _ds(e.orelse, fresh, temps)), span=e.span)
     elif isinstance(e, (S.Fst, S.Snd, S.Observe)):
-        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        arg = _name((yield _ds(e.arg, fresh, temps)), e.arg, binds, temps)
         result = type(e)(arg, span=e.span)
     elif isinstance(e, S.Tup):
-        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
-        right = _name((yield _ds(e.right, fresh, temps)), binds, temps, e.right.span)
+        left = _name((yield _ds(e.left, fresh, temps)), e.left, binds, temps)
+        right = _name((yield _ds(e.right, fresh, temps)), e.right, binds, temps)
         result = S.Tup(left, right, span=e.span)
     elif isinstance(e, S.Call):
-        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        arg = _name((yield _ds(e.arg, fresh, temps)), e.arg, binds, temps)
         result = S.Call(e.func, arg, span=e.span)
     elif isinstance(e, S.And):
-        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
+        left = _name((yield _ds(e.left, fresh, temps)), e.left, binds, temps)
         result = S.Ite(left, (yield _ds(e.right, fresh, temps)), S.Lit(False), span=e.span)
     elif isinstance(e, S.Or):
-        left = _name((yield _ds(e.left, fresh, temps)), binds, temps, e.left.span)
+        left = _name((yield _ds(e.left, fresh, temps)), e.left, binds, temps)
         result = S.Ite(left, S.Lit(True), (yield _ds(e.right, fresh, temps)), span=e.span)
     elif isinstance(e, S.Not):
-        arg = _name((yield _ds(e.arg, fresh, temps)), binds, temps, e.arg.span)
+        arg = _name((yield _ds(e.arg, fresh, temps)), e.arg, binds, temps)
         result = S.Ite(arg, S.Lit(False), S.Lit(True), span=e.span)
     else:
         raise TypeError(f"cannot desugar {type(e).__name__}")
     return _wrap(binds, result)
 
 
-def _name(lowered: S.Expr, binds: list, temps, span) -> S.Expr:
-    """``lowered`` itself if atomic, else a fresh ``$t`` bound to it in ``binds``."""
+def _name(lowered: S.Expr, operand: S.Expr, binds: list, temps) -> S.Expr:
+    """``lowered`` itself if atomic, else a fresh ``$t`` bound to it in
+    ``binds``; ``operand`` is the surface expression it lowers, whose span
+    the name takes and whose type the bound takes."""
     if S.is_atomic(lowered):
         return lowered
     name = f"$t{next(temps)}"
+    lowered.ty = operand.ty
     binds.append((name, lowered))
-    return S.Ident(name, span=span)
+    return S.Ident(name, span=operand.span)
 
 
 def _wrap(bindings: list, body: S.Expr) -> S.Expr:
@@ -207,13 +218,16 @@ def _int_size(e: S.Expr) -> int:
     return e.ty.size
 
 
-def _bind_leaves(operand: S.Expr, size: int, tag: str, fresh, bindings) -> list:
-    """Let-bind the one-hot leaves of ``operand``; returns leaf identifiers.
+def _bind_leaves(operand: S.Expr, ty: S.IntTy, tag: str, fresh, bindings) -> list:
+    """Let-bind the one-hot leaves of ``operand``, of surface type ``ty``;
+    returns leaf identifiers.
 
     Suffix tuples are bound once each so the emitted tree stays linear in
-    ``size`` rather than quadratic.
+    the size rather than quadratic.
     """
+    size = ty.size
     base = f"${tag}{next(fresh)}"
+    operand.ty = ty
     bindings.append((f"{base}_s0", operand))
     leaves = []
     for i in range(size):
@@ -248,8 +262,8 @@ def _ds_eq(e: S.Eq, fresh, temps):
         return S.Let(a, left, S.Let(b, right, iff))
     size = _int_size(e.left)
     bindings: list = []
-    lhs = _bind_leaves(left, size, "a", fresh, bindings)
-    rhs = _bind_leaves(right, size, "b", fresh, bindings)
+    lhs = _bind_leaves(left, e.left.ty, "a", fresh, bindings)
+    rhs = _bind_leaves(right, e.right.ty, "b", fresh, bindings)
     result = yield _ds(_or_chain([S.And(lhs[i], rhs[i]) for i in range(size)]), fresh, temps)
     return _wrap(bindings, result)
 
@@ -260,8 +274,8 @@ def _ds_int_arith(e, fresh, temps):
     left = yield _ds(e.left, fresh, temps)
     right = yield _ds(e.right, fresh, temps)
     bindings: list = []
-    lhs = _bind_leaves(left, size, "a", fresh, bindings)
-    rhs = _bind_leaves(right, size, "b", fresh, bindings)
+    lhs = _bind_leaves(left, e.left.ty, "a", fresh, bindings)
+    rhs = _bind_leaves(right, e.right.ty, "b", fresh, bindings)
     combine = (lambda i, j: (i + j) % size) if isinstance(e, S.IntAdd) else (
         lambda i, j: (i * j) % size
     )

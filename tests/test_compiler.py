@@ -1,12 +1,15 @@
 """Compilation to weighted Boolean formulas: rule-level examples,
 differential correctness against the enumeration oracle, and mode agreement."""
 
+import random
+
 import pytest
 
 from flipc import infer, syntax as S
 from flipc.bdd import FALSE, TRUE, BddManager
 from flipc import compiler
-from flipc.cli import main
+from flipc.bif import joint_enumeration_marginal, net_to_program, parse_bif
+from flipc.cli import ORACLE_TOLERANCE, main
 from flipc.compiler import (
     _Compilation,
     apply_call,
@@ -18,6 +21,7 @@ from flipc.compiler import (
     iter_leaves,
     pointwise_iff,
 )
+from flipc.desugar import desugar_program
 from flipc.errors import InternalError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
@@ -349,9 +353,9 @@ class TestBundledBenchmarks:
 # query, per mode, and node_count(), for each suite at n=64.  Canonicity makes
 # these exact: a refactor of the engine that allocates differently shows here.
 PINNED_STORE_SIZES = {
-    "chained-flips": ({"modular": (2546, 2803), "inline": (2546, 2803)}, 259),
-    "diamond": ({"modular": (1381, 1508), "inline": (4525, 4652)}, 130),
-    "ladder": ({"modular": (6545, 6797), "inline": (3870, 4122)}, 255),
+    "chained-flips": ({"modular": (894, 1151), "inline": (894, 1151)}, 259),
+    "diamond": ({"modular": (580, 707), "inline": (1075, 1202)}, 130),
+    "ladder": ({"modular": (2201, 2453), "inline": (2306, 2558)}, 255),
     "caesar-mini": ({"modular": (2905, 2922), "inline": (6267, 6284)}, 843),
 }
 
@@ -432,8 +436,9 @@ def test_a_512_block_chain_fits_a_100000_node_store():
     assert infer.prob_of_value(compiled, True) == pytest.approx(p, abs=1e-12)
 
 
-# Ten flips and a disjunction of pairs over them with 64 nodes in this
-# order: large enough that a let bound to it is held behind a placeholder.
+# Ten flips and a disjunction of pairs over them, spanning all ten levels:
+# a Bool leaf that wide, bound by a let whose bound allocates a flip, is
+# held behind a placeholder.
 FLIPS = "".join(f"let a{i} = flip 0.{i + 2} in " for i in range(5)) + "".join(
     f"let b{i} = flip 0.{i + 3} in " for i in range(5)
 )
@@ -486,13 +491,17 @@ def sum_of_discretes(n):
 # The partial or-chains of x + y only combine x's and y's flips.  Held, each
 # sat behind a placeholder below its own levels, and composing it back
 # re-expanded the sum through ite: n=20 stored 305,137 nodes and n=30 about
-# 3 million, for the same 230 and 495 live ones.
-PINNED_SUM_STORES = {20: (8400, 230), 30: (27900, 495)}
+# 3 million, for the same 230 and 495 live ones.  x and y themselves are
+# int(n): their leaves are never held.  Held by size, the leaves of x and
+# y past the 32nd became independent placeholders, and n=40 stored
+# 2,592,610 nodes.
+PINNED_SUM_STORES = {20: (8400, 230), 30: (27900, 495), 40: (65600, 860)}
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_SUM_STORES))
 def test_a_bound_that_allocates_no_flip_is_not_held(n):
-    compiled, _ = compile_source(sum_of_discretes(n))
+    # The cap makes a misfiring rule fail fast instead of filling memory.
+    compiled, _ = compile_source(sum_of_discretes(n), max_nodes=1_000_000)
     assert (len(compiled.manager._var), compiled.node_count()) == PINNED_SUM_STORES[n]
     assert infer.prob_of_value(compiled, True) == pytest.approx(1.0 / n, abs=1e-12)
 
@@ -514,6 +523,135 @@ def test_a_25_value_discrete_matches_the_oracle(mode, rng):
     params[-1] = 1.0 - sum(params[:-1])
     compiled, core = compile_source(discrete_of(params), mode=mode)
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
+
+
+def test_held_lets_in_random_programs_match_the_oracle():
+    # Random programs of up to 24 flips hold a let now and then: the
+    # referee must see some, or this test says nothing.
+    rng = random.Random(0)
+    held = 0
+    for _ in range(200):
+        program = random_program(rng, GenConfig(max_flips=24, max_depth=6))
+        typecheck_program(program)
+        core = desugar_program(program)
+        modes = [compile_program(core, mode=mode) for mode in ("modular", "inline")]
+        if any(placeholders(compiled) for compiled in modes):
+            held += 1
+            for compiled in modes:
+                assert compiled_vs_oracle_delta(compiled, core) < ORACLE_TOLERANCE
+    assert held >= 10
+
+
+# Canonicity referee: holding a let changes how a BDD is built, never which
+# BDD.  Each program compiles as it is and with _hold holding nothing, and
+# both must give the same node count and bit-equal probabilities.
+
+
+def _hold_nothing(ctx, t, ty, first_level):
+    return t
+
+
+def same_without_holding(monkeypatch, build):
+    """``build()`` as it is, checked against ``build()`` with nothing held."""
+    held = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "_hold", _hold_nothing)
+        eager = build()
+    assert not placeholders(eager)
+    assert held.node_count() == eager.node_count()
+    assert infer.accepting_probability(held) == infer.accepting_probability(eager)
+    assert infer.full_distribution(held) == infer.full_distribution(eager)
+    return held
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_holding_changes_no_suite_result(monkeypatch, suite, mode):
+    compiled = same_without_holding(
+        monkeypatch, lambda: compile_text(suite_source(suite, 64), mode=mode)[0]
+    )
+    # caesar-mini binds int(4) letters and Bool observations over at most
+    # two levels: it holds nothing.
+    assert bool(placeholders(compiled)) == (suite != "caesar-mini")
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("name", sorted(HELD_PROGRAMS))
+def test_holding_changes_no_held_program_result(monkeypatch, name, mode):
+    _, core = frontend(HELD_PROGRAMS[name])
+    compiled = same_without_holding(monkeypatch, lambda: compile_program(core, mode=mode))
+    assert placeholders(compiled)
+
+
+def test_holding_changes_no_sum_result(monkeypatch):
+    same_without_holding(
+        monkeypatch, lambda: compile_source(sum_of_discretes(20), max_nodes=1_000_000)[0]
+    )
+
+
+def layered_bif(layers, width, states, seed):
+    """BIF text of a seeded layered network, and its query variable (the
+    first of the last layer).  Each layer has ``width`` variables of
+    ``states`` states; a variable past the first layer has two parents in
+    the layer before it, at its own column and the next one (wrapping), and
+    every CPT row is drawn at random."""
+    rng = random.Random(seed)
+    labels = ", ".join(f"s{k}" for k in range(states))
+    names = [[f"v{layer}_{col}" for col in range(width)] for layer in range(layers)]
+    lines = ["network layered { }"]
+    for row in names:
+        lines += [f"variable {name} {{ type discrete [ {states} ] {{ {labels} }}; }}" for name in row]
+
+    def cpt_row():
+        raw = [rng.random() + 0.05 for _ in range(states)]
+        return ", ".join(repr(p / sum(raw)) for p in raw)
+
+    for layer, row in enumerate(names):
+        for col, name in enumerate(row):
+            if layer == 0:
+                lines.append(f"probability ( {name} ) {{ table {cpt_row()}; }}")
+                continue
+            a, b = names[layer - 1][col], names[layer - 1][(col + 1) % width]
+            rows = " ".join(
+                f"( s{i}, s{j} ) {cpt_row()};" for i in range(states) for j in range(states)
+            )
+            lines.append(f"probability ( {name} | {a}, {b} ) {{ {rows} }}")
+    return "\n".join(lines) + "\n", names[-1][0]
+
+
+def compile_net(net, query):
+    program = net_to_program(net, query)
+    typecheck_program(program)
+    return compile_program(desugar_program(program))
+
+
+# (layers, width, states) -> (store after compile, node_count()) at seed 0.
+# Every variable is an int(states), so nothing is held: the store is what
+# ite builds.  Held by size, the 5x4 binary net stored 11,914 nodes and the
+# 4x4 three-state one 65,251.
+PINNED_NET_STORES = {(5, 4, 2): (4366, 392), (4, 4, 3): (33697, 2069)}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_NET_STORES))
+def test_holding_changes_no_layered_net_result(monkeypatch, shape):
+    text, query = layered_bif(*shape, seed=0)
+    net = parse_bif(text)
+    compiled = same_without_holding(monkeypatch, lambda: compile_net(net, query))
+    assert (len(compiled.manager._var), compiled.node_count()) == PINNED_NET_STORES[shape]
+
+
+def test_a_layered_net_matches_joint_enumeration():
+    text, query = layered_bif(3, 4, 2, seed=0)
+    net = parse_bif(text)
+    got = [0.0, 0.0]
+    for value, p in infer.full_distribution(compile_net(net, query)).items():
+        index = S.one_hot_index(value)
+        if index is None:
+            assert p == 0.0
+        else:
+            got[index] += p
+    want = joint_enumeration_marginal(net, query)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def _keep_held(ctx, mark, formula, accepting):
