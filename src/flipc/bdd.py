@@ -13,27 +13,31 @@ triple before looking it up in the one computed table, ``_computed``: a
 branch equal to the guard becomes a terminal, and the symmetric and/or forms
 take the smaller handle as guard.  When every guard variable precedes the
 branches' variables, the result is the guard with its terminals rerouted to
-the branches, built in one pass by ``_rewire``.  The rewire and ``compose``
+the branches, built in one walk by ``_rewire``.  The rewire and ``compose``
 memos are local to one call and dropped when it returns, so ``_unique`` and
 ``_computed`` are the only tables that grow.  Nodes are created only in
 ``_mk``.
 
-There is one graph walk, ``_postorder``: an explicit-stack post-order over
-the nodes reachable from some roots.  ``_rewire`` and ``compose`` are loops
-over it that build each node's image from its children's, and ``support``,
-``node_count``, ``to_dot`` and ``wmc`` read it.  ``compose`` substitutes
-formulas for variables, which is how a call instantiates a function
-template.  At a level it sends to TRUE or FALSE the walk follows only the
-child that constant picks, and the node takes that child's image, so a
-constant argument costs nothing in the branch it discards.  A level left
-unmapped, or sent to a positive literal whose level precedes both child
-images (a call's refreshed flips usually are), keeps the order: its image
-is made by ``_mk`` directly.  Every other image is an ``ite`` of the
-mapped formula over the child images.  ``ite``'s Shannon expansion
-is the only recursion, and its depth is at most the number of levels, so
-registering a variable raises the interpreter's recursion limit, if needed,
-to the level count plus a fixed headroom.  This is the one place flipc
-touches that limit: the front-end passes run on an explicit stack.
+``_rewire`` and ``compose`` are each one explicit-stack walk, memoized as
+Bryant's substitution is: the memo is also the set of nodes visited, and a
+node's image is built as soon as both its children's images are known.  The
+high child is walked first, so nodes are created in the order a recursive
+walk would create them.  ``compose`` substitutes formulas for variables,
+which is how a call instantiates a function template; it takes a tuple of
+roots too, with one memo for all of them, so a call composes its formula
+leaves and accepting formula in one walk.  At a level it sends to TRUE or
+FALSE the walk follows only the child that constant picks, and the node
+takes that child's image, so a constant argument costs nothing in the branch
+it discards.  A level left unmapped, or sent to a positive literal whose
+level precedes both child images (a call's refreshed flips usually are),
+keeps the order: its image is made by ``_mk`` directly.  Every other image
+is an ``ite`` of the mapped formula over the child images.  The read-only
+queries ``support``, ``node_count``, ``to_dot`` and ``wmc`` share one
+post-order walk, ``_postorder``.  ``ite``'s Shannon expansion is the only
+recursion, and its depth is at most the number of levels, so registering a
+variable raises the interpreter's recursion limit, if needed, to the level
+count plus a fixed headroom.  This is the one place flipc touches that
+limit: the front-end passes run on an explicit stack.
 
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, named f1, f2, ... in allocation order; its weights
@@ -215,28 +219,27 @@ class BddManager:
         return result
 
     def _rewire(self, g: int, t: int, e: int) -> int:
-        """``g`` with TRUE replaced by ``t`` and FALSE by ``e``, in one pass
+        """``g`` with TRUE replaced by ``t`` and FALSE by ``e``, in one walk
         over ``g``'s nodes; the memo lives for this call only."""
         memo = {TRUE: t, FALSE: e}
         var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
-        for n in self._postorder((g,)):
-            memo[n] = mk(var[n], memo[hi[n]], memo[lo[n]])
+        stack = [g]
+        while stack:
+            n = stack.pop()
+            if n < 0:
+                n = ~n
+                memo[n] = mk(var[n], memo[hi[n]], memo[lo[n]])
+            elif n not in memo:
+                stack += (~n, lo[n], hi[n])
         return memo[g]
 
-    def _postorder(
-        self, roots, max_level: int = _TERMINAL_LEVEL - 1, fixed: Optional[dict] = None
-    ) -> list[int]:
-        """Internal nodes reachable from ``roots`` through nodes at levels up
-        to ``max_level``, each once, children before parents.  The high child
-        is walked before the low one, as a recursive walk would.  At a level
-        that ``fixed`` sends to TRUE or FALSE only the child that value picks
-        is walked."""
-        var, hi, lo = self._var, self._hi, self._lo
+    def _postorder(self, roots) -> list[int]:
+        """Internal nodes reachable from ``roots``, each once, children
+        before parents; the high child is walked before the low one."""
+        hi, lo = self._hi, self._lo
         order = []
-        seen = set()
-        # Terminals sit at _TERMINAL_LEVEL, above any max_level, so the one
-        # level test also keeps them off the stack.
-        stack = [r for r in roots if var[r] <= max_level]
+        seen = {FALSE, TRUE}
+        stack = list(roots)
         while stack:
             n = stack.pop()
             if n < 0:
@@ -244,38 +247,55 @@ class BddManager:
             elif n not in seen:
                 seen.add(n)
                 stack.append(~n)
-                l, h = lo[n], hi[n]
-                # Only a pruned walk pays for the level lookup; a child
-                # dropped here becomes a terminal, which is never pushed.
-                if fixed and var[n] in fixed:
-                    if fixed[var[n]]:
-                        l = FALSE
-                    else:
-                        h = FALSE
-                if var[l] <= max_level and l not in seen:
-                    stack.append(l)
-                if var[h] <= max_level and h not in seen:
-                    stack.append(h)
+                if lo[n] not in seen:
+                    stack.append(lo[n])
+                if hi[n] not in seen:
+                    stack.append(hi[n])
         return order
 
     # -- substitution -----------------------------------------------------------
 
-    def compose(self, f: int, mapping: dict) -> int:
+    def compose(self, f, mapping: dict):
         """Simultaneously replace variables by formulas: ``mapping`` sends
         variable levels to node handles.  Equivalent to, per variable,
         ite(g, f restricted to var=true, f restricted to var=false).
 
-        A level sent to TRUE or FALSE walks only the child it picks, and its
-        node takes that child's image.  A level left unmapped or sent to a
-        positive literal (a variable node) whose level precedes both child
-        images keeps the order, so its image is made directly by ``_mk``;
-        every other node's image is an ``ite``."""
+        ``f`` may also be a tuple of roots, composed with one memo; then a
+        tuple of images is returned.  A level sent to TRUE or FALSE walks
+        only the child it picks, and its node takes that child's image.  A
+        level left unmapped or sent to a positive literal (a variable node)
+        whose level precedes both child images keeps the order, so its image
+        is made directly by ``_mk``; every other node's image is an
+        ``ite``."""
         if not mapping:
             return f
-        memo = {}  # nodes below max(mapping) and terminals map to themselves
+        roots = f if isinstance(f, tuple) else (f,)
         var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
-        fixed = {level: g for level, g in mapping.items() if g <= TRUE}
-        for n in self._postorder((f,), max(mapping), fixed):
+        last = max(mapping)
+        # Nodes below the last mapped level, terminals among them, are
+        # their own images and never enter the memo.
+        memo = {}
+        # One walk: a node is expanded when first popped, and its image is
+        # built when its marker ~n pops, after both children's images.
+        stack = [r for r in reversed(roots) if var[r] <= last]
+        while stack:
+            n = stack.pop()
+            if n >= 0:
+                if n in memo:
+                    continue
+                stack.append(~n)
+                g = mapping.get(var[n])
+                if g is not None and g <= TRUE:
+                    child = hi[n] if g == TRUE else lo[n]
+                    if var[child] <= last:
+                        stack.append(child)
+                    continue
+                if var[lo[n]] <= last:
+                    stack.append(lo[n])
+                if var[hi[n]] <= last:
+                    stack.append(hi[n])
+                continue
+            n = ~n
             level = var[n]
             g = mapping.get(level)
             if g is not None and g <= TRUE:
@@ -295,6 +315,8 @@ class BddManager:
                 memo[n] = mk(top, h, l)
             else:
                 memo[n] = self.ite(self.var(top), h, l)
+        if isinstance(f, tuple):
+            return tuple(map(memo.get, roots, roots))
         return memo.get(f, f)
 
     # -- queries -----------------------------------------------------------------

@@ -72,21 +72,54 @@ from .bdd import FALSE, TRUE, BddManager
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
 
-def iter_leaves(t):
-    if isinstance(t, tuple):
-        yield from iter_leaves(t[0])
-        yield from iter_leaves(t[1])
-    else:
-        yield t
+# Marks, on a walk's stack, where a pair's two components are complete.
+_PAIR = object()
 
 
-def leaf_paths(t, prefix: str = ""):
-    """(path, node) per leaf; 'l'/'r' steps, empty path for a bare leaf."""
-    if isinstance(t, tuple):
-        yield from leaf_paths(t[0], prefix + "l")
-        yield from leaf_paths(t[1], prefix + "r")
-    else:
-        yield prefix, t
+def iter_leaves(t) -> list:
+    """The leaves of formula tuple ``t``, left to right."""
+    leaves = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, tuple):
+            stack.append(t[1])
+            t = t[0]
+        leaves.append(t)
+    return leaves
+
+
+def leaf_paths(t) -> list:
+    """(path, node) per leaf, left to right; 'l'/'r' steps, empty path for
+    a bare leaf."""
+    paths = []
+    stack = [("", t)]
+    while stack:
+        path, t = stack.pop()
+        while isinstance(t, tuple):
+            stack.append((path + "r", t[1]))
+            path, t = path + "l", t[0]
+        paths.append((path, t))
+    return paths
+
+
+def with_leaves(t, leaves: list):
+    """Formula tuple ``t`` with its leaves replaced, left to right, by
+    ``leaves``."""
+    leaves = iter(leaves)
+    done = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t is _PAIR:
+            right = done.pop()
+            done[-1] = (done[-1], right)
+            continue
+        while isinstance(t, tuple):
+            stack += (_PAIR, t[1])
+            t = t[0]
+        done.append(next(leaves))
+    return done[0]
 
 
 def form(mgr: BddManager, name: str, ty: S.Ty):
@@ -248,11 +281,6 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
 # Bounds that build new formulas; any other bound rebinds existing leaves.
 _BUILDS = (S.Ite, S.Call, S.Let)
 
-# Marks, on the walk's stack in ``_hold``, where a pair's two components
-# are complete.
-_PAIR = object()
-
-
 def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
     """``t``, of surface type ``ty``, with each wide Bool leaf that mentions
     a level from ``first_level`` on replaced by a fresh placeholder
@@ -304,12 +332,15 @@ def _release(ctx: _Compilation, mark: int, formula, accepting: int):
     """Compose the groups held above ``mark`` back into ``formula`` and
     ``accepting``, newest first, since a newer group's formulas may mention
     an older group's placeholders; each group is one simultaneous mapping."""
-    mgr = ctx.mgr
     while len(ctx.held) > mark:
-        mapping = ctx.held.pop()
-        formula = _map_tuple(formula, lambda n: mgr.compose(n, mapping))
-        accepting = mgr.compose(accepting, mapping)
+        formula, accepting = _compose(ctx.mgr, formula, accepting, ctx.held.pop())
     return formula, accepting
+
+
+def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
+    """``formula`` and ``accepting`` under ``mapping``, in one composition."""
+    *images, accepting = mgr.compose((*iter_leaves(formula), accepting), mapping)
+    return with_leaves(formula, images), accepting
 
 
 def _check_released(ctx: _Compilation, formula, accepting: int) -> None:
@@ -374,17 +405,10 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     flips, formula, accepting = source
     for level, flip in zip(flips, fresh):
         mapping[level] = mgr.var(flip)
-    formula = _map_tuple(formula, lambda n: mgr.compose(n, mapping))
-    accepting = mgr.compose(accepting, mapping)
+    formula, accepting = _compose(mgr, formula, accepting, mapping)
     if instance is None:
         ctx.instances[key] = (fresh, formula, accepting)
     return formula, accepting
-
-
-def _map_tuple(t, fn):
-    if isinstance(t, tuple):
-        return _map_tuple(t[0], fn), _map_tuple(t[1], fn)
-    return fn(t)
 
 
 def compile_program(

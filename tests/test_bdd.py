@@ -287,20 +287,15 @@ def test_postorder_lists_each_reachable_node_once_children_first(data):
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     mgr, levels = fresh_manager(6)
     roots = [build(mgr, levels, random_tree(rng, 6, 4)) for _ in range(data.draw(st.integers(1, 3)))]
-    max_level = data.draw(st.integers(-1, 6))
-    # A pruned walk follows only the chosen child at a fixed level.
-    fixed = data.draw(st.dictionaries(st.sampled_from(levels), st.sampled_from((FALSE, TRUE))))
 
     def children(n):
-        if mgr.level_of(n) in fixed:
-            return (mgr.high(n) if fixed[mgr.level_of(n)] == TRUE else mgr.low(n),)
         return (mgr.high(n), mgr.low(n))
 
-    order = mgr._postorder(roots, max_level, fixed)
+    order = mgr._postorder(roots)
     reachable, stack = set(), [r for r in roots if r > 1]
     while stack:
         n = stack.pop()
-        if n not in reachable and mgr.level_of(n) <= max_level:
+        if n not in reachable:
             reachable.add(n)
             stack += [c for c in children(n) if c > 1]
     assert len(order) == len(set(order))
@@ -308,20 +303,57 @@ def test_postorder_lists_each_reachable_node_once_children_first(data):
     position = {n: i for i, n in enumerate(order)}
     for n in order:
         for child in children(n):
-            if child > 1 and mgr.level_of(child) <= max_level:
+            if child > 1:
                 assert position[child] < position[n]
-    # One root is walked in the order of a recursive walk, high child first,
-    # which is the order in which _rewire and compose create nodes.
+    # One root is walked in the order of a recursive walk, high child first.
     expected = []
 
     def visit(n):
-        if n > 1 and mgr.level_of(n) <= max_level and n not in expected:
+        if n > 1 and n not in expected:
             for child in children(n):
                 visit(child)
             expected.append(n)
 
     visit(roots[0])
-    assert mgr._postorder(roots[:1], max_level, fixed) == expected
+    assert mgr._postorder(roots[:1]) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_composing_a_tuple_equals_composing_root_by_root(data):
+    # Two managers build the same roots.  One composes them as a tuple with
+    # one memo, its twin one root at a time: the images must be the same
+    # handles and the stores the same nodes made in the same order.  Each
+    # mapped level goes to a constant (a pruned walk), a rename to a later
+    # level (order-preserving), or a formula over every level.
+    seed = data.draw(st.integers(0, 10**9))
+    count = data.draw(st.integers(1, 4))
+    kinds = data.draw(
+        st.dictionaries(
+            st.integers(0, 5), st.sampled_from(("const", "rename", "formula")), min_size=1
+        )
+    )
+
+    def setup():
+        rng = random.Random(seed)
+        mgr, levels = fresh_manager(12)
+        roots = tuple(build(mgr, levels[:6], random_tree(rng, 6, 4)) for _ in range(count))
+        mapping = {}
+        for i, kind in sorted(kinds.items()):
+            if kind == "const":
+                mapping[levels[i]] = TRUE if rng.random() < 0.5 else FALSE
+            elif kind == "rename":
+                mapping[levels[i]] = mgr.var(levels[i + 6])
+            else:
+                mapping[levels[i]] = build(mgr, levels, random_tree(rng, 12, 3))
+        return mgr, roots, mapping
+
+    mgr, roots, mapping = setup()
+    twin, twin_roots, twin_mapping = setup()
+    images = mgr.compose(roots, mapping)
+    assert images == tuple(twin.compose(root, twin_mapping) for root in twin_roots)
+    assert (mgr._var, mgr._hi, mgr._lo) == (twin._var, twin._hi, twin._lo)
+    assert mgr.compose(roots[0], mapping) == images[0]
 
 
 def test_rewire_and_compose_of_a_5000_level_chain_need_no_recursion():

@@ -1,7 +1,11 @@
 """Compilation to weighted Boolean formulas: rule-level examples,
 differential correctness against the enumeration oracle, and mode agreement."""
 
+import dataclasses
+import hashlib
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -19,12 +23,15 @@ from flipc.compiler import (
     form,
     inline_program,
     iter_leaves,
+    leaf_paths,
     pointwise_iff,
+    with_leaves,
 )
 from flipc.desugar import desugar_program
 from flipc.errors import InternalError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
+from flipc.parser import parse_program
 from flipc.suites import SUITES, benchmark_text, suite_source
 from flipc.typecheck import typecheck_program
 
@@ -74,6 +81,41 @@ class TestTupleOperators:
             assignment = dict(zip(levels, bits))
             expected = (bits[0] == bits[2]) and (bits[1] == bits[3])
             assert mgr.evaluate(node, assignment) == expected
+
+
+class TestTupleWalkers:
+    def test_leaves_paths_and_rebuild_of_a_nested_tuple(self):
+        t = ((1, 2), (3, (4, 5)))
+        assert iter_leaves(t) == [1, 2, 3, 4, 5]
+        assert leaf_paths(t) == [("ll", 1), ("lr", 2), ("rl", 3), ("rrl", 4), ("rrr", 5)]
+        assert with_leaves(t, [6, 7, 8, 9, 10]) == ((6, 7), (8, (9, 10)))
+        assert (iter_leaves(7), leaf_paths(7), with_leaves(7, [9])) == ([7], [("", 7)], 9)
+
+    def test_a_20000_deep_tuple_needs_no_recursion(self):
+        # An int(20000) is a right-nested tuple 20,000 deep.  leaf_paths
+        # runs 2,000 deep: its paths alone grow quadratically with depth.
+        def nested(depth):
+            t = depth
+            for i in reversed(range(depth)):
+                t = (i, t)
+            return t
+
+        deep, shallow = nested(20_000), nested(2_000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            leaves = iter_leaves(deep)
+            rebuilt = with_leaves(deep, [n + 1 for n in leaves])
+            paths = leaf_paths(shallow)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert leaves == list(range(20_001))
+        for i in range(20_000):
+            assert rebuilt[0] == i + 1
+            rebuilt = rebuilt[1]
+        assert rebuilt == 20_001
+        assert paths[-1] == ("r" * 2_000, 2_000)
+        assert [node for _, node in paths] == list(range(2_001))
 
 
 class TestCompileRules:
@@ -475,6 +517,52 @@ def test_held_lets_match_the_oracle(name, mode):
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
 
 
+def store_digest(compiled):
+    """A digest of the node store (``_var``, ``_hi``, ``_lo``) after compile
+    and again after the distribution query."""
+    digest = hashlib.sha256()
+
+    def add(mgr):
+        for column in (mgr._var, mgr._hi, mgr._lo):
+            digest.update(array("q", column).tobytes())
+
+    add(compiled.manager)
+    infer.distribution_result(compiled)
+    add(compiled.manager)
+    return digest.hexdigest()[:16]
+
+
+# Store sizes pin how many nodes are made; these digests pin which, and in
+# what order, so an engine change that keeps every handle shows none here.
+PINNED_STORE_DIGESTS = {
+    ("caesar-mini", "inline"): "6f4a71ec43f08311",
+    ("caesar-mini", "modular"): "490081dc909f5a51",
+    ("chained-flips", "inline"): "8d25f97846c4a82a",
+    ("chained-flips", "modular"): "8d25f97846c4a82a",
+    ("diamond", "inline"): "cf56c0fd2018a601",
+    ("diamond", "modular"): "877496261b5bc66a",
+    ("held_call_result", "inline"): "7116f53cfc27170d",
+    ("held_call_result", "modular"): "b22f8045d36e6aec",
+    ("ladder", "inline"): "f7036839f62f0bb7",
+    ("ladder", "modular"): "7cc3a9fcbce8331b",
+    ("let_in_branch_in_bound", "inline"): "99c4754891b90bfd",
+    ("let_in_branch_in_bound", "modular"): "99c4754891b90bfd",
+    ("nested_groups", "inline"): "d24298079c2d2c1c",
+    ("nested_groups", "modular"): "d24298079c2d2c1c",
+    ("observe_in_held_bound", "inline"): "f55269e362cc1f4a",
+    ("observe_in_held_bound", "modular"): "f55269e362cc1f4a",
+    ("shadowing_let_in_bound", "inline"): "615b797e6d572812",
+    ("shadowing_let_in_bound", "modular"): "615b797e6d572812",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_STORE_DIGESTS))
+def test_store_contents_are_pinned(name, mode):
+    text = HELD_PROGRAMS[name] if name in HELD_PROGRAMS else suite_source(name, 64)
+    compiled, _ = compile_text(text, mode=mode)
+    assert store_digest(compiled) == PINNED_STORE_DIGESTS[name, mode]
+
+
 def discrete_of(params):
     return "discrete(" + ", ".join(repr(p) for p in params) + ")"
 
@@ -652,6 +740,93 @@ def test_a_layered_net_matches_joint_enumeration():
             got[index] += p
     want = joint_enumeration_marginal(net, query)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+# Structure apart from parameters: a program compiles to the same store
+# and roots whatever its flip and discrete parameters are, as long as none
+# moves onto or off 0 or 1, which fold into the structure.
+
+
+def redraw_parameters(program, rng):
+    """Redraw, in place, every flip parameter strictly inside (0, 1) and
+    every discrete's nonzero masses.  Parameters of 0 and 1 and zero-mass
+    discrete rows stay, so only the weights may change."""
+    for node in S.program_nodes(program):
+        if isinstance(node, S.Flip) and 0.0 < node.theta < 1.0:
+            node.theta = rng.uniform(0.01, 0.99)
+        elif isinstance(node, S.Discrete):
+            raw = [rng.uniform(0.05, 1.0) if p > 0.0 else 0.0 for p in node.params]
+            node.params = [p / sum(raw) for p in raw]
+    return program
+
+
+def same_structure(build, mode):
+    """``build(redraw)`` returns a surface program, its parameters redrawn
+    when ``redraw`` is set.  Both compile to the same store and roots, and
+    the first BDD counted with the second's weights gives the second's
+    posteriors bit for bit."""
+    first, second = (
+        compile_program(desugar_program(program), mode=mode)
+        for program in (build(False), build(True))
+    )
+    mgr, other = first.manager, second.manager
+    assert (mgr._var, mgr._hi, mgr._lo) == (other._var, other._hi, other._lo)
+    assert (first.formula, first.accepting) == (second.formula, second.accepting)
+    assert first.weights.keys() == second.weights.keys()
+    swapped = dataclasses.replace(first, weights=second.weights)
+    assert infer.accepting_and_distribution(swapped) == infer.accepting_and_distribution(second)
+    return first.weights != second.weights
+
+
+def surface(text):
+    program = parse_program(text)
+    typecheck_program(program)
+    return program
+
+
+# The suites at small n, and a program whose zero-mass rows and flips of 0
+# and 1 must stay as they are.
+STRUCTURE_PROGRAMS = {suite: suite_source(suite, 8) for suite in SUITES} | {
+    "fixed_masses": "fun f(x: int(3)): Bool { let y = discrete(0.2, 0.0, 0.8) in "
+    "(x == y) || flip 0.0 }\n"
+    "let a = discrete(0.0, 0.6, 0.4) in let b = flip 1.0 in f(a) && (b || flip 0.3)",
+}
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("name", sorted(STRUCTURE_PROGRAMS))
+def test_parameters_do_not_change_a_program_structure(name, mode):
+    def build(redraw):
+        program = surface(STRUCTURE_PROGRAMS[name])
+        return redraw_parameters(program, random.Random(1)) if redraw else program
+
+    assert same_structure(build, mode)
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+def test_parameters_do_not_change_a_random_program_structure(mode):
+    redrawn = 0
+    for seed in range(100):
+
+        def build(redraw):
+            program = random_program(random.Random(seed), GenConfig(max_flips=16, max_depth=5))
+            typecheck_program(program)
+            return redraw_parameters(program, random.Random(~seed)) if redraw else program
+
+        redrawn += same_structure(build, mode)
+    # Inlining drops the flips of uncalled functions: 81 of these programs
+    # keep a flip to redraw in inline mode.
+    assert redrawn >= 75
+
+
+def test_parameters_do_not_change_a_layered_net_structure():
+    def build(redraw):
+        text, query = layered_bif(3, 4, 3, seed=0)
+        program = net_to_program(parse_bif(text), query)
+        typecheck_program(program)
+        return redraw_parameters(program, random.Random(2)) if redraw else program
+
+    assert same_structure(build, "modular")
 
 
 def _keep_held(ctx, mark, formula, accepting):
