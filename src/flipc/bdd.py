@@ -6,6 +6,8 @@ and True terminals.  A unique table guarantees canonicity: two handles are
 equal exactly when the formulas are logically equivalent under the manager's
 variable order.  There are no complement edges and no garbage collection;
 the store only grows within a run (an optional node cap guards runaways).
+Only ``wmc`` takes a complemented root, ``~n`` (a negative int), which it
+counts as the negation of ``n`` without building it.
 
 Every Boolean operation is one ``ite`` (if-then-else): and, or, iff and not
 are ``ite`` calls with terminal or negated branches.  ``ite`` normalises its
@@ -58,7 +60,11 @@ its count over that whole support, so each root's count is read off its own
 entry.  That is the root's count over its own support times the weight sums
 of the union's other levels, and a flip's weights (theta, 1 - theta) sum to
 exactly 1.0 for every double theta in (0, 1), so for flip weights the counts
-are the single-root counts bit for bit.
+are the single-root counts bit for bit.  A complemented root ``~n`` is read
+off a second entry per node, made by the same recurrence with the terminals
+swapped.  ``negate(n)`` is the same DAG with the terminals swapped, over the
+same support, so the count is the one ``negate(n)`` would get, bit for bit,
+and the query stores no negated copy.
 
 Construction is single-threaded.  After it completes, ``node_count``,
 ``evaluate`` and ``to_dot`` only read the store and may run concurrently.
@@ -332,8 +338,14 @@ class BddManager:
         linear pass: each reachable node is visited once and every skipped
         variable run costs O(1).  The count is carried as a (mantissa,
         exponent) pair, kept in ``last_wmc_scaled``; the float
-        ``ldexp(mantissa, exponent)`` is returned.  The number of nodes
-        visited is kept in ``last_wmc_visits``.
+        ``ldexp(mantissa, exponent)`` is returned.  The number of entries
+        computed, one per reachable node and one more per node when a root
+        is complemented, is kept in ``last_wmc_visits``.
+
+        A root may be complemented, ``~n`` for the negation of node ``n``:
+        it is counted from the second entries, the pass run again with the
+        terminals swapped, bit for bit as ``negate(n)`` would be, and no
+        node is made.
 
         ``root`` may also be a tuple of roots, all counted in the same pass
         over the union of their supports: then a tuple of floats is returned
@@ -347,7 +359,9 @@ class BddManager:
         self.wmc_calls += 1
         roots = root if isinstance(root, tuple) else (root,)
         var, hi_arr, lo_arr = self._var, self._hi, self._lo
-        order = self._postorder(roots)
+        complemented = min(roots) < 0
+        order = self._postorder([r if r >= 0 else ~r for r in roots] if complemented else roots)
+        flipped = order if complemented else ()
         support = sorted({var[n] for n in order})
         for level in support:
             if level not in weights:
@@ -383,28 +397,33 @@ class BddManager:
 
         # q[n] is count(n) * P[i] for n at support position i, with Z[i]; the
         # terminals sit at position len(support).  That is n's count over the
-        # whole support, or 0 when Z[i] is nonzero.
-        q = {FALSE: (0.0, 0, zeros), TRUE: (pm, pe, zeros)}
-        for n in order:
-            tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
-            hm, he, hz = q[hi_arr[n]]
-            lm, le, lz = q[lo_arr[n]]
-            hm = tm * hm if hz == znext else 0.0
-            lm = fm * lm if lz == znext else 0.0
-            he += te
-            le += fe
-            if not lm:
-                m, e = hm, he
-            elif not hm:
-                m, e = lm, le
-            elif he >= le:
-                m, e = hm + ldexp(lm, le - he), he
-            else:
-                m, e = lm + ldexp(hm, he - le), le
-            m, d = frexp(m * bm)
-            q[n] = (m, e + d + be, bz)
-        self.last_wmc_visits = len(order)
-        pairs = tuple(q[r][:2] if q[r][2] == 0 else (0.0, 0) for r in roots)
+        # whole support, or 0 when Z[i] is nonzero.  ``direct`` holds q for
+        # the nodes and, when a root is complemented, ``complement`` holds q
+        # for their complements: the same recurrence, terminals swapped.
+        zero, one = (0.0, 0, zeros), (pm, pe, zeros)
+        direct, complement = {FALSE: zero, TRUE: one}, {FALSE: one, TRUE: zero}
+        for nodes, q in ((order, direct), (flipped, complement)):
+            for n in nodes:
+                tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
+                hm, he, hz = q[hi_arr[n]]
+                lm, le, lz = q[lo_arr[n]]
+                hm = tm * hm if hz == znext else 0.0
+                lm = fm * lm if lz == znext else 0.0
+                he += te
+                le += fe
+                if not lm:
+                    m, e = hm, he
+                elif not hm:
+                    m, e = lm, le
+                elif he >= le:
+                    m, e = hm + ldexp(lm, le - he), he
+                else:
+                    m, e = lm + ldexp(hm, he - le), le
+                m, d = frexp(m * bm)
+                q[n] = (m, e + d + be, bz)
+        self.last_wmc_visits = len(order) + len(flipped)
+        entries = [direct[r] if r >= 0 else complement[~r] for r in roots]
+        pairs = tuple(entry[:2] if entry[2] == 0 else (0.0, 0) for entry in entries)
         counts = tuple(map(_to_float, pairs))
         if isinstance(root, tuple):
             self.last_wmc_scaled = pairs

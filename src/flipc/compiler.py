@@ -76,17 +76,9 @@ from .errors import FlipcError, InternalError, ShapeMismatchError
 _PAIR = object()
 
 
-def iter_leaves(t) -> list:
-    """The leaves of formula tuple ``t``, left to right."""
-    leaves = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        while isinstance(t, tuple):
-            stack.append(t[1])
-            t = t[0]
-        leaves.append(t)
-    return leaves
+# The leaves of formula tuple ``t``, left to right: a value is its own
+# formula tuple, so this is the walk over a value's leaves.
+iter_leaves = S.value_leaves
 
 
 def leaf_paths(t) -> list:

@@ -2,41 +2,51 @@
 
 Every query is a ratio of weighted model counts on the shared manager: the
 accepting formula's count is the normalizing constant, and conjoining the
-formula tuple's agreement with a concrete value (pointwise iff) selects that
-value's mass.  A query first builds every root it needs (the accepting
-formula, one selecting root per value or leaf, and the formula leaves), then
-counts them all in one pass of ``BddManager.wmc`` over the union of their
-supports.  The selecting roots share nearly all their nodes with the
-accepting formula, so the pass visits each once.  Union-support counts equal
-the per-root counts exactly, because every flip's weights sum to exactly 1.
+formula tuple's agreement with a concrete value selects that value's mass.
+A query first builds every root it needs (the accepting formula, one
+selecting root per value or leaf, and the formula leaves), then counts them
+all in one pass of ``BddManager.wmc`` over the union of their supports.
+The selecting roots share nearly all their nodes with the accepting
+formula, so the pass visits each once.  Union-support counts equal the
+per-root counts exactly, because every flip's weights sum to exactly 1.
 The formula leaves are counted so that the pass's support covers the whole
 program: a free variable reachable from it raises
 ``UnboundFreeVariableError``.
 
 A distribution query enumerates the values of ``CompiledProgram.output_ty``,
 at most ``MAX_VALUES``: from ``compile_source`` the type as written, where an
-``int(n)`` has its n one-hot values.  The full pointwise iff selects each
-value's mass, so no posterior rests on integers staying one-hot; that the
-Bool tuples left out have mass 0 is checked against the oracle.
+``int(n)`` has its n one-hot values.  A value is selected by one literal per
+component of that type, folded into the accepting formula by ``ite``: a
+Bool component's leaf or its complement, and an ``int(n)`` component's leaf
+i alone for index i.  Desugaring keeps integers one-hot (on every accepting
+assignment exactly one leaf is true), so by canonicity each root is the
+handle the full pointwise iff conjoined with the accepting formula would
+give; the tests check both.  A value that is not one-hot has no mass.  No
+formula is negated: a root whose literals are all complements, under a
+TRUE accepting formula, is handed to ``wmc`` complemented, and ``wmc``
+counts it without building it.  The formula leaves are walked once per
+query, not once per value.
 
 Counts are ratioed as the manager's (mantissa, exponent) pairs, so a
 posterior stays exact when the normalizing constant lies below the double
 range.  Only a true zero normalizing constant (a zero mantissa, as for an
 accepting formula that is FALSE) makes every posterior zero.
 
-Compilation happens once; queries reuse the manager.  The iff/conjunction
-scaffolding a query builds does create nodes, so queries are serialized (run
-them from one thread); they perform no other construction.
+Compilation happens once; queries reuse the manager.  The conjunctions a
+query builds do create nodes, so queries are serialized (run them from one
+thread); they perform no other construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as S
-from .compiler import CompiledProgram, iter_leaves, leaf_paths, pointwise_iff
+from .bdd import FALSE, TRUE
+from .compiler import CompiledProgram, iter_leaves, leaf_paths
 from .errors import OutputTooWideError, ShapeMismatchError
 
 MAX_VALUES = 2**20
@@ -77,14 +87,63 @@ def accepting_probability(cp: CompiledProgram) -> float:
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
     if S.ty_of_value(value) != S.erase_int_types(cp.output_ty):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
-    return _query(cp, [_selecting(cp, value)])[2][0]
+    literals = []
+    for (ty, part), choices in zip(_components(cp.output_ty, value), _selectors(cp)):
+        index = S.one_hot_index(part) if isinstance(ty, S.IntTy) else int(part)
+        if index is None:
+            # Not one-hot: no accepting assignment gives the value mass.
+            return _query(cp, [FALSE])[2][0]
+        literals.append(choices[index])
+    return _query(cp, [_select(cp, literals)])[2][0]
 
 
-def _selecting(cp: CompiledProgram, value: S.Value) -> int:
-    """The formula tuple's agreement with ``value``, itself a constant
-    formula tuple, conjoined with the accepting formula."""
+def _components(ty: S.Ty, t) -> list:
+    """``t``, a formula tuple or a value of type ``ty``, split into the Bool
+    and ``int(n)`` components of ``ty``, left to right, as (component type,
+    part) pairs."""
+    parts = []
+    stack = [(ty, t)]
+    while stack:
+        ty, t = stack.pop()
+        if isinstance(ty, S.ProdTy):
+            stack += ((ty.right, t[1]), (ty.left, t[0]))
+        else:
+            parts.append((ty, t))
+    return parts
+
+
+def _selectors(cp: CompiledProgram) -> list:
+    """Per component of the output, the literal that selects each of its
+    values, in enumeration order: a (leaf, polarity) pair.  An ``int(n)``
+    selects value i by its leaf i alone, since on every accepting
+    assignment exactly one of its leaves is true; a Bool selects false by
+    its leaf's complement and true by the leaf."""
+    return [
+        [(leaf, True) for leaf in iter_leaves(part)]
+        if isinstance(ty, S.IntTy)
+        else [(part, False), (part, True)]
+        for ty, part in _components(cp.output_ty, cp.formula)
+    ]
+
+
+def _select(cp: CompiledProgram, literals: list) -> int:
+    """The accepting formula conjoined with ``literals``, each folded in by
+    one ``ite`` and none negated.  The conjunction so far may be held
+    complemented, ``~r`` standing for not r, as a TRUE accepting formula
+    starts (``~FALSE``); a complemented root, left when every literal is
+    negative, is counted by ``BddManager.wmc`` without being built.  The
+    last literal goes first: over random programs that builds fewer nodes
+    than the first going first."""
     mgr = cp.manager
-    return mgr.apply_and(pointwise_iff(mgr, cp.formula, value), cp.accepting)
+    root = ~FALSE if cp.accepting == TRUE else cp.accepting
+    for leaf, positive in reversed(literals):
+        if root >= 0:
+            root = mgr.ite(leaf, root, FALSE) if positive else mgr.ite(leaf, FALSE, root)
+        elif positive:
+            root = mgr.ite(~root, FALSE, leaf)
+        else:
+            root = ~mgr.ite(leaf, TRUE, ~root)
+    return root
 
 
 def full_distribution(cp: CompiledProgram) -> dict:
@@ -103,8 +162,9 @@ def _distribution(cp: CompiledProgram) -> tuple:
     count = S.value_count(cp.output_ty)
     if count > MAX_VALUES:
         raise OutputTooWideError(count, MAX_VALUES)
+    # Both enumerate the leftmost component most significant.
     values = list(S.enumerate_values(cp.output_ty))
-    selecting = [_selecting(cp, value) for value in values]
+    selecting = [_select(cp, literals) for literals in itertools.product(*_selectors(cp))]
     accepting, denominator, posteriors = _query(cp, selecting)
     return accepting, denominator, dict(zip(values, posteriors))
 

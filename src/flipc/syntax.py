@@ -186,9 +186,16 @@ def one_hot_index(v: Value) -> Optional[int]:
 
 
 def value_leaves(v: Value) -> list:
-    if isinstance(v, bool):
-        return [v]
-    return value_leaves(v[0]) + value_leaves(v[1])
+    """The leaves of ``v``, or of a formula tuple, left to right."""
+    leaves = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        while isinstance(v, tuple):
+            stack.append(v[1])
+            v = v[0]
+        leaves.append(v)
+    return leaves
 
 
 def format_value(v: Value) -> str:

@@ -28,6 +28,36 @@ def compile_text(text: str, mode: str = "modular"):
     return compile_program(core, mode=mode), core
 
 
+def layered_bif(layers, width, states, seed):
+    """BIF text of a seeded layered network, and its query variable (the
+    first of the last layer).  Each layer has ``width`` variables of
+    ``states`` states; a variable past the first layer has two parents in
+    the layer before it, at its own column and the next one (wrapping), and
+    every CPT row is drawn at random."""
+    rng = random.Random(seed)
+    labels = ", ".join(f"s{k}" for k in range(states))
+    names = [[f"v{layer}_{col}" for col in range(width)] for layer in range(layers)]
+    lines = ["network layered { }"]
+    for row in names:
+        lines += [f"variable {name} {{ type discrete [ {states} ] {{ {labels} }}; }}" for name in row]
+
+    def cpt_row():
+        raw = [rng.random() + 0.05 for _ in range(states)]
+        return ", ".join(repr(p / sum(raw)) for p in raw)
+
+    for layer, row in enumerate(names):
+        for col, name in enumerate(row):
+            if layer == 0:
+                lines.append(f"probability ( {name} ) {{ table {cpt_row()}; }}")
+                continue
+            a, b = names[layer - 1][col], names[layer - 1][(col + 1) % width]
+            rows = " ".join(
+                f"( s{i}, s{j} ) {cpt_row()};" for i in range(states) for j in range(states)
+            )
+            lines.append(f"probability ( {name} | {a}, {b} ) {{ {rows} }}")
+    return "\n".join(lines) + "\n", names[-1][0]
+
+
 def max_distribution_delta(a: dict, b: dict) -> float:
     keys = set(a) | set(b)
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)

@@ -243,6 +243,24 @@ def _all_executions(core):
     yield from _walk(core.main, {}, functions)
 
 
+def test_the_leaves_of_a_20000_value_integer_need_no_recursion():
+    # Concatenated per tuple level, the leaves of one int(n) value cost
+    # O(n^2) and a distribution over its n values O(n^3).
+    value = S.one_hot_value(20000, 19999)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        leaves = S.value_leaves(value)
+        index = S.one_hot_index(value)
+        rendered = infer.render_value(value, S.IntTy(20000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert leaves == [False] * 19999 + [True]
+    assert index == 19999 and rendered == "19999"
+    assert S.one_hot_index((True, (False, True))) is None
+    assert S.one_hot_index((False, (False, False))) is None
+
+
 class TestDesugarIterate:
     def test_zero_is_init(self):
         assert desugar_expr(S.Iterate("f", S.Ident("e"), 0)) == S.Ident("e")

@@ -743,6 +743,68 @@ class TestMultiRootWmc:
             mgr.wmc((mgr.var(levels[0]), free), {})
 
 
+def _drawn_weight(data, rng):
+    kind = data.draw(st.sampled_from(("flip", "tiny", "any", "zero")))
+    if kind == "flip":
+        theta = rng.random()
+        return theta, 1.0 - theta
+    if kind == "tiny":
+        theta = 10.0 ** -rng.uniform(1, 300)
+        return theta, 1.0 - theta
+    if kind == "any":
+        return rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
+    return rng.choice(((0.0, 0.0), (1.5, -1.5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_complemented_root_counts_as_its_negation(data):
+    # wmc counts ~n from a second entry per node, the terminals swapped:
+    # negate(n) has the same shape and support, so its count must be the
+    # same bit for bit, alone or among other roots, and counting ~n must
+    # make no node.
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    mgr, levels = fresh_manager(8)
+    weights = {level: _drawn_weight(data, rng) for level in levels}
+    count = data.draw(st.integers(1, 4))
+    roots = [build(mgr, levels, random_tree(rng, 8, 5)) for _ in range(count)] + [TRUE, FALSE]
+    flags = [data.draw(st.booleans()) for _ in roots]
+    negated = tuple(mgr.negate(r) if flag else r for r, flag in zip(roots, flags))
+    signed = tuple(~r if flag else r for r, flag in zip(roots, flags))
+    store = (list(mgr._var), list(mgr._hi), list(mgr._lo))
+
+    def counted(roots):
+        counts = mgr.wmc(roots, weights)
+        scaled = mgr.last_wmc_scaled
+        if not isinstance(roots, tuple):
+            counts, scaled = (counts,), (scaled,)
+        return [float.hex(c) for c in counts], [(float.hex(m), e) for m, e in scaled]
+
+    assert counted(signed) == counted(negated)
+    for negation, root in zip(negated, signed):
+        assert counted(root) == counted(negation)
+    assert (mgr._var, mgr._hi, mgr._lo) == store
+
+
+def test_complemented_terminals():
+    mgr, levels = fresh_manager(1)
+    x = mgr.var(levels[0])
+    weights = {levels[0]: (0.25, 0.75)}
+    assert mgr.wmc(~TRUE, {}) == 0.0 and mgr.wmc(~FALSE, {}) == 1.0
+    assert mgr.wmc((~TRUE, ~FALSE, ~x, x), weights) == (0.0, 1.0, 0.75, 0.25)
+    assert mgr.last_wmc_scaled[:2] == ((0.0, 0), (0.5, 1))
+
+
+def test_a_complemented_root_over_a_free_variable_is_unbound():
+    mgr, levels = fresh_manager(1)
+    free = mgr.apply_and(mgr.var(levels[0]), mgr.var(mgr.new_free("x")))
+    weights = {levels[0]: (0.5, 0.5)}
+    with pytest.raises(UnboundFreeVariableError, match="x"):
+        mgr.wmc(~free, weights)
+    with pytest.raises(UnboundFreeVariableError, match="x"):
+        mgr.wmc((TRUE, ~free), weights)
+
+
 class TestConditionalIndependenceBound:
     def test_fifty_pairs_no_violfinement(self):
         rng = random.Random(16)

@@ -35,7 +35,7 @@ from flipc.parser import parse_program
 from flipc.suites import SUITES, benchmark_text, suite_source
 from flipc.typecheck import typecheck_program
 
-from conftest import compile_text, compiled_vs_oracle_delta, frontend
+from conftest import compile_text, compiled_vs_oracle_delta, frontend, layered_bif
 
 
 def compile_main(text):
@@ -394,11 +394,15 @@ class TestBundledBenchmarks:
 # Store size (nodes ever allocated) after compile and after the distribution
 # query, per mode, and node_count(), for each suite at n=64.  Canonicity makes
 # these exact: a refactor of the engine that allocates differently shows here.
+# A Bool output's false row is counted as the complement of its leaf, so the
+# three suites without observations query without building a node.  Built
+# by pointwise iff, the selecting roots negated the output BDD: the query
+# added 257, 127, 252 and 17 nodes in both modes.
 PINNED_STORE_SIZES = {
-    "chained-flips": ({"modular": (894, 1151), "inline": (894, 1151)}, 259),
-    "diamond": ({"modular": (580, 707), "inline": (1075, 1202)}, 130),
-    "ladder": ({"modular": (2201, 2453), "inline": (2306, 2558)}, 255),
-    "caesar-mini": ({"modular": (2905, 2922), "inline": (6267, 6284)}, 843),
+    "chained-flips": ({"modular": (894, 894), "inline": (894, 894)}, 259),
+    "diamond": ({"modular": (580, 580), "inline": (1075, 1075)}, 130),
+    "ladder": ({"modular": (2201, 2201), "inline": (2306, 2306)}, 255),
+    "caesar-mini": ({"modular": (2905, 2917), "inline": (6267, 6279)}, 843),
 }
 
 
@@ -431,10 +435,10 @@ def test_every_stored_node_is_ordered_reduced_and_unique(suite, mode):
 # An explicit order registers every flip up front, so no let is held behind
 # a placeholder: these are the store sizes of eager substitution.
 PINNED_ORDERED_STORE_SIZES = {
-    ("chained-flips", "forward"): (66051, 66564),
-    ("chained-flips", "reversed"): (2049, 2052),
-    ("diamond", "forward"): (65794, 66049),
-    ("diamond", "reversed"): (897, 1152),
+    ("chained-flips", "forward"): (66051, 66051),
+    ("chained-flips", "reversed"): (2049, 2049),
+    ("diamond", "forward"): (65794, 65794),
+    ("diamond", "reversed"): (897, 897),
 }
 
 
@@ -517,42 +521,47 @@ def test_held_lets_match_the_oracle(name, mode):
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
 
 
-def store_digest(compiled):
-    """A digest of the node store (``_var``, ``_hi``, ``_lo``) after compile
-    and again after the distribution query."""
-    digest = hashlib.sha256()
+def store_digests(compiled):
+    """Digests of the node store (``_var``, ``_hi``, ``_lo``) after compile
+    and of the nodes the distribution query adds to it, None if it adds
+    none."""
 
-    def add(mgr):
+    def digest(start):
+        digest = hashlib.sha256()
         for column in (mgr._var, mgr._hi, mgr._lo):
-            digest.update(array("q", column).tobytes())
+            digest.update(array("q", column[start:]).tobytes())
+        return digest.hexdigest()[:16]
 
-    add(compiled.manager)
+    mgr = compiled.manager
+    after_compile = len(mgr._var)
+    compile_half = digest(0)
     infer.distribution_result(compiled)
-    add(compiled.manager)
-    return digest.hexdigest()[:16]
+    return compile_half, digest(after_compile) if len(mgr._var) > after_compile else None
 
 
 # Store sizes pin how many nodes are made; these digests pin which, and in
 # what order, so an engine change that keeps every handle shows none here.
+# The compile half is the whole store after compile; the query half covers
+# only the nodes the distribution query adds.
 PINNED_STORE_DIGESTS = {
-    ("caesar-mini", "inline"): "6f4a71ec43f08311",
-    ("caesar-mini", "modular"): "490081dc909f5a51",
-    ("chained-flips", "inline"): "8d25f97846c4a82a",
-    ("chained-flips", "modular"): "8d25f97846c4a82a",
-    ("diamond", "inline"): "cf56c0fd2018a601",
-    ("diamond", "modular"): "877496261b5bc66a",
-    ("held_call_result", "inline"): "7116f53cfc27170d",
-    ("held_call_result", "modular"): "b22f8045d36e6aec",
-    ("ladder", "inline"): "f7036839f62f0bb7",
-    ("ladder", "modular"): "7cc3a9fcbce8331b",
-    ("let_in_branch_in_bound", "inline"): "99c4754891b90bfd",
-    ("let_in_branch_in_bound", "modular"): "99c4754891b90bfd",
-    ("nested_groups", "inline"): "d24298079c2d2c1c",
-    ("nested_groups", "modular"): "d24298079c2d2c1c",
-    ("observe_in_held_bound", "inline"): "f55269e362cc1f4a",
-    ("observe_in_held_bound", "modular"): "f55269e362cc1f4a",
-    ("shadowing_let_in_bound", "inline"): "615b797e6d572812",
-    ("shadowing_let_in_bound", "modular"): "615b797e6d572812",
+    ('caesar-mini', 'inline'): ('afe1594f79800c41', '6e97417ae173868e'),
+    ('caesar-mini', 'modular'): ('eb565cfae21e54f8', '994f1a52cda125c2'),
+    ('chained-flips', 'inline'): ('09ae9dd60ea099ab', None),
+    ('chained-flips', 'modular'): ('09ae9dd60ea099ab', None),
+    ('diamond', 'inline'): ('458b08d87889d2e7', None),
+    ('diamond', 'modular'): ('e1c3ac300dbc386e', None),
+    ('held_call_result', 'inline'): ('793e9d6a36a0871c', None),
+    ('held_call_result', 'modular'): ('d9f3308d3bb750e8', None),
+    ('ladder', 'inline'): ('5d7bcb9222ae66f9', None),
+    ('ladder', 'modular'): ('1c5504efd2d2c262', None),
+    ('let_in_branch_in_bound', 'inline'): ('4f77bbd416a60453', None),
+    ('let_in_branch_in_bound', 'modular'): ('4f77bbd416a60453', None),
+    ('nested_groups', 'inline'): ('844fc98676ea00e9', None),
+    ('nested_groups', 'modular'): ('844fc98676ea00e9', None),
+    ('observe_in_held_bound', 'inline'): ('70d52d84894495a8', 'cf6e0069f3a2008c'),
+    ('observe_in_held_bound', 'modular'): ('70d52d84894495a8', 'cf6e0069f3a2008c'),
+    ('shadowing_let_in_bound', 'inline'): ('3512ca646404d2dd', None),
+    ('shadowing_let_in_bound', 'modular'): ('3512ca646404d2dd', None),
 }
 
 
@@ -560,7 +569,7 @@ PINNED_STORE_DIGESTS = {
 def test_store_contents_are_pinned(name, mode):
     text = HELD_PROGRAMS[name] if name in HELD_PROGRAMS else suite_source(name, 64)
     compiled, _ = compile_text(text, mode=mode)
-    assert store_digest(compiled) == PINNED_STORE_DIGESTS[name, mode]
+    assert store_digests(compiled) == PINNED_STORE_DIGESTS[name, mode]
 
 
 def discrete_of(params):
@@ -601,6 +610,26 @@ def test_a_100_value_discrete_stores_only_its_live_nodes():
     assert len(compiled.manager._var) == compiled.node_count() == 5051
     result = infer.distribution_result(compiled)
     assert [p for _, p in result.entries] == pytest.approx([0.01] * 100, abs=1e-12)
+
+
+@pytest.mark.parametrize("suite", ["chained-flips", "ladder"])
+def test_a_suite_query_adds_no_node(suite):
+    compiled, _ = compile_text(suite_source(suite, 256))
+    store = len(compiled.manager._var)
+    infer.distribution_result(compiled)
+    assert len(compiled.manager._var) == store
+
+
+def test_a_200_value_discrete_query_adds_no_node():
+    # Value i is selected by its leaf alone.  A pointwise iff over all 200
+    # leaves per value took the store from 20,101 to 59,701 nodes and the
+    # query about 4 s.
+    compiled, _ = compile_source(uniform_discrete(200))
+    assert len(compiled.manager._var) == 20101
+    result = infer.distribution_result(compiled)
+    assert len(compiled.manager._var) == 20101
+    assert [key for key, _ in result.entries] == [str(i) for i in range(200)]
+    assert [p for _, p in result.entries] == pytest.approx([0.005] * 200, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["modular", "inline"])
@@ -677,47 +706,19 @@ def test_holding_changes_no_sum_result(monkeypatch):
     )
 
 
-def layered_bif(layers, width, states, seed):
-    """BIF text of a seeded layered network, and its query variable (the
-    first of the last layer).  Each layer has ``width`` variables of
-    ``states`` states; a variable past the first layer has two parents in
-    the layer before it, at its own column and the next one (wrapping), and
-    every CPT row is drawn at random."""
-    rng = random.Random(seed)
-    labels = ", ".join(f"s{k}" for k in range(states))
-    names = [[f"v{layer}_{col}" for col in range(width)] for layer in range(layers)]
-    lines = ["network layered { }"]
-    for row in names:
-        lines += [f"variable {name} {{ type discrete [ {states} ] {{ {labels} }}; }}" for name in row]
-
-    def cpt_row():
-        raw = [rng.random() + 0.05 for _ in range(states)]
-        return ", ".join(repr(p / sum(raw)) for p in raw)
-
-    for layer, row in enumerate(names):
-        for col, name in enumerate(row):
-            if layer == 0:
-                lines.append(f"probability ( {name} ) {{ table {cpt_row()}; }}")
-                continue
-            a, b = names[layer - 1][col], names[layer - 1][(col + 1) % width]
-            rows = " ".join(
-                f"( s{i}, s{j} ) {cpt_row()};" for i in range(states) for j in range(states)
-            )
-            lines.append(f"probability ( {name} | {a}, {b} ) {{ {rows} }}")
-    return "\n".join(lines) + "\n", names[-1][0]
-
-
 def compile_net(net, query):
     program = net_to_program(net, query)
     typecheck_program(program)
     return compile_program(desugar_program(program))
 
 
-# (layers, width, states) -> (store after compile, node_count()) at seed 0.
-# Every variable is an int(states), so nothing is held: the store is what
-# ite builds.  Held by size, the 5x4 binary net stored 11,914 nodes and the
-# 4x4 three-state one 65,251.
-PINNED_NET_STORES = {(5, 4, 2): (4366, 392), (4, 4, 3): (33697, 2069)}
+# (layers, width, states) -> (store after compile and the queries of
+# same_without_holding, node_count()) at seed 0.  Every variable is an
+# int(states), so nothing is held: the store is what ite builds.  Held by
+# size, the 5x4 binary net stored 11,914 nodes and the 4x4 three-state one
+# 65,251.  The three-state query built 1,366 more when each selecting root
+# was a pointwise iff (33,697).
+PINNED_NET_STORES = {(5, 4, 2): (4366, 392), (4, 4, 3): (32331, 2069)}
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_NET_STORES))

@@ -1,12 +1,15 @@
 """Query layer: accepting probability, value probabilities, distributions,
 and marginals."""
 
+import itertools
+import random
 import sys
 
 import pytest
 
 from flipc import infer, syntax as S
-from flipc.bdd import FALSE, BddManager
+from flipc.bdd import FALSE, TRUE, BddManager
+from flipc.bif import net_to_program, parse_bif
 from flipc.compiler import (
     CompiledProgram,
     _Compilation,
@@ -14,6 +17,8 @@ from flipc.compiler import (
     compile_program,
     compile_source,
     form,
+    iter_leaves,
+    pointwise_iff,
 )
 from flipc.errors import (
     OutputTooWideError,
@@ -23,10 +28,10 @@ from flipc.errors import (
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
 from flipc.parser import pretty_program
-from flipc.suites import benchmark_text, caesar_source
+from flipc.suites import SUITES, benchmark_names, benchmark_text, caesar_source, suite_source
 from flipc.typecheck import typecheck_program
 
-from conftest import compile_text, max_distribution_delta
+from conftest import compile_text, layered_bif, max_distribution_delta
 
 
 class TestAcceptingProbability:
@@ -233,6 +238,87 @@ class TestSurfaceValues:
                 else:
                     assert p == 0.0
         assert checked >= 20
+
+
+def exactly_one(mgr, leaves):
+    """"Exactly one of ``leaves`` is true", from a running (none, one)
+    pair: none of the leaves so far is true, exactly one of them is."""
+    none, one = TRUE, FALSE
+    for leaf in leaves:
+        none, one = mgr.ite(leaf, FALSE, none), mgr.ite(leaf, none, one)
+    return one
+
+
+def surface_sources():
+    """(name, source) of seeded random surface programs, the bundled
+    examples, the four suites, every query of cancer.bif and a layered
+    three-state net."""
+    rng = random.Random(18)
+    for i in range(200):
+        yield f"random{i}", pretty_program(random_program(rng, GenConfig(max_flips=12)))
+    for name in benchmark_names():
+        yield name, benchmark_text(name)
+    for suite in SUITES:
+        yield suite, suite_source(suite, 16)
+    nets = [("cancer.bif", parse_bif(benchmark_text("cancer.bif")), None)]
+    text, query = layered_bif(3, 4, 3, seed=0)
+    nets.append(("layered", parse_bif(text), query))
+    for name, net, query in nets:
+        for variable in [query] if query else net.variable_names():
+            yield f"{name}:{variable}", pretty_program(net_to_program(net, variable))
+
+
+@pytest.fixture(scope="module")
+def surface_programs():
+    return [
+        (name, mode, compile_source(text, mode=mode)[0])
+        for name, text in surface_sources()
+        for mode in ("modular", "inline")
+    ]
+
+
+class TestSelectingRoots:
+    """A distribution query selects an ``int(n)`` value by its leaf alone,
+    which rests on desugaring keeping every integer one-hot."""
+
+    def test_integers_stay_one_hot(self, surface_programs):
+        # On every accepting assignment exactly one leaf of each int(n) in
+        # the output is true: by canonicity, accepting and not exactly-one
+        # is the FALSE handle.
+        checked = 0
+        for name, mode, compiled in surface_programs:
+            mgr = compiled.manager
+            for ty, part in infer._components(compiled.output_ty, compiled.formula):
+                if isinstance(ty, S.IntTy):
+                    leaves = iter_leaves(part)
+                    assert len(leaves) == ty.size, name
+                    violation = mgr.ite(exactly_one(mgr, leaves), FALSE, compiled.accepting)
+                    assert violation == FALSE, (name, mode)
+                    checked += 1
+        assert checked >= 80
+
+    def test_each_root_is_the_pointwise_iff_root(self, surface_programs):
+        # Canonicity again: a built root is the handle of the accepting
+        # formula and the pointwise iff with the value, and a complemented
+        # one negates to it.
+        complemented = 0
+        for name, mode, compiled in surface_programs:
+            mgr = compiled.manager
+            literals = itertools.product(*infer._selectors(compiled))
+            for value, chosen in zip(S.enumerate_values(compiled.output_ty), literals):
+                root = infer._select(compiled, list(chosen))
+                if root < 0:
+                    complemented += 1
+                    root = mgr.negate(~root)
+                expected = mgr.apply_and(pointwise_iff(mgr, compiled.formula, value), compiled.accepting)
+                assert root == expected, (name, mode, value)
+        assert complemented >= 100
+
+    def test_a_value_that_is_not_one_hot_selects_nothing(self):
+        compiled, _ = compile_source("(discrete(0.25, 0.75), flip 0.5)")
+        assert infer.prob_of_value(compiled, ((False, True), True)) == pytest.approx(0.375, abs=1e-12)
+        for index in ((False, False), (True, True)):
+            assert infer.prob_of_value(compiled, (index, True)) == 0.0
 
 
 class TestBelowDoubleRange:
