@@ -167,6 +167,13 @@ class _BifParser:
             values.append(self.number())
         return values
 
+    def words(self, what: str) -> list:
+        values = [self.word(what)]
+        while self.peek().text == ",":
+            self.next()
+            values.append(self.word(what))
+        return values
+
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> BayesNet:
@@ -221,10 +228,7 @@ class _BifParser:
         count = int(self.number())
         self.eat("]")
         self.eat("{")
-        states = [self.word("state label")]
-        while self.peek().text == ",":
-            self.next()
-            states.append(self.word("state label"))
+        states = self.words("state label")
         self.eat("}")
         self.eat(";")
         if self.peek().text == "property":
@@ -249,10 +253,7 @@ class _BifParser:
         parent_list: list = []
         if self.peek().text == "|":
             self.next()
-            parent_list.append(self.word("parent name"))
-            while self.peek().text == ",":
-                self.next()
-                parent_list.append(self.word("parent name"))
+            parent_list = self.words("parent name")
         self.eat(")")
         for parent in parent_list:
             if parent not in declared:
@@ -274,10 +275,7 @@ class _BifParser:
                 if tok.text in ("table", "default"):
                     self.fail(f"unsupported row form {tok.text!r} in a conditional block")
                 self.eat("(")
-                labels = [self.word("state label")]
-                while self.peek().text == ",":
-                    self.next()
-                    labels.append(self.word("state label"))
+                labels = self.words("state label")
                 self.eat(")")
                 if len(labels) != len(parent_list):
                     raise BifParseError(

@@ -23,8 +23,9 @@ to its own.  The argument formulas predate both calls' fresh flips, and the
 new flips are the newest levels, so the renaming keeps the variable order
 and every image is made directly (see ``BddManager.compose``); by
 canonicity the result is the handle full composition would give.  Inline
-mode instead splices function bodies syntactically (with alpha-renaming)
-before compiling, as a differential baseline.
+mode instead rewrites each call as a ``let`` of the callee's formal over
+its body before compiling, as a differential baseline, so each call site
+compiles the body afresh.
 
 A ``let`` whose bound builds new formulas (a conditional, a call or a
 ``let``) holds leaves of the bound behind fresh placeholder variables,
@@ -63,7 +64,6 @@ subgraphs are stored once (a multi-rooted BDD).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -182,7 +182,6 @@ class _Compilation:
         self.mgr = mgr
         self.weights: dict = {}
         self.funcs: dict = {}
-        self.recording: Optional[list] = None
         # The pre-registered level of each syntactic flip, in syntactic order.
         self._order = None if order is None else iter(order)
         self.formals: frozenset = frozenset()  # levels of the current formal
@@ -195,8 +194,6 @@ class _Compilation:
     def new_flip(self, theta: float) -> int:
         level = self.mgr.new_flip() if self._order is None else next(self._order)
         self.weights[level] = (theta, 1.0 - theta)
-        if self.recording is not None:
-            self.recording.append(level)
         return level
 
 
@@ -358,18 +355,26 @@ def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr):
 
 
 def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
-    formal = form(ctx.mgr, func.formal, func.formal_ty)
-    formal_levels = tuple(ctx.mgr.level_of(n) for n in iter_leaves(formal))
-    recorded: list = []
-    previous = ctx.recording, ctx.formals
-    ctx.recording = recorded
+    """The template of ``func``.  Its flips are the flip levels registered
+    while compiling it: without an explicit order, which only inline mode
+    (no functions) takes, flips are allocated in ascending level order."""
+    mgr = ctx.mgr
+    formal = form(mgr, func.formal, func.formal_ty)
+    formal_levels = tuple(mgr.level_of(n) for n in iter_leaves(formal))
+    first_level = mgr.num_levels()
+    previous = ctx.formals
     ctx.formals = frozenset(formal_levels)
     try:
         formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
-        ctx.recording, ctx.formals = previous
+        ctx.formals = previous
     _check_released(ctx, formula, accepting)
-    return CompiledFunction(formal_levels, formula, accepting, recorded)
+    flips = [
+        level
+        for level in range(first_level, mgr.num_levels())
+        if mgr.labels[level].kind == "flip"
+    ]
+    return CompiledFunction(formal_levels, formula, accepting, flips)
 
 
 def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
@@ -412,7 +417,8 @@ def compile_program(
     """Compile a desugared core program.
 
     Modular mode compiles each function once and instantiates it per call;
-    inline mode splices bodies syntactically first.  Both produce the same
+    inline mode first binds each call's argument to the callee's formal in a
+    ``let`` over its body (``inline_program``).  Both produce the same
     inference results.  An explicit variable ``order`` (flip names f1..fN,
     referring to syntactic order) is only meaningful for inline mode, where
     each syntactic flip maps to exactly one variable.  The output type is
@@ -467,9 +473,11 @@ def _register_order(mgr: BddManager, program: S.Program, order: list) -> list:
 
 
 def inline_program(program: S.Program) -> S.Program:
-    """Replace every call with a freshly alpha-renamed copy of the callee's
-    body; the result has no functions."""
-    counter = itertools.count()
+    """Replace every call ``f(a)`` with ``let <formal> = a in <body>``, where
+    the body is ``f``'s, calls already inlined, shared by every call site;
+    the result has no functions.  Nothing is captured: a function's only free
+    identifier is its formal, and a ``let`` evaluates its bound outside its
+    own binding."""
     completed: dict[str, S.Function] = {}
 
     def transform(e: S.Expr):
@@ -489,13 +497,7 @@ def inline_program(program: S.Program) -> S.Program:
             return S.Ite(guard, then, (yield transform(e.orelse)), ty=e.ty)
         if isinstance(e, S.Call):
             func = completed[e.func]
-            subst = {func.formal: (yield transform(e.arg))}
-            body = yield _instantiate(func.body, subst, counter)
-            if not S.is_atomic(body):
-                # A fresh copy: as a let bound it holds by the call's type,
-                # as the call does in modular mode.
-                body.ty = e.ty
-            return body
+            return S.Let(func.formal, (yield transform(e.arg)), func.body, ty=e.ty)
         raise InternalError(f"cannot inline non-core expression {type(e).__name__}")
 
     for func in program.functions:
@@ -503,43 +505,6 @@ def inline_program(program: S.Program) -> S.Program:
             func.name, func.params, func.return_ty, S.trampoline(transform(func.body))
         )
     return S.Program([], S.trampoline(transform(program.main)))
-
-
-def _instantiate(e: S.Expr, subst: dict, counter):
-    """Step: a copy of ``e`` with every binder renamed fresh and ``subst``
-    applied to free identifiers (capture is impossible: fresh names are
-    reserved).  Binders are added to ``subst`` in place and removed after
-    their body."""
-    if isinstance(e, S.Lit):
-        return e
-    if isinstance(e, S.Ident):
-        replacement = subst.get(e.name)
-        return replacement if replacement is not None else e
-    if isinstance(e, S.Flip):
-        return S.Flip(e.theta)
-    if isinstance(e, S.Let):
-        bound = yield _instantiate(e.bound, subst, counter)
-        fresh = f"$i{next(counter)}"
-        old = subst.get(e.name, _MISSING)
-        subst[e.name] = S.Ident(fresh)
-        body = yield _instantiate(e.body, subst, counter)
-        if old is _MISSING:
-            del subst[e.name]
-        else:
-            subst[e.name] = old
-        return S.Let(fresh, bound, body, ty=e.ty)
-    if isinstance(e, (S.Fst, S.Snd, S.Observe)):
-        return type(e)((yield _instantiate(e.arg, subst, counter)))
-    if isinstance(e, S.Tup):
-        left = yield _instantiate(e.left, subst, counter)
-        return S.Tup(left, (yield _instantiate(e.right, subst, counter)))
-    if isinstance(e, S.Ite):
-        guard = yield _instantiate(e.guard, subst, counter)
-        then = yield _instantiate(e.then, subst, counter)
-        return S.Ite(guard, then, (yield _instantiate(e.orelse, subst, counter)), ty=e.ty)
-    if isinstance(e, S.Call):
-        raise InternalError("call survived inlining")
-    raise InternalError(f"cannot instantiate {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

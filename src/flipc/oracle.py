@@ -58,12 +58,12 @@ class OracleResult:
         return self.distribution.get(v, 0.0)
 
 
-def eval_program(program: S.Program, max_flips: int = FLIP_CAP) -> OracleResult:
+def eval_program(program: S.Program) -> OracleResult:
     """Enumerate all flip vectors of ``program`` (surface or core)."""
     flips = static_flip_count(program)
-    if flips > max_flips:
+    if flips > FLIP_CAP:
         raise OracleLimitError(
-            f"enumeration refused: {flips} flips exceeds the cap of {max_flips}"
+            f"enumeration refused: {flips} flips exceeds the cap of {FLIP_CAP}"
         )
     functions = {f.name: f for f in program.functions}
     unnormalized: Distribution = {}

@@ -92,16 +92,15 @@ CAESAR_FREQUENCIES = (0.5, 0.25, 0.125, 0.125)
 CAESAR_ERROR = 0.0001
 
 
-def caesar_source(chars: int, ciphertext: list | None = None) -> str:
+def caesar_source(chars: int) -> str:
     """Frequency analysis of a shift cipher at reduced scale.
 
     Each observed character was produced by drawing a plaintext letter from
     the frequency table, shifting it by the unknown key (mod 4), and, with a
-    small error probability, skipping the consistency check entirely.
+    small error probability, skipping the consistency check entirely.  The
+    ciphertext cycles through the alphabet.
     """
     alphabet = len(CAESAR_FREQUENCIES)
-    if ciphertext is None:
-        ciphertext = [i % alphabet for i in range(chars)]
     freqs = ", ".join(repr(p) for p in CAESAR_FREQUENCIES)
     uniform = ", ".join(repr(1.0 / alphabet) for _ in range(alphabet))
     lines = [
@@ -113,7 +112,7 @@ def caesar_source(chars: int, ciphertext: list | None = None) -> str:
         "}",
         f"let key = discrete({uniform}) in",
     ]
-    for i, c in enumerate(ciphertext):
-        lines.append(f"let obs{i} = sendchar(key, int({alphabet}, {c})) in")
+    for i in range(chars):
+        lines.append(f"let obs{i} = sendchar(key, int({alphabet}, {i % alphabet})) in")
     lines.append("key")
     return "\n".join(lines) + "\n"

@@ -38,8 +38,8 @@ def typecheck_program(program: S.Program) -> S.Ty:
     return S.trampoline(_check(program.main, {}, signatures))
 
 
-def typecheck_expr(expr: S.Expr, env: dict | None = None) -> S.Ty:
-    return S.trampoline(_check(expr, dict(env or {}), {}))
+def typecheck_expr(expr: S.Expr) -> S.Ty:
+    return S.trampoline(_check(expr, {}, {}))
 
 
 def _params_ty(params: list, span) -> S.Ty:
