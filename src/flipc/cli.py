@@ -82,14 +82,20 @@ def _fmt(p: float) -> str:
 def _oracle_delta(compiled, reference) -> float:
     """The largest distance from the oracle over the accepting probability
     and every value's posterior, which come from one counting pass.  Values
-    are taken from both sides, a missing one counting as probability 0, so
-    a value the query does not enumerate but the oracle gives mass to is a
-    mismatch."""
-    accepting, dist = infer.accepting_and_distribution(compiled)
-    posterior = reference.distribution
-    worst = abs(accepting - reference.accepting)
-    for value in set(dist) | set(reference.unnormalized):
-        worst = max(worst, abs(dist.get(value, 0.0) - posterior.get(value, 0.0)))
+    are compared by their display keys, taken from both sides, a missing
+    one counting as probability 0, so a value the query does not enumerate
+    but the oracle gives mass to is a mismatch.  Keys cost a wide
+    ``int(n)`` n short strings where its values would cost n tuples n
+    deep."""
+    result = infer.distribution_result(compiled)
+    dist = dict(result.entries)
+    posterior = {
+        infer.render_value(value, compiled.output_ty): p
+        for value, p in reference.distribution.items()
+    }
+    worst = abs(result.accepting - reference.accepting)
+    for key in dist.keys() | posterior.keys():
+        worst = max(worst, abs(dist.get(key, 0.0) - posterior.get(key, 0.0)))
     return worst
 
 

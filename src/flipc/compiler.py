@@ -116,30 +116,62 @@ def with_leaves(t, leaves: list):
 
 def form(mgr: BddManager, name: str, ty: S.Ty):
     """Placeholder variables for an argument of type ``ty``: one free
-    variable per Bool leaf, components suffixed _l and _r."""
-    if isinstance(ty, S.BoolTy):
-        return mgr.var(mgr.new_free(name))
-    if isinstance(ty, S.ProdTy):
-        return form(mgr, name + "_l", ty.left), form(mgr, name + "_r", ty.right)
-    raise ShapeMismatchError(f"cannot build a form for type {ty}")
+    variable per Bool leaf, components suffixed _l and _r, registered left
+    to right."""
+    done = []
+    stack = [(name, ty)]
+    while stack:
+        name, ty = stack.pop()
+        if name is _PAIR:
+            right = done.pop()
+            done[-1] = (done[-1], right)
+        elif isinstance(ty, S.ProdTy):
+            stack += ((_PAIR, None), (name + "_r", ty.right), (name + "_l", ty.left))
+        elif isinstance(ty, S.BoolTy):
+            done.append(mgr.var(mgr.new_free(name)))
+        else:
+            raise ShapeMismatchError(f"cannot build a form for type {ty}")
+    return done[0]
 
 
 def pointwise_iff(mgr: BddManager, a, b) -> int:
-    """Conjunction of per-leaf biconditionals, as a single formula."""
-    if not isinstance(a, tuple) and not isinstance(b, tuple):
-        return mgr.apply_iff(a, b)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return mgr.apply_and(pointwise_iff(mgr, a[0], b[0]), pointwise_iff(mgr, a[1], b[1]))
-    raise ShapeMismatchError("pointwise iff of mismatched shapes")
+    """Conjunction of per-leaf biconditionals, as a single formula: each
+    pair's conjunction is built after both of its components, left first."""
+    done = []
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is _PAIR:
+            right = done.pop()
+            done[-1] = mgr.apply_and(done[-1], right)
+        elif not isinstance(a, tuple) and not isinstance(b, tuple):
+            done.append(mgr.apply_iff(a, b))
+        elif isinstance(a, tuple) and isinstance(b, tuple):
+            stack += ((_PAIR, None), (a[1], b[1]), (a[0], b[0]))
+        else:
+            raise ShapeMismatchError("pointwise iff of mismatched shapes")
+    return done[0]
 
 
 def pointwise_ite(mgr: BddManager, g: int, t, e):
-    # Leafwise ite(g, t, e) == (g and t) or (not g and e); one traversal.
+    """Leafwise ite(g, t, e) == (g and t) or (not g and e), leaves left to
+    right."""
     if not isinstance(t, tuple) and not isinstance(e, tuple):
         return mgr.ite(g, t, e)
-    if isinstance(t, tuple) and isinstance(e, tuple):
-        return pointwise_ite(mgr, g, t[0], e[0]), pointwise_ite(mgr, g, t[1], e[1])
-    raise ShapeMismatchError("conditional branches of mismatched shapes")
+    done = []
+    stack = [(t, e)]
+    while stack:
+        t, e = stack.pop()
+        if t is _PAIR:
+            right = done.pop()
+            done[-1] = (done[-1], right)
+        elif not isinstance(t, tuple) and not isinstance(e, tuple):
+            done.append(mgr.ite(g, t, e))
+        elif isinstance(t, tuple) and isinstance(e, tuple):
+            stack += ((_PAIR, None), (t[1], e[1]), (t[0], e[0]))
+        else:
+            raise ShapeMismatchError("conditional branches of mismatched shapes")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +240,23 @@ def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> tuple:
 
 
 def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
-    """Step: the (formula tuple, accepting formula) of ``e``.  A ``let``
-    that is the bound of another (``in_bound``) leaves its held groups on
-    ``ctx.held`` for the enclosing ``let`` to compose."""
-    mgr = ctx.mgr
-    if isinstance(e, S.Lit):
-        return e.value, TRUE
-    if isinstance(e, S.Ident):
-        return env[e.name], TRUE
+    """Dispatcher: the (formula tuple, accepting formula) of ``e``, or for
+    a ``let`` or a conditional the step that computes it.  Every other core
+    node has only atoms below it, so it is answered at once."""
     if isinstance(e, S.Flip):
         if e.theta == 0.0:
             return FALSE, TRUE
         if e.theta == 1.0:
             return TRUE, TRUE
-        return mgr.var(ctx.new_flip(e.theta)), TRUE
+        return ctx.mgr.var(ctx.new_flip(e.theta)), TRUE
+    if isinstance(e, S.Let):
+        return _compile_let(ctx, env, e, in_bound)
+    if isinstance(e, S.Ite):
+        return _compile_ite(ctx, env, e)
+    if isinstance(e, S.Ident):
+        return env[e.name], TRUE
+    if isinstance(e, S.Lit):
+        return e.value, TRUE
     if isinstance(e, (S.Fst, S.Snd)):
         t = _compile_atom(ctx, env, e.arg)
         first = isinstance(e, S.Fst)
@@ -235,36 +270,46 @@ def _compile(ctx: _Compilation, env: dict, e: S.Expr, in_bound: bool = False):
         if isinstance(guard, tuple):
             raise ShapeMismatchError("observe of a non-boolean", e.span)
         return TRUE, guard
-    if isinstance(e, S.Ite):
-        g = _compile_atom(ctx, env, e.guard)
-        if isinstance(g, tuple):
-            raise ShapeMismatchError("conditional on a non-boolean", e.span)
-        then_formula, then_accepting = yield _compile(ctx, env, e.then)
-        else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
-        formula = pointwise_ite(mgr, g, then_formula, else_formula)
-        accepting = mgr.ite(g, then_accepting, else_accepting)
-        return formula, accepting
-    if isinstance(e, S.Let):
-        mark = len(ctx.held)
-        first_level = mgr.num_levels()
-        bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, in_bound=True)
-        if isinstance(e.bound, _BUILDS):
-            bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
-        old = env.get(e.name, _MISSING)
-        env[e.name] = bound_formula
-        formula, accepting = yield _compile(ctx, env, e.body)
-        if bound_accepting != TRUE:
-            accepting = mgr.apply_and(bound_accepting, accepting)
-        if old is _MISSING:
-            del env[e.name]
-        else:
-            env[e.name] = old
-        if len(ctx.held) > mark and not in_bound:
-            formula, accepting = _release(ctx, mark, formula, accepting)
-        return formula, accepting
     if isinstance(e, S.Call):
         return apply_call(ctx, e.func, _compile_atom(ctx, env, e.arg))
     raise InternalError(f"cannot compile non-core expression {type(e).__name__}")
+
+
+def _compile_ite(ctx: _Compilation, env: dict, e: S.Ite):
+    """Step: the (formula tuple, accepting formula) of a conditional."""
+    mgr = ctx.mgr
+    g = _compile_atom(ctx, env, e.guard)
+    if isinstance(g, tuple):
+        raise ShapeMismatchError("conditional on a non-boolean", e.span)
+    then_formula, then_accepting = yield _compile(ctx, env, e.then)
+    else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
+    formula = pointwise_ite(mgr, g, then_formula, else_formula)
+    accepting = mgr.ite(g, then_accepting, else_accepting)
+    return formula, accepting
+
+
+def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
+    """Step: the (formula tuple, accepting formula) of a ``let``.  One that
+    is the bound of another (``in_bound``) leaves its held groups on
+    ``ctx.held`` for the enclosing ``let`` to compose."""
+    mgr = ctx.mgr
+    mark = len(ctx.held)
+    first_level = mgr.num_levels()
+    bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, True)
+    if isinstance(e.bound, _BUILDS):
+        bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
+    old = env.get(e.name, _MISSING)
+    env[e.name] = bound_formula
+    formula, accepting = yield _compile(ctx, env, e.body)
+    if bound_accepting != TRUE:
+        accepting = mgr.apply_and(bound_accepting, accepting)
+    if old is _MISSING:
+        del env[e.name]
+    else:
+        env[e.name] = old
+    if len(ctx.held) > mark and not in_bound:
+        formula, accepting = _release(ctx, mark, formula, accepting)
+    return formula, accepting
 
 
 # Bounds that build new formulas; any other bound rebinds existing leaves.
@@ -481,9 +526,14 @@ def inline_program(program: S.Program) -> S.Program:
     completed: dict[str, S.Function] = {}
 
     def transform(e: S.Expr):
-        """Step: ``e`` with every call inlined."""
+        """Dispatcher: ``e`` with every call inlined; a leaf is its own
+        result, any other node's is computed by the step ``inline``."""
         if isinstance(e, (S.Lit, S.Ident, S.Flip)):
             return e
+        return inline(e)
+
+    def inline(e: S.Expr):
+        """Step: ``e``, which has a sub-expression, with every call inlined."""
         if isinstance(e, S.Let):
             bound = yield transform(e.bound)
             return S.Let(e.name, bound, (yield transform(e.body)), ty=e.ty)

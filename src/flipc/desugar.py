@@ -88,7 +88,8 @@ def desugar_expr(e: S.Expr) -> S.Expr:
 
 
 def _ds(e: S.Expr, fresh, temps):
-    """Step: ``e`` lowered to core ANF.
+    """Dispatcher: ``e`` lowered to core ANF, for a node with no
+    sub-expression; for any other node the step that lowers it.
 
     ``fresh`` numbers the names of expansions (``$d``, ``$e``, ``$a``, ...),
     ``temps`` the ``$t`` names that hold a non-atomic operand of an atomic
@@ -102,16 +103,22 @@ def _ds(e: S.Expr, fresh, temps):
         return e
     if isinstance(e, S.IntLit):
         return S.Lit(S.one_hot_value(e.size, e.value), span=e.span)
+    if isinstance(e, S.Discrete):
+        return _discrete_chain(e.params, fresh, e.span)
+    if isinstance(e, S.Eq):
+        return _ds_eq(e, fresh, temps)
+    if isinstance(e, (S.IntAdd, S.IntMul)):
+        return _ds_int_arith(e, fresh, temps)
+    return _ds_step(e, fresh, temps)
+
+
+def _ds_step(e: S.Expr, fresh, temps):
+    """Step: ``e``, a node with a sub-expression other than an integer
+    operator or ``==``, lowered to core ANF."""
     if isinstance(e, S.Let):
         bound = yield _ds(e.bound, fresh, temps)
         bound.ty = e.bound.ty
         return S.Let(e.name, bound, (yield _ds(e.body, fresh, temps)), span=e.span)
-    if isinstance(e, S.Eq):
-        return (yield _ds_eq(e, fresh, temps))
-    if isinstance(e, (S.IntAdd, S.IntMul)):
-        return (yield _ds_int_arith(e, fresh, temps))
-    if isinstance(e, S.Discrete):
-        return _discrete_chain(e.params, fresh, e.span)
     if isinstance(e, S.Iterate):
         # f(f(... f(init))), each call's argument hoisted innermost first.
         result = yield _ds(e.init, fresh, temps)

@@ -148,25 +148,25 @@ def _select(cp: CompiledProgram, literals: list) -> int:
 
 def full_distribution(cp: CompiledProgram) -> dict:
     """Posterior over every inhabitant of the output type."""
-    return _distribution(cp)[2]
+    return accepting_and_distribution(cp)[1]
 
 
 def accepting_and_distribution(cp: CompiledProgram) -> tuple:
     """The accepting probability and the posterior over every inhabitant of
     the output type, from one counting pass."""
-    accepting, _, dist = _distribution(cp)
-    return accepting, dist
+    accepting, _, posteriors = _distribution(cp)
+    return accepting, dict(zip(S.enumerate_values(cp.output_ty), posteriors))
 
 
 def _distribution(cp: CompiledProgram) -> tuple:
+    """The accepting probability, its scaled count and the posterior of
+    each value of the output type, in ``S.enumerate_values`` order."""
     count = S.value_count(cp.output_ty)
     if count > MAX_VALUES:
         raise OutputTooWideError(count, MAX_VALUES)
-    # Both enumerate the leftmost component most significant.
-    values = list(S.enumerate_values(cp.output_ty))
-    selecting = [_select(cp, literals) for literals in itertools.product(*_selectors(cp))]
-    accepting, denominator, posteriors = _query(cp, selecting)
-    return accepting, denominator, dict(zip(values, posteriors))
+    # Like S.enumerate_values, product takes the leftmost component as the
+    # most significant.
+    return _query(cp, [_select(cp, literals) for literals in itertools.product(*_selectors(cp))])
 
 
 def marginals(cp: CompiledProgram) -> list:
@@ -199,12 +199,22 @@ def render_value(value: S.Value, surface_ty: Optional[S.Ty]) -> str:
     return S.format_value(value)
 
 
+def _value_keys(ty: S.Ty) -> list:
+    """The display key of each value of ``ty``, in ``S.enumerate_values``
+    order, read off the type: index i of an ``int(n)`` is ``i``, a Bool
+    ``false`` or ``true`` and a pair ``(l, r)``.  No value is built, so an
+    ``int(n)`` costs n keys, not n one-hot values of n leaves each."""
+    if isinstance(ty, S.ProdTy):
+        lefts, rights = _value_keys(ty.left), _value_keys(ty.right)
+        return [f"({left}, {right})" for left in lefts for right in rights]
+    if isinstance(ty, S.IntTy):
+        return [str(index) for index in range(ty.size)]
+    return ["false", "true"]
+
+
 def distribution_result(cp: CompiledProgram) -> InferenceResult:
-    accepting, denominator, dist = _distribution(cp)
-    entries = [
-        (render_value(value, cp.output_ty), probability)
-        for value, probability in dist.items()
-    ]
+    accepting, denominator, posteriors = _distribution(cp)
+    entries = list(zip(_value_keys(cp.output_ty), posteriors))
     return InferenceResult(accepting, "distribution", entries, denominator)
 
 

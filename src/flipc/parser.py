@@ -25,13 +25,14 @@ Grammar sketch (lowest precedence first; all binary operators associate left):
               | '(' expr ')' | '(' expr ',' expr ')'
 
 The levels eq ... proj are numbered 1 to 7 (``_PREC_EQ`` ... ``_PREC_PROJ``)
-and parsed by precedence climbing: one step, ``_Parser.expr(min_prec)``,
-reads a prefix form or an atom and then every binary operator whose level
+and parsed by precedence climbing: ``_Parser.expr(min_prec)`` reads a
+prefix form or an atom and then every binary operator whose level
 is at least ``min_prec``, taking each right operand at one level above the
 operator's.  ``!`` (level 4) is a prefix only where a ``not`` may start, and
 ``fst``/``snd`` (level 7) anywhere an operand may.  Level 0 is ``expr``.
-The pretty printer uses the same levels.  Parsing and printing are steps
-run by ``syntax.trampoline``, so nesting depth costs no interpreter stack.
+The pretty printer uses the same levels.  Parsing and printing read or
+print an atom in a plain call and every other form in a step run by
+``syntax.trampoline``, so nesting depth costs no interpreter stack.
 
 Lexical conventions (the kind of thing no formal grammar pins down, so they
 are fixed here): line comments start with ``//``; identifiers match
@@ -257,30 +258,24 @@ class _Parser:
         return value, tok
 
     def expr(self, min_prec: int = 0):
-        """Step: one expression whose binary operators all bind at least as
-        tightly as ``min_prec``.  Level 0 also admits let, if and observe;
-        '!' is admitted up to its own level, so ``a + !b`` is an error.
+        """Dispatcher: one expression whose binary operators all bind at
+        least as tightly as ``min_prec``.  Level 0 also admits let, if and
+        observe; '!' is admitted up to its own level, so ``a + !b`` is an
+        error.
 
-        The first token is read once and the form is chosen by its text; a
-        form that ``min_prec`` does not admit is no expression here."""
+        The first token is read once and the form is chosen by its text.
+        An atom (an identifier not followed by '(', a flip, a Boolean, an
+        integer literal or a ``discrete``) is read here and returned as it
+        is unless an operator that ``min_prec`` admits follows; every other
+        form is read by the step ``_form``."""
         tokens = self.tokens
         tok = tokens[self.pos]
         text = tok.text
         if tok.kind == "ident":
+            if tokens[self.pos + 1].text == "(":
+                return self._form(tok, min_prec)
             self.pos += 1
-            if tokens[self.pos].text == "(":
-                self.pos += 1
-                args = [(yield self.expr())]
-                while tokens[self.pos].text == ",":
-                    self.pos += 1
-                    args.append((yield self.expr()))
-                self.eat(")")
-                arg = args[-1]
-                for prev in reversed(args[:-1]):
-                    arg = S.mk_tup(prev, arg, self.span(tok))
-                e = S.Call(text, arg, span=self.span(tok))
-            else:
-                e = S.Ident(text, span=self.span(tok))
+            e = S.Ident(text, span=self.span(tok))
         elif text == "flip":
             self.pos += 1
             parenthesized = tokens[self.pos].text == "("
@@ -295,40 +290,9 @@ class _Parser:
                     self.span(theta_tok),
                 )
             e = S.Flip(theta, span=self.span(tok))
-        elif text == "let" and min_prec == 0:
-            self.pos += 1
-            name = self.ident("binding name")
-            self.eat("=")
-            bound = yield self.expr()
-            self.eat("in")
-            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
-        elif text == "if" and min_prec == 0:
-            self.pos += 1
-            guard = yield self.expr()
-            self.eat("then")
-            then = yield self.expr()
-            self.eat("else")
-            return S.Ite(guard, then, (yield self.expr()), span=self.span(tok))
-        elif text == "(":
-            self.pos += 1
-            e = yield self.expr()
-            if tokens[self.pos].text == ",":
-                self.pos += 1
-                e = S.mk_tup(e, (yield self.expr()), self.span(tok))
-            self.eat(")")
         elif text in _BOOLS:
             self.pos += 1
             e = S.Lit(_BOOLS[text], span=self.span(tok))
-        elif text == "observe" and min_prec == 0:
-            self.pos += 1
-            return S.Observe((yield self.expr()), span=self.span(tok))
-        elif text == "!" and min_prec <= _PREC_NOT:
-            self.pos += 1
-            e = S.Not((yield self.expr(_PREC_NOT)), span=self.span(tok))
-        elif text == "fst" or text == "snd":
-            self.pos += 1
-            cls = S.Fst if text == "fst" else S.Snd
-            e = cls((yield self.expr(_PREC_PROJ)), span=self.span(tok))
         elif text == "discrete":
             self.pos += 1
             self.eat("(")
@@ -352,6 +316,76 @@ class _Parser:
                     f"integer value {value} out of range for size {size}", self.span(tok)
                 )
             e = S.IntLit(size, value, span=self.span(tok))
+        else:
+            return self._form(tok, min_prec)
+        return self._operators(e, min_prec)
+
+    def _operators(self, e: S.Expr, min_prec: int):
+        """Dispatcher: ``e`` as it is, unless a binary operator that
+        ``min_prec`` admits follows; then the step ``_operator_step`` that
+        reads it."""
+        entry = _BINARY.get(self.tokens[self.pos].text)
+        if entry is None or entry[0] < min_prec:
+            return e
+        return self._operator_step(e, entry, min_prec)
+
+    def _operator_step(self, left: S.Expr, entry: tuple, min_prec: int):
+        """Step: ``left``, the binary operator ``entry`` that follows it and
+        its right operand, taken at one level above the operator's, then
+        any further operators that ``min_prec`` admits, left-associated."""
+        op = self.tokens[self.pos]
+        self.pos += 1
+        prec, cls = entry
+        e = cls(left, (yield self.expr(prec + 1)), span=self.span(op))
+        return (yield self._operators(e, min_prec))
+
+    def _form(self, tok: Token, min_prec: int):
+        """Step: an expression whose first token ``tok`` starts no atom,
+        read from that token on (see ``expr``)."""
+        tokens = self.tokens
+        text = tok.text
+        if tok.kind == "ident":
+            self.pos += 2
+            args = [(yield self.expr())]
+            while tokens[self.pos].text == ",":
+                self.pos += 1
+                args.append((yield self.expr()))
+            self.eat(")")
+            arg = args[-1]
+            for prev in reversed(args[:-1]):
+                arg = S.mk_tup(prev, arg, self.span(tok))
+            e = S.Call(text, arg, span=self.span(tok))
+        elif text == "let" and min_prec == 0:
+            self.pos += 1
+            name = self.ident("binding name")
+            self.eat("=")
+            bound = yield self.expr()
+            self.eat("in")
+            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
+        elif text == "if" and min_prec == 0:
+            self.pos += 1
+            guard = yield self.expr()
+            self.eat("then")
+            then = yield self.expr()
+            self.eat("else")
+            return S.Ite(guard, then, (yield self.expr()), span=self.span(tok))
+        elif text == "(":
+            self.pos += 1
+            e = yield self.expr()
+            if tokens[self.pos].text == ",":
+                self.pos += 1
+                e = S.mk_tup(e, (yield self.expr()), self.span(tok))
+            self.eat(")")
+        elif text == "observe" and min_prec == 0:
+            self.pos += 1
+            return S.Observe((yield self.expr()), span=self.span(tok))
+        elif text == "!" and min_prec <= _PREC_NOT:
+            self.pos += 1
+            e = S.Not((yield self.expr(_PREC_NOT)), span=self.span(tok))
+        elif text == "fst" or text == "snd":
+            self.pos += 1
+            cls = S.Fst if text == "fst" else S.Snd
+            e = cls((yield self.expr(_PREC_PROJ)), span=self.span(tok))
         elif text == "iterate":
             self.pos += 1
             self.eat("(")
@@ -364,14 +398,7 @@ class _Parser:
             e = S.Iterate(func, init, count, span=self.span(tok))
         else:
             self.fail("expected an expression")
-        while True:
-            op = tokens[self.pos]
-            entry = _BINARY.get(op.text)
-            if entry is None or entry[0] < min_prec:
-                return e
-            self.pos += 1
-            prec, cls = entry
-            e = cls(e, (yield self.expr(prec + 1)), span=self.span(op))
+        return (yield self._operators(e, min_prec))
 
 
 def parse_program(text: str, filename: str = "<input>") -> S.Program:
@@ -393,8 +420,26 @@ def pretty_expr(e: S.Expr) -> str:
 
 
 def _pp(e: S.Expr, prec: int, out: list):
-    """Step: append the text of ``e`` to ``out``, in parentheses when its
-    level is below ``prec``."""
+    """Dispatcher: append the text of ``e`` to ``out``, in parentheses when
+    its level is below ``prec``.  An atom, which never needs them, is
+    printed here; any other node by the step ``_pp_step``."""
+    if isinstance(e, S.Ident):
+        out.append(e.name)
+    elif isinstance(e, S.Lit):
+        out.append(S.format_value(e.value))
+    elif isinstance(e, S.Flip):
+        out.append(f"flip {e.theta!r}")
+    elif isinstance(e, S.Discrete):
+        out.append(f"discrete({', '.join(repr(p) for p in e.params)})")
+    elif isinstance(e, S.IntLit):
+        out.append(f"int({e.size}, {e.value})")
+    else:
+        return _pp_step(e, prec, out)
+
+
+def _pp_step(e: S.Expr, prec: int, out: list):
+    """Step: append the text of ``e``, which has a sub-expression, to
+    ``out``, in parentheses when its level is below ``prec``."""
     paren = prec > _LEVEL.get(type(e), _PREC_ATOM)
     if paren:
         out.append("(")
@@ -425,16 +470,6 @@ def _pp(e: S.Expr, prec: int, out: list):
     elif isinstance(e, (S.Fst, S.Snd)):
         out.append("fst " if isinstance(e, S.Fst) else "snd ")
         yield _pp(e.arg, _PREC_PROJ, out)
-    elif isinstance(e, S.Lit):
-        out.append(S.format_value(e.value))
-    elif isinstance(e, S.Ident):
-        out.append(e.name)
-    elif isinstance(e, S.Flip):
-        out.append(f"flip {e.theta!r}")
-    elif isinstance(e, S.Discrete):
-        out.append(f"discrete({', '.join(repr(p) for p in e.params)})")
-    elif isinstance(e, S.IntLit):
-        out.append(f"int({e.size}, {e.value})")
     elif isinstance(e, S.Iterate):
         out.append(f"iterate({e.func}, ")
         yield _pp(e.init, 0, out)

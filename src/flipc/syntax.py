@@ -12,14 +12,17 @@ desugar to right-nested one-hot tuples of booleans.
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
 
 Every front-end pass over expressions (parsing, typechecking, desugaring,
-compilation, inlining, printing) is written as *steps* run by ``trampoline``,
-so the depth of a program never becomes depth of the Python call stack.
+compilation, inlining, printing) is a plain dispatcher that answers a node
+with no sub-expression at once and hands every other node to a *step* run by
+``trampoline``, so the depth of a program never becomes depth of the Python
+call stack, and a leaf costs no step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, NamedTuple, Optional, Union
+from types import GeneratorType
+from typing import Iterator, NamedTuple, Optional, Union
 
 Value = Union[bool, tuple]
 
@@ -28,16 +31,22 @@ Value = Union[bool, tuple]
 # Recursion on an explicit stack
 
 
-def trampoline(step: Generator):
+def trampoline(step):
     """Run the recursion rooted at ``step`` on a list instead of the C stack.
 
-    A step is a generator.  To call a sub-step it yields the sub-step's
-    generator, and the ``yield`` evaluates to that sub-step's return value;
-    the step's own ``return`` value goes back to its caller, or out of
-    ``trampoline`` for the root.  Steps must not use ``yield from``, which
-    nests on the C stack again.  An exception raised in a step propagates out
-    of ``trampoline`` unchanged; no step is resumed after it.
+    A step is a generator.  It yields what a dispatcher returned for a
+    sub-expression: either a finished value, which is sent straight back,
+    or a sub-step, which runs first and whose return value the ``yield``
+    then evaluates to.  The step's own ``return`` value goes back to its
+    caller, or out of ``trampoline`` for the root; a root that is not a
+    generator is a finished value and is returned as it is.  So no value a
+    pass computes may be a generator.  Steps must not use ``yield from``,
+    which nests on the C stack again.  An exception raised in a dispatcher
+    or a step propagates out of ``trampoline`` unchanged; no step is
+    resumed after it.
     """
+    if type(step) is not GeneratorType:
+        return step
     stack = [step]
     value = None
     while stack:
@@ -47,8 +56,11 @@ def trampoline(step: Generator):
             stack.pop()
             value = done.value
         else:
-            stack.append(child)
-            value = None
+            if type(child) is GeneratorType:
+                stack.append(child)
+                value = None
+            else:
+                value = child
     return value
 
 
@@ -106,6 +118,9 @@ class IntTy(Ty):
 
 BOOL = BoolTy()
 
+# Marks, on a walk's stack, where a pair's two components are complete.
+_PAIR = object()
+
 
 def int_backing_ty(size: int) -> Ty:
     """Right-nested Bool^size tuple type backing a one-hot integer."""
@@ -162,9 +177,18 @@ def enumerate_values(ty: Ty) -> Iterator[Value]:
 def ty_of_value(v: Value) -> Ty:
     """The type of a value, or the shape of a formula tuple, whose leaves
     are node handles."""
-    if isinstance(v, int):
-        return BOOL
-    return ProdTy(ty_of_value(v[0]), ty_of_value(v[1]))
+    done = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if v is _PAIR:
+            right = done.pop()
+            done[-1] = ProdTy(done[-1], right)
+        elif isinstance(v, int):
+            done.append(BOOL)
+        else:
+            stack += (_PAIR, v[1], v[0])
+    return done[0]
 
 
 def one_hot_value(size: int, index: int) -> Value:

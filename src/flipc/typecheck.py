@@ -54,10 +54,10 @@ def _params_ty(params: list, span) -> S.Ty:
 
 
 def _check(e: S.Expr, env: dict, signatures: dict):
-    """Step: the type of ``e``, also recorded in ``e.ty``."""
-    if isinstance(e, S.Lit):
-        ty = S.ty_of_value(e.value)
-    elif isinstance(e, S.Ident):
+    """Dispatcher: the type of ``e``, also recorded in ``e.ty``, for a node
+    with no sub-expression; for any other node the step ``_check_step``
+    that computes it."""
+    if isinstance(e, S.Ident):
         if e.name not in env:
             raise UnboundIdentifierError(f"unbound identifier {e.name!r}", e.span)
         ty = env[e.name]
@@ -65,7 +65,26 @@ def _check(e: S.Expr, env: dict, signatures: dict):
         if not 0.0 <= e.theta <= 1.0:
             raise TypeMismatchError("a probability in [0, 1]", e.theta, e.span)
         ty = S.BOOL
-    elif isinstance(e, (S.Fst, S.Snd)):
+    elif isinstance(e, S.Lit):
+        ty = S.ty_of_value(e.value)
+    elif isinstance(e, S.IntLit):
+        if not 0 <= e.value < e.size:
+            raise TypeMismatchError(f"a value below {e.size}", e.value, e.span)
+        ty = S.IntTy(e.size)
+    elif isinstance(e, S.Discrete):
+        if not e.params:
+            raise TypeMismatchError("at least one probability", "none", e.span)
+        ty = S.IntTy(len(e.params))
+    else:
+        return _check_step(e, env, signatures)
+    e.ty = ty
+    return ty
+
+
+def _check_step(e: S.Expr, env: dict, signatures: dict):
+    """Step: the type of ``e``, which has a sub-expression, also recorded
+    in ``e.ty``."""
+    if isinstance(e, (S.Fst, S.Snd)):
         arg = yield _check(e.arg, env, signatures)
         if not isinstance(arg, S.ProdTy):
             raise TypeMismatchError("a tuple", arg, e.span)
@@ -135,14 +154,6 @@ def _check(e: S.Expr, env: dict, signatures: dict):
         if left.size != right.size:
             raise SizeMismatchError(left.size, right.size, e.span)
         ty = left
-    elif isinstance(e, S.IntLit):
-        if not 0 <= e.value < e.size:
-            raise TypeMismatchError(f"a value below {e.size}", e.value, e.span)
-        ty = S.IntTy(e.size)
-    elif isinstance(e, S.Discrete):
-        if not e.params:
-            raise TypeMismatchError("at least one probability", "none", e.span)
-        ty = S.IntTy(len(e.params))
     elif isinstance(e, S.Iterate):
         if e.count < 0:
             raise TypeMismatchError("a non-negative count", e.count, e.span)

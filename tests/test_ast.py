@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+from types import GeneratorType
 
 import pytest
 
@@ -440,3 +441,92 @@ class TestExplicitStack:
         assert inlined.hexdigest() == (
             "a110f7d6a15bd98e0da67100acdc54be5b6698c39661cca8efe249c3b5c21757"
         )
+
+
+class TestStepProtocol:
+    def test_a_yielded_value_is_sent_back(self):
+        def step():
+            first = yield 3
+            second = yield (first, None)
+            return first, second
+
+        assert S.trampoline(step()) == (3, (3, None))
+
+    def test_a_root_that_is_no_generator_is_returned_as_it_is(self):
+        value = (S.Ident("x"), None)
+        assert S.trampoline(value) is value
+        assert S.trampoline(None) is None
+
+    def test_exceptions_from_a_dispatcher_or_a_step_propagate_unchanged(self):
+        error = KeyError("unbound")
+
+        def dispatch(name):
+            if name is None:
+                raise error
+            return step(name)
+
+        def step(name):
+            return (yield dispatch(None))
+
+        with pytest.raises(KeyError) as raised:
+            S.trampoline(step("x"))
+        assert raised.value is error
+        with pytest.raises(UnboundIdentifierError, match="'y'"):
+            typecheck_expr(parse_expr("let x = flip 0.5 in (x, y)"))
+
+    @pytest.mark.parametrize("suite, n", [("chained-flips", 64), ("caesar-mini", 16)])
+    def test_each_pass_runs_a_step_only_where_a_node_waits_on_a_child(
+        self, monkeypatch, suite, n
+    ):
+        # A node with no sub-expression is answered by its pass's
+        # dispatcher, so a pass runs at most one step per node with a
+        # sub-expression, plus one root per trampoline.
+        counter = _CountingTrampoline()
+        monkeypatch.setattr(S, "trampoline", counter)
+        text = suites.suite_source(suite, n)
+        passes = {}
+
+        def run(name, work, nodes_of):
+            counter.steps = counter.roots = 0
+            result = work()
+            nodes = nodes_of(result)
+            passes[name] = (counter.steps, sum(1 for node in nodes if S.children(node)), counter.roots)
+            return result
+
+        surface = run("parse", lambda: parse_program(text), S.program_nodes)
+        run("typecheck", lambda: typecheck_program(surface), lambda _: S.program_nodes(surface))
+        core = run("desugar", lambda: desugar_program(surface), S.program_nodes)
+        run("inline", lambda: inline_program(core), lambda _: S.program_nodes(core))
+        run("compile", lambda: compile_program(core), lambda _: S.program_nodes(core))
+        for name, (steps, waiting, roots) in passes.items():
+            assert 0 < steps <= waiting + roots, (name, steps, waiting, roots)
+
+
+class _CountingTrampoline:
+    """``syntax.trampoline``'s protocol, counting the steps it runs and the
+    roots it is called on."""
+
+    def __init__(self):
+        self.steps = self.roots = 0
+
+    def __call__(self, step):
+        self.roots += 1
+        if type(step) is not GeneratorType:
+            return step
+        self.steps += 1
+        stack = [step]
+        value = None
+        while stack:
+            try:
+                child = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                if type(child) is GeneratorType:
+                    self.steps += 1
+                    stack.append(child)
+                    value = None
+                else:
+                    value = child
+        return value

@@ -397,3 +397,36 @@ class TestRenderValue:
     def test_plain_bool(self):
         assert infer.render_value(True, S.BOOL) == "true"
         assert infer.render_value((True, False), None) == "(true, false)"
+
+
+class TestDistributionKeys:
+    UNIFORM_250 = "discrete(" + ", ".join(["0.004"] * 250) + ")"
+
+    @pytest.mark.parametrize("text", [
+        UNIFORM_250,
+        "(discrete(0.1, 0.2, 0.3, 0.4), flip 0.3)",
+        "let k = discrete(0.5, 0.25, 0.25) in (flip 0.6, (k, k + int(3, 1)))",
+    ], ids=["discrete_250", "int_and_bool", "nested"])
+    def test_keys_read_off_the_type_match_the_rendered_values(self, text):
+        # The reference renders each enumerated value, as the query did
+        # before it read its keys off the type.
+        compiled, _ = compile_source(text)
+        result = infer.distribution_result(compiled)
+        expected = [
+            (infer.render_value(value, compiled.output_ty), p)
+            for value, p in infer.full_distribution(compiled).items()
+        ]
+        assert [(key, p.hex()) for key, p in result.entries] == [
+            (key, p.hex()) for key, p in expected
+        ]
+
+    def test_the_query_builds_no_one_hot_value(self, monkeypatch):
+        compiled, _ = compile_source(self.UNIFORM_250)
+
+        def refuse(*args):
+            raise AssertionError("a one-hot value was built or scanned")
+
+        monkeypatch.setattr(S, "one_hot_value", refuse)
+        monkeypatch.setattr(S, "one_hot_index", refuse)
+        result = infer.distribution_result(compiled)
+        assert [key for key, _ in result.entries] == [str(i) for i in range(250)]
