@@ -46,25 +46,23 @@ variable (probabilistic, named f1, f2, ... in allocation order; its weights
 are passed to ``wmc``) or a free variable (a placeholder for a function
 argument).  The registration order *is* the global variable order.
 
-``wmc`` computes weighted model counts in time linear in the BDD: the
-post-order walk gives the reachable nodes and the support, and one bottom-up
-pass visits each node once.  A branch that skips support variables takes the
-product of (weight_true + weight_false) over them; prefix products of those
-sums, with a running count of zero sums, give that factor in O(1).  Counts,
-prefix products and factors are all (mantissa, exponent) pairs from
-``math.frexp``, so no intermediate value underflows or overflows whatever
-the weights; the root's pair is kept in ``last_wmc_scaled`` for callers that
+``wmc`` counts flip weights only: every level it meets must carry a pair
+(theta, 1 - theta), which sums to exactly 1.0 for every double theta in
+(0, 1), and any pair whose float sum is not 1.0 is rejected with
+``BadDistributionError``.  So a variable a branch skips contributes a factor
+of exactly 1, and the count is linear in the BDD: the post-order walk gives
+the reachable nodes and the support, and one bottom-up pass visits each node
+once, weighting its children's counts by its literal weights.  Counts are
+(mantissa, exponent) pairs from ``math.frexp``, so no intermediate value
+underflows; the root's pair is kept in ``last_wmc_scaled`` for callers that
 need ratios of counts below the double range.  Several roots are counted in
-one walk and one pass over the union of their supports: a node's entry is
-its count over that whole support, so each root's count is read off its own
-entry.  That is the root's count over its own support times the weight sums
-of the union's other levels, and a flip's weights (theta, 1 - theta) sum to
-exactly 1.0 for every double theta in (0, 1), so for flip weights the counts
-are the single-root counts bit for bit.  A complemented root ``~n`` is read
-off a second entry per node, made by the same recurrence with the terminals
-swapped.  ``negate(n)`` is the same DAG with the terminals swapped, over the
-same support, so the count is the one ``negate(n)`` would get, bit for bit,
-and the query stores no negated copy.
+one walk and one pass over the union of their supports, and since the other
+levels of the union weigh exactly 1 each root's count is its single-root
+count bit for bit.  A complemented root ``~n`` is read off a second entry
+per node, made by the same recurrence with the terminals swapped.
+``negate(n)`` is the same DAG with the terminals swapped, over the same
+support, so the count is the one ``negate(n)`` would get, bit for bit, and
+the query stores no negated copy.
 
 Construction is single-threaded.  After it completes, ``node_count``,
 ``evaluate`` and ``to_dot`` only read the store and may run concurrently.
@@ -80,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MissingWeightError, NodeLimitError, UnboundFreeVariableError
+from .errors import BadDistributionError, MissingWeightError, NodeLimitError, UnboundFreeVariableError
 
 FALSE = 0
 TRUE = 1
@@ -334,13 +332,14 @@ class BddManager:
     def wmc(self, root, weights: dict):
         """Weighted model count over the support of ``root``.
 
-        ``weights`` maps variable levels to (weight_true, weight_false).  One
-        linear pass: each reachable node is visited once and every skipped
-        variable run costs O(1).  The count is carried as a (mantissa,
-        exponent) pair, kept in ``last_wmc_scaled``; the float
-        ``ldexp(mantissa, exponent)`` is returned.  The number of entries
-        computed, one per reachable node and one more per node when a root
-        is complemented, is kept in ``last_wmc_visits``.
+        ``weights`` maps variable levels to flip weights (theta, 1 - theta);
+        a counted level whose pair does not sum to exactly 1.0 raises
+        ``BadDistributionError``.  One linear pass: each reachable node is
+        visited once, and a skipped variable weighs 1.  The count is carried
+        as a (mantissa, exponent) pair, kept in ``last_wmc_scaled``; the
+        float ``ldexp(mantissa, exponent)`` is returned.  The number of
+        entries computed, one per reachable node and one more per node when
+        a root is complemented, is kept in ``last_wmc_visits``.
 
         A root may be complemented, ``~n`` for the negation of node ``n``:
         it is counted from the second entries, the pass run again with the
@@ -349,10 +348,8 @@ class BddManager:
 
         ``root`` may also be a tuple of roots, all counted in the same pass
         over the union of their supports: then a tuple of floats is returned
-        and ``last_wmc_scaled`` holds a tuple of pairs, one per root.  Each
-        count is the root's own times the product of (wt + wf) over the
-        union's levels outside its support, which is exactly 1 for flip
-        weights (theta, 1 - theta).  A level without a weight raises
+        and ``last_wmc_scaled`` holds a tuple of pairs, one per root, each
+        the root's single-root count.  A level without a weight raises
         ``UnboundFreeVariableError`` if it is a free variable and
         ``MissingWeightError`` otherwise.
         """
@@ -362,53 +359,34 @@ class BddManager:
         complemented = min(roots) < 0
         order = self._postorder([r if r >= 0 else ~r for r in roots] if complemented else roots)
         flipped = order if complemented else ()
-        support = sorted({var[n] for n in order})
-        for level in support:
+        # Per support level, its two literal weights as frexp pairs.
+        frexp, ldexp = math.frexp, math.ldexp
+        literals = {}
+        for level in {var[n] for n in order}:
+            label = self.labels[level]
             if level not in weights:
-                label = self.labels[level]
                 if label.kind == "free":
                     raise UnboundFreeVariableError(
                         f"free variable {label.name} reachable from the counted formulas"
                     )
                 raise MissingWeightError(f"no weight for variable {label.name}")
-
-        # P[i] is the product of (wt + wf) over support[:i] leaving out the
-        # zero sums, Z[i] the number of zero sums left out.  The factor for
-        # the variables strictly between support positions i and j is then
-        # P[j] / P[i + 1], or exactly 0 when Z[j] != Z[i + 1].  Per level,
-        # ``scaled`` holds the literal weights divided by P[i + 1], Z[i + 1],
-        # and P[i], Z[i]; every pair is a (mantissa, exponent) from frexp.
-        frexp, ldexp = math.frexp, math.ldexp
-        pm, pe, zeros = 0.5, 1, 0  # P[0] = 1.0
-        scaled = {}
-        for level in support:
             wt, wf = weights[level]
-            before = (pm, pe, zeros)
-            total = wt + wf
-            if total == 0.0:
-                zeros += 1
-            else:
-                m, e = frexp(total)
-                pm, d = frexp(pm * m)
-                pe += e + d
-            tm, te = frexp(wt)
-            fm, fe = frexp(wf)
-            scaled[level] = (tm / pm, te - pe, fm / pm, fe - pe, zeros, *before)
+            if wt + wf != 1.0:
+                raise BadDistributionError(f"weights of {label.name} sum to {wt + wf!r}, not 1")
+            literals[level] = frexp(wt) + frexp(wf)
 
-        # q[n] is count(n) * P[i] for n at support position i, with Z[i]; the
-        # terminals sit at position len(support).  That is n's count over the
-        # whole support, or 0 when Z[i] is nonzero.  ``direct`` holds q for
-        # the nodes and, when a root is complemented, ``complement`` holds q
-        # for their complements: the same recurrence, terminals swapped.
-        zero, one = (0.0, 0, zeros), (pm, pe, zeros)
+        # ``direct`` holds each node's count as a (mantissa, exponent) pair
+        # and, when a root is complemented, ``complement`` holds the counts
+        # of their complements: the same recurrence, terminals swapped.
+        zero, one = (0.0, 0), (0.5, 1)
         direct, complement = {FALSE: zero, TRUE: one}, {FALSE: one, TRUE: zero}
         for nodes, q in ((order, direct), (flipped, complement)):
             for n in nodes:
-                tm, te, fm, fe, znext, bm, be, bz = scaled[var[n]]
-                hm, he, hz = q[hi_arr[n]]
-                lm, le, lz = q[lo_arr[n]]
-                hm = tm * hm if hz == znext else 0.0
-                lm = fm * lm if lz == znext else 0.0
+                tm, te, fm, fe = literals[var[n]]
+                hm, he = q[hi_arr[n]]
+                lm, le = q[lo_arr[n]]
+                hm *= tm
+                lm *= fm
                 he += te
                 le += fe
                 if not lm:
@@ -419,11 +397,10 @@ class BddManager:
                     m, e = hm + ldexp(lm, le - he), he
                 else:
                     m, e = lm + ldexp(hm, he - le), le
-                m, d = frexp(m * bm)
-                q[n] = (m, e + d + be, bz)
+                m, d = frexp(m)
+                q[n] = (m, e + d)
         self.last_wmc_visits = len(order) + len(flipped)
-        entries = [direct[r] if r >= 0 else complement[~r] for r in roots]
-        pairs = tuple(entry[:2] if entry[2] == 0 else (0.0, 0) for entry in entries)
+        pairs = tuple(direct[r] if r >= 0 else complement[~r] for r in roots)
         counts = tuple(map(_to_float, pairs))
         if isinstance(root, tuple):
             self.last_wmc_scaled = pairs

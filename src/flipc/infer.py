@@ -7,8 +7,9 @@ A query first builds every root it needs (the accepting formula, one
 selecting root per value or leaf, and the formula leaves), then counts them
 all in one pass of ``BddManager.wmc`` over the union of their supports.
 The selecting roots share nearly all their nodes with the accepting
-formula, so the pass visits each once.  Union-support counts equal the
-per-root counts exactly, because every flip's weights sum to exactly 1.
+formula, so the pass visits each once.  ``wmc`` takes flip weights only,
+whose sum is exactly 1, so union-support counts equal the per-root counts
+exactly; it rejects any other weight pair with ``BadDistributionError``.
 The formula leaves are counted so that the pass's support covers the whole
 program: a free variable reachable from it raises
 ``UnboundFreeVariableError``.
@@ -85,7 +86,7 @@ def accepting_probability(cp: CompiledProgram) -> float:
 
 
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
-    if S.ty_of_value(value) != S.erase_int_types(cp.output_ty):
+    if not _has_shape(value, S.erase_int_types(cp.output_ty)):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
     literals = []
     for (ty, part), choices in zip(_components(cp.output_ty, value), _selectors(cp)):
@@ -95,6 +96,21 @@ def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
             return _query(cp, [FALSE])[2][0]
         literals.append(choices[index])
     return _query(cp, [_select(cp, literals)])[2][0]
+
+
+def _has_shape(value: S.Value, ty: S.Ty) -> bool:
+    """Whether ``value`` is a value of ``ty``, a type with no ``int(n)``.
+    A loop, since an ``int(n)`` value is n tuples deep."""
+    stack = [(ty, value)]
+    while stack:
+        ty, value = stack.pop()
+        if isinstance(ty, S.ProdTy):
+            if not isinstance(value, tuple):
+                return False
+            stack += ((ty.left, value[0]), (ty.right, value[1]))
+        elif not isinstance(value, int):
+            return False
+    return True
 
 
 def _components(ty: S.Ty, t) -> list:

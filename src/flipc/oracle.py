@@ -4,10 +4,11 @@ Two independent routes are implemented:
 
 * ``eval_program`` enumerates flip assignment vectors: every flip splits the
   execution into a true branch of weight theta and a false branch of weight
-  1 - theta, and an execution is *accepting* when every observe along it saw
-  true.  This is the primary differential-testing oracle for the compiler.
-  It handles surface sugar directly (lazy boolean operators, ``discrete``
-  masses, one-hot integer arithmetic) so it can also referee desugaring.
+  1 - theta, and an observe that sees false drops its execution, so only the
+  *accepting* ones reach the result.  This is the primary differential-testing
+  oracle for the compiler.  It handles surface sugar directly (lazy boolean
+  operators, ``discrete`` masses, one-hot integer arithmetic) so it can also
+  referee desugaring.
 
 * ``eval_unnormalized`` / ``eval_program_denotational`` implement the
   compositional unnormalized semantics clause by clause, with let sequencing
@@ -67,9 +68,8 @@ def eval_program(program: S.Program) -> OracleResult:
         )
     functions = {f.name: f for f in program.functions}
     unnormalized: Distribution = {}
-    for value, weight, ok in _walk(program.main, {}, functions):
-        if ok:
-            unnormalized[value] = unnormalized.get(value, 0.0) + weight
+    for value, weight in _walk(program.main, {}, functions):
+        unnormalized[value] = unnormalized.get(value, 0.0) + weight
     if not _has_observe(program):
         # Every execution accepts; the total mass is 1 up to rounding, and
         # is pinned to 1 exactly so observe-free programs normalize cleanly.
@@ -87,69 +87,71 @@ def _has_observe(program: S.Program) -> bool:
 
 
 def _walk(e: S.Expr, env: dict, functions: dict):
-    """Yield (value, weight, accepted) for every execution of ``e``."""
+    """Yield (value, weight) for every accepting execution of ``e``: an
+    execution ends at an observe whose argument is false."""
     if isinstance(e, S.Lit):
-        yield e.value, 1.0, True
+        yield e.value, 1.0
     elif isinstance(e, S.Ident):
-        yield env[e.name], 1.0, True
+        yield env[e.name], 1.0
     elif isinstance(e, S.Flip):
-        yield True, e.theta, True
-        yield False, 1.0 - e.theta, True
+        yield True, e.theta
+        yield False, 1.0 - e.theta
     elif isinstance(e, S.Fst):
-        for v, w, ok in _walk(e.arg, env, functions):
-            yield v[0], w, ok
+        for v, w in _walk(e.arg, env, functions):
+            yield v[0], w
     elif isinstance(e, S.Snd):
-        for v, w, ok in _walk(e.arg, env, functions):
-            yield v[1], w, ok
+        for v, w in _walk(e.arg, env, functions):
+            yield v[1], w
     elif isinstance(e, S.Tup):
-        for v1, w1, ok1 in _walk(e.left, env, functions):
-            for v2, w2, ok2 in _walk(e.right, env, functions):
-                yield (v1, v2), w1 * w2, ok1 and ok2
+        for v1, w1 in _walk(e.left, env, functions):
+            for v2, w2 in _walk(e.right, env, functions):
+                yield (v1, v2), w1 * w2
     elif isinstance(e, S.Let):
         # The body gets its own copy of ``env``.  This walk is lazy: while
         # the body's generator is suspended, a consumer such as the right
         # side of a ``Tup`` reads ``env``, so a binding made in place would
         # leak into it.
-        for v1, w1, ok1 in _walk(e.bound, env, functions):
+        for v1, w1 in _walk(e.bound, env, functions):
             inner = dict(env)
             inner[e.name] = v1
-            for v2, w2, ok2 in _walk(e.body, inner, functions):
-                yield v2, w1 * w2, ok1 and ok2
+            for v2, w2 in _walk(e.body, inner, functions):
+                yield v2, w1 * w2
     elif isinstance(e, S.Ite):
-        for g, w1, ok1 in _walk(e.guard, env, functions):
+        for g, w1 in _walk(e.guard, env, functions):
             branch = e.then if g else e.orelse
-            for v, w2, ok2 in _walk(branch, env, functions):
-                yield v, w1 * w2, ok1 and ok2
+            for v, w2 in _walk(branch, env, functions):
+                yield v, w1 * w2
     elif isinstance(e, S.Observe):
-        for v, w, ok in _walk(e.arg, env, functions):
-            yield True, w, ok and v is True
+        for v, w in _walk(e.arg, env, functions):
+            if v is True:
+                yield True, w
     elif isinstance(e, S.Call):
         func = functions[e.func]
-        for arg, w1, ok1 in _walk(e.arg, env, functions):
+        for arg, w1 in _walk(e.arg, env, functions):
             inner = _bind_params(func, arg)
-            for v, w2, ok2 in _walk(func.body, inner, functions):
-                yield v, w1 * w2, ok1 and ok2
+            for v, w2 in _walk(func.body, inner, functions):
+                yield v, w1 * w2
     elif isinstance(e, S.And):
-        for l, w1, ok1 in _walk(e.left, env, functions):
+        for l, w1 in _walk(e.left, env, functions):
             if l:
-                for r, w2, ok2 in _walk(e.right, env, functions):
-                    yield r, w1 * w2, ok1 and ok2
+                for r, w2 in _walk(e.right, env, functions):
+                    yield r, w1 * w2
             else:
-                yield False, w1, ok1
+                yield False, w1
     elif isinstance(e, S.Or):
-        for l, w1, ok1 in _walk(e.left, env, functions):
+        for l, w1 in _walk(e.left, env, functions):
             if l:
-                yield True, w1, ok1
+                yield True, w1
             else:
-                for r, w2, ok2 in _walk(e.right, env, functions):
-                    yield r, w1 * w2, ok1 and ok2
+                for r, w2 in _walk(e.right, env, functions):
+                    yield r, w1 * w2
     elif isinstance(e, S.Not):
-        for v, w, ok in _walk(e.arg, env, functions):
-            yield not v, w, ok
+        for v, w in _walk(e.arg, env, functions):
+            yield not v, w
     elif isinstance(e, S.Eq):
-        for l, w1, ok1 in _walk(e.left, env, functions):
-            for r, w2, ok2 in _walk(e.right, env, functions):
-                yield l == r, w1 * w2, ok1 and ok2
+        for l, w1 in _walk(e.left, env, functions):
+            for r, w2 in _walk(e.right, env, functions):
+                yield l == r, w1 * w2
     elif isinstance(e, S.Discrete):
         for p in e.params:
             if p < 0:
@@ -159,16 +161,16 @@ def _walk(e: S.Expr, env: dict, functions: dict):
             total = p + total
         n = len(e.params)
         for i, p in enumerate(e.params):
-            yield S.one_hot_value(n, i), (p / total if total else 0.0), True
+            yield S.one_hot_value(n, i), (p / total if total else 0.0)
     elif isinstance(e, S.IntLit):
-        yield S.one_hot_value(e.size, e.value), 1.0, True
+        yield S.one_hot_value(e.size, e.value), 1.0
     elif isinstance(e, (S.IntAdd, S.IntMul)):
-        for l, w1, ok1 in _walk(e.left, env, functions):
-            for r, w2, ok2 in _walk(e.right, env, functions):
+        for l, w1 in _walk(e.left, env, functions):
+            for r, w2 in _walk(e.right, env, functions):
                 n = len(S.value_leaves(l))
                 i, j = S.one_hot_index(l), S.one_hot_index(r)
                 k = (i + j) % n if isinstance(e, S.IntAdd) else (i * j) % n
-                yield S.one_hot_value(n, k), w1 * w2, ok1 and ok2
+                yield S.one_hot_value(n, k), w1 * w2
     elif isinstance(e, S.Iterate):
         expanded = e.init
         for _ in range(e.count):

@@ -176,15 +176,18 @@ def test_criterion_9_bdd_engine_properties():
             for bits in itertools.product((False, True), repeat=n)
         )
         assert (n1 == n2) == equivalent
-    # Weighted counts against the definition, with skipped levels and
-    # arbitrary weights; product rule; inclusion-exclusion.
+    # Weighted counts against the definition, with skipped levels and flip
+    # weights down to 10^-300; product rule; inclusion-exclusion.
     for trial in range(30):
         n = rng.randint(2, 10)
         mgr = BddManager()
         levels = [mgr.new_flip() for _ in range(n)]
         root = build(mgr, levels, random_tree(rng, n, 4))
-        arbitrary = {l: (rng.uniform(0, 2), rng.uniform(0, 2)) for l in levels}
-        assert abs(mgr.wmc(root, arbitrary) - wmc_brute_force(mgr, root, arbitrary)) < 1e-12
+        flips = {}
+        for l in levels:
+            theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
+            flips[l] = (theta, 1.0 - theta)
+        assert abs(mgr.wmc(root, flips) - wmc_brute_force(mgr, root, flips)) < 1e-12
         normalized = {}
         for l in levels:
             p = rng.uniform(0, 1)

@@ -95,6 +95,61 @@ class TestTypecheck:
         assert e.bound.ty == S.BOOL
 
 
+# Every rule by which typecheck rejects a source program: the error class
+# and the ``line:col`` its span starts at.
+REJECTED_SOURCES = {
+    "duplicate-function": (
+        "fun f(x: Bool): Bool { x }\nfun f(y: Bool): Bool { y }\nf(true)",
+        TypeMismatchError, "2:1",
+    ),
+    "return-type": ("fun f(x: Bool): (Bool, Bool) { x }\nf(true)", TypeMismatchError, "1:1"),
+    "duplicate-parameter": (
+        "fun f(x: Bool, x: Bool): Bool { x }\nf(true, false)", TypeMismatchError, "1:1",
+    ),
+    "fst-of-bool": ("let x = true in\nfst x", TypeMismatchError, "2:1"),
+    "and-of-int": ("true && int(2, 0)", TypeMismatchError, "1:9"),
+    "or-of-int": ("int(2, 0) || false", TypeMismatchError, "1:1"),
+    "not-of-int": ("let x = int(2, 1) in !x", TypeMismatchError, "1:22"),
+    "bool-equals-int": ("true == int(2, 0)", TypeMismatchError, "1:6"),
+    "bool-plus-bool": ("true + false", TypeMismatchError, "1:6"),
+    "iterate-undefined": ("iterate(g, true, 2)", RecursiveCallError, "1:1"),
+    "iterate-changes-type": (
+        "fun f(x: Bool): (Bool, Bool) { (x, x) }\niterate(f, true, 2)", TypeMismatchError, "2:1",
+    ),
+    "iterate-init-type": (
+        "fun f(x: Bool): Bool { !x }\niterate(f, (true, true), 2)", TypeMismatchError, "2:1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_SOURCES))
+def test_typecheck_rejects_with_class_and_span(name):
+    text, error, position = REJECTED_SOURCES[name]
+    with pytest.raises(error) as raised:
+        typecheck_program(parse_program(text, "p.dice"))
+    assert str(raised.value.span) == f"p.dice:{position}"
+
+
+SPAN = S.Span("ast", 3, 7, 3, 9)
+
+# Rules only a built AST can break: the parser never makes these nodes.
+REJECTED_ASTS = {
+    "no-parameters": S.Program([S.Function("f", [], S.BOOL, S.Lit(True), SPAN)], S.Lit(True)),
+    "flip-above-one": S.Program([], S.Flip(1.5, span=SPAN)),
+    "flip-below-zero": S.Program([], S.Flip(-0.5, span=SPAN)),
+    "int-out-of-range": S.Program([], S.IntLit(3, 3, span=SPAN)),
+    "empty-discrete": S.Program([], S.Discrete([], span=SPAN)),
+    "negative-count": S.Program([], S.Iterate("f", S.Lit(True), -1, span=SPAN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_ASTS))
+def test_typecheck_rejects_built_asts_with_their_span(name):
+    with pytest.raises(TypeMismatchError) as raised:
+        typecheck_program(REJECTED_ASTS[name])
+    assert raised.value.span is SPAN and str(raised.value).startswith("ast:3:7: ")
+
+
 class TestNormalizeAnf:
     """``desugar_expr`` emits A-normal form directly."""
 
@@ -217,7 +272,7 @@ class TestDesugarDiscrete:
             _, core = frontend(f"discrete({', '.join(repr(p) for p in params)})")
             # every execution, including zero-probability ones, sets exactly
             # one indicator
-            for value, _, _ in _all_executions(core):
+            for value, _ in _all_executions(core):
                 assert sum(S.value_leaves(value)) == 1
 
     def test_bad_distributions_rejected(self):

@@ -2,16 +2,21 @@
 counting against direct enumeration, and size bounds."""
 
 import itertools
-import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flipc.bdd import FALSE, TRUE, BddManager
-from flipc.errors import MissingWeightError, NodeLimitError, UnboundFreeVariableError
+from flipc.errors import (
+    BadDistributionError,
+    MissingWeightError,
+    NodeLimitError,
+    UnboundFreeVariableError,
+)
 
 
 def fresh_manager(n_vars: int):
@@ -82,6 +87,12 @@ def eval_tree(tree, bits):
     if kind == "ite":
         return eval_tree(tree[2], bits) if eval_tree(tree[1], bits) else eval_tree(tree[3], bits)
     raise ValueError(tree)
+
+
+def flip_weight(rng):
+    """(theta, 1 - theta) for theta uniform in (0, 1) or 10^-u, u up to 300."""
+    theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
+    return theta, 1.0 - theta
 
 
 def wmc_brute_force(mgr, root, weights):
@@ -540,22 +551,24 @@ class TestWmc:
             mgr.wmc(mgr.var(levels[0]), {})
 
     def test_against_enumeration_with_arbitrary_weights(self):
+        # Arbitrary flip weights: theta anywhere in (0, 1), down to 10^-300.
         rng = random.Random(12)
         for trial in range(60):
             n = rng.randint(1, 10)
             mgr, levels = fresh_manager(n)
             tree = random_tree(rng, n, 4)
             root = build(mgr, levels, tree)
-            weights = {l: (rng.uniform(0, 2), rng.uniform(0, 2)) for l in levels}
+            weights = {l: flip_weight(rng) for l in levels}
             assert mgr.wmc(root, weights) == pytest.approx(
                 wmc_brute_force(mgr, root, weights), abs=1e-12
             )
 
     def test_skipped_levels_contribute_weight_sums(self):
-        # f1 or f3 skips f2 on the f1-false branch; the enumeration oracle
-        # over the support {f1, f3} is the reference.
+        # f1 or f3 skips f2 on the f1-false branch, where f2's weight sum, 1,
+        # is the factor; the enumeration oracle over the support {f1, f3} is
+        # the reference.
         mgr, levels = fresh_manager(3)
-        weights = {levels[0]: (0.25, 0.5), levels[2]: (0.125, 0.25)}
+        weights = {levels[0]: (0.25, 0.75), levels[2]: (0.125, 0.875)}
         root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[2]))
         assert mgr.wmc(root, weights) == pytest.approx(
             wmc_brute_force(mgr, root, weights), abs=1e-15
@@ -567,7 +580,7 @@ class TestWmc:
             mgr, levels = fresh_manager(8)
             a = build(mgr, levels[:4], random_tree(rng, 4, 3))
             b = build(mgr, levels[4:], random_tree(rng, 4, 3))
-            weights = {l: (rng.uniform(0, 1), rng.uniform(0, 1)) for l in levels}
+            weights = {l: flip_weight(rng) for l in levels}
             left = mgr.wmc(mgr.apply_and(a, b), weights)
             assert left == pytest.approx(
                 mgr.wmc(a, weights) * mgr.wmc(b, weights), abs=1e-12
@@ -604,60 +617,35 @@ class TestWmc:
             assert mgr.last_wmc_visits <= mgr.node_count(root)
 
 
-    @pytest.mark.parametrize("zero_sum", [(0.0, 0.0), (1.5, -1.5)])
-    def test_skipped_variable_with_zero_weight_sum(self, zero_sum):
-        # f2 is skipped on the f1-false branch of ite(f1, f2, f3), so that
-        # branch contributes 0; random formulas put the zero-sum variable
-        # inside other gaps.
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (1.5, -1.5), (0.3, 0.3)])
+    def test_weights_that_do_not_sum_to_one_are_rejected(self, pair):
+        # Only flip weights (theta, 1 - theta) are counted: another pair on
+        # a counted level raises, naming the variable and its sum, and makes
+        # no node, whether the root is plain, complemented or in a tuple.
         mgr, levels = fresh_manager(3)
-        weights = {levels[0]: (0.25, 0.75), levels[1]: zero_sum, levels[2]: (0.5, 0.25)}
         root = mgr.ite(mgr.var(levels[0]), mgr.var(levels[1]), mgr.var(levels[2]))
-        assert mgr.wmc(root, weights) == pytest.approx(
-            wmc_brute_force(mgr, root, weights), abs=1e-15
-        )
-        rng = random.Random(17)
-        mgr, levels = fresh_manager(7)
-        for _ in range(40):
-            weights = {l: (rng.uniform(0, 1), rng.uniform(0, 1)) for l in levels}
-            weights[levels[rng.randrange(7)]] = zero_sum
-            root = build(mgr, levels, random_tree(rng, 7, 5))
-            assert mgr.wmc(root, weights) == pytest.approx(
-                wmc_brute_force(mgr, root, weights), abs=1e-12
-            )
-            assert mgr.last_wmc_visits <= mgr.node_count(root)
+        weights = {levels[0]: (0.25, 0.75), levels[1]: pair, levels[2]: (0.5, 0.5)}
+        store = len(mgr._var)
+        for counted in (root, ~root, (TRUE, root)):
+            with pytest.raises(BadDistributionError, match=re.escape(f"f2 sum to {sum(pair)!r}")):
+                mgr.wmc(counted, weights)
+        assert len(mgr._var) == store
 
-    @pytest.mark.parametrize("literal", [(0.3, 0.2), (1.2, 0.8)])
-    def test_long_skipped_run_leaves_the_double_range(self, literal):
-        # ite(f0, f1 && ... && f[run + 1], f[run + 1]) skips the run f1..f[run]
-        # on its f0-false branch.  With every variable weighted ``literal``
-        # the count is wt^(run + 2) + wf * (wt + wf)^run * wt; at run = 10
-        # the brute force confirms that closed form, and at run = 1,500 the
-        # factor (wt + wf)^run = 2^-1500 or 2^1500 leaves the double range.
-        wt, wf = literal
-
-        def closed_form(run):
-            t, f = Fraction(wt), Fraction(wf)
-            return t ** (run + 2) + f * (t + f) ** run * t
-
-        for run in (10, 1500):
-            mgr, levels = fresh_manager(run + 2)
-            conjunction = TRUE
-            for level in reversed(levels[1:]):
-                conjunction = mgr.apply_and(mgr.var(level), conjunction)
-            root = mgr.ite(mgr.var(levels[0]), conjunction, mgr.var(levels[-1]))
-            weights = {l: literal for l in levels}
-            count = mgr.wmc(root, weights)
-            assert mgr.last_wmc_visits <= mgr.node_count(root)
-            mantissa, exponent = mgr.last_wmc_scaled
-            scaled = Fraction(mantissa) * Fraction(2) ** exponent
-            assert abs(scaled / closed_form(run) - 1) < 1e-12
-            if run == 10:
-                assert float(closed_form(run)) == pytest.approx(
-                    wmc_brute_force(mgr, root, weights), rel=1e-12
-                )
-                assert count == pytest.approx(float(scaled), rel=1e-15)
-            else:
-                assert count == (0.0 if wt + wf < 1 else math.inf)
+    def test_long_conjunction_leaves_the_double_range(self):
+        # f1 && ... && f1500 with every flip weighted (0.3, 0.7): the count
+        # 0.3^1500 lies far below the double range, so the float is 0.0 and
+        # only the scaled pair carries it.
+        run = 1500
+        mgr, levels = fresh_manager(run)
+        root = TRUE
+        for level in reversed(levels):
+            root = mgr.apply_and(mgr.var(level), root)
+        count = mgr.wmc(root, {l: (0.3, 1.0 - 0.3) for l in levels})
+        assert mgr.last_wmc_visits <= mgr.node_count(root)
+        mantissa, exponent = mgr.last_wmc_scaled
+        scaled = Fraction(mantissa) * Fraction(2) ** exponent
+        assert abs(scaled / Fraction(0.3) ** run - 1) < 1e-12
+        assert count == 0.0
 
 
 class TestMultiRootWmc:
@@ -689,32 +677,6 @@ class TestMultiRootWmc:
                 assert mgr.wmc(root, weights) == count
                 assert mgr.last_wmc_scaled == pair
 
-    @pytest.mark.parametrize("zero_sum", [(0.0, 0.0), (1.5, -1.5)])
-    def test_other_levels_contribute_their_weight_sums(self, zero_sum):
-        # A root's count over the union is its own count times the weight
-        # sums of the union's levels outside its support; a zero sum there
-        # makes it exactly 0.
-        rng = random.Random(22)
-        for trial in range(60):
-            mgr, levels = fresh_manager(8)
-            weights = {l: (rng.uniform(0.1, 1), rng.uniform(0.1, 1)) for l in levels}
-            # The zero-sum level is outside the suffix root's support half of
-            # the time, and inside or outside the random roots'.
-            weights[levels[rng.randrange(8)]] = zero_sum
-            roots = self.random_roots(rng, mgr, levels, 4)
-            counts = mgr.wmc(roots, weights)
-            pairs = mgr.last_wmc_scaled
-            assert mgr.last_wmc_visits <= mgr.node_count(*roots)
-            union = set(mgr.support(*roots))
-            for root, count, (mantissa, exponent) in zip(roots, counts, pairs):
-                factor = math.prod(sum(weights[l]) for l in union - set(mgr.support(root)))
-                expected = mgr.wmc(root, weights) * factor
-                if expected == 0.0:
-                    assert count == 0.0 and mantissa == 0.0
-                else:
-                    assert count == pytest.approx(expected, rel=1e-12)
-                    assert math.ldexp(mantissa, exponent) == count
-
     def test_visits_each_shared_node_once(self):
         rng = random.Random(23)
         mgr, levels = fresh_manager(8)
@@ -743,17 +705,29 @@ class TestMultiRootWmc:
             mgr.wmc((mgr.var(levels[0]), free), {})
 
 
+@settings(deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(1e-300)
+@example(5e-324)
+@example(0.5)
+@example(0.75)
+@example(1.0 - 2.0**-53)
+def test_every_flip_weight_sums_to_one_and_is_counted(theta):
+    # (theta, 1.0 - theta) sums to exactly 1.0 for every double theta in
+    # (0, 1), so wmc accepts it: exactly for theta >= 1/2, by rounding below.
+    mgr, levels = fresh_manager(2)
+    root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[1]))
+    weights = {levels[0]: (theta, 1.0 - theta), levels[1]: (0.5, 0.5)}
+    assert mgr.wmc(root, weights) == pytest.approx(theta + (1.0 - theta) * 0.5, rel=1e-12)
+    assert mgr.wmc(~root, weights) == pytest.approx((1.0 - theta) * 0.5, rel=1e-12)
+
+
 def _drawn_weight(data, rng):
-    kind = data.draw(st.sampled_from(("flip", "tiny", "any", "zero")))
-    if kind == "flip":
+    if data.draw(st.sampled_from(("flip", "tiny"))) == "flip":
         theta = rng.random()
-        return theta, 1.0 - theta
-    if kind == "tiny":
+    else:
         theta = 10.0 ** -rng.uniform(1, 300)
-        return theta, 1.0 - theta
-    if kind == "any":
-        return rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-    return rng.choice(((0.0, 0.0), (1.5, -1.5)))
+    return theta, 1.0 - theta
 
 
 @settings(max_examples=100, deadline=None)

@@ -156,6 +156,13 @@ class TestInfer:
         assert code == 1
         assert "ill.dice:2:" in err
 
+    def test_iterate_that_changes_type_reports_span(self, capsys, tmp_path):
+        path = tmp_path / "ill.dice"
+        path.write_text("fun f(x: Bool): (Bool, Bool) { (x, x) }\niterate(f, true, 2)")
+        code, out, err = run(capsys, "infer", str(path))
+        assert code == 1 and out == ""
+        assert "ill.dice:2:1:" in err and "Bool -> (Bool, Bool)" in err
+
     def test_dot_export(self, capsys, write_benchmark, tmp_path):
         dot_path = tmp_path / "out.dot"
         code, _, _ = run(

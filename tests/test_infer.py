@@ -104,6 +104,21 @@ class TestProbOfValue:
         with pytest.raises(ShapeMismatchError):
             infer.prob_of_value(compiled, True)
 
+    def test_a_wide_integer_needs_no_interpreter_stack(self):
+        # An int(1000) value is a 1000-deep tuple; under the default
+        # recursion limit its shape is checked by a loop.
+        compiled, _ = compile_source("int(1000, 3)")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert infer.prob_of_value(compiled, S.one_hot_value(1000, 3)) == 1.0
+            assert infer.prob_of_value(compiled, S.one_hot_value(1000, 4)) == 0.0
+            for wrong in (True, (True, False)):
+                with pytest.raises(ShapeMismatchError, match="does not match the output shape"):
+                    infer.prob_of_value(compiled, wrong)
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestFullDistribution:
     def test_chain_both_values(self):

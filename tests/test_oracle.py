@@ -1,11 +1,14 @@
 """The enumeration oracle against the worked examples and its own
 cross-checks (flip-vector enumeration vs the compositional semantics)."""
 
+import hashlib
+import random
+
 import pytest
 
 from flipc import syntax as S
 from flipc.compiler import inline_program
-from flipc.desugar import static_flip_count
+from flipc.desugar import desugar_program, static_flip_count
 from flipc.errors import OracleLimitError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import (
@@ -16,7 +19,8 @@ from flipc.oracle import (
     eval_program_denotational,
     eval_unnormalized,
 )
-from flipc.suites import benchmark_text, chained_layers_source
+from flipc.parser import parse_program
+from flipc.suites import benchmark_names, benchmark_text, chained_layers_source
 from flipc.typecheck import typecheck_program
 
 from conftest import frontend, max_distribution_delta
@@ -201,3 +205,29 @@ def frontend_program(program):
 
     core = desugar_program(program)
     return program, core
+
+
+# sha256 over every accepted (value, mass) pair in insertion order and the
+# accepting probability, as float.hex, for the bundled examples and 100
+# random programs (seed 0), each as surface and as desugared core.
+ENUMERATION_DIGEST = "01fd68fa095c58fb627b7af0ebb2d33ec8bf8989a06bd98d23206eb82014f35c"
+
+
+def test_enumeration_answers_are_pinned_bit_for_bit():
+    programs = [parse_program(benchmark_text(name), name) for name in benchmark_names()]
+    rng = random.Random(0)
+    programs += [random_program(rng, GenConfig()) for _ in range(100)]
+    digest = hashlib.sha256()
+    for program in programs:
+        typecheck_program(program)
+        for p in (program, desugar_program(program)):
+            try:
+                result = eval_program(p)
+            except OracleLimitError:
+                digest.update(b"cap;")
+                continue
+            pairs = [(v, float.hex(m)) for v, m in result.unnormalized.items()]
+            digest.update(repr(pairs).encode())
+            accepting = (type(result.accepting).__name__, float(result.accepting).hex())
+            digest.update(repr(accepting).encode())
+    assert digest.hexdigest() == ENUMERATION_DIGEST
