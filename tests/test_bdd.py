@@ -631,21 +631,42 @@ class TestWmc:
                 mgr.wmc(counted, weights)
         assert len(mgr._var) == store
 
-    def test_long_conjunction_leaves_the_double_range(self):
-        # f1 && ... && f1500 with every flip weighted (0.3, 0.7): the count
-        # 0.3^1500 lies far below the double range, so the float is 0.0 and
-        # only the scaled pair carries it.
-        run = 1500
-        mgr, levels = fresh_manager(run)
-        root = TRUE
-        for level in reversed(levels):
-            root = mgr.apply_and(mgr.var(level), root)
-        count = mgr.wmc(root, {l: (0.3, 1.0 - 0.3) for l in levels})
-        assert mgr.last_wmc_visits <= mgr.node_count(root)
-        mantissa, exponent = mgr.last_wmc_scaled
-        scaled = Fraction(mantissa) * Fraction(2) ** exponent
-        assert abs(scaled / Fraction(0.3) ** run - 1) < 1e-12
-        assert count == 0.0
+    @pytest.mark.parametrize("literal", [(0.3, 1.0 - 0.3), (0.1, 1.0 - 0.1)])
+    def test_long_skipped_run_leaves_the_double_range(self, literal):
+        # ite(f0, f1 && ... && f[2 run], f[run + 1] && ... && f[2 run]) skips
+        # the run f1..f[run] on its f0-false branch.  Under flip weights the
+        # skipped run counts exactly 1, so the count is
+        # wt^(2 run + 1) + wf * wt^run; at run = 5 the brute force confirms
+        # that closed form, and at run = 1,500 wt^run lies far below the
+        # double range, so the float is 0.0 and only the scaled pair holds it.
+        wt, wf = literal
+
+        def closed_form(run):
+            t, f = Fraction(wt), Fraction(wf)
+            return t ** (2 * run + 1) + f * t**run
+
+        for run in (5, 1500):
+            mgr, levels = fresh_manager(2 * run + 1)
+            conjunction = TRUE
+            for level in reversed(levels[run + 1 :]):
+                conjunction = mgr.apply_and(mgr.var(level), conjunction)
+            tail = conjunction
+            for level in reversed(levels[1 : run + 1]):
+                conjunction = mgr.apply_and(mgr.var(level), conjunction)
+            root = mgr.ite(mgr.var(levels[0]), conjunction, tail)
+            weights = {l: literal for l in levels}
+            count = mgr.wmc(root, weights)
+            assert mgr.last_wmc_visits <= mgr.node_count(root)
+            mantissa, exponent = mgr.last_wmc_scaled
+            scaled = Fraction(mantissa) * Fraction(2) ** exponent
+            assert abs(scaled / closed_form(run) - 1) < 1e-12
+            if run == 5:
+                assert float(closed_form(run)) == pytest.approx(
+                    wmc_brute_force(mgr, root, weights), rel=1e-12
+                )
+                assert count == pytest.approx(float(scaled), rel=1e-15)
+            else:
+                assert count == 0.0
 
 
 class TestMultiRootWmc:
