@@ -52,14 +52,23 @@ argument).  The registration order *is* the global variable order.
 ``BadDistributionError``.  So a variable a branch skips contributes a factor
 of exactly 1, and the count is linear in the BDD: the post-order walk gives
 the reachable nodes and the support, and one bottom-up pass visits each node
-once, weighting its children's counts by its literal weights.  Counts are
-(mantissa, exponent) pairs from ``math.frexp``, so no intermediate value
-underflows; the root's pair is kept in ``last_wmc_scaled`` for callers that
-need ratios of counts below the double range.  Several roots are counted in
-one walk and one pass over the union of their supports, and since the other
-levels of the union weigh exactly 1 each root's count is its single-root
-count bit for bit.  A complemented root ``~n`` is read off a second entry
-per node, made by the same recurrence with the terminals swapped.
+once, weighting its children's counts by its literal weights.  A count is
+a plain double while it is at least 2^-960 (``_TINY``).  A node whose
+count would fall below that, or whose child's count is held as a pair,
+takes the exact step instead: the children's counts and its weights as
+``math.frexp`` (mantissa, exponent) pairs, the sum renormalised by
+``frexp``.  A result outside [2^-960, 2^960), or a zero, stays a pair.
+Above 2^-960 a product that underflows is too small to change how a sum
+rounds, so every count is the pair the exact step alone would give, bit
+for bit, and no count underflows.  Weights outside [0, 1] can cancel or
+overflow, so a pass that meets one takes the exact step at every node.
+Each root's count as a pair is kept in ``last_wmc_scaled`` for callers
+that need ratios of counts below the double range.  Several roots are
+counted in one walk and one pass over the union of their supports, and
+since the other levels of the union weigh exactly 1 each root's count is
+its single-root count bit for bit.  A complemented root ``~n`` is read off
+a second entry per node, made by the same recurrence with the terminals
+swapped.
 ``negate(n)`` is the same DAG with the terminals swapped, over the same
 support, so the count is the one ``negate(n)`` would get, bit for bit, and
 the query stores no negated copy.
@@ -85,6 +94,11 @@ TRUE = 1
 
 _TERMINAL_LEVEL = 1 << 40
 _STACK_HEADROOM = 2000
+# ``wmc`` keeps a count as a plain double while it is at least _TINY, far
+# enough above the subnormal range that a product that underflows cannot
+# change how a sum of that size rounds.
+_TINY_EXP = -960
+_TINY = 2.0**_TINY_EXP
 
 
 def _to_float(pair: tuple) -> float:
@@ -335,9 +349,11 @@ class BddManager:
         ``weights`` maps variable levels to flip weights (theta, 1 - theta);
         a counted level whose pair does not sum to exactly 1.0 raises
         ``BadDistributionError``.  One linear pass: each reachable node is
-        visited once, and a skipped variable weighs 1.  The count is carried
-        as a (mantissa, exponent) pair, kept in ``last_wmc_scaled``; the
-        float ``ldexp(mantissa, exponent)`` is returned.  The number of
+        visited once, and a skipped variable weighs 1.  Counts are plain
+        doubles, and a count below the normal range is rescaled to a
+        (mantissa, exponent) pair, so none underflows.  The root's count as
+        a ``math.frexp`` pair is kept in ``last_wmc_scaled``; the float
+        ``ldexp(mantissa, exponent)`` is returned.  The number of
         entries computed, one per reachable node and one more per node when
         a root is complemented, is kept in ``last_wmc_visits``.
 
@@ -359,8 +375,9 @@ class BddManager:
         complemented = min(roots) < 0
         order = self._postorder([r if r >= 0 else ~r for r in roots] if complemented else roots)
         flipped = order if complemented else ()
-        # Per support level, its two literal weights as frexp pairs.
+        # Per support level, its two literal weights.
         frexp, ldexp = math.frexp, math.ldexp
+        tiny = _TINY
         literals = {}
         for level in {var[n] for n in order}:
             label = self.labels[level]
@@ -373,18 +390,35 @@ class BddManager:
             wt, wf = weights[level]
             if wt + wf != 1.0:
                 raise BadDistributionError(f"weights of {label.name} sum to {wt + wf!r}, not 1")
-            literals[level] = frexp(wt) + frexp(wf)
+            if wt < 0.0 or wf < 0.0:
+                # Counts may cancel or overflow: every node takes the exact step.
+                tiny = math.nan
+            literals[level] = (wt, wf)
 
-        # ``direct`` holds each node's count as a (mantissa, exponent) pair
-        # and, when a root is complemented, ``complement`` holds the counts
-        # of their complements: the same recurrence, terminals swapped.
-        zero, one = (0.0, 0), (0.5, 1)
-        direct, complement = {FALSE: zero, TRUE: one}, {FALSE: one, TRUE: zero}
-        for nodes, q in ((order, direct), (flipped, complement)):
+        # ``direct`` holds each node's count and, when a root is complemented,
+        # ``complement`` the counts of their complements: the same recurrence,
+        # terminals swapped.  A count the exact step leaves outside the plain
+        # range is held in ``exact`` as a (mantissa, exponent) pair, and its
+        # plain entry is NaN, so every parent's plain count is NaN too and
+        # the parent takes the exact step.
+        direct, complement = {FALSE: 0.0, TRUE: 1.0}, {FALSE: 1.0, TRUE: 0.0}
+        exact_direct, exact_complement = {}, {}
+        passes = ((order, direct, exact_direct), (flipped, complement, exact_complement))
+        for nodes, q, exact in passes:
             for n in nodes:
-                tm, te, fm, fe = literals[var[n]]
-                hm, he = q[hi_arr[n]]
-                lm, le = q[lo_arr[n]]
+                wt, wf = literals[var[n]]
+                h, l = hi_arr[n], lo_arr[n]
+                x = q[h] * wt + q[l] * wf
+                if x >= tiny:
+                    q[n] = x
+                    continue
+                # The exact step: the children's counts and the weights as
+                # frexp pairs, aligned and renormalised.  A zero result keeps
+                # the exponent of the sum, so it too stays a pair.
+                hm, he = exact[h] if h in exact else frexp(q[h])
+                lm, le = exact[l] if l in exact else frexp(q[l])
+                tm, te = frexp(wt)
+                fm, fe = frexp(wf)
                 hm *= tm
                 lm *= fm
                 he += te
@@ -398,9 +432,19 @@ class BddManager:
                 else:
                     m, e = lm + ldexp(hm, he - le), le
                 m, d = frexp(m)
-                q[n] = (m, e + d)
+                e += d
+                if m and _TINY_EXP < e < -_TINY_EXP:
+                    q[n] = ldexp(m, e)
+                else:
+                    exact[n] = (m, e)
+                    q[n] = math.nan
         self.last_wmc_visits = len(order) + len(flipped)
-        pairs = tuple(direct[r] if r >= 0 else complement[~r] for r in roots)
+        pairs = tuple(
+            exact_direct.get(r) or frexp(direct[r])
+            if r >= 0
+            else exact_complement.get(~r) or frexp(complement[~r])
+            for r in roots
+        )
         counts = tuple(map(_to_float, pairs))
         if isinstance(root, tuple):
             self.last_wmc_scaled = pairs

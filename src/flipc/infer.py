@@ -28,10 +28,12 @@ TRUE accepting formula, is handed to ``wmc`` complemented, and ``wmc``
 counts it without building it.  The formula leaves are walked once per
 query, not once per value.
 
-Counts are ratioed as the manager's (mantissa, exponent) pairs, so a
-posterior stays exact when the normalizing constant lies below the double
-range.  Only a true zero normalizing constant (a zero mantissa, as for an
-accepting formula that is FALSE) makes every posterior zero.
+Counts are ratioed as the (mantissa, exponent) pairs the manager keeps in
+``last_wmc_scaled``: it counts in plain doubles and rescales a count that
+leaves the normal range, so a posterior stays exact when the normalizing
+constant lies below the double range.  Only a true zero normalizing
+constant (a zero mantissa, as for an accepting formula that is FALSE)
+makes every posterior zero.
 
 Compilation happens once; queries reuse the manager.  The conjunctions a
 query builds do create nodes, so queries are serialized (run them from one

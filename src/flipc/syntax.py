@@ -223,9 +223,20 @@ def value_leaves(v: Value) -> list:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return f"({format_value(v[0])}, {format_value(v[1])})"
+    """``true``, ``false`` or ``(left, right)``, built on an explicit stack
+    of values and the text that closes them."""
+    out = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            out.append(v)
+        elif isinstance(v, bool):
+            out.append("true" if v else "false")
+        else:
+            out.append("(")
+            stack += (")", v[1], ", ", v[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

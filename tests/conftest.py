@@ -66,8 +66,8 @@ def max_distribution_delta(a: dict, b: dict) -> float:
 def compiled_vs_oracle_delta(compiled, core) -> float:
     """Worst absolute difference across accepting and the full posterior."""
     reference = eval_program(core)
-    delta = abs(infer.accepting_probability(compiled) - reference.accepting)
-    distribution = infer.full_distribution(compiled)
+    accepting, distribution = infer.accepting_and_distribution(compiled)
+    delta = abs(accepting - reference.accepting)
     return max(delta, max_distribution_delta(distribution, reference.distribution))
 
 

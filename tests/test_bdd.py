@@ -2,6 +2,7 @@
 counting against direct enumeration, and size bounds."""
 
 import itertools
+import math
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipc.bdd import FALSE, TRUE, BddManager
+from flipc.bdd import FALSE, TRUE, BddManager, _to_float
 from flipc.errors import (
     BadDistributionError,
     MissingWeightError,
@@ -779,6 +780,120 @@ def test_a_complemented_root_counts_as_its_negation(data):
     for negation, root in zip(negated, signed):
         assert counted(root) == counted(negation)
     assert (mgr._var, mgr._hi, mgr._lo) == store
+
+
+def scaled_reference(mgr, root, weights):
+    """``root``'s count as a (mantissa, exponent) pair by the recurrence that
+    renormalises every node with ``math.frexp``; ``~n`` is counted with the
+    terminals swapped.  ``wmc`` must give this pair bit for bit."""
+    if root < 0:
+        root, q = ~root, {FALSE: (0.5, 1), TRUE: (0.0, 0)}
+    else:
+        q = {FALSE: (0.0, 0), TRUE: (0.5, 1)}
+    for n in mgr._postorder([root]):
+        wt, wf = weights[mgr.level_of(n)]
+        (tm, te), (fm, fe) = math.frexp(wt), math.frexp(wf)
+        hm, he = q[mgr.high(n)]
+        lm, le = q[mgr.low(n)]
+        hm, he, lm, le = hm * tm, he + te, lm * fm, le + fe
+        if not lm:
+            m, e = hm, he
+        elif not hm:
+            m, e = lm, le
+        elif he >= le:
+            m, e = hm + math.ldexp(lm, le - he), he
+        else:
+            m, e = lm + math.ldexp(hm, he - le), le
+        m, d = math.frexp(m)
+        q[n] = (m, e + d)
+    return q[root]
+
+
+def _referee_weight(data, rng):
+    """A weight pair summing to exactly 1.0: an ordinary flip, a tiny one
+    either way round (products of two or three 1e-160 or 1e-110 weights are
+    subnormal), a certain one, or one outside [0, 1]."""
+    kinds = ("flip", "flip", 1e-300, 5e-324, 1e-160, 1e-110, 1.0, "outside")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "flip":
+        theta = rng.random()
+        return theta, 1.0 - theta
+    if kind == "outside":
+        return data.draw(st.sampled_from(((2.0, -1.0), (-0.5, 1.5), (1.0, -0.0))))
+    pair = (kind, 1.0 - kind)
+    return pair[::-1] if data.draw(st.booleans()) else pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scaled_counts_match_the_renormalise_every_node_reference(data):
+    # Plain doubles with the exact step only for counts below the normal
+    # range give every pair and float of the reference bit for bit, for
+    # plain and complemented roots, alone or in a tuple.
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    n_vars = data.draw(st.integers(1, 10))
+    mgr, levels = fresh_manager(n_vars)
+    weights = {level: _referee_weight(data, rng) for level in levels}
+    count = data.draw(st.integers(1, 4))
+    roots = [build(mgr, levels, random_tree(rng, n_vars, 6)) for _ in range(count)]
+    signed = tuple(~r if data.draw(st.booleans()) else r for r in roots + [TRUE, FALSE])
+
+    def hexed(pair):
+        return float.hex(pair[0]), pair[1]
+
+    def as_float(pair):
+        return float.hex(_to_float(pair))
+
+    expected = [scaled_reference(mgr, r, weights) for r in signed]
+    counts = mgr.wmc(signed, weights)
+    assert [hexed(p) for p in mgr.last_wmc_scaled] == [hexed(p) for p in expected]
+    assert [float.hex(c) for c in counts] == [as_float(p) for p in expected]
+    for r, pair in zip(signed, expected):
+        assert float.hex(mgr.wmc(r, weights)) == as_float(pair)
+        assert hexed(mgr.last_wmc_scaled) == hexed(pair)
+
+
+def test_a_conjunction_below_the_double_range_is_rescaled():
+    # 0.5^1100 = 0.5 * 2^-1099 is no double: only the exact step, which
+    # takes over once the count drops below the normal range, can hold it.
+    mgr, levels = fresh_manager(1100)
+    conjunction = TRUE
+    for level in reversed(levels):
+        conjunction = mgr.apply_and(mgr.var(level), conjunction)
+    weights = {level: (0.5, 0.5) for level in levels}
+    assert mgr.wmc(conjunction, weights) == 0.0
+    assert mgr.last_wmc_scaled == (0.5, -1099)
+    assert mgr.wmc(~conjunction, weights) == 1.0
+
+
+def test_weights_outside_the_unit_interval_take_the_exact_step():
+    # (2, -1) sums to 1.0, so it is counted; a conjunction of 1,100 such
+    # flips counts 2^1100, past the double range, which only the exact step
+    # holds.
+    mgr, levels = fresh_manager(1100)
+    conjunction = TRUE
+    for level in reversed(levels):
+        conjunction = mgr.apply_and(mgr.var(level), conjunction)
+    weights = {level: (2.0, -1.0) for level in levels}
+    assert mgr.wmc(conjunction, weights) == math.inf
+    assert mgr.last_wmc_scaled == (0.5, 1101)
+
+
+def test_a_mixed_weight_conjunction_below_the_double_range_matches_its_closed_form():
+    thetas = (0.3, 0.7, 0.9, 0.123, 1e-5, 0.999)
+    mgr, levels = fresh_manager(900)
+    weights = {}
+    for i, level in enumerate(levels):
+        theta = thetas[i % len(thetas)]
+        weights[level] = (theta, 1.0 - theta)
+    conjunction = TRUE
+    for level in reversed(levels):
+        conjunction = mgr.apply_and(mgr.var(level), conjunction)
+    closed_form = math.prod(Fraction(weights[level][0]) for level in levels)
+    assert closed_form < Fraction(2) ** -1074
+    assert mgr.wmc(conjunction, weights) == 0.0
+    mantissa, exponent = mgr.last_wmc_scaled
+    assert abs(Fraction(mantissa) * Fraction(2) ** exponent / closed_form - 1) < 1e-12
 
 
 def test_complemented_terminals():

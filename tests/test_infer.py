@@ -3,6 +3,7 @@ and marginals."""
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -118,6 +119,21 @@ class TestProbOfValue:
                     infer.prob_of_value(compiled, wrong)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_a_deep_wrong_value_is_named_without_interpreter_stack(self):
+        # A 999-deep value does not fit int(1000); the error names it, and
+        # the text is built by a loop under the default recursion limit.
+        compiled, _ = compile_source("int(1000, 3)")
+        wrong = S.one_hot_value(999, 3)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            prefix = re.escape("value (false, (false, (false, (true, ")
+            with pytest.raises(ShapeMismatchError, match=prefix):
+                infer.prob_of_value(compiled, wrong)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert S.format_value(wrong).endswith("false" + ")" * 998)
 
 
 class TestFullDistribution:
