@@ -42,26 +42,26 @@ count plus a fixed headroom.  This is the one place flipc touches that
 limit: the front-end passes run on an explicit stack.
 
 Variables are registered up front with a label carrying their kind: a flip
-variable (probabilistic, named f1, f2, ... in allocation order; its weights
-are passed to ``wmc``) or a free variable (a placeholder for a function
-argument).  The registration order *is* the global variable order.
+variable (probabilistic, named f1, f2, ... in allocation order; its
+probability is passed to ``wmc``) or a free variable (a placeholder for a
+function argument).  The registration order *is* the global variable order.
 
-``wmc`` counts flip weights only: every level it meets must carry a pair
-(theta, 1 - theta), which sums to exactly 1.0 for every double theta in
-(0, 1), and any pair whose float sum is not 1.0 is rejected with
-``BadDistributionError``.  So a variable a branch skips contributes a factor
-of exactly 1, and the count is linear in the BDD: the post-order walk gives
-the reachable nodes and the support, and one bottom-up pass visits each node
-once, weighting its children's counts by its literal weights.  A count is
-a plain double while it is at least 2^-960 (``_TINY``).  A node whose
-count would fall below that, or whose child's count is held as a pair,
-takes the exact step instead: the children's counts and its weights as
-``math.frexp`` (mantissa, exponent) pairs, the sum renormalised by
-``frexp``.  A result outside [2^-960, 2^960), or a zero, stays a pair.
-Above 2^-960 a product that underflows is too small to change how a sum
-rounds, so every count is the pair the exact step alone would give, bit
-for bit, and no count underflows.  Weights outside [0, 1] can cancel or
-overflow, so a pass that meets one takes the exact step at every node.
+``wmc`` takes one number per flip level, its probability theta, and
+weighs the level's literals theta and 1 - theta; a theta outside [0, 1],
+or NaN, raises ``BadDistributionError``.  For every double theta in
+[0, 1] the two weights sum to exactly 1.0, so a variable a branch skips
+contributes a factor of exactly 1, and the count is linear in the BDD: the
+post-order walk gives the reachable nodes and the support, and one
+bottom-up pass visits each node once, weighting its children's counts by
+its literal weights.  Every count lies in [0, 1].  A count is a plain
+double while it is at least 2^-960 (``_TINY``).  A node whose count would
+fall below that, or whose child's count is held as a pair, takes the exact
+step instead: the children's counts and its weights as ``math.frexp``
+(mantissa, exponent) pairs, the sum renormalised by ``frexp``.  A result
+below 2^-960, or a zero, stays a pair.  Above 2^-960 a product that
+underflows is too small to change how a sum rounds, so every count is the
+pair the exact step alone would give, bit for bit, and no count
+underflows.
 Each root's count as a pair is kept in ``last_wmc_scaled`` for callers
 that need ratios of counts below the double range.  Several roots are
 counted in one walk and one pass over the union of their supports, and
@@ -99,15 +99,6 @@ _STACK_HEADROOM = 2000
 # change how a sum of that size rounds.
 _TINY_EXP = -960
 _TINY = 2.0**_TINY_EXP
-
-
-def _to_float(pair: tuple) -> float:
-    """``ldexp`` of a (mantissa, exponent) pair, infinite past the double
-    range."""
-    try:
-        return math.ldexp(*pair)
-    except OverflowError:
-        return math.copysign(math.inf, pair[0])
 
 
 @dataclass(frozen=True)
@@ -346,16 +337,17 @@ class BddManager:
     def wmc(self, root, weights: dict):
         """Weighted model count over the support of ``root``.
 
-        ``weights`` maps variable levels to flip weights (theta, 1 - theta);
-        a counted level whose pair does not sum to exactly 1.0 raises
-        ``BadDistributionError``.  One linear pass: each reachable node is
-        visited once, and a skipped variable weighs 1.  Counts are plain
-        doubles, and a count below the normal range is rescaled to a
-        (mantissa, exponent) pair, so none underflows.  The root's count as
-        a ``math.frexp`` pair is kept in ``last_wmc_scaled``; the float
-        ``ldexp(mantissa, exponent)`` is returned.  The number of
-        entries computed, one per reachable node and one more per node when
-        a root is complemented, is kept in ``last_wmc_visits``.
+        ``weights`` maps each flip level to its probability theta, and the
+        level's literals weigh theta and 1 - theta; a counted level whose
+        theta is not in [0, 1] raises ``BadDistributionError``, and no node
+        is made.  One linear pass: each reachable node is visited once, and
+        a skipped variable weighs 1.  Counts are plain doubles, and a count
+        below the normal range is rescaled to a (mantissa, exponent) pair,
+        so none underflows.  The root's count as a ``math.frexp`` pair is
+        kept in ``last_wmc_scaled``; the float ``ldexp(mantissa, exponent)``
+        is returned.  The number of entries computed, one per reachable node
+        and one more per node when a root is complemented, is kept in
+        ``last_wmc_visits``.
 
         A root may be complemented, ``~n`` for the negation of node ``n``:
         it is counted from the second entries, the pass run again with the
@@ -375,7 +367,7 @@ class BddManager:
         complemented = min(roots) < 0
         order = self._postorder([r if r >= 0 else ~r for r in roots] if complemented else roots)
         flipped = order if complemented else ()
-        # Per support level, its two literal weights.
+        # Per support level, its literal weights theta and 1 - theta.
         frexp, ldexp = math.frexp, math.ldexp
         tiny = _TINY
         literals = {}
@@ -387,19 +379,16 @@ class BddManager:
                         f"free variable {label.name} reachable from the counted formulas"
                     )
                 raise MissingWeightError(f"no weight for variable {label.name}")
-            wt, wf = weights[level]
-            if wt + wf != 1.0:
-                raise BadDistributionError(f"weights of {label.name} sum to {wt + wf!r}, not 1")
-            if wt < 0.0 or wf < 0.0:
-                # Counts may cancel or overflow: every node takes the exact step.
-                tiny = math.nan
-            literals[level] = (wt, wf)
+            theta = weights[level]
+            if not 0.0 <= theta <= 1.0:
+                raise BadDistributionError(f"probability {theta!r} of {label.name} is not in [0, 1]")
+            literals[level] = (theta, 1.0 - theta)
 
         # ``direct`` holds each node's count and, when a root is complemented,
         # ``complement`` the counts of their complements: the same recurrence,
-        # terminals swapped.  A count the exact step leaves outside the plain
-        # range is held in ``exact`` as a (mantissa, exponent) pair, and its
-        # plain entry is NaN, so every parent's plain count is NaN too and
+        # terminals swapped.  A zero, or a count the exact step leaves below
+        # the plain range, is held in ``exact`` as a (mantissa, exponent) pair;
+        # its plain entry is NaN, so every parent's plain count is NaN too and
         # the parent takes the exact step.
         direct, complement = {FALSE: 0.0, TRUE: 1.0}, {FALSE: 1.0, TRUE: 0.0}
         exact_direct, exact_complement = {}, {}
@@ -433,7 +422,7 @@ class BddManager:
                     m, e = lm + ldexp(hm, he - le), le
                 m, d = frexp(m)
                 e += d
-                if m and _TINY_EXP < e < -_TINY_EXP:
+                if m and e > _TINY_EXP:
                     q[n] = ldexp(m, e)
                 else:
                     exact[n] = (m, e)
@@ -445,7 +434,7 @@ class BddManager:
             else exact_complement.get(~r) or frexp(complement[~r])
             for r in roots
         )
-        counts = tuple(map(_to_float, pairs))
+        counts = tuple(ldexp(m, e) for m, e in pairs)
         if isinstance(root, tuple):
             self.last_wmc_scaled = pairs
             return counts

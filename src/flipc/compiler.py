@@ -5,8 +5,8 @@ Every expression compiles to a pair: a *formula tuple* and a single
 tuple is a BDD node handle or a 2-tuple of formula tuples, nested like the
 expression's type: one root per Bool leaf, true exactly when the expression
 evaluates to true on a given flip assignment, observations ignored.  One
-weight map for the whole program gives each flip variable's
-(theta, 1 - theta) literal weights.
+weight map for the whole program gives each flip variable's probability
+theta.
 
 The rules, in brief: a value is its own formula tuple, since False and True
 equal the FALSE and TRUE handles; each flip allocates one fresh weighted
@@ -191,7 +191,7 @@ class CompiledProgram:
     manager: BddManager
     formula: Union[int, tuple]  # formula tuple
     accepting: int
-    weights: dict  # level -> (weight_true, weight_false), one for the program
+    weights: dict  # flip level -> theta, one for the program
     # What a distribution query enumerates: the surface type from
     # compile_source, the formula's shape from compile_program alone.
     output_ty: S.Ty
@@ -225,7 +225,7 @@ class _Compilation:
 
     def new_flip(self, theta: float) -> int:
         level = self.mgr.new_flip() if self._order is None else next(self._order)
-        self.weights[level] = (theta, 1.0 - theta)
+        self.weights[level] = theta
         return level
 
 
@@ -431,7 +431,7 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     (formula tuple, accepting formula)."""
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
-    fresh = [ctx.new_flip(ctx.weights[level][0]) for level in template.flip_levels]
+    fresh = [ctx.new_flip(ctx.weights[level]) for level in template.flip_levels]
     arg_leaves = tuple(iter_leaves(arg))
     if len(template.formal_levels) != len(arg_leaves):
         raise ShapeMismatchError(

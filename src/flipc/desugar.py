@@ -250,8 +250,8 @@ def _bind_leaves(operand: S.Expr, ty: S.IntTy, tag: str, fresh, bindings) -> lis
 
 
 def _or_chain(terms: list) -> S.Expr:
-    if not terms:
-        return S.Lit(False)
+    # Never empty: every result bit of + or * has a term, and == has one
+    # per value.
     result = terms[0]
     for term in terms[1:]:
         result = S.Or(result, term)

@@ -7,9 +7,9 @@ A query first builds every root it needs (the accepting formula, one
 selecting root per value or leaf, and the formula leaves), then counts them
 all in one pass of ``BddManager.wmc`` over the union of their supports.
 The selecting roots share nearly all their nodes with the accepting
-formula, so the pass visits each once.  ``wmc`` takes flip weights only,
-whose sum is exactly 1, so union-support counts equal the per-root counts
-exactly; it rejects any other weight pair with ``BadDistributionError``.
+formula, so the pass visits each once.  ``wmc`` weighs each flip by its
+theta alone, as the literals theta and 1 - theta, whose sum is exactly 1,
+so union-support counts equal the per-root counts exactly.
 The formula leaves are counted so that the pass's support covers the whole
 program: a free variable reachable from it raises
 ``UnboundFreeVariableError``.

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from flipc import infer
+from flipc.cli import _oracle_delta
 from flipc.compiler import compile_program
 from flipc.desugar import desugar_program
 from flipc.oracle import eval_program
@@ -64,11 +64,9 @@ def max_distribution_delta(a: dict, b: dict) -> float:
 
 
 def compiled_vs_oracle_delta(compiled, core) -> float:
-    """Worst absolute difference across accepting and the full posterior."""
-    reference = eval_program(core)
-    accepting, distribution = infer.accepting_and_distribution(compiled)
-    delta = abs(accepting - reference.accepting)
-    return max(delta, max_distribution_delta(distribution, reference.distribution))
+    """Worst absolute difference across accepting and the full posterior,
+    compared as ``flipc infer --oracle-check`` compares them."""
+    return _oracle_delta(compiled, eval_program(core))
 
 
 @pytest.fixture(scope="session")

@@ -185,13 +185,9 @@ def test_criterion_9_bdd_engine_properties():
         root = build(mgr, levels, random_tree(rng, n, 4))
         flips = {}
         for l in levels:
-            theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
-            flips[l] = (theta, 1.0 - theta)
+            flips[l] = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
         assert abs(mgr.wmc(root, flips) - wmc_brute_force(mgr, root, flips)) < 1e-12
-        normalized = {}
-        for l in levels:
-            p = rng.uniform(0, 1)
-            normalized[l] = (p, 1.0 - p)
+        normalized = {l: rng.uniform(0, 1) for l in levels}
         half = n // 2
         a = build(mgr, levels[:half], random_tree(rng, half, 3)) if half else 1
         b = build(mgr, levels[half:], random_tree(rng, n - half, 3))

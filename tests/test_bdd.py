@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipc.bdd import FALSE, TRUE, BddManager, _to_float
+from flipc.bdd import FALSE, TRUE, BddManager
 from flipc.errors import (
     BadDistributionError,
     MissingWeightError,
@@ -91,14 +91,14 @@ def eval_tree(tree, bits):
 
 
 def flip_weight(rng):
-    """(theta, 1 - theta) for theta uniform in (0, 1) or 10^-u, u up to 300."""
-    theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
-    return theta, 1.0 - theta
+    """A flip's theta: uniform in (0, 1) or 10^-u, u up to 300."""
+    return rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
 
 
 def wmc_brute_force(mgr, root, weights):
     """Definition-style weighted model count: sum over all assignments to
-    the support of the product of literal weights."""
+    the support of the product of literal weights, theta for a true flip
+    and 1 - theta for a false one."""
     support = mgr.support(root)
     total = 0.0
     for bits in itertools.product((False, True), repeat=len(support)):
@@ -106,8 +106,8 @@ def wmc_brute_force(mgr, root, weights):
         if mgr.evaluate(root, assignment):
             weight = 1.0
             for level, bit in assignment.items():
-                wt, wf = weights[level]
-                weight *= wt if bit else wf
+                theta = weights[level]
+                weight *= theta if bit else 1.0 - theta
             total += weight
     return total
 
@@ -525,7 +525,7 @@ class TestWmc:
 
     def test_disjunction_of_weighted_flips(self):
         mgr, levels = fresh_manager(2)
-        weights = {levels[0]: (0.1, 0.9), levels[1]: (0.4, 0.6)}
+        weights = {levels[0]: 0.1, levels[1]: 0.4}
         disj = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[1]))
         assert mgr.wmc(disj, weights) == pytest.approx(0.46, abs=1e-15)
 
@@ -534,10 +534,7 @@ class TestWmc:
         # partial counts 0.48 and 0.47, and the root 0.471.
         mgr, levels = fresh_manager(5)
         f1, f2, f3, f4, f5 = levels
-        weights = {
-            f1: (0.1, 0.9), f2: (0.2, 0.8), f3: (0.3, 0.7),
-            f4: (0.4, 0.6), f5: (0.5, 0.5),
-        }
+        weights = {f1: 0.1, f2: 0.2, f3: 0.3, f4: 0.4, f5: 0.5}
         inner_then = mgr.ite(mgr.var(f2), mgr.var(f4), mgr.var(f5))
         inner_else = mgr.ite(mgr.var(f3), mgr.var(f4), mgr.var(f5))
         root = mgr.ite(mgr.var(f1), inner_then, inner_else)
@@ -569,7 +566,7 @@ class TestWmc:
         # is the factor; the enumeration oracle over the support {f1, f3} is
         # the reference.
         mgr, levels = fresh_manager(3)
-        weights = {levels[0]: (0.25, 0.75), levels[2]: (0.125, 0.875)}
+        weights = {levels[0]: 0.25, levels[2]: 0.125}
         root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[2]))
         assert mgr.wmc(root, weights) == pytest.approx(
             wmc_brute_force(mgr, root, weights), abs=1e-15
@@ -596,10 +593,7 @@ class TestWmc:
             mgr, levels = fresh_manager(6)
             a = build(mgr, levels, random_tree(rng, 6, 3))
             b = build(mgr, levels, random_tree(rng, 6, 3))
-            weights = {}
-            for l in levels:
-                p = rng.uniform(0, 1)
-                weights[l] = (p, 1.0 - p)
+            weights = {l: rng.uniform(0, 1) for l in levels}
             lhs = mgr.wmc(mgr.apply_or(a, b), weights)
             rhs = (
                 mgr.wmc(a, weights)
@@ -611,24 +605,24 @@ class TestWmc:
     def test_visit_counter_bounded_by_node_count(self):
         rng = random.Random(15)
         mgr, levels = fresh_manager(8)
-        weights = {l: (0.3, 0.7) for l in levels}
+        weights = {l: 0.3 for l in levels}
         for _ in range(30):
             root = build(mgr, levels, random_tree(rng, 8, 5))
             mgr.wmc(root, weights)
             assert mgr.last_wmc_visits <= mgr.node_count(root)
 
 
-    @pytest.mark.parametrize("pair", [(0.0, 0.0), (1.5, -1.5), (0.3, 0.3)])
-    def test_weights_that_do_not_sum_to_one_are_rejected(self, pair):
-        # Only flip weights (theta, 1 - theta) are counted: another pair on
-        # a counted level raises, naming the variable and its sum, and makes
-        # no node, whether the root is plain, complemented or in a tuple.
+    @pytest.mark.parametrize("theta", [-0.5, 1.5, math.nan])
+    def test_weights_that_do_not_sum_to_one_are_rejected(self, theta):
+        # Only a theta in [0, 1] is a flip's probability: another one on a
+        # counted level raises, naming it and the variable, and makes no
+        # node, whether the root is plain, complemented or in a tuple.
         mgr, levels = fresh_manager(3)
         root = mgr.ite(mgr.var(levels[0]), mgr.var(levels[1]), mgr.var(levels[2]))
-        weights = {levels[0]: (0.25, 0.75), levels[1]: pair, levels[2]: (0.5, 0.5)}
+        weights = {levels[0]: 0.25, levels[1]: theta, levels[2]: 0.5}
         store = len(mgr._var)
         for counted in (root, ~root, (TRUE, root)):
-            with pytest.raises(BadDistributionError, match=re.escape(f"f2 sum to {sum(pair)!r}")):
+            with pytest.raises(BadDistributionError, match=re.escape(f"{theta!r} of f2")):
                 mgr.wmc(counted, weights)
         assert len(mgr._var) == store
 
@@ -655,7 +649,7 @@ class TestWmc:
             for level in reversed(levels[1 : run + 1]):
                 conjunction = mgr.apply_and(mgr.var(level), conjunction)
             root = mgr.ite(mgr.var(levels[0]), conjunction, tail)
-            weights = {l: literal for l in levels}
+            weights = {l: wt for l in levels}
             count = mgr.wmc(root, weights)
             assert mgr.last_wmc_visits <= mgr.node_count(root)
             mantissa, exponent = mgr.last_wmc_scaled
@@ -687,10 +681,7 @@ class TestMultiRootWmc:
         rng = random.Random(21)
         for _ in range(40):
             mgr, levels = fresh_manager(9)
-            weights = {}
-            for level in levels:
-                theta = rng.choice((rng.random(), 10.0 ** -rng.uniform(1, 300)))
-                weights[level] = (theta, 1.0 - theta)
+            weights = {level: flip_weight(rng) for level in levels}
             roots = self.random_roots(rng, mgr, levels, 5)
             counts = mgr.wmc(roots, weights)
             pairs = mgr.last_wmc_scaled
@@ -702,7 +693,7 @@ class TestMultiRootWmc:
     def test_visits_each_shared_node_once(self):
         rng = random.Random(23)
         mgr, levels = fresh_manager(8)
-        weights = {l: (0.3, 0.7) for l in levels}
+        weights = {l: 0.3 for l in levels}
         for _ in range(30):
             roots = self.random_roots(rng, mgr, levels, 6)
             mgr.wmc(roots, weights)
@@ -711,7 +702,7 @@ class TestMultiRootWmc:
 
     def test_one_root_in_a_tuple_is_the_single_root_count(self):
         mgr, levels = fresh_manager(3)
-        weights = {l: (0.25, 0.75) for l in levels}
+        weights = {l: 0.25 for l in levels}
         root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[2]))
         (count,) = mgr.wmc((root,), weights)
         (pair,) = mgr.last_wmc_scaled
@@ -720,11 +711,21 @@ class TestMultiRootWmc:
     def test_a_free_variable_without_weight_is_unbound(self):
         mgr, levels = fresh_manager(1)
         free = mgr.var(mgr.new_free("x"))
-        weights = {levels[0]: (0.5, 0.5)}
+        weights = {levels[0]: 0.5}
         with pytest.raises(UnboundFreeVariableError, match="x"):
             mgr.wmc((mgr.var(levels[0]), free), weights)
         with pytest.raises(MissingWeightError):
             mgr.wmc((mgr.var(levels[0]), free), {})
+
+
+@given(st.floats(0.0, 1.0))
+@example(5e-324)
+@example(0.5 - 2.0**-54)
+@example(1.0 - 2.0**-53)
+def test_a_theta_and_its_complement_sum_to_exactly_one(t):
+    # wmc weighs a flip's literals t and 1.0 - t and lets a level a branch
+    # skips weigh 1: exact for t >= 1/2, and by rounding below.
+    assert t + (1.0 - t) == 1.0
 
 
 @settings(deadline=None)
@@ -735,21 +736,18 @@ class TestMultiRootWmc:
 @example(0.75)
 @example(1.0 - 2.0**-53)
 def test_every_flip_weight_sums_to_one_and_is_counted(theta):
-    # (theta, 1.0 - theta) sums to exactly 1.0 for every double theta in
-    # (0, 1), so wmc accepts it: exactly for theta >= 1/2, by rounding below.
+    # Every theta in (0, 1) is counted, plain and complemented.
     mgr, levels = fresh_manager(2)
     root = mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[1]))
-    weights = {levels[0]: (theta, 1.0 - theta), levels[1]: (0.5, 0.5)}
+    weights = {levels[0]: theta, levels[1]: 0.5}
     assert mgr.wmc(root, weights) == pytest.approx(theta + (1.0 - theta) * 0.5, rel=1e-12)
     assert mgr.wmc(~root, weights) == pytest.approx((1.0 - theta) * 0.5, rel=1e-12)
 
 
 def _drawn_weight(data, rng):
     if data.draw(st.sampled_from(("flip", "tiny"))) == "flip":
-        theta = rng.random()
-    else:
-        theta = 10.0 ** -rng.uniform(1, 300)
-    return theta, 1.0 - theta
+        return rng.random()
+    return 10.0 ** -rng.uniform(1, 300)
 
 
 @settings(max_examples=100, deadline=None)
@@ -791,8 +789,8 @@ def scaled_reference(mgr, root, weights):
     else:
         q = {FALSE: (0.0, 0), TRUE: (0.5, 1)}
     for n in mgr._postorder([root]):
-        wt, wf = weights[mgr.level_of(n)]
-        (tm, te), (fm, fe) = math.frexp(wt), math.frexp(wf)
+        theta = weights[mgr.level_of(n)]
+        (tm, te), (fm, fe) = math.frexp(theta), math.frexp(1.0 - theta)
         hm, he = q[mgr.high(n)]
         lm, le = q[mgr.low(n)]
         hm, he, lm, le = hm * tm, he + te, lm * fm, le + fe
@@ -810,18 +808,14 @@ def scaled_reference(mgr, root, weights):
 
 
 def _referee_weight(data, rng):
-    """A weight pair summing to exactly 1.0: an ordinary flip, a tiny one
-    either way round (products of two or three 1e-160 or 1e-110 weights are
-    subnormal), a certain one, or one outside [0, 1]."""
-    kinds = ("flip", "flip", 1e-300, 5e-324, 1e-160, 1e-110, 1.0, "outside")
+    """A flip's theta: an ordinary one; a tiny one (products of two or three
+    1e-160 or 1e-110 weights are subnormal) or 1 minus it, which rounds to
+    1 but for 2^-53; or 0 or 1."""
+    kinds = ("flip", "flip", 1e-300, 5e-324, 1e-160, 1e-110, 2.0**-53, 1.0)
     kind = data.draw(st.sampled_from(kinds))
     if kind == "flip":
-        theta = rng.random()
-        return theta, 1.0 - theta
-    if kind == "outside":
-        return data.draw(st.sampled_from(((2.0, -1.0), (-0.5, 1.5), (1.0, -0.0))))
-    pair = (kind, 1.0 - kind)
-    return pair[::-1] if data.draw(st.booleans()) else pair
+        return rng.random()
+    return 1.0 - kind if data.draw(st.booleans()) else kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -842,7 +836,7 @@ def test_scaled_counts_match_the_renormalise_every_node_reference(data):
         return float.hex(pair[0]), pair[1]
 
     def as_float(pair):
-        return float.hex(_to_float(pair))
+        return float.hex(math.ldexp(*pair))
 
     expected = [scaled_reference(mgr, r, weights) for r in signed]
     counts = mgr.wmc(signed, weights)
@@ -860,36 +854,20 @@ def test_a_conjunction_below_the_double_range_is_rescaled():
     conjunction = TRUE
     for level in reversed(levels):
         conjunction = mgr.apply_and(mgr.var(level), conjunction)
-    weights = {level: (0.5, 0.5) for level in levels}
+    weights = {level: 0.5 for level in levels}
     assert mgr.wmc(conjunction, weights) == 0.0
     assert mgr.last_wmc_scaled == (0.5, -1099)
     assert mgr.wmc(~conjunction, weights) == 1.0
 
 
-def test_weights_outside_the_unit_interval_take_the_exact_step():
-    # (2, -1) sums to 1.0, so it is counted; a conjunction of 1,100 such
-    # flips counts 2^1100, past the double range, which only the exact step
-    # holds.
-    mgr, levels = fresh_manager(1100)
-    conjunction = TRUE
-    for level in reversed(levels):
-        conjunction = mgr.apply_and(mgr.var(level), conjunction)
-    weights = {level: (2.0, -1.0) for level in levels}
-    assert mgr.wmc(conjunction, weights) == math.inf
-    assert mgr.last_wmc_scaled == (0.5, 1101)
-
-
 def test_a_mixed_weight_conjunction_below_the_double_range_matches_its_closed_form():
     thetas = (0.3, 0.7, 0.9, 0.123, 1e-5, 0.999)
     mgr, levels = fresh_manager(900)
-    weights = {}
-    for i, level in enumerate(levels):
-        theta = thetas[i % len(thetas)]
-        weights[level] = (theta, 1.0 - theta)
+    weights = {level: thetas[i % len(thetas)] for i, level in enumerate(levels)}
     conjunction = TRUE
     for level in reversed(levels):
         conjunction = mgr.apply_and(mgr.var(level), conjunction)
-    closed_form = math.prod(Fraction(weights[level][0]) for level in levels)
+    closed_form = math.prod(Fraction(weights[level]) for level in levels)
     assert closed_form < Fraction(2) ** -1074
     assert mgr.wmc(conjunction, weights) == 0.0
     mantissa, exponent = mgr.last_wmc_scaled
@@ -899,7 +877,7 @@ def test_a_mixed_weight_conjunction_below_the_double_range_matches_its_closed_fo
 def test_complemented_terminals():
     mgr, levels = fresh_manager(1)
     x = mgr.var(levels[0])
-    weights = {levels[0]: (0.25, 0.75)}
+    weights = {levels[0]: 0.25}
     assert mgr.wmc(~TRUE, {}) == 0.0 and mgr.wmc(~FALSE, {}) == 1.0
     assert mgr.wmc((~TRUE, ~FALSE, ~x, x), weights) == (0.0, 1.0, 0.75, 0.25)
     assert mgr.last_wmc_scaled[:2] == ((0.0, 0), (0.5, 1))
@@ -908,7 +886,7 @@ def test_complemented_terminals():
 def test_a_complemented_root_over_a_free_variable_is_unbound():
     mgr, levels = fresh_manager(1)
     free = mgr.apply_and(mgr.var(levels[0]), mgr.var(mgr.new_free("x")))
-    weights = {levels[0]: (0.5, 0.5)}
+    weights = {levels[0]: 0.5}
     with pytest.raises(UnboundFreeVariableError, match="x"):
         mgr.wmc(~free, weights)
     with pytest.raises(UnboundFreeVariableError, match="x"):

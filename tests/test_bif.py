@@ -64,6 +64,11 @@ class TestParseBif:
         bad = SINGLE.replace("0.3, 0.7", "0.3, 0.6")
         with pytest.raises(MalformedCptError):
             parse_bif(bad)
+        # A BIF number has no sign, so the lexer refuses a negative entry
+        # where its '-' stands.
+        with pytest.raises(BifParseError, match="unexpected character '-'") as err:
+            parse_bif(SINGLE.replace("0.3, 0.7", "-0.3, 1.3"))
+        assert (err.value.span.start_line, err.value.span.start_col) == (4, 27)
 
     def test_missing_rows_detected(self):
         bad = CHAIN.replace("( a1 ) 0.0, 1.0;", "")
@@ -98,6 +103,27 @@ class TestParseBif:
         )
         with pytest.raises(BifParseError):
             parse_bif(bad)
+        for bad in (
+            SINGLE.replace("{ yes, no };", "{ yes, no }; property position;"),
+            SINGLE.replace("network tiny { }", "network tiny { property author; }"),
+        ):
+            with pytest.raises(BifParseError, match="unsupported construct 'property'"):
+                parse_bif(bad)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("variable A { type discrete [ 2 ] { yes, no }; }", "duplicate variable 'A'"),
+            ("probability ( A ) { table 0.3, 0.7; }", "duplicate probability block for 'A'"),
+            ("variable B { type discrete [ 2 ] { yes, no }; }", "'B' has no probability block"),
+            ("probability ( B ) { table 0.3, 0.7; }", "block for undeclared variable 'B'"),
+            ("variable B { type discrete [ 1 ] { yes }; }", "'B' needs at least two states"),
+        ],
+        ids=["duplicate-variable", "duplicate-block", "no-block", "undeclared", "one-state"],
+    )
+    def test_malformed_declarations_rejected(self, extra, message):
+        with pytest.raises(BifParseError, match=message):
+            parse_bif(SINGLE + extra + "\n")
 
     def test_unknown_parent_rejected(self):
         bad = """
@@ -139,6 +165,27 @@ class TestNetToProgram:
         program = net_to_program(net, "Xray")
         printed = pretty_program(program)
         assert parse_program(printed) == program
+
+    def test_names_that_collide_or_are_keywords_are_renamed(self):
+        # 'a-b' and 'a_b' both sanitize to a_b, and 'if' is a keyword: each
+        # gets a distinct identifier, and the marginals are unchanged.
+        text = CHAIN.replace("A", "a-b").replace("B", "a_b") + "\n".join(
+            [
+                "variable if { type discrete [ 2 ] { i0, i1 }; }",
+                "probability ( if | a_b ) { ( b0 ) 0.2, 0.8; ( b1 ) 0.9, 0.1; }",
+            ]
+        )
+        net = parse_bif(text)
+        program = net_to_program(net, "if")
+        names, e = [], program.main
+        while isinstance(e, S.Let):
+            names.append(e.name)
+            e = e.body
+        assert names == ["a_b", "a_b_2", "v_if"]
+        assert parse_program(pretty_program(program)) == program
+        for var in net.variable_names():
+            got = _pipeline_marginal(net, var)
+            assert got == pytest.approx(joint_enumeration_marginal(net, var), abs=1e-12)
 
     def test_random_small_networks_all_marginals(self):
         rng = random.Random(99)

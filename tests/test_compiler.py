@@ -129,7 +129,7 @@ class TestCompileRules:
         compiled = compile_main("flip 0.4")
         assert isinstance(compiled.formula, int)
         level = compiled.manager.level_of(compiled.formula)
-        assert compiled.weights[level] == (0.4, 0.6)
+        assert compiled.weights[level] == 0.4
         assert compiled.accepting == TRUE
         assert compiled.flip_count == 1
 
@@ -162,7 +162,7 @@ class TestCompileRules:
         mgr = compiled.manager
         assert compiled.formula == (mgr.var(0), TRUE)
         assert compiled.accepting == TRUE
-        assert list(compiled.weights.values()) == [(0.2, 0.8)]
+        assert list(compiled.weights.values()) == [0.2]
 
 
 class TestFunctions:

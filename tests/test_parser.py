@@ -38,6 +38,10 @@ class TestParse:
         e = parse_expr("flip 1/3")
         assert isinstance(e, S.Flip)
         assert e.theta == pytest.approx(1 / 3, abs=0)
+        assert parse_expr("flip(0.3)").theta == 0.3
+        with pytest.raises(ParseError, match="denominator is zero") as err:
+            parse_expr("flip 1/0")
+        assert err.value.span.start_col == 8
 
     def test_true_false_aliases(self):
         assert parse_expr("T") == S.Lit(True)
@@ -98,6 +102,9 @@ class TestParse:
         span = err.value.span
         assert span is not None
         assert 1 <= span.start_line <= text.count("\n") + 1
+        with pytest.raises(ParseError, match="expected end of input") as err:
+            parse_program("flip 0.5 )")
+        assert (err.value.span.start_line, err.value.span.start_col) == (1, 10)
 
     def test_token_positions_after_comments_and_blank_lines(self):
         text = "// one\n// two\n\n  let x =\n\tflip 0.5 in // tail\n\n x"
@@ -175,6 +182,10 @@ class TestParse:
     def test_int_literal_range_checked(self):
         with pytest.raises(ParseError):
             parse_expr("int(4, 7)")
+        with pytest.raises(ParseError, match="integer size must be at least 1"):
+            parse_expr("int(0, 0)")
+        with pytest.raises(ParseError, match="integer size must be at least 1"):
+            parse_program("fun f(x: int(0)): Bool { true } f(int(1, 0))")
 
 
 # The token text each node's span must start at, by node type; a
