@@ -35,11 +35,23 @@ level precedes both child images (a call's refreshed flips usually are),
 keeps the order: its image is made by ``_mk`` directly.  Every other image
 is an ``ite`` of the mapped formula over the child images.  The read-only
 queries ``support``, ``node_count``, ``to_dot`` and ``wmc`` share one
-post-order walk, ``_postorder``.  ``ite``'s Shannon expansion is the only
-recursion, and its depth is at most the number of levels, so registering a
-variable raises the interpreter's recursion limit, if needed, to the level
-count plus a fixed headroom.  This is the one place flipc touches that
-limit: the front-end passes run on an explicit stack.
+post-order walk, ``_postorder``.
+
+``and_renamed(f, renaming, g)`` conjoins ``g`` with ``f`` relabelled by an
+order-preserving renaming of levels (how a repeated call renames an earlier
+instance's flips), and returns the handle ``compose`` then ``apply_and``
+would give, without building the relabelled copy of ``f``.  It is one
+Shannon expansion over (f, g) with a memo local to the call, reading
+``f``'s levels through the renaming; once the renamed deepest level of
+``f`` precedes ``g``'s top level, it finishes with ``_rewire``, which then
+reads the renamed levels too.  Every node it makes is a node of the result.
+
+The Shannon expansions of ``ite`` and ``and_renamed`` are the only
+recursions.  Each frame descends at least one level, so their depth is at
+most the number of levels, and registering a variable raises the
+interpreter's recursion limit, if needed, to the level count plus a fixed
+headroom.  This is the one place flipc touches that limit: the front-end
+passes run on an explicit stack.
 
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, named f1, f2, ... in allocation order; its
@@ -107,6 +119,21 @@ class VarLabel:
     name: str
 
 
+class _RenamedLevels:
+    """Node levels read through a renaming: ``levels[n]`` is the image of
+    node ``n``'s level, or the level itself where the renaming leaves it."""
+
+    __slots__ = ("var", "renaming")
+
+    def __init__(self, var: list, renaming: dict):
+        self.var = var
+        self.renaming = renaming
+
+    def __getitem__(self, node: int) -> int:
+        level = self.var[node]
+        return self.renaming.get(level, level)
+
+
 class BddManager:
     def __init__(self, max_nodes: Optional[int] = None):
         self._var = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
@@ -135,7 +162,8 @@ class BddManager:
 
     def _new_label(self, kind: str, name: str) -> int:
         self.labels.append(VarLabel(kind, name))
-        # ite recurses at most once per level; the headroom covers its callers.
+        # ite and and_renamed recurse at most once per level; the headroom
+        # covers their callers.
         needed = len(self.labels) + _STACK_HEADROOM
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
@@ -227,11 +255,14 @@ class BddManager:
         self._computed[key] = result
         return result
 
-    def _rewire(self, g: int, t: int, e: int) -> int:
+    def _rewire(self, g: int, t: int, e: int, levels=None) -> int:
         """``g`` with TRUE replaced by ``t`` and FALSE by ``e``, in one walk
-        over ``g``'s nodes; the memo lives for this call only."""
+        over ``g``'s nodes; the memo lives for this call only.  Each node's
+        level is read from ``levels``, by node, if given (``and_renamed``
+        passes ``g``'s levels through a renaming), else from the store."""
         memo = {TRUE: t, FALSE: e}
-        var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
+        var = self._var if levels is None else levels
+        hi, lo, mk = self._hi, self._lo, self._mk
         stack = [g]
         while stack:
             n = stack.pop()
@@ -241,6 +272,48 @@ class BddManager:
             elif n not in memo:
                 stack += (~n, lo[n], hi[n])
         return memo[g]
+
+    def and_renamed(self, f: int, renaming: dict, g: int) -> int:
+        """The handle of ``compose(f, {l: var(renaming[l])}) ∧ g``, made
+        without the renamed copy of ``f``.  ``renaming`` sends levels to
+        levels, and with every other level kept it must preserve the order
+        of ``f``'s levels, so that copy would be ``f`` relabelled.
+
+        One Shannon pass over (f, g) reads ``f``'s levels through the
+        renaming.  Once the renamed deepest level of ``f`` precedes ``g``'s
+        top level, the conjunction is ``f`` with its TRUE rerouted to ``g``,
+        built by ``_rewire`` reading the same renamed levels.  The memo
+        lives for this call only, and every node made is a node of the
+        result, so this makes no node that the composition followed by
+        ``apply_and`` would not."""
+        var, hi, lo, maxvar, mk = self._var, self._hi, self._lo, self._maxvar, self._mk
+        rename = renaming.get
+        levels = _RenamedLevels(var, renaming)
+        memo = {}
+
+        def conjoin(f: int, g: int) -> int:
+            if f == FALSE or g == FALSE:
+                return FALSE
+            if f == TRUE:
+                return g
+            key = (f, g)
+            result = memo.get(key)
+            if result is not None:
+                return result
+            deepest = maxvar[f]
+            top_g = var[g]
+            if rename(deepest, deepest) < top_g:
+                result = self._rewire(f, g, FALSE, levels)
+            else:
+                top_f = rename(var[f], var[f])
+                level = min(top_f, top_g)
+                fh, fl = (hi[f], lo[f]) if top_f == level else (f, f)
+                gh, gl = (hi[g], lo[g]) if top_g == level else (g, g)
+                result = mk(level, conjoin(fh, gh), conjoin(fl, gl))
+            memo[key] = result
+            return result
+
+        return conjoin(f, g)
 
     def _postorder(self, roots) -> list[int]:
         """Internal nodes reachable from ``roots``, each once, children

@@ -187,6 +187,7 @@ class _BifParser:
         self.eat("}")
         variables: list = []
         declared: dict = {}
+        declared_at: dict = {}  # variable name -> its 'variable' token
         parents: dict = {}
         cpts: dict = {}
         while self.peek().kind != "eof":
@@ -196,6 +197,7 @@ class _BifParser:
                 if var_name in declared:
                     raise BifParseError(f"duplicate variable {var_name!r}", self.span(tok))
                 declared[var_name] = states
+                declared_at[var_name] = tok
                 variables.append((var_name, states))
             elif tok.text == "probability":
                 child, parent_list, rows = self.probability_block(declared)
@@ -207,7 +209,9 @@ class _BifParser:
                 self.fail("expected 'variable' or 'probability'")
         for var_name, _ in variables:
             if var_name not in cpts:
-                raise BifParseError(f"variable {var_name!r} has no probability block", None)
+                raise BifParseError(
+                    f"variable {var_name!r} has no probability block", self.span(declared_at[var_name])
+                )
         net = BayesNet(name, variables, parents, cpts)
         net.topological_order()  # raises on cycles
         return net
@@ -316,8 +320,6 @@ class _BifParser:
                 f"row for {child!r} has {len(values)} entries, expected {arity}",
                 self.span(tok),
             )
-        if any(v < 0 for v in values):
-            raise MalformedCptError(f"negative probability in a row for {child!r}", self.span(tok))
         if abs(sum(values) - 1.0) > CPT_ROW_TOLERANCE:
             raise MalformedCptError(
                 f"row for {child!r} sums to {sum(values)!r}, not 1", self.span(tok)

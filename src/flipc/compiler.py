@@ -22,7 +22,13 @@ compose the template again: it renames the earlier instance's fresh flips
 to its own.  The argument formulas predate both calls' fresh flips, and the
 new flips are the newest levels, so the renaming keeps the variable order
 and every image is made directly (see ``BddManager.compose``); by
-canonicity the result is the handle full composition would give.  Inline
+canonicity the result is the handle full composition would give.  The
+formula leaves are renamed at once, since the body reads them.  The
+accepting formula stays pending (the instance's root and the renaming) and
+passes up through ``let`` bodies: the ``let`` that conjoins it does so
+through the renaming (``BddManager.and_renamed``), so its renamed copy is
+never built.  A conditional, a release and the end of a function or of the
+program build it instead, as its conjunction with TRUE.  Inline
 mode instead rewrites each call as a ``let`` of the callee's formal over
 its body before compiling, as a differential baseline, so each call site
 compiles the body afresh.
@@ -235,6 +241,7 @@ _MISSING = object()
 def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> tuple:
     """The (formula tuple, accepting formula) of ``e``."""
     formula, accepting = S.trampoline(_compile(ctx, env, e))
+    accepting = _built(ctx.mgr, accepting)
     _check_released(ctx, formula, accepting)
     return formula, accepting
 
@@ -284,7 +291,7 @@ def _compile_ite(ctx: _Compilation, env: dict, e: S.Ite):
     then_formula, then_accepting = yield _compile(ctx, env, e.then)
     else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
     formula = pointwise_ite(mgr, g, then_formula, else_formula)
-    accepting = mgr.ite(g, then_accepting, else_accepting)
+    accepting = mgr.ite(g, _built(mgr, then_accepting), _built(mgr, else_accepting))
     return formula, accepting
 
 
@@ -301,8 +308,7 @@ def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
     old = env.get(e.name, _MISSING)
     env[e.name] = bound_formula
     formula, accepting = yield _compile(ctx, env, e.body)
-    if bound_accepting != TRUE:
-        accepting = mgr.apply_and(bound_accepting, accepting)
+    accepting = _conjoin(mgr, bound_accepting, accepting)
     if old is _MISSING:
         del env[e.name]
     else:
@@ -362,10 +368,12 @@ def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
     return done[0]
 
 
-def _release(ctx: _Compilation, mark: int, formula, accepting: int):
+def _release(ctx: _Compilation, mark: int, formula, accepting):
     """Compose the groups held above ``mark`` back into ``formula`` and
-    ``accepting``, newest first, since a newer group's formulas may mention
-    an older group's placeholders; each group is one simultaneous mapping."""
+    ``accepting``, built first if pending, newest group first, since a newer
+    group's formulas may mention an older group's placeholders; each group
+    is one simultaneous mapping."""
+    accepting = _built(ctx.mgr, accepting)
     while len(ctx.held) > mark:
         formula, accepting = _compose(ctx.mgr, formula, accepting, ctx.held.pop())
     return formula, accepting
@@ -375,6 +383,40 @@ def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
     """``formula`` and ``accepting`` under ``mapping``, in one composition."""
     *images, accepting = mgr.compose((*iter_leaves(formula), accepting), mapping)
     return with_leaves(formula, images), accepting
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """A repeated call's accepting formula, not yet built: the earlier
+    instance's accepting ``root`` with each of its fresh flips renamed to
+    the repeat's own, ``renaming`` sending level to level."""
+
+    root: int
+    renaming: dict
+
+
+def _built(mgr: BddManager, accepting) -> int:
+    """The handle of an accepting formula.  A pending one is built as its
+    conjunction with TRUE, its root relabelled, which makes no variable
+    node for the renamed flips as a composition would."""
+    if isinstance(accepting, _Pending):
+        return mgr.and_renamed(accepting.root, accepting.renaming, TRUE)
+    return accepting
+
+
+def _conjoin(mgr: BddManager, a, b):
+    """The conjunction of two accepting formulas.  A pending one is conjoined
+    through its renaming, never built; when both are pending, ``b`` is
+    built.  A TRUE side leaves the other as it is, pending or not."""
+    if a == TRUE:
+        return b
+    if b == TRUE:
+        return a
+    if isinstance(a, _Pending):
+        return mgr.and_renamed(a.root, a.renaming, _built(mgr, b))
+    if isinstance(b, _Pending):
+        return mgr.and_renamed(b.root, b.renaming, a)
+    return mgr.apply_and(a, b)
 
 
 def _check_released(ctx: _Compilation, formula, accepting: int) -> None:
@@ -413,6 +455,7 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
         formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
         ctx.formals = previous
+    accepting = _built(mgr, accepting)
     _check_released(ctx, formula, accepting)
     flips = [
         level
@@ -426,9 +469,11 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     """Instantiate a compiled function: refresh its flips with fresh
     variables and substitute the argument formulas for the formal's
     placeholders, both in one simultaneous composition.  If an earlier call
-    passed the same argument formulas, its instance is composed with the
-    renaming of its fresh flips to these instead.  Returns the call's
-    (formula tuple, accepting formula)."""
+    passed the same argument formulas, its instance's formula leaves are
+    composed with the renaming of its fresh flips to these instead (unless
+    all constant), and its accepting formula, unless a constant, is returned
+    pending (``_Pending``) under that renaming.  Returns the call's (formula tuple, accepting
+    formula)."""
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
     fresh = [ctx.new_flip(ctx.weights[level]) for level in template.flip_levels]
@@ -440,16 +485,22 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     key = (func_name, arg_leaves)
     instance = ctx.instances.get(key)
     if instance is None:
-        source = template.flip_levels, template.formula, template.accepting
         mapping = dict(zip(template.formal_levels, arg_leaves))
-    else:
-        source, mapping = instance, {}
-    flips, formula, accepting = source
-    for level, flip in zip(flips, fresh):
-        mapping[level] = mgr.var(flip)
-    formula, accepting = _compose(mgr, formula, accepting, mapping)
-    if instance is None:
+        for level, flip in zip(template.flip_levels, fresh):
+            mapping[level] = mgr.var(flip)
+        formula, accepting = _compose(mgr, template.formula, template.accepting, mapping)
         ctx.instances[key] = (fresh, formula, accepting)
+        return formula, accepting
+    flips, formula, accepting = instance
+    if not flips:
+        return formula, accepting
+    renaming = dict(zip(flips, fresh))
+    leaves = tuple(iter_leaves(formula))
+    if max(leaves) > TRUE:
+        images = mgr.compose(leaves, {level: mgr.var(flip) for level, flip in renaming.items()})
+        formula = with_leaves(formula, images)
+    if accepting > TRUE:
+        accepting = _Pending(accepting, renaming)
     return formula, accepting
 
 

@@ -368,6 +368,74 @@ def test_composing_a_tuple_equals_composing_root_by_root(data):
     assert mgr.compose(roots[0], mapping) == images[0]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_and_renamed_equals_composing_then_conjoining(data):
+    # f lives on levels 0-5 and g on 0-11, or is a constant.  The renaming
+    # sends level i of f to the i-th of six increasing levels drawn from
+    # 0-11, so it keeps f's order, and the levels it renames to may be ones
+    # that g mentions.  Twin managers build the same operands: one conjoins
+    # through the renaming, the other composes first and then conjoins.
+    seed = data.draw(st.integers(0, 10**9))
+    targets = sorted(data.draw(st.lists(st.integers(0, 11), min_size=6, max_size=6, unique=True)))
+    g_kind = data.draw(st.sampled_from(("formula", "formula", TRUE, FALSE)))
+
+    def setup():
+        rng = random.Random(seed)
+        mgr, levels = fresh_manager(12)
+        f = build(mgr, levels[:6], random_tree(rng, 6, 4))
+        g = g_kind if g_kind != "formula" else build(mgr, levels, random_tree(rng, 12, 4))
+        renaming = {levels[i]: levels[t] for i, t in enumerate(targets) if t != i}
+        return mgr, f, renaming, g
+
+    def composed(mgr, f, renaming):
+        return mgr.compose(f, {level: mgr.var(image) for level, image in renaming.items()})
+
+    mgr, f, renaming, g = setup()
+    before = len(mgr._var)
+    result = mgr.and_renamed(f, renaming, g)
+    made = len(mgr._var) - before
+    twin, twin_f, twin_renaming, twin_g = setup()
+    expected = twin.apply_and(composed(twin, twin_f, twin_renaming), twin_g)
+    assert len(twin._var) - before >= made
+    # Canonicity: the same manager gives the composed path the same handle.
+    assert mgr.apply_and(composed(mgr, f, renaming), g) == result
+    assert mgr.node_count(result) == twin.node_count(expected)
+    if made:
+        capped, capped_f, capped_renaming, capped_g = setup()
+        capped.max_nodes = before + data.draw(st.integers(0, made - 1)) - 1
+        with pytest.raises(NodeLimitError):
+            capped.and_renamed(capped_f, capped_renaming, capped_g)
+        assert len(capped._unique) == len(capped._var) - 2
+        capped.max_nodes = before + made - 1
+        assert capped.and_renamed(capped_f, capped_renaming, capped_g) == result
+        assert len(capped._var) == before + made
+
+
+def test_and_renamed_rewires_once_the_renamed_formula_lies_above_the_other():
+    # f = x0 && x1 renamed to x0 && x2, conjoined with (x0 || x3) && x4:
+    # past x0 the renamed f lies wholly above g's cofactor x4, so its TRUE
+    # is rerouted to x4 in one walk over f's nodes, read through the
+    # renaming.
+    mgr, levels = fresh_manager(5)
+    f = mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[1]))
+    g = mgr.apply_and(mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[3])), mgr.var(levels[4]))
+    rewires = []
+    rewire = mgr._rewire
+    mgr._rewire = lambda f, t, e, renamed=None: rewires.append((f, t)) or rewire(f, t, e, renamed)
+    result = mgr.and_renamed(f, {levels[1]: levels[2]}, g)
+    assert rewires == [(mgr.high(f), mgr.high(g))]
+    assert mgr.level_of(result) == levels[0]
+    assert mgr.level_of(mgr.high(result)) == levels[2]
+    expected = mgr.apply_and(mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[2])), g)
+    assert result == expected
+    assert mgr.and_renamed(f, {levels[1]: levels[2]}, TRUE) == mgr.apply_and(
+        mgr.var(levels[0]), mgr.var(levels[2])
+    )
+    assert mgr.and_renamed(f, {levels[1]: levels[2]}, FALSE) == FALSE
+    assert mgr.and_renamed(TRUE, {levels[1]: levels[2]}, g) == g
+
+
 def test_rewire_and_compose_of_a_5000_level_chain_need_no_recursion():
     mgr, levels = fresh_manager(5002)
     limit = sys.getrecursionlimit()

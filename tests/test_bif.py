@@ -110,20 +110,23 @@ class TestParseBif:
             with pytest.raises(BifParseError, match="unsupported construct 'property'"):
                 parse_bif(bad)
 
+    # Each rejection points into the added line 5: at the declaration or
+    # block that is wrong, or at the state count a one-state variable gives.
     @pytest.mark.parametrize(
-        "extra, message",
+        "extra, message, column",
         [
-            ("variable A { type discrete [ 2 ] { yes, no }; }", "duplicate variable 'A'"),
-            ("probability ( A ) { table 0.3, 0.7; }", "duplicate probability block for 'A'"),
-            ("variable B { type discrete [ 2 ] { yes, no }; }", "'B' has no probability block"),
-            ("probability ( B ) { table 0.3, 0.7; }", "block for undeclared variable 'B'"),
-            ("variable B { type discrete [ 1 ] { yes }; }", "'B' needs at least two states"),
+            ("variable A { type discrete [ 2 ] { yes, no }; }", "duplicate variable 'A'", 1),
+            ("probability ( A ) { table 0.3, 0.7; }", "duplicate probability block for 'A'", 1),
+            ("variable B { type discrete [ 2 ] { yes, no }; }", "'B' has no probability block", 1),
+            ("probability ( B ) { table 0.3, 0.7; }", "block for undeclared variable 'B'", 1),
+            ("variable B { type discrete [ 1 ] { yes }; }", "'B' needs at least two states", 30),
         ],
         ids=["duplicate-variable", "duplicate-block", "no-block", "undeclared", "one-state"],
     )
-    def test_malformed_declarations_rejected(self, extra, message):
-        with pytest.raises(BifParseError, match=message):
+    def test_malformed_declarations_rejected(self, extra, message, column):
+        with pytest.raises(BifParseError, match=message) as err:
             parse_bif(SINGLE + extra + "\n")
+        assert (err.value.span.start_line, err.value.span.start_col) == (5, column)
 
     def test_unknown_parent_rejected(self):
         bad = """

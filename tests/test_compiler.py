@@ -462,12 +462,14 @@ class TestBundledBenchmarks:
 # A Bool output's false row is counted as the complement of its leaf, so the
 # three suites without observations query without building a node.  Built
 # by pointwise iff, the selecting roots negated the output BDD: the query
-# added 257, 127, 252 and 17 nodes in both modes.
+# added 257, 127, 252 and 17 nodes in both modes.  Modular caesar-mini
+# stored 2,905 nodes after compile while each repeated call built its
+# renamed accepting formula before the enclosing let conjoined it.
 PINNED_STORE_SIZES = {
     "chained-flips": ({"modular": (894, 894), "inline": (894, 894)}, 259),
     "diamond": ({"modular": (580, 580), "inline": (1075, 1075)}, 130),
     "ladder": ({"modular": (2201, 2201), "inline": (2306, 2306)}, 255),
-    "caesar-mini": ({"modular": (2905, 2917), "inline": (6267, 6279)}, 843),
+    "caesar-mini": ({"modular": (1958, 1970), "inline": (6267, 6279)}, 843),
 }
 
 
@@ -610,7 +612,7 @@ def store_digests(compiled):
 # only the nodes the distribution query adds.
 PINNED_STORE_DIGESTS = {
     ('caesar-mini', 'inline'): ('afe1594f79800c41', '6e97417ae173868e'),
-    ('caesar-mini', 'modular'): ('eb565cfae21e54f8', '994f1a52cda125c2'),
+    ('caesar-mini', 'modular'): ('d30d788d3de89a01', '33590524727cf6bf'),
     ('chained-flips', 'inline'): ('09ae9dd60ea099ab', None),
     ('chained-flips', 'modular'): ('09ae9dd60ea099ab', None),
     ('diamond', 'inline'): ('458b08d87889d2e7', None),
@@ -962,7 +964,8 @@ def instantiations(monkeypatch):
         mapping.update((level, mgr.var(flip)) for level, flip in zip(template.flip_levels, fresh))
         expected = [compose(mgr, n, mapping) for n in iter_leaves(template.formula)]
         assert list(iter_leaves(formula)) == expected
-        assert accepting == compose(mgr, template.accepting, mapping)
+        # A repeat's accepting formula is pending: build it to compare.
+        assert compiler._built(mgr, accepting) == compose(mgr, template.accepting, mapping)
         calls.append((ctx, func_name, composed))
         return result
 
@@ -987,6 +990,8 @@ def random_core_programs(rng, count):
 def test_renamed_instances_equal_full_composition(instantiations, rng):
     compile_text(suite_source("caesar-mini", 64))
     compile_text(benchmark_text("diamond.dice"))
+    for text, _ in REPEATED_PROGRAMS.values():
+        compile_text(text)
     first = len(instantiations)
     for core in random_core_programs(rng, 40):
         compiled = compile_program(core)
@@ -1026,3 +1031,104 @@ def test_a_call_in_a_template_is_renamed_at_a_repeat_in_main(instantiations):
     assert stored == ctx.funcs["g"].flip_levels
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
 
+
+
+# A repeat whose instance observes returns its accepting formula pending: the
+# earlier instance's root under the renaming of its flips.  A let conjoins
+# it through the renaming (BddManager.and_renamed); a conditional, a release
+# and the end of a function or of the program build it, as and_renamed with
+# TRUE.  f(false) accepts exactly when f's first flip is true.
+OBSERVING = (
+    "fun f(x: Bool): Bool { let c = flip 0.3 in let o = observe (c || x) in c && flip 0.6 }\n"
+)
+# A template that calls f(false), so that a later f(false) is a repeat.
+CALLS_F = "fun g(y: Bool): Bool { let r = f(false) in r || y }\n"
+
+# Program, and how often a pending accepting is (conjoined, built).
+REPEATED_PROGRAMS = {
+    "let_bound": (
+        OBSERVING + "let a = flip 0.5 in let r1 = f(a) in let r2 = f(a) in "
+        "let o = observe (r1 || r2) in (r1, r2)",
+        (1, 0),
+    ),
+    # The pending accepting passes up through the inner let, whose bound
+    # observes nothing, and the outer let, whose body observes nothing.
+    "bound_let_tail": (
+        OBSERVING + "let a = flip 0.5 in let r1 = f(a) in "
+        "let r2 = (let t = a in let b = flip 0.4 in f(t)) in r1 && r2",
+        (1, 0),
+    ),
+    "branch": (
+        OBSERVING + "let a = flip 0.5 in let r1 = f(a) in "
+        "let r2 = if a then f(a) else flip 0.2 in r1 || r2",
+        (0, 1),
+    ),
+    "program_result": (OBSERVING + CALLS_F + "let b = flip 0.5 in f(false)", (0, 1)),
+    "function_result": (
+        OBSERVING + CALLS_F + "fun h(y: Bool): Bool { let z = flip 0.5 in f(false) }\n"
+        "let a = flip 0.5 in let r = g(a) in h(a)",
+        (0, 1),
+    ),
+    "in_template": (
+        OBSERVING + "fun h(y: Bool): Bool { let r1 = f(y) in let r2 = f(y) in r1 && r2 }\n"
+        "let a = flip 0.5 in h(!a)",
+        (1, 0),
+    ),
+    "under_held_let": (
+        OBSERVING
+        + f"let c = flip 0.4 in let r1 = f(c) in let x = ({FLIPS}{PAIRS}) in f(c) && x",
+        (0, 1),
+    ),
+    "accepting_true": (
+        "fun t(x: Bool): Bool { x && flip 0.4 }\n"
+        "let a = flip 0.5 in let r1 = t(a) in let r2 = t(a) in r1 || r2",
+        (0, 0),
+    ),
+    "accepting_false": (
+        "fun z(x: Bool): Bool { let c = flip 0.3 in let o = observe (c && false) in c || x }\n"
+        "let a = flip 0.5 in if a then (let r1 = z(a) in let r2 = z(a) in r1 || r2) else a",
+        (0, 0),
+    ),
+}
+
+
+def pending_uses(monkeypatch):
+    """Count and_renamed calls: [conjoined, built], built being those whose
+    other operand is TRUE."""
+    uses = [0, 0]
+    and_renamed = BddManager.and_renamed
+
+    def counted(mgr, f, renaming, g):
+        uses[g == TRUE] += 1
+        return and_renamed(mgr, f, renaming, g)
+
+    monkeypatch.setattr(BddManager, "and_renamed", counted)
+    return uses
+
+
+def answers_hex(compiled):
+    result = infer.distribution_result(compiled)
+    return result.accepting.hex(), [(key, p.hex()) for key, p in result.entries]
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_PROGRAMS))
+def test_repeated_calls_in_every_position(name, monkeypatch):
+    text, expected_uses = REPEATED_PROGRAMS[name]
+    uses = pending_uses(monkeypatch)
+    modular, core = compile_text(text)
+    assert tuple(uses) == expected_uses
+    if name == "under_held_let":
+        assert placeholders(modular)
+    assert compiled_vs_oracle_delta(modular, core) < 1e-12
+    inline, _ = compile_text(text, mode="inline")
+    assert answers_hex(modular) == answers_hex(inline)
+
+
+def test_caesar_conjoins_every_repeat_but_the_last_through_its_renaming(monkeypatch):
+    # Each repeat but the innermost meets the pending accepting of the rest
+    # of the program, which is built once, at the innermost.
+    uses = pending_uses(monkeypatch)
+    modular, _ = compile_text(suite_source("caesar-mini", 64))
+    assert uses == [59, 1]
+    inline, _ = compile_text(suite_source("caesar-mini", 64), mode="inline")
+    assert answers_hex(modular) == answers_hex(inline)
