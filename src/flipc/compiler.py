@@ -15,20 +15,29 @@ is itself trivially true; conditionals select between branch formulas under
 the compiled guard; ``let`` binds the bound expression's formula tuple in
 the environment and conjoins accepting formulas.
 Functions compile once to a template over placeholder argument variables;
-each call refreshes the template's flips with fresh variables and
-substitutes the actual argument formulas by BDD composition.  A call whose
-argument formulas repeat an earlier call's to the same function does not
-compose the template again: it renames the earlier instance's fresh flips
-to its own.  The argument formulas predate both calls' fresh flips, and the
-new flips are the newest levels, so the renaming keeps the variable order
-and every image is made directly (see ``BddManager.compose``); by
-canonicity the result is the handle full composition would give.  The
-formula leaves are renamed at once, since the body reads them.  The
-accepting formula stays pending (the instance's root and the renaming) and
-passes up through ``let`` bodies: the ``let`` that conjoins it does so
-through the renaming (``BddManager.and_renamed``), so its renamed copy is
-never built.  A conditional, a release and the end of a function or of the
-program build it instead, as its conjunction with TRUE.  Inline
+each call refreshes the template's flips with fresh variables, registered
+in one step, and substitutes the actual argument formulas by BDD
+composition.  The first call that passes no constant records the order in
+which the composition images the template's nodes
+(``BddManager.image_order``), and every later such call replays it instead
+of walking the template again; a constant argument prunes the walk, so that
+call walks afresh.  A call whose argument formulas repeat an earlier call's
+to the same function does not compose the template again: it renames the
+earlier instance's fresh flips to its own.  The argument formulas predate
+both calls' fresh flips, and the new flips are the newest levels, so the
+renaming keeps the variable order and every image is made directly (see
+``BddManager.compose``); by canonicity the result is the handle full
+composition would give.  The formula leaves are renamed at once, since the
+body reads them, replaying the order recorded at the instance's first
+repeat.  The accepting formula stays pending (the instance's root and the
+renaming) and passes up through ``let`` bodies: the ``let`` that conjoins
+it does so through the renaming (``BddManager.and_renamed``), so its
+renamed copy is never built.  A conditional, a release and the end of a
+function or of the program build it instead, as its conjunction with TRUE.
+Each sub-DAG of an instance that ``and_renamed`` relabels is walked once
+per compilation: the renaming is a ``Renaming`` carrying the compilation's
+recorded post-orders.  Every recorded list belongs to the compilation and
+dies with it; none is reachable from the ``CompiledProgram``.  Inline
 mode instead rewrites each call as a ``let`` of the callee's formal over
 its body before compiling, as a differential baseline, so each call site
 compiles the body afresh.
@@ -73,8 +82,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import syntax as S
-from .bdd import FALSE, TRUE, BddManager
+from . import desugar, parser, syntax as S, typecheck
+from .bdd import FALSE, TRUE, BddManager, Renaming
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
 
@@ -190,6 +199,10 @@ class CompiledFunction:
     formula: Union[int, tuple]  # formula tuple
     accepting: int
     flip_levels: list  # template flips, refreshed per call
+    # BddManager.image_order of the formula leaves and accepting formula
+    # under a call's mapping, recorded at the first call with no constant
+    # argument and replayed by every later one.
+    order: Optional[list] = None
 
 
 @dataclass
@@ -228,6 +241,13 @@ class _Compilation:
         # (function name, argument leaf handles) -> (fresh flip levels,
         # formula tuple, accepting) of the first call with those arguments.
         self.instances: dict = {}
+        # The same key -> BddManager.image_order of the instance's formula
+        # leaves under the renaming of its flips, recorded at the first
+        # repeat and replayed by every later one.
+        self.leaf_orders: dict = {}
+        # Sub-DAG root -> its post-order, recorded by the first
+        # BddManager.and_renamed that relabels it (``Renaming``).
+        self.postorders: dict = {}
 
     def new_flip(self, theta: float) -> int:
         level = self.mgr.new_flip() if self._order is None else next(self._order)
@@ -389,10 +409,11 @@ def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
 class _Pending:
     """A repeated call's accepting formula, not yet built: the earlier
     instance's accepting ``root`` with each of its fresh flips renamed to
-    the repeat's own, ``renaming`` sending level to level."""
+    the repeat's own, ``renaming`` sending level to level and carrying the
+    compilation's recorded post-orders."""
 
     root: int
-    renaming: dict
+    renaming: Renaming
 
 
 def _built(mgr: BddManager, accepting) -> int:
@@ -468,15 +489,20 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
 def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     """Instantiate a compiled function: refresh its flips with fresh
     variables and substitute the argument formulas for the formal's
-    placeholders, both in one simultaneous composition.  If an earlier call
-    passed the same argument formulas, its instance's formula leaves are
-    composed with the renaming of its fresh flips to these instead (unless
-    all constant), and its accepting formula, unless a constant, is returned
-    pending (``_Pending``) under that renaming.  Returns the call's (formula tuple, accepting
-    formula)."""
+    placeholders, both in one simultaneous composition, which replays the
+    template's recorded image order unless an argument leaf is a constant.
+    If an earlier call passed the same argument formulas, its instance's
+    formula leaves are composed with the renaming of its fresh flips to
+    these instead (unless all constant), replaying the order recorded at
+    the instance's first repeat, and its accepting formula, unless a
+    constant, is returned pending (``_Pending``) under that renaming.
+    Returns the call's (formula tuple, accepting formula)."""
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
-    fresh = [ctx.new_flip(ctx.weights[level]) for level in template.flip_levels]
+    fresh = mgr.new_flips(len(template.flip_levels))
+    weights = ctx.weights
+    for level, flip in zip(template.flip_levels, fresh):
+        weights[flip] = weights[level]
     arg_leaves = tuple(iter_leaves(arg))
     if len(template.formal_levels) != len(arg_leaves):
         raise ShapeMismatchError(
@@ -488,17 +514,27 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
         mapping = dict(zip(template.formal_levels, arg_leaves))
         for level, flip in zip(template.flip_levels, fresh):
             mapping[level] = mgr.var(flip)
-        formula, accepting = _compose(mgr, template.formula, template.accepting, mapping)
+        roots = (*iter_leaves(template.formula), template.accepting)
+        order = None
+        if min(arg_leaves) > TRUE:
+            if template.order is None:
+                template.order = mgr.image_order(roots, mapping)
+            order = template.order
+        *images, accepting = mgr.compose(roots, mapping, order)
+        formula = with_leaves(template.formula, images)
         ctx.instances[key] = (fresh, formula, accepting)
         return formula, accepting
     flips, formula, accepting = instance
     if not flips:
         return formula, accepting
-    renaming = dict(zip(flips, fresh))
+    renaming = Renaming(zip(flips, fresh), ctx.postorders)
     leaves = tuple(iter_leaves(formula))
     if max(leaves) > TRUE:
-        images = mgr.compose(leaves, {level: mgr.var(flip) for level, flip in renaming.items()})
-        formula = with_leaves(formula, images)
+        mapping = {level: mgr.var(flip) for level, flip in renaming.items()}
+        order = ctx.leaf_orders.get(key)
+        if order is None:
+            order = ctx.leaf_orders[key] = mgr.image_order(leaves, mapping)
+        formula = with_leaves(formula, mgr.compose(leaves, mapping, order))
     if accepting > TRUE:
         accepting = _Pending(accepting, renaming)
     return formula, accepting
@@ -621,13 +657,11 @@ def compile_source(
 ):
     """parse -> typecheck -> desugar -> compile; returns the compiled program,
     its output type the surface type, and the core program (the oracle's input)."""
-    from .desugar import desugar_program
-    from .parser import parse_program
-    from .typecheck import typecheck_program
-
-    ast = parse_program(text, filename)
-    surface_ty = typecheck_program(ast)
-    core = desugar_program(ast)
+    # The stages are read off their modules at each call, so a wrapper
+    # installed on a module attribute (perfbench's spans) sees every call.
+    ast = parser.parse_program(text, filename)
+    surface_ty = typecheck.typecheck_program(ast)
+    core = desugar.desugar_program(ast)
     compiled = compile_program(core, mode=mode, max_nodes=max_nodes, order=order)
     compiled.output_ty = surface_ty
     return compiled, core

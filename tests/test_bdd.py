@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipc.bdd import FALSE, TRUE, BddManager
+from flipc.bdd import FALSE, TRUE, BddManager, Renaming
 from flipc.errors import (
     BadDistributionError,
     MissingWeightError,
@@ -415,25 +415,149 @@ def test_and_renamed_equals_composing_then_conjoining(data):
 def test_and_renamed_rewires_once_the_renamed_formula_lies_above_the_other():
     # f = x0 && x1 renamed to x0 && x2, conjoined with (x0 || x3) && x4:
     # past x0 the renamed f lies wholly above g's cofactor x4, so its TRUE
-    # is rerouted to x4 in one walk over f's nodes, read through the
-    # renaming.
+    # is rerouted to x4 and its levels renamed, node by node over the
+    # post-order of f's high sub-DAG.  A Renaming keeps that order, so a
+    # later relabelling of the same sub-DAG that shares it replays the list
+    # without walking again.
     mgr, levels = fresh_manager(5)
     f = mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[1]))
     g = mgr.apply_and(mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[3])), mgr.var(levels[4]))
-    rewires = []
-    rewire = mgr._rewire
-    mgr._rewire = lambda f, t, e, renamed=None: rewires.append((f, t)) or rewire(f, t, e, renamed)
-    result = mgr.and_renamed(f, {levels[1]: levels[2]}, g)
-    assert rewires == [(mgr.high(f), mgr.high(g))]
+    walks = []
+    postorder = mgr._postorder
+    mgr._postorder = lambda roots: walks.append(tuple(roots)) or postorder(roots)
+    postorders = {}
+    result = mgr.and_renamed(f, Renaming({levels[1]: levels[2]}, postorders), g)
+    assert walks == [(mgr.high(f),)]
+    assert postorders == {mgr.high(f): [mgr.high(f)]}
     assert mgr.level_of(result) == levels[0]
     assert mgr.level_of(mgr.high(result)) == levels[2]
     expected = mgr.apply_and(mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[2])), g)
     assert result == expected
+    # x1 renamed to x3 instead: the same sub-DAG, replayed from the list.
+    again = mgr.and_renamed(f, Renaming({levels[1]: levels[3]}, postorders), g)
+    assert walks == [(mgr.high(f),)]
+    assert again == mgr.apply_and(mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[3])), g)
     assert mgr.and_renamed(f, {levels[1]: levels[2]}, TRUE) == mgr.apply_and(
         mgr.var(levels[0]), mgr.var(levels[2])
     )
     assert mgr.and_renamed(f, {levels[1]: levels[2]}, FALSE) == FALSE
     assert mgr.and_renamed(TRUE, {levels[1]: levels[2]}, g) == g
+
+
+def assert_canonical(mgr):
+    """Every stored node has its one unique entry and no redundant test."""
+    assert len(mgr._unique) == len(mgr._var) - 2
+    for n in range(2, len(mgr._var)):
+        assert mgr._hi[n] != mgr._lo[n]
+        assert mgr._unique[mgr._var[n], mgr._hi[n], mgr._lo[n]] == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_replaying_a_recorded_image_order_equals_walking_afresh(data):
+    # Two managers build the same template roots on levels 0-5 and
+    # instantiate them twice.  Each mapped level goes to the same constant
+    # at both calls, or to a literal of the call's own fresh levels (6-11,
+    # then 12-17: in order), a literal of a template level (out of order),
+    # or a formula over every level that is not a constant.  One manager records the image order
+    # at the first call and replays it at the second; its twin walks afresh
+    # at both.  The images must be the same handles and the stores the same
+    # nodes made in the same order.
+    seed = data.draw(st.integers(0, 10**9))
+    count = data.draw(st.integers(1, 3))
+    kinds = data.draw(
+        st.dictionaries(
+            st.integers(0, 5),
+            st.sampled_from(("true", "false", "in_order", "out_of_order", "formula")),
+            min_size=1,
+        )
+    )
+
+    def setup():
+        rng = random.Random(seed)
+        mgr, levels = fresh_manager(18)
+        roots = tuple(build(mgr, levels[:6], random_tree(rng, 6, 4)) for _ in range(count))
+        return mgr, levels, roots, rng
+
+    def mapping(mgr, levels, rng, call):
+        mapping = {}
+        for i, kind in sorted(kinds.items()):
+            if kind in ("true", "false"):
+                mapping[levels[i]] = TRUE if kind == "true" else FALSE
+            elif kind == "in_order":
+                mapping[levels[i]] = mgr.var(levels[6 + 6 * call + i])
+            elif kind == "out_of_order":
+                mapping[levels[i]] = mgr.var(levels[rng.randrange(6)])
+            else:
+                g = build(mgr, levels, random_tree(rng, 18, 3))
+                # A formula that folds to a constant would change which
+                # levels the walk prunes, and the list would not apply.
+                mapping[levels[i]] = g if g > TRUE else mgr.var(levels[rng.randrange(18)])
+        return mapping
+
+    def first_call():
+        mgr, levels, roots, rng = setup()
+        first = mapping(mgr, levels, rng, 0)
+        order = mgr.image_order(roots, first)
+        images = mgr.compose(roots, first, order)
+        return mgr, roots, order, images, mapping(mgr, levels, rng, 1)
+
+    mgr, roots, order, first_images, second = first_call()
+    before = len(mgr._var)
+    images = mgr.compose(roots, second, order)
+    made = len(mgr._var) - before
+
+    twin, twin_levels, twin_roots, twin_rng = setup()
+    twin_first = twin.compose(twin_roots, mapping(twin, twin_levels, twin_rng, 0))
+    twin_second = mapping(twin, twin_levels, twin_rng, 1)
+    assert len(twin._var) == before
+    assert twin_first == first_images
+    assert twin.compose(twin_roots, twin_second) == images
+    assert (mgr._var, mgr._hi, mgr._lo) == (twin._var, twin._hi, twin._lo)
+    assert_canonical(mgr)
+
+    if made:
+        # A cap hit mid-replay leaves the store canonical, and the recorded
+        # list still gives the same images and nodes once the cap is lifted.
+        capped, capped_roots, capped_order, _, capped_second = first_call()
+        capped.max_nodes = before + data.draw(st.integers(0, made - 1)) - 1
+        with pytest.raises(NodeLimitError):
+            capped.compose(capped_roots, capped_second, capped_order)
+        assert_canonical(capped)
+        capped.max_nodes = None
+        assert capped.compose(capped_roots, capped_second, capped_order) == images
+        assert (capped._var, capped._hi, capped._lo) == (mgr._var, mgr._hi, mgr._lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_and_renamed_replaying_recorded_postorders_equals_walking_afresh(data):
+    # f lives on levels 0-5 and g on 0-17.  Two renamings send f's levels,
+    # in order, to increasing levels drawn from 6-17.  One manager shares
+    # one Renaming's postorders between both conjunctions, its twin walks
+    # afresh at each: the same handles, the same nodes in the same order.
+    seed = data.draw(st.integers(0, 10**9))
+    targets = [
+        sorted(data.draw(st.lists(st.integers(6, 17), min_size=6, max_size=6, unique=True)))
+        for _ in range(2)
+    ]
+
+    def setup():
+        rng = random.Random(seed)
+        mgr, levels = fresh_manager(18)
+        f = build(mgr, levels[:6], random_tree(rng, 6, 4))
+        gs = [build(mgr, levels, random_tree(rng, 18, 4)) for _ in targets]
+        renamings = [{levels[i]: levels[t] for i, t in enumerate(ts)} for ts in targets]
+        return mgr, f, gs, renamings
+
+    mgr, f, gs, renamings = setup()
+    postorders = {}
+    results = [mgr.and_renamed(f, Renaming(r, postorders), g) for r, g in zip(renamings, gs)]
+    twin, twin_f, twin_gs, twin_renamings = setup()
+    assert results == [twin.and_renamed(twin_f, r, g) for r, g in zip(twin_renamings, twin_gs)]
+    assert (mgr._var, mgr._hi, mgr._lo) == (twin._var, twin._hi, twin._lo)
+    for root, order in postorders.items():
+        assert order == mgr._postorder((root,))
 
 
 def test_rewire_and_compose_of_a_5000_level_chain_need_no_recursion():

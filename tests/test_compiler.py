@@ -2,9 +2,11 @@
 differential correctness against the enumeration oracle, and mode agreement."""
 
 import dataclasses
+import gc
 import hashlib
 import random
 import sys
+import types
 from array import array
 
 import pytest
@@ -947,9 +949,9 @@ def instantiations(monkeypatch):
     original = compiler.apply_call
     compose = BddManager.compose
 
-    def spy(mgr, f, mapping):
+    def spy(mgr, f, mapping, order=None):
         mappings.append(mapping)
-        return compose(mgr, f, mapping)
+        return compose(mgr, f, mapping, order)
 
     def checked(ctx, func_name, arg):
         template = ctx.funcs[func_name]
@@ -1122,6 +1124,102 @@ def test_repeated_calls_in_every_position(name, monkeypatch):
     assert compiled_vs_oracle_delta(modular, core) < 1e-12
     inline, _ = compile_text(text, mode="inline")
     assert answers_hex(modular) == answers_hex(inline)
+
+
+# Recorded walks: a call replays the node order recorded at an earlier call
+# instead of walking the same template or instance sub-DAG again, and the
+# recorded lists die with the compilation.
+
+
+def reachable_ids(root) -> set:
+    """Ids of the objects reachable from ``root`` through instances and
+    containers; classes, modules and functions are not followed, since a
+    spy installed on a class reaches everything its test holds."""
+    opaque = (
+        type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType
+    )
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if id(child) not in seen and not isinstance(child, opaque):
+                seen.add(id(child))
+                stack.append(child)
+    return seen
+
+
+def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
+    walks = []  # (roots, mapping, order) of each image_order
+    postorders = []  # (roots, order) of each _postorder inside and_renamed
+    rewired_by_and_renamed = []
+    inside = []
+    templates = {}
+    image_order = BddManager.image_order
+    postorder = BddManager._postorder
+    rewire = BddManager._rewire
+    and_renamed = BddManager.and_renamed
+    compile_function_ = compiler.compile_function
+
+    def spied_image_order(mgr, f, mapping):
+        order = image_order(mgr, f, mapping)
+        walks.append((f, mapping, order))
+        return order
+
+    def spied_postorder(mgr, roots):
+        order = postorder(mgr, roots)
+        if inside:
+            postorders.append((tuple(roots), order))
+        return order
+
+    def spied_rewire(mgr, g, t, e):
+        if inside:
+            rewired_by_and_renamed.append(g)
+        return rewire(mgr, g, t, e)
+
+    def spied_and_renamed(mgr, f, renaming, g):
+        inside.append(f)
+        try:
+            return and_renamed(mgr, f, renaming, g)
+        finally:
+            inside.pop()
+
+    def spied_compile_function(ctx, func):
+        templates[func.name] = template = compile_function_(ctx, func)
+        return template
+
+    monkeypatch.setattr(BddManager, "image_order", spied_image_order)
+    monkeypatch.setattr(BddManager, "_postorder", spied_postorder)
+    monkeypatch.setattr(BddManager, "_rewire", spied_rewire)
+    monkeypatch.setattr(BddManager, "and_renamed", spied_and_renamed)
+    monkeypatch.setattr(compiler, "compile_function", spied_compile_function)
+
+    # ladder[64]: the first call's argument (true, false) prunes its walk;
+    # the 63 calls after it pass no constant, and the first of them records
+    # the order that the other 62 replay.
+    ladder, _ = compile_text(suite_source("ladder", 64))
+    rung = templates["rung"]
+    template_roots = (*iter_leaves(rung.formula), rung.accepting)
+    template_walks = [mapping for roots, mapping, _ in walks if roots == template_roots]
+    pruned = [m for m in template_walks if min(m.values()) <= TRUE]
+    assert (len(template_walks), len(pruned)) == (2, 1)
+    assert rung.order is not None
+    recorded = [order for _, _, order in walks]
+
+    # caesar-mini[64]: each instance sub-DAG that a repeat relabels is
+    # walked once, by _postorder, and never by _rewire.
+    walks.clear()
+    caesar, _ = compile_text(suite_source("caesar-mini", 64))
+    walked = [roots for roots, _ in postorders]
+    assert walked
+    assert len(walked) == len(set(walked))
+    assert not rewired_by_and_renamed
+    recorded += [order for _, _, order in walks] + [order for _, order in postorders]
+
+    # No recorded list is reachable from a returned program.
+    assert all(isinstance(order, list) for order in recorded)
+    for compiled in (ladder, caesar):
+        reachable = reachable_ids(compiled)
+        assert not any(id(order) in reachable for order in recorded)
 
 
 def test_caesar_conjoins_every_repeat_but_the_last_through_its_renaming(monkeypatch):
