@@ -26,20 +26,17 @@ as soon as both its children's images are known.  The high child is walked
 first, so nodes are created in the order a recursive walk would create
 them.  ``compose`` substitutes formulas for variables, which is how a call
 instantiates a function template.  It is a walk that lists the nodes to
-image in that same order, ``image_order``, then one loop that builds each
-listed node's image; a caller that composes the same roots again under a
-mapping with the same levels and constants passes the recorded list back
-and skips the walk (a template's calls with no constant argument do).  It
-takes a tuple of roots too, with one memo for all of them, so a call
-composes its formula leaves and accepting formula at once.  At a level it
-sends to TRUE or FALSE the walk follows only the child that constant picks,
-and the node takes that child's image, so a constant argument costs nothing
-in the branch it discards.  A level left unmapped, or sent to a positive
-literal whose level precedes both child images (a call's refreshed flips
-usually are), keeps the order: its image is made by ``_mk`` directly.
-Every other image is an ``ite`` of the mapped formula over the child
-images.  The read-only queries ``support``, ``node_count``, ``to_dot`` and
-``wmc`` share one post-order walk, ``_postorder``.
+image in that same order, ``_image_order``, then one loop that builds each
+listed node's image.  It takes a tuple of roots too, with one memo for all
+of them, so a call composes its formula leaves and accepting formula at
+once.  At a level it sends to TRUE or FALSE the walk follows only the child
+that constant picks, and the node takes that child's image, so a constant
+argument costs nothing in the branch it discards.  A level left unmapped,
+or sent to a positive literal whose level precedes both child images (a
+call's refreshed flips usually are), keeps the order: its image is made by
+``_mk`` directly.  Every other image is an ``ite`` of the mapped formula
+over the child images.  The read-only queries ``support``, ``node_count``,
+``to_dot`` and ``wmc`` share one post-order walk, ``_postorder``.
 
 ``and_renamed(f, renaming, g)`` conjoins ``g`` with ``f`` relabelled by an
 order-preserving renaming of levels (how a repeated call renames an earlier
@@ -49,18 +46,23 @@ Shannon expansion over (f, g) with a memo local to the call, reading
 ``f``'s levels through the renaming.  Once the renamed deepest level of
 ``f`` precedes ``g``'s top level, it builds that sub-DAG of ``f`` with its
 TRUE rerouted to ``g`` and its levels renamed, node by node over the
-sub-DAG's ``_postorder``.  A ``Renaming`` carries those lists, keyed by
-sub-DAG root, so every call that shares them walks each sub-DAG once.  Every
-node it makes is a node of the result.  The recorded lists hold handles of
-stored nodes only, and the manager keeps none of them: they live as long as
-the caller that passes them back.
+sub-DAG's ``_postorder``.  Every node it makes is a node of the result.
+
+``compose`` and ``and_renamed`` take an optional ``walks`` dict, one store
+of recorded walks that the caller keeps and both fill themselves.
+``and_renamed`` keeps a sub-DAG's post-order under its root.  ``compose``
+keeps its list under ``(roots, last mapped level)``, and only when the
+mapping sends no level to a constant: the list then depends on nothing
+else, so the key is exact and no call can replay a list that does not
+apply.  Each later call with the same key replays the list instead of
+walking again.  The lists hold handles of stored nodes only, so they stay
+valid while the store grows; the manager keeps none of them.
 
 The Shannon expansions of ``ite`` and ``and_renamed`` are the only
 recursions.  Each frame descends at least one level, so their depth is at
 most the number of levels, and registering a variable raises the
 interpreter's recursion limit, if needed, to the level count plus a fixed
-headroom.  This is the one place flipc touches that limit: the front-end
-passes run on an explicit stack.
+headroom.  This is the one place flipc touches that limit.
 
 Variables are registered up front with a label carrying their kind: a flip
 variable (probabilistic, named f1, f2, ... in allocation order; its
@@ -132,20 +134,6 @@ class VarLabel(NamedTuple):
 _new = tuple.__new__
 
 
-class Renaming(dict):
-    """A renaming of levels for ``and_renamed``, level to level, carrying
-    ``postorders``: the ``_postorder`` of each sub-DAG root relabelled under
-    a renaming that shares it.  A later relabelling of the same sub-DAG
-    replays that list instead of walking again.  The lists hold handles of
-    stored nodes only, so they stay valid while the store grows."""
-
-    __slots__ = ("postorders",)
-
-    def __init__(self, pairs, postorders: dict):
-        super().__init__(pairs)
-        self.postorders = postorders
-
-
 class BddManager:
     def __init__(self, max_nodes: Optional[int] = None):
         self._var = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
@@ -163,11 +151,9 @@ class BddManager:
 
     # -- variables ----------------------------------------------------------
 
-    def new_flip(self, name: Optional[str] = None) -> int:
-        if name is None:
-            name = f"f{self._flip_count + 1}"
+    def new_flip(self) -> int:
         self._flip_count += 1
-        return self._new_labels((_new(VarLabel, ("flip", name)),))
+        return self._new_labels((_new(VarLabel, ("flip", f"f{self._flip_count}")),))
 
     def new_flips(self, count: int) -> list[int]:
         """Register ``count`` flip variables in one step, named f<k> in
@@ -297,7 +283,7 @@ class BddManager:
                 stack += (~n, lo[n], hi[n])
         return memo[g]
 
-    def and_renamed(self, f: int, renaming: dict, g: int) -> int:
+    def and_renamed(self, f: int, renaming: dict, g: int, walks: Optional[dict] = None) -> int:
         """The handle of ``compose(f, {l: var(renaming[l])}) ∧ g``, made
         without the renamed copy of ``f``.  ``renaming`` sends levels to
         levels, and with every other level kept it must preserve the order
@@ -307,15 +293,16 @@ class BddManager:
         renaming.  Once the renamed deepest level of ``f`` precedes ``g``'s
         top level, the conjunction is ``f`` with its TRUE rerouted to ``g``
         and its levels renamed, built node by node over ``f``'s
-        ``_postorder``.  A ``Renaming`` keeps that list in its
-        ``postorders``, so later calls that share them replay it without
-        walking ``f`` again; a plain dict keeps it for this call only.  The
+        ``_postorder``.  ``walks``, the store of recorded walks that
+        ``compose`` also takes, keeps that list under ``f``, so later calls
+        that share it replay the list instead of walking ``f`` again.  The
         memos live for this call only, and every node made is a node of the
         result, so this makes no node that the composition followed by
         ``apply_and`` would not."""
         var, hi, lo, maxvar, mk = self._var, self._hi, self._lo, self._maxvar, self._mk
         rename = renaming.get
-        postorders = renaming.postorders if isinstance(renaming, Renaming) else {}
+        if walks is None:
+            walks = {}
         memo = {}
 
         def conjoin(f: int, g: int) -> int:
@@ -330,9 +317,9 @@ class BddManager:
             deepest = maxvar[f]
             top_g = var[g]
             if rename(deepest, deepest) < top_g:
-                order = postorders.get(f)
+                order = walks.get(f)
                 if order is None:
-                    order = postorders[f] = self._postorder((f,))
+                    order = walks[f] = self._postorder((f,))
                 image = {TRUE: g, FALSE: FALSE}
                 for n in order:
                     level = var[n]
@@ -371,15 +358,13 @@ class BddManager:
 
     # -- substitution -----------------------------------------------------------
 
-    def image_order(self, f, mapping: dict) -> list[int]:
+    def _image_order(self, f, mapping: dict) -> list[int]:
         """The nodes whose images ``compose(f, mapping)`` builds, in the
         order it builds them: one walk from the roots, left to right, high
         child first, each node listed after its children.  A level sent to
         TRUE or FALSE walks only the child it picks, and nodes below the
         last mapped level, terminals among them, are their own images and
-        are not listed.  The list depends on ``mapping`` only through its
-        levels and which of them it sends to which constant, so it can be
-        replayed for any mapping that agrees on those."""
+        are not listed."""
         roots = f if isinstance(f, tuple) else (f,)
         var, hi, lo = self._var, self._hi, self._lo
         last = max(mapping)
@@ -409,25 +394,35 @@ class BddManager:
                 stack.append(hi[n])
         return order
 
-    def compose(self, f, mapping: dict, order: Optional[list] = None):
+    def compose(self, f, mapping: dict, walks: Optional[dict] = None):
         """Simultaneously replace variables by formulas: ``mapping`` sends
         variable levels to node handles.  Equivalent to, per variable,
         ite(g, f restricted to var=true, f restricted to var=false).
 
         ``f`` may also be a tuple of roots, composed with one memo; then a
         tuple of images is returned.  The nodes to image are listed by
-        ``image_order``, or given as ``order``, a list it returned for the
-        same roots and a mapping that agrees on the levels and constants,
-        and each node's image is built in that order.  A node whose level
-        is sent to TRUE or FALSE takes the image of the child it picks.  A
-        level left unmapped or sent to a positive literal (a variable node)
-        whose level precedes both child images keeps the order, so its image
-        is made directly by ``_mk``; every other node's image is an
-        ``ite``."""
+        ``_image_order``, and each node's image is built in that order.  A
+        node whose level is sent to TRUE or FALSE takes the image of the
+        child it picks.  A level left unmapped or sent to a positive literal
+        (a variable node) whose level precedes both child images keeps the
+        order, so its image is made directly by ``_mk``; every other node's
+        image is an ``ite``.
+
+        ``walks`` is a store of recorded walks that the caller keeps and
+        passes back.  When ``mapping`` sends no level to a constant, the
+        list depends only on the roots and the last mapped level, so it is
+        recorded there under ``(f, max(mapping))`` and replayed by every
+        later call with that key.  A constant prunes the walk, which then
+        is made afresh and not recorded."""
         if not mapping:
             return f
-        if order is None:
-            order = self.image_order(f, mapping)
+        if walks is None or min(mapping.values()) <= TRUE:
+            order = self._image_order(f, mapping)
+        else:
+            key = (f, max(mapping))
+            order = walks.get(key)
+            if order is None:
+                order = walks[key] = self._image_order(f, mapping)
         var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
         # Unlisted nodes are their own images and never enter the memo.
         memo = {}

@@ -6,9 +6,8 @@ Subcommands:
   probability plus a query (distribution, marginals, or accepting only), as
   a line-oriented table or JSON.  ``--oracle-check`` cross-checks the result
   against brute-force enumeration; ``--mode inline`` inlines all calls
-  before compiling; ``--order f2,f1,...`` forces an explicit flip variable
-  order (inline mode only); ``--dot`` writes the multi-rooted BDD as
-  GraphViz text.
+  before compiling; ``--dot`` writes the multi-rooted BDD as GraphViz
+  text.
 * ``translate <file.bif> --query VAR -o out.dice`` converts a discrete
   Bayesian network into a single-marginal program.
 * ``bench <suite>`` times compilation and inference over a doubling size
@@ -102,11 +101,8 @@ def _oracle_delta(compiled, reference) -> float:
 def cmd_infer(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         text = handle.read()
-    order = args.order.split(",") if args.order else None
     start = time.perf_counter()
-    compiled, core = compile_source(
-        text, filename=args.file, mode=args.mode, max_nodes=node_cap(), order=order
-    )
+    compiled, core = compile_source(text, filename=args.file, mode=args.mode, max_nodes=node_cap())
     compile_ms = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
@@ -254,7 +250,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--json", action="store_true")
     p_infer.add_argument("--dot", metavar="PATH")
     p_infer.add_argument("--oracle-check", action="store_true")
-    p_infer.add_argument("--order", metavar="f1,f2,...")
     p_infer.set_defaults(run=cmd_infer)
 
     p_translate = sub.add_parser("translate", help="Bayesian network file to program")
@@ -291,11 +286,12 @@ def main(argv=None) -> int:
         print(f"internal error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Values and types recurse once per bit of an int(n), and the oracle
-        # once per level of nesting; both stay plain recursions.
+        # The parser reads a type, and the typechecker compares two, once
+        # per level of the type's nesting, and the oracle evaluates once per
+        # level of the program's; these stay plain recursions.
         print(
             "error: program nests too deeply for the interpreter's recursion limit "
-            "(a very wide int(n), or --oracle-check on a deeply nested program)",
+            "(a deeply nested tuple type, or --oracle-check on a deeply nested program)",
             file=sys.stderr,
         )
         return 1

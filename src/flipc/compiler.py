@@ -17,30 +17,27 @@ the environment and conjoins accepting formulas.
 Functions compile once to a template over placeholder argument variables;
 each call refreshes the template's flips with fresh variables, registered
 in one step, and substitutes the actual argument formulas by BDD
-composition.  The first call that passes no constant records the order in
-which the composition images the template's nodes
-(``BddManager.image_order``), and every later such call replays it instead
-of walking the template again; a constant argument prunes the walk, so that
-call walks afresh.  A call whose argument formulas repeat an earlier call's
-to the same function does not compose the template again: it renames the
+composition.  A call whose argument formulas repeat an earlier call's to
+the same function does not compose the template again: it renames the
 earlier instance's fresh flips to its own.  The argument formulas predate
 both calls' fresh flips, and the new flips are the newest levels, so the
 renaming keeps the variable order and every image is made directly (see
 ``BddManager.compose``); by canonicity the result is the handle full
 composition would give.  The formula leaves are renamed at once, since the
-body reads them, replaying the order recorded at the instance's first
-repeat.  The accepting formula stays pending (the instance's root and the
-renaming) and passes up through ``let`` bodies: the ``let`` that conjoins
-it does so through the renaming (``BddManager.and_renamed``), so its
-renamed copy is never built.  A conditional, a release and the end of a
+body reads them.  The accepting formula stays pending (the instance's root
+and the renaming) and passes up through ``let`` bodies: the ``let`` that
+conjoins it does so through the renaming (``BddManager.and_renamed``), so
+its renamed copy is never built.  A conditional, a release and the end of a
 function or of the program build it instead, as its conjunction with TRUE.
-Each sub-DAG of an instance that ``and_renamed`` relabels is walked once
-per compilation: the renaming is a ``Renaming`` carrying the compilation's
-recorded post-orders.  Every recorded list belongs to the compilation and
-dies with it; none is reachable from the ``CompiledProgram``.  Inline
-mode instead rewrites each call as a ``let`` of the callee's formal over
-its body before compiling, as a differential baseline, so each call site
-compiles the body afresh.
+Calls pass one store of recorded walks per compilation, ``walks``, to
+``compose`` and ``and_renamed``, which key and fill it themselves.  So a
+template's walk is made once for every call that passes no constant (a
+constant argument prunes the walk, and that call walks afresh), a repeat's
+formula leaves once per instance, and each sub-DAG that ``and_renamed``
+relabels once.  The store dies with the compilation; nothing in it is
+reachable from the ``CompiledProgram``.  Inline mode instead rewrites each
+call as a ``let`` of the callee's formal over its body before compiling, as
+a differential baseline, so each call site compiles the body afresh.
 
 A ``let`` whose bound builds new formulas (a conditional, a call or a
 ``let``) holds leaves of the bound behind fresh placeholder variables,
@@ -56,17 +53,15 @@ for value combinations that cannot happen.  Every other leaf is held when
 it mentions a level the bound registered (one of its flips or an inner
 placeholder) and its deepest level lies at least three below its root's; a
 narrower leaf has at most five nodes, too few to repay a level and a
-composition.  A leaf that only
-combines earlier levels (a partial sum of ``x + y``) is bound as it is: its
-placeholder would sit below the leaf's own levels, and composing it back
-would re-expand the formula through ``ite``.  A ``let`` in the bound of
-another ``let`` leaves its composition to the enclosing one, which composes
-the newest group first.  Nothing is held under an explicit variable order:
-it registers every flip up front, so no leaf mentions a level the bound
-registered.  Nor is a leaf rooted at a function's formal, since composing
-through the formals, which precede the template's flips, would be a full
-Shannon expansion.  Every placeholder is composed away before a template or
-the program is finished, so the result is the same canonical BDD.
+composition.  A leaf that only combines earlier levels (a partial sum of
+``x + y``) is bound as it is: its placeholder would sit below the leaf's
+own levels, and composing it back would re-expand the formula through
+``ite``.  A ``let`` in the bound of another ``let`` leaves its composition
+to the enclosing one, which composes the newest group first.  No leaf
+rooted at a function's formal is held, since composing through the formals,
+which precede the template's flips, would be a full Shannon expansion.
+Every placeholder is composed away before a template or the program is
+finished, so the result is the same canonical BDD.
 
 Flip variables enter the global BDD order in the syntactic order compilation
 reaches them; a call's refreshed flips are allocated contiguously at the
@@ -83,7 +78,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import desugar, parser, syntax as S, typecheck
-from .bdd import FALSE, TRUE, BddManager, Renaming
+from .bdd import FALSE, TRUE, BddManager
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
 
@@ -199,10 +194,6 @@ class CompiledFunction:
     formula: Union[int, tuple]  # formula tuple
     accepting: int
     flip_levels: list  # template flips, refreshed per call
-    # BddManager.image_order of the formula leaves and accepting formula
-    # under a call's mapping, recorded at the first call with no constant
-    # argument and replayed by every later one.
-    order: Optional[list] = None
 
 
 @dataclass
@@ -229,28 +220,22 @@ class CompiledProgram:
 
 
 class _Compilation:
-    def __init__(self, mgr: BddManager, order: Optional[list] = None):
+    def __init__(self, mgr: BddManager):
         self.mgr = mgr
         self.weights: dict = {}
         self.funcs: dict = {}
-        # The pre-registered level of each syntactic flip, in syntactic order.
-        self._order = None if order is None else iter(order)
         self.formals: frozenset = frozenset()  # levels of the current formal
         self.held: list = []  # one {placeholder level: formula} group per let
         self.placeholders: set = set()  # every placeholder level registered
         # (function name, argument leaf handles) -> (fresh flip levels,
         # formula tuple, accepting) of the first call with those arguments.
         self.instances: dict = {}
-        # The same key -> BddManager.image_order of the instance's formula
-        # leaves under the renaming of its flips, recorded at the first
-        # repeat and replayed by every later one.
-        self.leaf_orders: dict = {}
-        # Sub-DAG root -> its post-order, recorded by the first
-        # BddManager.and_renamed that relabels it (``Renaming``).
-        self.postorders: dict = {}
+        # The walks that BddManager.compose and and_renamed record for the
+        # calls, replayed by every later call with the same key.
+        self.walks: dict = {}
 
     def new_flip(self, theta: float) -> int:
-        level = self.mgr.new_flip() if self._order is None else next(self._order)
+        level = self.mgr.new_flip()
         self.weights[level] = theta
         return level
 
@@ -261,7 +246,7 @@ _MISSING = object()
 def compile_expr(ctx: _Compilation, env: dict, e: S.Expr) -> tuple:
     """The (formula tuple, accepting formula) of ``e``."""
     formula, accepting = S.trampoline(_compile(ctx, env, e))
-    accepting = _built(ctx.mgr, accepting)
+    accepting = _built(ctx, accepting)
     _check_released(ctx, formula, accepting)
     return formula, accepting
 
@@ -311,7 +296,7 @@ def _compile_ite(ctx: _Compilation, env: dict, e: S.Ite):
     then_formula, then_accepting = yield _compile(ctx, env, e.then)
     else_formula, else_accepting = yield _compile(ctx, env, e.orelse)
     formula = pointwise_ite(mgr, g, then_formula, else_formula)
-    accepting = mgr.ite(g, _built(mgr, then_accepting), _built(mgr, else_accepting))
+    accepting = mgr.ite(g, _built(ctx, then_accepting), _built(ctx, else_accepting))
     return formula, accepting
 
 
@@ -328,7 +313,7 @@ def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
     old = env.get(e.name, _MISSING)
     env[e.name] = bound_formula
     formula, accepting = yield _compile(ctx, env, e.body)
-    accepting = _conjoin(mgr, bound_accepting, accepting)
+    accepting = _conjoin(ctx, bound_accepting, accepting)
     if old is _MISSING:
         del env[e.name]
     else:
@@ -370,9 +355,9 @@ def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
             left_ty, right_ty = (ty.left, ty.right) if isinstance(ty, S.ProdTy) else (None, None)
             todo += ((_PAIR, None), (t[1], right_ty), (t[0], left_ty))
         elif (
-            # A terminal, or a leaf that only combines earlier levels (any
-            # leaf under an explicit order): its placeholder would sit below
-            # its own levels, so composing it back would re-expand it.
+            # A terminal, or a leaf that only combines earlier levels: its
+            # placeholder would sit below its own levels, so composing it
+            # back would re-expand it.
             maxvar[t] < first_level
             or maxvar[t] - mgr.level_of(t) < 3
             or mgr.level_of(t) in ctx.formals
@@ -393,7 +378,7 @@ def _release(ctx: _Compilation, mark: int, formula, accepting):
     ``accepting``, built first if pending, newest group first, since a newer
     group's formulas may mention an older group's placeholders; each group
     is one simultaneous mapping."""
-    accepting = _built(ctx.mgr, accepting)
+    accepting = _built(ctx, accepting)
     while len(ctx.held) > mark:
         formula, accepting = _compose(ctx.mgr, formula, accepting, ctx.held.pop())
     return formula, accepting
@@ -409,23 +394,22 @@ def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
 class _Pending:
     """A repeated call's accepting formula, not yet built: the earlier
     instance's accepting ``root`` with each of its fresh flips renamed to
-    the repeat's own, ``renaming`` sending level to level and carrying the
-    compilation's recorded post-orders."""
+    the repeat's own, ``renaming`` sending level to level."""
 
     root: int
-    renaming: Renaming
+    renaming: dict
 
 
-def _built(mgr: BddManager, accepting) -> int:
+def _built(ctx: _Compilation, accepting) -> int:
     """The handle of an accepting formula.  A pending one is built as its
     conjunction with TRUE, its root relabelled, which makes no variable
     node for the renamed flips as a composition would."""
     if isinstance(accepting, _Pending):
-        return mgr.and_renamed(accepting.root, accepting.renaming, TRUE)
+        return ctx.mgr.and_renamed(accepting.root, accepting.renaming, TRUE, ctx.walks)
     return accepting
 
 
-def _conjoin(mgr: BddManager, a, b):
+def _conjoin(ctx: _Compilation, a, b):
     """The conjunction of two accepting formulas.  A pending one is conjoined
     through its renaming, never built; when both are pending, ``b`` is
     built.  A TRUE side leaves the other as it is, pending or not."""
@@ -433,10 +417,11 @@ def _conjoin(mgr: BddManager, a, b):
         return b
     if b == TRUE:
         return a
+    mgr = ctx.mgr
     if isinstance(a, _Pending):
-        return mgr.and_renamed(a.root, a.renaming, _built(mgr, b))
+        return mgr.and_renamed(a.root, a.renaming, _built(ctx, b), ctx.walks)
     if isinstance(b, _Pending):
-        return mgr.and_renamed(b.root, b.renaming, a)
+        return mgr.and_renamed(b.root, b.renaming, a, ctx.walks)
     return mgr.apply_and(a, b)
 
 
@@ -464,8 +449,7 @@ def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr):
 
 def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     """The template of ``func``.  Its flips are the flip levels registered
-    while compiling it: without an explicit order, which only inline mode
-    (no functions) takes, flips are allocated in ascending level order."""
+    while compiling it, in ascending level order."""
     mgr = ctx.mgr
     formal = form(mgr, func.formal, func.formal_ty)
     formal_levels = tuple(mgr.level_of(n) for n in iter_leaves(formal))
@@ -476,7 +460,7 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
         formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
     finally:
         ctx.formals = previous
-    accepting = _built(mgr, accepting)
+    accepting = _built(ctx, accepting)
     _check_released(ctx, formula, accepting)
     flips = [
         level
@@ -489,14 +473,13 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
 def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     """Instantiate a compiled function: refresh its flips with fresh
     variables and substitute the argument formulas for the formal's
-    placeholders, both in one simultaneous composition, which replays the
-    template's recorded image order unless an argument leaf is a constant.
-    If an earlier call passed the same argument formulas, its instance's
-    formula leaves are composed with the renaming of its fresh flips to
-    these instead (unless all constant), replaying the order recorded at
-    the instance's first repeat, and its accepting formula, unless a
-    constant, is returned pending (``_Pending``) under that renaming.
-    Returns the call's (formula tuple, accepting formula)."""
+    placeholders, both in one simultaneous composition.  If an earlier call
+    passed the same argument formulas, its instance's formula leaves are
+    composed with the renaming of its fresh flips to these instead (unless
+    all constant), and its accepting formula, unless a constant, is
+    returned pending (``_Pending``) under that renaming.  Every composition
+    goes through ``ctx.walks``, so a walk made for an earlier call is
+    replayed.  Returns the call's (formula tuple, accepting formula)."""
     template = ctx.funcs[func_name]
     mgr = ctx.mgr
     fresh = mgr.new_flips(len(template.flip_levels))
@@ -515,64 +498,45 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
         for level, flip in zip(template.flip_levels, fresh):
             mapping[level] = mgr.var(flip)
         roots = (*iter_leaves(template.formula), template.accepting)
-        order = None
-        if min(arg_leaves) > TRUE:
-            if template.order is None:
-                template.order = mgr.image_order(roots, mapping)
-            order = template.order
-        *images, accepting = mgr.compose(roots, mapping, order)
+        *images, accepting = mgr.compose(roots, mapping, ctx.walks)
         formula = with_leaves(template.formula, images)
         ctx.instances[key] = (fresh, formula, accepting)
         return formula, accepting
     flips, formula, accepting = instance
     if not flips:
         return formula, accepting
-    renaming = Renaming(zip(flips, fresh), ctx.postorders)
+    renaming = dict(zip(flips, fresh))
     leaves = tuple(iter_leaves(formula))
     if max(leaves) > TRUE:
         mapping = {level: mgr.var(flip) for level, flip in renaming.items()}
-        order = ctx.leaf_orders.get(key)
-        if order is None:
-            order = ctx.leaf_orders[key] = mgr.image_order(leaves, mapping)
-        formula = with_leaves(formula, mgr.compose(leaves, mapping, order))
+        formula = with_leaves(formula, mgr.compose(leaves, mapping, ctx.walks))
     if accepting > TRUE:
         accepting = _Pending(accepting, renaming)
     return formula, accepting
 
 
 def compile_program(
-    program: S.Program,
-    mode: str = "modular",
-    max_nodes: Optional[int] = None,
-    order: Optional[list] = None,
+    program: S.Program, mode: str = "modular", max_nodes: Optional[int] = None
 ) -> CompiledProgram:
     """Compile a desugared core program.
 
     Modular mode compiles each function once and instantiates it per call;
     inline mode first binds each call's argument to the callee's formal in a
     ``let`` over its body (``inline_program``).  Both produce the same
-    inference results.  An explicit variable ``order`` (flip names f1..fN,
-    referring to syntactic order) is only meaningful for inline mode, where
-    each syntactic flip maps to exactly one variable.  The output type is
-    the shape of the compiled formula tuple.
+    inference results.  The output type is the shape of the compiled
+    formula tuple.
     """
     if mode not in ("modular", "inline"):
         raise FlipcError(f"unknown compilation mode {mode!r}")
     if mode == "inline":
         program = inline_program(program)
-    mgr = BddManager(max_nodes=max_nodes)
-    order_levels = None
-    if order is not None:
-        if mode != "inline":
-            raise FlipcError("an explicit variable order requires inline mode")
-        order_levels = _register_order(mgr, program, order)
-    ctx = _Compilation(mgr, order=order_levels)
+    ctx = _Compilation(BddManager(max_nodes=max_nodes))
     for func in program.functions:
         ctx.funcs[func.name] = compile_function(ctx, func)
     formula, accepting = compile_expr(ctx, {}, program.main)
     template_flips = sum(len(func.flip_levels) for func in ctx.funcs.values())
     return CompiledProgram(
-        mgr,
+        ctx.mgr,
         formula,
         accepting,
         ctx.weights,
@@ -580,24 +544,6 @@ def compile_program(
         len(ctx.weights),
         template_flips=template_flips,
     )
-
-
-def _register_order(mgr: BddManager, program: S.Program, order: list) -> list:
-    flips = [
-        node
-        for node in S.walk_nodes(program.main)
-        if isinstance(node, S.Flip) and 0.0 < node.theta < 1.0
-    ]
-    expected = {f"f{i + 1}" for i in range(len(flips))}
-    if len(order) != len(flips) or set(order) != expected:
-        raise FlipcError(
-            f"variable order must name every flip exactly once: expected "
-            f"{{f1..f{len(flips)}}}, got {len(order)} names"
-        )
-    # Register the levels in the requested order; syntactic flip i then
-    # claims the level registered under its name.
-    level_by_name = {name: mgr.new_flip(name) for name in order}
-    return [level_by_name[f"f{i + 1}"] for i in range(len(flips))]
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +595,7 @@ def inline_program(program: S.Program) -> S.Program:
 
 
 def compile_source(
-    text: str,
-    filename: str = "<input>",
-    mode: str = "modular",
-    max_nodes: Optional[int] = None,
-    order: Optional[list] = None,
+    text: str, filename: str = "<input>", mode: str = "modular", max_nodes: Optional[int] = None
 ):
     """parse -> typecheck -> desugar -> compile; returns the compiled program,
     its output type the surface type, and the core program (the oracle's input)."""
@@ -662,6 +604,6 @@ def compile_source(
     ast = parser.parse_program(text, filename)
     surface_ty = typecheck.typecheck_program(ast)
     core = desugar.desugar_program(ast)
-    compiled = compile_program(core, mode=mode, max_nodes=max_nodes, order=order)
+    compiled = compile_program(core, mode=mode, max_nodes=max_nodes)
     compiled.output_ty = surface_ty
     return compiled, core

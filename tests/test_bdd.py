@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flipc.bdd import FALSE, TRUE, BddManager, Renaming
+from flipc.bdd import FALSE, TRUE, BddManager
 from flipc.errors import (
     BadDistributionError,
     MissingWeightError,
@@ -416,26 +416,26 @@ def test_and_renamed_rewires_once_the_renamed_formula_lies_above_the_other():
     # f = x0 && x1 renamed to x0 && x2, conjoined with (x0 || x3) && x4:
     # past x0 the renamed f lies wholly above g's cofactor x4, so its TRUE
     # is rerouted to x4 and its levels renamed, node by node over the
-    # post-order of f's high sub-DAG.  A Renaming keeps that order, so a
-    # later relabelling of the same sub-DAG that shares it replays the list
-    # without walking again.
+    # post-order of f's high sub-DAG.  The walks store keeps that order, so
+    # a later relabelling of the same sub-DAG that shares it replays the
+    # list without walking again.
     mgr, levels = fresh_manager(5)
     f = mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[1]))
     g = mgr.apply_and(mgr.apply_or(mgr.var(levels[0]), mgr.var(levels[3])), mgr.var(levels[4]))
-    walks = []
+    walked = []
     postorder = mgr._postorder
-    mgr._postorder = lambda roots: walks.append(tuple(roots)) or postorder(roots)
-    postorders = {}
-    result = mgr.and_renamed(f, Renaming({levels[1]: levels[2]}, postorders), g)
-    assert walks == [(mgr.high(f),)]
-    assert postorders == {mgr.high(f): [mgr.high(f)]}
+    mgr._postorder = lambda roots: walked.append(tuple(roots)) or postorder(roots)
+    walks = {}
+    result = mgr.and_renamed(f, {levels[1]: levels[2]}, g, walks)
+    assert walked == [(mgr.high(f),)]
+    assert walks == {mgr.high(f): [mgr.high(f)]}
     assert mgr.level_of(result) == levels[0]
     assert mgr.level_of(mgr.high(result)) == levels[2]
     expected = mgr.apply_and(mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[2])), g)
     assert result == expected
     # x1 renamed to x3 instead: the same sub-DAG, replayed from the list.
-    again = mgr.and_renamed(f, Renaming({levels[1]: levels[3]}, postorders), g)
-    assert walks == [(mgr.high(f),)]
+    again = mgr.and_renamed(f, {levels[1]: levels[3]}, g, walks)
+    assert walked == [(mgr.high(f),)]
     assert again == mgr.apply_and(mgr.apply_and(mgr.var(levels[0]), mgr.var(levels[3])), g)
     assert mgr.and_renamed(f, {levels[1]: levels[2]}, TRUE) == mgr.apply_and(
         mgr.var(levels[0]), mgr.var(levels[2])
@@ -459,10 +459,11 @@ def test_replaying_a_recorded_image_order_equals_walking_afresh(data):
     # instantiate them twice.  Each mapped level goes to the same constant
     # at both calls, or to a literal of the call's own fresh levels (6-11,
     # then 12-17: in order), a literal of a template level (out of order),
-    # or a formula over every level that is not a constant.  One manager records the image order
-    # at the first call and replays it at the second; its twin walks afresh
-    # at both.  The images must be the same handles and the stores the same
-    # nodes made in the same order.
+    # or a formula over every level, which may fold to a constant.  One
+    # manager shares a walks store between both calls, which records the
+    # first call's walk unless its mapping sends a level to a constant; its
+    # twin walks afresh at both.  The images must be the same handles and
+    # the stores the same nodes made in the same order.
     seed = data.draw(st.integers(0, 10**9))
     count = data.draw(st.integers(1, 3))
     kinds = data.draw(
@@ -489,22 +490,21 @@ def test_replaying_a_recorded_image_order_equals_walking_afresh(data):
             elif kind == "out_of_order":
                 mapping[levels[i]] = mgr.var(levels[rng.randrange(6)])
             else:
-                g = build(mgr, levels, random_tree(rng, 18, 3))
-                # A formula that folds to a constant would change which
-                # levels the walk prunes, and the list would not apply.
-                mapping[levels[i]] = g if g > TRUE else mgr.var(levels[rng.randrange(18)])
+                mapping[levels[i]] = build(mgr, levels, random_tree(rng, 18, 3))
         return mapping
 
     def first_call():
         mgr, levels, roots, rng = setup()
+        walks = {}
         first = mapping(mgr, levels, rng, 0)
-        order = mgr.image_order(roots, first)
-        images = mgr.compose(roots, first, order)
-        return mgr, roots, order, images, mapping(mgr, levels, rng, 1)
+        images = mgr.compose(roots, first, walks)
+        recorded = min(first.values()) > TRUE
+        assert list(walks) == ([(roots, max(first))] if recorded else [])
+        return mgr, roots, walks, images, mapping(mgr, levels, rng, 1)
 
-    mgr, roots, order, first_images, second = first_call()
+    mgr, roots, walks, first_images, second = first_call()
     before = len(mgr._var)
-    images = mgr.compose(roots, second, order)
+    images = mgr.compose(roots, second, walks)
     made = len(mgr._var) - before
 
     twin, twin_levels, twin_roots, twin_rng = setup()
@@ -518,15 +518,61 @@ def test_replaying_a_recorded_image_order_equals_walking_afresh(data):
 
     if made:
         # A cap hit mid-replay leaves the store canonical, and the recorded
-        # list still gives the same images and nodes once the cap is lifted.
-        capped, capped_roots, capped_order, _, capped_second = first_call()
+        # walk still gives the same images and nodes once the cap is lifted.
+        capped, capped_roots, capped_walks, _, capped_second = first_call()
         capped.max_nodes = before + data.draw(st.integers(0, made - 1)) - 1
         with pytest.raises(NodeLimitError):
-            capped.compose(capped_roots, capped_second, capped_order)
+            capped.compose(capped_roots, capped_second, capped_walks)
         assert_canonical(capped)
+        assert capped_walks == walks
         capped.max_nodes = None
-        assert capped.compose(capped_roots, capped_second, capped_order) == images
+        assert capped.compose(capped_roots, capped_second, capped_walks) == images
         assert (capped._var, capped._hi, capped._lo) == (mgr._var, mgr._hi, mgr._lo)
+
+
+@pytest.mark.parametrize(
+    "second", ["true", "false", "folds_to_true", "folds_to_false", "deeper"]
+)
+def test_a_walk_recorded_without_constants_is_not_replayed_under_one(second):
+    # Roots composed through a shared walks store, first under a mapping
+    # with no constant, then under one that sends a level to TRUE or FALSE,
+    # or to a formula that folds to one.  The constant prunes the walk, so
+    # the first call's list holds nodes the second must not image: the
+    # second call walks afresh and records nothing.  A mapping with no
+    # constant that reaches a deeper level walks further, and records its
+    # own walk.  Both calls equal fresh walks on a twin manager: same
+    # images, same nodes in the same order.
+    def setup():
+        mgr, levels = fresh_manager(12)
+        x = [mgr.var(level) for level in levels]
+        roots = (
+            mgr.ite(x[0], mgr.apply_and(x[1], x[2]), mgr.apply_or(x[2], x[3])),
+            mgr.apply_iff(x[0], mgr.apply_and(x[1], x[4])),
+        )
+        first = {levels[0]: x[6], levels[1]: mgr.apply_or(x[7], x[9])}
+        g = {
+            "true": TRUE,
+            "false": FALSE,
+            "folds_to_true": mgr.apply_or(x[8], mgr.negate(x[8])),
+            "folds_to_false": mgr.apply_and(x[8], mgr.negate(x[8])),
+            "deeper": x[8],
+        }[second]
+        then = {levels[0]: g, levels[1]: x[10]}
+        if second == "deeper":
+            then[levels[4]] = x[11]
+        return mgr, roots, first, then
+
+    mgr, roots, first, then = setup()
+    walks = {}
+    images = [mgr.compose(roots, first, walks)]
+    assert list(walks) == [(roots, max(first))]
+    images.append(mgr.compose(roots, then, walks))
+    deeper = [(roots, max(then))] if second == "deeper" else []
+    assert list(walks) == [(roots, max(first)), *deeper]
+    twin, twin_roots, twin_first, twin_then = setup()
+    assert images == [twin.compose(twin_roots, twin_first), twin.compose(twin_roots, twin_then)]
+    assert (mgr._var, mgr._hi, mgr._lo) == (twin._var, twin._hi, twin._lo)
+    assert_canonical(mgr)
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,8 +580,8 @@ def test_replaying_a_recorded_image_order_equals_walking_afresh(data):
 def test_and_renamed_replaying_recorded_postorders_equals_walking_afresh(data):
     # f lives on levels 0-5 and g on 0-17.  Two renamings send f's levels,
     # in order, to increasing levels drawn from 6-17.  One manager shares
-    # one Renaming's postorders between both conjunctions, its twin walks
-    # afresh at each: the same handles, the same nodes in the same order.
+    # one walks store between both conjunctions, its twin walks afresh at
+    # each: the same handles, the same nodes in the same order.
     seed = data.draw(st.integers(0, 10**9))
     targets = [
         sorted(data.draw(st.lists(st.integers(6, 17), min_size=6, max_size=6, unique=True)))
@@ -551,12 +597,12 @@ def test_and_renamed_replaying_recorded_postorders_equals_walking_afresh(data):
         return mgr, f, gs, renamings
 
     mgr, f, gs, renamings = setup()
-    postorders = {}
-    results = [mgr.and_renamed(f, Renaming(r, postorders), g) for r, g in zip(renamings, gs)]
+    walks = {}
+    results = [mgr.and_renamed(f, r, g, walks) for r, g in zip(renamings, gs)]
     twin, twin_f, twin_gs, twin_renamings = setup()
     assert results == [twin.and_renamed(twin_f, r, g) for r, g in zip(twin_renamings, twin_gs)]
     assert (mgr._var, mgr._hi, mgr._lo) == (twin._var, twin._hi, twin._lo)
-    for root, order in postorders.items():
+    for root, order in walks.items():
         assert order == mgr._postorder((root,))
 
 

@@ -174,20 +174,6 @@ class TestInfer:
         assert "style=dashed" in dot
         assert "accepting" in dot
 
-    def test_explicit_order(self, capsys, write_benchmark):
-        path = write_benchmark("chain_small.dice")
-        code, out, _ = run(
-            capsys, "infer", path, "--mode", "inline", "--order", "f3,f1,f2,f5,f4"
-        )
-        assert code == 0
-        assert "result true 0.471" in out
-
-    def test_order_without_inline_is_a_user_error(self, capsys, write_benchmark):
-        path = write_benchmark("chain_small.dice")
-        code, _, err = run(capsys, "infer", path, "--order", "f1,f2,f3,f4,f5")
-        assert code == 1
-        assert "inline" in err
-
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "infer", "/nonexistent/prog.dice")
         assert code == 1
@@ -369,8 +355,12 @@ class TestNesting:
                 + "c0",
                 ("--oracle-check",),
             ),
+            (
+                "fun f(x: " + "(" * 3000 + "Bool" + ", Bool)" * 3000 + "): Bool { true }\ntrue",
+                (),
+            ),
         ],
-        ids=["oracle_on_20000_lets"],
+        ids=["oracle_on_20000_lets", "type_nested_3000_deep"],
     )
     def test_too_deep_is_a_user_error_without_a_traceback(self, tmp_path, text, flags):
         code, _, err = run_fresh(tmp_path, text, *flags)

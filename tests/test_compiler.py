@@ -348,29 +348,6 @@ class TestCompileProgram:
         ) < ORACLE_TOLERANCE
         assert eval_program(inline_program(core)) == reference
 
-    def test_explicit_variable_order(self):
-        text = benchmark_text("chain_small.dice")
-        default, _ = compile_text(text, mode="inline")
-        _, core = frontend(text)
-        reordered = compile_program(core, mode="inline", order=["f5", "f4", "f3", "f2", "f1"])
-        assert infer.prob_of_value(reordered, True) == pytest.approx(
-            infer.prob_of_value(default, True), abs=1e-12
-        )
-
-    def test_explicit_order_requires_inline_mode(self):
-        from flipc.errors import FlipcError
-
-        _, core = frontend(benchmark_text("chain_small.dice"))
-        with pytest.raises(FlipcError):
-            compile_program(core, mode="modular", order=["f1", "f2", "f3", "f4", "f5"])
-
-    def test_explicit_order_must_cover_all_flips(self):
-        from flipc.errors import FlipcError
-
-        _, core = frontend(benchmark_text("chain_small.dice"))
-        with pytest.raises(FlipcError):
-            compile_program(core, mode="inline", order=["f1", "f2"])
-
 
 class TestCompilationCorrectness:
     def test_value_masses_match_oracle(self, rng):
@@ -501,33 +478,6 @@ def test_every_stored_node_is_ordered_reduced_and_unique(suite, mode):
     assert len(mgr._unique) == len(var) - 2
 
 
-# An explicit order registers every flip up front, so no let is held behind
-# a placeholder: these are the store sizes of eager substitution.
-PINNED_ORDERED_STORE_SIZES = {
-    ("chained-flips", "forward"): (66051, 66051),
-    ("chained-flips", "reversed"): (2049, 2049),
-    ("diamond", "forward"): (65794, 65794),
-    ("diamond", "reversed"): (897, 897),
-}
-
-
-@pytest.mark.parametrize("suite, direction", sorted(PINNED_ORDERED_STORE_SIZES))
-def test_store_sizes_under_an_explicit_order_are_pinned(suite, direction):
-    _, core = frontend(suite_source(suite, 128))
-    flips = sum(
-        isinstance(node, S.Flip) and 0.0 < node.theta < 1.0
-        for node in S.walk_nodes(inline_program(core).main)
-    )
-    order = [f"f{i + 1}" for i in range(flips)]
-    if direction == "reversed":
-        order.reverse()
-    compiled = compile_program(core, mode="inline", order=order)
-    after_compile = len(compiled.manager._var)
-    infer.distribution_result(compiled)
-    sizes = (after_compile, len(compiled.manager._var))
-    assert sizes == PINNED_ORDERED_STORE_SIZES[suite, direction]
-
-
 def store_size(suite, n, mode):
     compiled, _ = compile_text(suite_source(suite, n), mode=mode)
     return len(compiled.manager._var)
@@ -540,6 +490,21 @@ def test_store_grows_linearly(suite, mode):
     # Binding each let's formula eagerly made every later layer copy it, so
     # the store quadrupled when n doubled.
     assert store_size(suite, 128, mode) <= 2.1 * store_size(suite, 64, mode)
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_compiled_size_grows_with_structure_not_paths(suite, mode):
+    # The paper's central claim as a slope: while the number of execution
+    # paths doubles with every flip, each doubling of n doubles the live
+    # BDD, and the store does not grow faster than the live nodes.
+    live, ratio = [], []
+    for n in (64, 128, 256):
+        compiled, _ = compile_text(suite_source(suite, n), mode=mode)
+        live.append(compiled.node_count())
+        ratio.append(len(compiled.manager._var) / live[-1])
+    assert all(1.8 <= bigger / smaller <= 2.2 for smaller, bigger in zip(live, live[1:])), live
+    assert ratio[-1] <= ratio[0] + 0.25, ratio
 
 
 def test_a_512_block_chain_fits_a_100000_node_store():
@@ -949,9 +914,9 @@ def instantiations(monkeypatch):
     original = compiler.apply_call
     compose = BddManager.compose
 
-    def spy(mgr, f, mapping, order=None):
+    def spy(mgr, f, mapping, walks=None):
         mappings.append(mapping)
-        return compose(mgr, f, mapping, order)
+        return compose(mgr, f, mapping, walks)
 
     def checked(ctx, func_name, arg):
         template = ctx.funcs[func_name]
@@ -967,7 +932,7 @@ def instantiations(monkeypatch):
         expected = [compose(mgr, n, mapping) for n in iter_leaves(template.formula)]
         assert list(iter_leaves(formula)) == expected
         # A repeat's accepting formula is pending: build it to compare.
-        assert compiler._built(mgr, accepting) == compose(mgr, template.accepting, mapping)
+        assert compiler._built(ctx, accepting) == compose(mgr, template.accepting, mapping)
         calls.append((ctx, func_name, composed))
         return result
 
@@ -1100,9 +1065,9 @@ def pending_uses(monkeypatch):
     uses = [0, 0]
     and_renamed = BddManager.and_renamed
 
-    def counted(mgr, f, renaming, g):
+    def counted(mgr, f, renaming, g, walks=None):
         uses[g == TRUE] += 1
-        return and_renamed(mgr, f, renaming, g)
+        return and_renamed(mgr, f, renaming, g, walks)
 
     monkeypatch.setattr(BddManager, "and_renamed", counted)
     return uses
@@ -1149,12 +1114,13 @@ def reachable_ids(root) -> set:
 
 
 def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
-    walks = []  # (roots, mapping, order) of each image_order
+    walks = []  # (roots, mapping, order) of each _image_order
     postorders = []  # (roots, order) of each _postorder inside and_renamed
     rewired_by_and_renamed = []
     inside = []
     templates = {}
-    image_order = BddManager.image_order
+    contexts = []
+    image_order = BddManager._image_order
     postorder = BddManager._postorder
     rewire = BddManager._rewire
     and_renamed = BddManager.and_renamed
@@ -1176,18 +1142,19 @@ def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
             rewired_by_and_renamed.append(g)
         return rewire(mgr, g, t, e)
 
-    def spied_and_renamed(mgr, f, renaming, g):
+    def spied_and_renamed(mgr, f, renaming, g, store=None):
         inside.append(f)
         try:
-            return and_renamed(mgr, f, renaming, g)
+            return and_renamed(mgr, f, renaming, g, store)
         finally:
             inside.pop()
 
     def spied_compile_function(ctx, func):
         templates[func.name] = template = compile_function_(ctx, func)
+        contexts.append(ctx)
         return template
 
-    monkeypatch.setattr(BddManager, "image_order", spied_image_order)
+    monkeypatch.setattr(BddManager, "_image_order", spied_image_order)
     monkeypatch.setattr(BddManager, "_postorder", spied_postorder)
     monkeypatch.setattr(BddManager, "_rewire", spied_rewire)
     monkeypatch.setattr(BddManager, "and_renamed", spied_and_renamed)
@@ -1195,14 +1162,17 @@ def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
 
     # ladder[64]: the first call's argument (true, false) prunes its walk;
     # the 63 calls after it pass no constant, and the first of them records
-    # the order that the other 62 replay.
+    # the order that the other 62 replay from the compilation's store.
     ladder, _ = compile_text(suite_source("ladder", 64))
     rung = templates["rung"]
     template_roots = (*iter_leaves(rung.formula), rung.accepting)
-    template_walks = [mapping for roots, mapping, _ in walks if roots == template_roots]
-    pruned = [m for m in template_walks if min(m.values()) <= TRUE]
+    template_walks = [
+        (mapping, order) for roots, mapping, order in walks if roots == template_roots
+    ]
+    pruned = [m for m, _ in template_walks if min(m.values()) <= TRUE]
     assert (len(template_walks), len(pruned)) == (2, 1)
-    assert rung.order is not None
+    [(mapping, order)] = [(m, o) for m, o in template_walks if min(m.values()) > TRUE]
+    assert contexts[-1].walks[template_roots, max(mapping)] is order
     recorded = [order for _, _, order in walks]
 
     # caesar-mini[64]: each instance sub-DAG that a repeat relabels is
@@ -1215,11 +1185,13 @@ def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
     assert not rewired_by_and_renamed
     recorded += [order for _, _, order in walks] + [order for _, order in postorders]
 
-    # No recorded list is reachable from a returned program.
+    # No recorded list, nor the store that held it, is reachable from a
+    # returned program.
     assert all(isinstance(order, list) for order in recorded)
     for compiled in (ladder, caesar):
         reachable = reachable_ids(compiled)
         assert not any(id(order) in reachable for order in recorded)
+        assert not any(id(ctx.walks) in reachable for ctx in contexts)
 
 
 def test_caesar_conjoins_every_repeat_but_the_last_through_its_renaming(monkeypatch):
