@@ -23,8 +23,8 @@ range is printed rounded (possibly to 0), with a note on stderr whenever it
 is not zero, for every query; the posteriors themselves stay exact.  Exit
 codes: 0 success, 1 user error (including a usage error, a file that cannot
 be read or is not UTF-8, a non-positive count, and a program nested deeper
-than the interpreter's recursion limit allows), 2 internal invariant failure
-(including an oracle or self-test mismatch).
+than the interpreter's recursion limit allows under --oracle-check), 2
+internal invariant failure (including an oracle or self-test mismatch).
 
 The environment variable FLIPC_MAX_NODES, a positive integer, caps the BDD
 node store (default 50,000,000 nodes).
@@ -286,12 +286,10 @@ def main(argv=None) -> int:
         print(f"internal error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser reads a type, and the typechecker compares two, once
-        # per level of the type's nesting, and the oracle evaluates once per
-        # level of the program's; these stay plain recursions.
+        # The oracle alone recurses once per level of the program's nesting.
         print(
             "error: program nests too deeply for the interpreter's recursion limit "
-            "(a deeply nested tuple type, or --oracle-check on a deeply nested program)",
+            "(--oracle-check on a deeply nested program)",
             file=sys.stderr,
         )
         return 1

@@ -4,9 +4,9 @@ Every expression compiles to a pair: a *formula tuple* and a single
 *accepting* formula (true exactly when every observe succeeds).  A formula
 tuple is a BDD node handle or a 2-tuple of formula tuples, nested like the
 expression's type: one root per Bool leaf, true exactly when the expression
-evaluates to true on a given flip assignment, observations ignored.  One
-weight map for the whole program gives each flip variable's probability
-theta.
+evaluates to true on a given flip assignment, observations ignored.  Every
+walk that builds from formula tuples is a ``syntax.fold``.  One weight map
+for the whole program gives each flip variable's probability theta.
 
 The rules, in brief: a value is its own formula tuple, since False and True
 equal the FALSE and TRUE handles; each flip allocates one fresh weighted
@@ -75,6 +75,7 @@ subgraphs are stored once (a multi-rooted BDD).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from . import desugar, parser, syntax as S, typecheck
@@ -82,85 +83,66 @@ from .bdd import FALSE, TRUE, BddManager
 from .errors import FlipcError, InternalError, ShapeMismatchError
 
 
-# Marks, on a walk's stack, where a pair's two components are complete.
-_PAIR = object()
-
-
-# The leaves of formula tuple ``t``, left to right: a value is its own
-# formula tuple, so this is the walk over a value's leaves.
-iter_leaves = S.value_leaves
-
-
 def leaf_paths(t) -> list:
     """(path, node) per leaf, left to right; 'l'/'r' steps, empty path for
     a bare leaf."""
-    paths = []
-    stack = [("", t)]
-    while stack:
-        path, t = stack.pop()
-        while isinstance(t, tuple):
-            stack.append((path + "r", t[1]))
-            path, t = path + "l", t[0]
-        paths.append((path, t))
-    return paths
+    return S.value_leaves(("", t), _path_parts)
+
+
+def _path_parts(node):
+    path, t = node
+    if isinstance(t, tuple):
+        return (path + "l", t[0]), (path + "r", t[1])
 
 
 def with_leaves(t, leaves: list):
     """Formula tuple ``t`` with its leaves replaced, left to right, by
     ``leaves``."""
-    leaves = iter(leaves)
-    done = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t is _PAIR:
-            right = done.pop()
-            done[-1] = (done[-1], right)
-            continue
-        while isinstance(t, tuple):
-            stack += (_PAIR, t[1])
-            t = t[0]
-        done.append(next(leaves))
-    return done[0]
+    # next(leaves, leaf): there is an item per leaf, so the default is never used.
+    return S.fold(t, partial(next, iter(leaves)))
 
 
 def form(mgr: BddManager, name: str, ty: S.Ty):
     """Placeholder variables for an argument of type ``ty``: one free
     variable per Bool leaf, components suffixed _l and _r, registered left
     to right."""
-    done = []
-    stack = [(name, ty)]
-    while stack:
-        name, ty = stack.pop()
-        if name is _PAIR:
-            right = done.pop()
-            done[-1] = (done[-1], right)
-        elif isinstance(ty, S.ProdTy):
-            stack += ((_PAIR, None), (name + "_r", ty.right), (name + "_l", ty.left))
-        elif isinstance(ty, S.BoolTy):
-            done.append(mgr.var(mgr.new_free(name)))
-        else:
+
+    def leaf(node):
+        name, ty = node
+        if not isinstance(ty, S.BoolTy):
             raise ShapeMismatchError(f"cannot build a form for type {ty}")
-    return done[0]
+        return mgr.var(mgr.new_free(name))
+
+    return S.fold((name, ty), leaf, split=_form_parts)
+
+
+def _form_parts(node):
+    name, ty = node
+    if isinstance(ty, S.ProdTy):
+        return (name + "_l", ty.left), (name + "_r", ty.right)
+
+
+def _zipped_parts(message: str):
+    """Fold split for two formula tuples, raising ``message`` where they differ."""
+
+    def split(pair):
+        a, b = pair
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return (a[0], b[0]), (a[1], b[1])
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            raise ShapeMismatchError(message)
+
+    return split
+
+
+_IFF_PARTS = _zipped_parts("pointwise iff of mismatched shapes")
+_ITE_PARTS = _zipped_parts("conditional branches of mismatched shapes")
 
 
 def pointwise_iff(mgr: BddManager, a, b) -> int:
     """Conjunction of per-leaf biconditionals, as a single formula: each
     pair's conjunction is built after both of its components, left first."""
-    done = []
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is _PAIR:
-            right = done.pop()
-            done[-1] = mgr.apply_and(done[-1], right)
-        elif not isinstance(a, tuple) and not isinstance(b, tuple):
-            done.append(mgr.apply_iff(a, b))
-        elif isinstance(a, tuple) and isinstance(b, tuple):
-            stack += ((_PAIR, None), (a[1], b[1]), (a[0], b[0]))
-        else:
-            raise ShapeMismatchError("pointwise iff of mismatched shapes")
-    return done[0]
+    return S.fold((a, b), lambda ab: mgr.apply_iff(*ab), mgr.apply_and, _IFF_PARTS)
 
 
 def pointwise_ite(mgr: BddManager, g: int, t, e):
@@ -168,20 +150,7 @@ def pointwise_ite(mgr: BddManager, g: int, t, e):
     right."""
     if not isinstance(t, tuple) and not isinstance(e, tuple):
         return mgr.ite(g, t, e)
-    done = []
-    stack = [(t, e)]
-    while stack:
-        t, e = stack.pop()
-        if t is _PAIR:
-            right = done.pop()
-            done[-1] = (done[-1], right)
-        elif not isinstance(t, tuple) and not isinstance(e, tuple):
-            done.append(mgr.ite(g, t, e))
-        elif isinstance(t, tuple) and isinstance(e, tuple):
-            stack += ((_PAIR, None), (t[1], e[1]), (t[0], e[0]))
-        else:
-            raise ShapeMismatchError("conditional branches of mismatched shapes")
-    return done[0]
+    return S.fold((t, e), lambda te: mgr.ite(g, *te), split=_ITE_PARTS)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +181,7 @@ class CompiledProgram:
 
     def node_count(self) -> int:
         """Size of the multi-rooted BDD: all formula roots plus accepting."""
-        return self.manager.node_count(*iter_leaves(self.formula), self.accepting)
+        return self.manager.node_count(*S.value_leaves(self.formula), self.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +277,7 @@ def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
     mark = len(ctx.held)
     first_level = mgr.num_levels()
     bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, True)
-    if isinstance(e.bound, _BUILDS):
+    if isinstance(e.bound, _BUILDS) and not isinstance(e.bound.ty, S.IntTy):
         bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
     old = env.get(e.name, _MISSING)
     env[e.name] = bound_formula
@@ -330,47 +299,36 @@ def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
     """``t``, of surface type ``ty``, with each wide Bool leaf that mentions
     a level from ``first_level`` on replaced by a fresh placeholder
     variable; the leaves replaced go on ``ctx.held`` as one group.  A bound
-    without a type holds as if every leaf were Bool.
-
-    The leaves of an ``int(n)`` component are kept as they are: they are
-    mutually exclusive, and independent placeholders would make the body
-    build cases for value combinations that cannot happen.  A leaf whose
-    levels lie within three of its root's has at most five nodes, too few
-    to repay a level and a composition.  The walk pairs ``ty`` with ``t``
-    on an explicit stack, leaves left to right, and rebuilds the pairs on a
-    second one."""
-    mgr = ctx.mgr
-    maxvar = mgr._maxvar
+    without a type holds as if every leaf were Bool."""
     group = {}
-    done = []
-    todo = [(t, ty)]
-    while todo:
-        t, ty = todo.pop()
-        if t is _PAIR:
-            right = done.pop()
-            done.append((done.pop(), right))
-        elif isinstance(ty, S.IntTy):
-            done.append(t)
-        elif isinstance(t, tuple):
-            left_ty, right_ty = (ty.left, ty.right) if isinstance(ty, S.ProdTy) else (None, None)
-            todo += ((_PAIR, None), (t[1], right_ty), (t[0], left_ty))
-        elif (
-            # A terminal, or a leaf that only combines earlier levels: its
-            # placeholder would sit below its own levels, so composing it
-            # back would re-expand it.
-            maxvar[t] < first_level
-            or maxvar[t] - mgr.level_of(t) < 3
-            or mgr.level_of(t) in ctx.formals
-        ):
-            done.append(t)
-        else:
-            placeholder = mgr.new_free(f"$hold{len(ctx.placeholders)}")
-            ctx.placeholders.add(placeholder)
-            group[placeholder] = t
-            done.append(mgr.var(placeholder))
+    if isinstance(t, tuple):
+        leaf = partial(_held_leaf, ctx, first_level, group)
+        held = S.fold((ty or S.ty_of_value(t), t), leaf, split=S.typed_parts)
+    else:
+        held = _held_leaf(ctx, first_level, group, (ty, t))
     if group:
         ctx.held.append(group)
-    return done[0]
+    return held
+
+
+def _held_leaf(ctx: _Compilation, first_level: int, group: dict, node):
+    """``_hold`` of one (type, leaf) pair: the leaf, or a placeholder in ``group``."""
+    ty, t = node
+    mgr = ctx.mgr
+    if (
+        isinstance(ty, S.IntTy)
+        # A terminal, or a leaf that only combines earlier levels: its
+        # placeholder would sit below its own levels, so composing it
+        # back would re-expand it.
+        or mgr._maxvar[t] < first_level
+        or mgr._maxvar[t] - mgr.level_of(t) < 3
+        or mgr.level_of(t) in ctx.formals
+    ):
+        return t
+    placeholder = mgr.new_free(f"$hold{len(ctx.placeholders)}")
+    ctx.placeholders.add(placeholder)
+    group[placeholder] = t
+    return mgr.var(placeholder)
 
 
 def _release(ctx: _Compilation, mark: int, formula, accepting):
@@ -386,7 +344,7 @@ def _release(ctx: _Compilation, mark: int, formula, accepting):
 
 def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
     """``formula`` and ``accepting`` under ``mapping``, in one composition."""
-    *images, accepting = mgr.compose((*iter_leaves(formula), accepting), mapping)
+    *images, accepting = mgr.compose((*S.value_leaves(formula), accepting), mapping)
     return with_leaves(formula, images), accepting
 
 
@@ -432,7 +390,7 @@ def _check_released(ctx: _Compilation, formula, accepting: int) -> None:
         raise InternalError(f"{len(ctx.held)} held let groups were never composed back")
     if ctx.placeholders:
         leaked = ctx.placeholders.intersection(
-            ctx.mgr.support(*iter_leaves(formula), accepting)
+            ctx.mgr.support(*S.value_leaves(formula), accepting)
         )
         if leaked:
             names = ", ".join(ctx.mgr.labels[level].name for level in sorted(leaked))
@@ -452,7 +410,7 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     while compiling it, in ascending level order."""
     mgr = ctx.mgr
     formal = form(mgr, func.formal, func.formal_ty)
-    formal_levels = tuple(mgr.level_of(n) for n in iter_leaves(formal))
+    formal_levels = tuple(mgr.level_of(n) for n in S.value_leaves(formal))
     first_level = mgr.num_levels()
     previous = ctx.formals
     ctx.formals = frozenset(formal_levels)
@@ -486,7 +444,7 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     weights = ctx.weights
     for level, flip in zip(template.flip_levels, fresh):
         weights[flip] = weights[level]
-    arg_leaves = tuple(iter_leaves(arg))
+    arg_leaves = tuple(S.value_leaves(arg))
     if len(template.formal_levels) != len(arg_leaves):
         raise ShapeMismatchError(
             f"call to {func_name}: argument shape does not match the formal"
@@ -497,7 +455,7 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
         mapping = dict(zip(template.formal_levels, arg_leaves))
         for level, flip in zip(template.flip_levels, fresh):
             mapping[level] = mgr.var(flip)
-        roots = (*iter_leaves(template.formula), template.accepting)
+        roots = (*S.value_leaves(template.formula), template.accepting)
         *images, accepting = mgr.compose(roots, mapping, ctx.walks)
         formula = with_leaves(template.formula, images)
         ctx.instances[key] = (fresh, formula, accepting)
@@ -506,7 +464,7 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     if not flips:
         return formula, accepting
     renaming = dict(zip(flips, fresh))
-    leaves = tuple(iter_leaves(formula))
+    leaves = tuple(S.value_leaves(formula))
     if max(leaves) > TRUE:
         mapping = {level: mgr.var(flip) for level, flip in renaming.items()}
         formula = with_leaves(formula, mgr.compose(leaves, mapping, ctx.walks))

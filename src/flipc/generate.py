@@ -55,15 +55,12 @@ class _Gen:
         return S.BOOL
 
     def literal(self, ty: S.Ty) -> S.Expr:
+        # Literal pairs join into one, as the parser joins them, so printing round-trips.
+        return S.fold(ty, self.leaf_literal, S.mk_tup)
+
+    def leaf_literal(self, ty: S.Ty) -> S.Expr:
         if isinstance(ty, S.IntTy):
             return S.IntLit(ty.size, self.rng.randrange(ty.size))
-        if isinstance(ty, S.ProdTy):
-            left = self.literal(ty.left)
-            right = self.literal(ty.right)
-            if isinstance(left, S.Lit) and isinstance(right, S.Lit):
-                # Fold like the parser does, so printing round-trips.
-                return S.Lit((left.value, right.value))
-            return S.Tup(left, right)
         return S.Lit(self.rng.random() < 0.5)
 
     # -- expressions -----------------------------------------------------------

@@ -26,7 +26,7 @@ give; the tests check both.  A value that is not one-hot has no mass.  No
 formula is negated: a root whose literals are all complements, under a
 TRUE accepting formula, is handed to ``wmc`` complemented, and ``wmc``
 counts it without building it.  The formula leaves are walked once per
-query, not once per value.
+query, not once per value, and the output type by ``syntax.fold``.
 
 Counts are ratioed as the (mantissa, exponent) pairs the manager keeps in
 ``last_wmc_scaled``: it counts in plain doubles and rescales a count that
@@ -49,7 +49,7 @@ from typing import Optional
 
 from . import syntax as S
 from .bdd import FALSE, TRUE
-from .compiler import CompiledProgram, iter_leaves, leaf_paths
+from .compiler import CompiledProgram, leaf_paths
 from .errors import OutputTooWideError, ShapeMismatchError
 
 MAX_VALUES = 2**20
@@ -75,7 +75,7 @@ def _query(cp: CompiledProgram, selecting: list) -> tuple:
     a free variable reachable from the program raises
     ``UnboundFreeVariableError``."""
     mgr = cp.manager
-    roots = (cp.accepting, *selecting, *iter_leaves(cp.formula))
+    roots = (cp.accepting, *selecting, *S.value_leaves(cp.formula))
     accepting = mgr.wmc(roots, cp.weights)[0]
     denominator, *scaled = mgr.last_wmc_scaled[: 1 + len(selecting)]
     if denominator[0] == 0.0:
@@ -88,7 +88,7 @@ def accepting_probability(cp: CompiledProgram) -> float:
 
 
 def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
-    if not _has_shape(value, S.erase_int_types(cp.output_ty)):
+    if S.ty_of_value(value) != S.erase_int_types(cp.output_ty):
         raise ShapeMismatchError(f"value {S.format_value(value)} does not match the output shape")
     literals = []
     for (ty, part), choices in zip(_components(cp.output_ty, value), _selectors(cp)):
@@ -100,34 +100,10 @@ def prob_of_value(cp: CompiledProgram, value: S.Value) -> float:
     return _query(cp, [_select(cp, literals)])[2][0]
 
 
-def _has_shape(value: S.Value, ty: S.Ty) -> bool:
-    """Whether ``value`` is a value of ``ty``, a type with no ``int(n)``.
-    A loop, since an ``int(n)`` value is n tuples deep."""
-    stack = [(ty, value)]
-    while stack:
-        ty, value = stack.pop()
-        if isinstance(ty, S.ProdTy):
-            if not isinstance(value, tuple):
-                return False
-            stack += ((ty.left, value[0]), (ty.right, value[1]))
-        elif not isinstance(value, int):
-            return False
-    return True
-
-
 def _components(ty: S.Ty, t) -> list:
-    """``t``, a formula tuple or a value of type ``ty``, split into the Bool
-    and ``int(n)`` components of ``ty``, left to right, as (component type,
-    part) pairs."""
-    parts = []
-    stack = [(ty, t)]
-    while stack:
-        ty, t = stack.pop()
-        if isinstance(ty, S.ProdTy):
-            stack += ((ty.right, t[1]), (ty.left, t[0]))
-        else:
-            parts.append((ty, t))
-    return parts
+    """``t``, a formula tuple or a value of type ``ty``, as (component type,
+    part) pairs, one per Bool and ``int(n)`` component, left to right."""
+    return S.value_leaves((ty, t), S.typed_parts)
 
 
 def _selectors(cp: CompiledProgram) -> list:
@@ -137,7 +113,7 @@ def _selectors(cp: CompiledProgram) -> list:
     assignment exactly one of its leaves is true; a Bool selects false by
     its leaf's complement and true by the leaf."""
     return [
-        [(leaf, True) for leaf in iter_leaves(part)]
+        [(leaf, True) for leaf in S.value_leaves(part)]
         if isinstance(ty, S.IntTy)
         else [(part, False), (part, True)]
         for ty, part in _components(cp.output_ty, cp.formula)
@@ -206,14 +182,15 @@ def _marginals(cp: CompiledProgram) -> tuple:
 
 def render_value(value: S.Value, surface_ty: Optional[S.Ty]) -> str:
     """Format a core value; one-hot integer components print as indices."""
-    if isinstance(surface_ty, S.IntTy):
+    return S.format_value(S.fold((surface_ty, value), _render_leaf, split=S.typed_parts))
+
+
+def _render_leaf(node) -> str:
+    ty, value = node
+    if isinstance(ty, S.IntTy):
         index = S.one_hot_index(value)
         if index is not None:
             return str(index)
-    if isinstance(surface_ty, S.ProdTy) and isinstance(value, tuple):
-        left = render_value(value[0], surface_ty.left)
-        right = render_value(value[1], surface_ty.right)
-        return f"({left}, {right})"
     return S.format_value(value)
 
 
@@ -222,12 +199,15 @@ def _value_keys(ty: S.Ty) -> list:
     order, read off the type: index i of an ``int(n)`` is ``i``, a Bool
     ``false`` or ``true`` and a pair ``(l, r)``.  No value is built, so an
     ``int(n)`` costs n keys, not n one-hot values of n leaves each."""
-    if isinstance(ty, S.ProdTy):
-        lefts, rights = _value_keys(ty.left), _value_keys(ty.right)
-        return [f"({left}, {right})" for left in lefts for right in rights]
-    if isinstance(ty, S.IntTy):
-        return [str(index) for index in range(ty.size)]
-    return ["false", "true"]
+    return S.fold(ty, _leaf_keys, _key_pairs)
+
+
+def _leaf_keys(ty: S.Ty) -> list:
+    return [str(i) for i in range(ty.size)] if isinstance(ty, S.IntTy) else ["false", "true"]
+
+
+def _key_pairs(lefts: list, rights: list) -> list:
+    return [f"({left}, {right})" for left in lefts for right in rights]
 
 
 def distribution_result(cp: CompiledProgram) -> InferenceResult:

@@ -32,7 +32,8 @@ operator's.  ``!`` (level 4) is a prefix only where a ``not`` may start, and
 ``fst``/``snd`` (level 7) anywhere an operand may.  Level 0 is ``expr``.
 The pretty printer uses the same levels.  Parsing and printing read or
 print an atom in a plain call and every other form in a step run by
-``syntax.trampoline``, so nesting depth costs no interpreter stack.
+``syntax.trampoline``, so nesting depth costs no interpreter stack.  Types
+are read the same way.
 
 Lexical conventions (the kind of thing no formal grammar pins down, so they
 are fixed here): line comments start with ``//``; identifiers match
@@ -194,7 +195,7 @@ class _Parser:
             params.append(self.param())
         self.eat(")")
         self.eat(":")
-        ret = self.ty()
+        ret = S.trampoline(self.ty())
         self.eat("{")
         body = S.trampoline(self.expr())
         self.eat("}")
@@ -203,7 +204,7 @@ class _Parser:
     def param(self):
         name = self.ident("parameter name")
         self.eat(":")
-        return (name, self.ty())
+        return (name, S.trampoline(self.ty()))
 
     def ident(self, what: str) -> str:
         tok = self.tokens[self.pos]
@@ -212,7 +213,8 @@ class _Parser:
         self.pos += 1
         return tok.text
 
-    def ty(self) -> S.Ty:
+    def ty(self):
+        """Dispatcher: a type; for a product the step that reads it."""
         text = self.tokens[self.pos].text
         if text == "Bool":
             self.pos += 1
@@ -227,12 +229,16 @@ class _Parser:
             return S.IntTy(size)
         if text == "(":
             self.pos += 1
-            left = self.ty()
-            self.eat(",")
-            right = self.ty()
-            self.eat(")")
-            return S.ProdTy(left, right)
+            return self.product_ty()
         self.fail("expected a type")
+
+    def product_ty(self):
+        """Step: a product type, its opening parenthesis read."""
+        left = yield self.ty()
+        self.eat(",")
+        right = yield self.ty()
+        self.eat(")")
+        return S.ProdTy(left, right)
 
     def nat(self, what: str) -> int:
         tok = self.tokens[self.pos]

@@ -10,6 +10,8 @@ Types are ``Bool``, products, and (surface only) fixed-size integers, which
 desugar to right-nested one-hot tuples of booleans.
 
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
+A value, a type and a formula tuple are trees of pairs; every walk that builds
+from one is a ``fold``, on an explicit stack however deep the tree.
 
 Every front-end pass over expressions (parsing, typechecking, desugaring,
 compilation, inlining, printing) is a plain dispatcher that answers a node
@@ -20,6 +22,7 @@ call stack, and a leaf costs no step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Iterator, NamedTuple, Optional, Union
@@ -64,6 +67,47 @@ def trampoline(step):
     return value
 
 
+# Marks, on a fold's stack, where a pair's two parts are complete.
+_PAIR = object()
+
+
+def fold(tree, leaf, join=None, split=None):
+    """Fold a tree of pairs in post-order on an explicit stack: ``leaf``
+    maps each leaf, left to right, and ``join(left, right)``, by default
+    ``(left, right)``, combines a pair's folded parts after both.
+    ``split(node)`` gives a pair's two parts, or None for a leaf; by
+    default a pair is a tuple, of its two items, or a product type."""
+    lefts = []  # folded left parts, each waiting for its right part
+    stack = []  # right parts still to fold, each above the mark that joins it
+    node = tree
+    while True:
+        if split is None:
+            while True:
+                if isinstance(node, tuple):
+                    stack += (_PAIR, node[1])
+                    node = node[0]
+                elif isinstance(node, ProdTy):
+                    stack += (_PAIR, node.right)
+                    node = node.left
+                else:
+                    break
+        else:
+            parts = split(node)
+            while parts is not None:
+                stack += (_PAIR, parts[1])
+                node = parts[0]
+                parts = split(node)
+        value = leaf(node)
+        while stack:
+            node = stack.pop()
+            if node is not _PAIR:
+                lefts.append(value)
+                break
+            value = (lefts.pop(), value) if join is None else join(lefts.pop(), value)
+        else:
+            return value
+
+
 # ---------------------------------------------------------------------------
 # Source spans
 
@@ -99,11 +143,22 @@ class BoolTy(Ty):
 
 @dataclass(frozen=True)
 class ProdTy(Ty):
+    """A product type, compared and printed by folds and hashed by its text."""
+
     left: Ty
     right: Ty
 
+    def __eq__(self, other) -> bool:
+        # A leaf pairs one object, or two types at most one of them a product.
+        if not isinstance(other, ProdTy):
+            return NotImplemented
+        return fold((self, other), _same, operator.and_, _zipped_ty_parts)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
     def __str__(self) -> str:
-        return f"({self.left}, {self.right})"
+        return format_value(fold(self, str))
 
 
 @dataclass(frozen=True)
@@ -118,8 +173,22 @@ class IntTy(Ty):
 
 BOOL = BoolTy()
 
-# Marks, on a walk's stack, where a pair's two components are complete.
-_PAIR = object()
+
+def _zipped_ty_parts(pair):
+    a, b = pair
+    if a is not b and isinstance(a, ProdTy) and isinstance(b, ProdTy):
+        return (a.left, b.left), (a.right, b.right)
+
+
+def _same(pair) -> bool:
+    return pair[0] is pair[1] or pair[0] == pair[1]
+
+
+def typed_parts(node):
+    """Fold split for a (type, tree) pair: a product's components with the tree's parts."""
+    ty, t = node
+    if isinstance(ty, ProdTy) and isinstance(t, tuple):
+        return (ty.left, t[0]), (ty.right, t[1])
 
 
 def int_backing_ty(size: int) -> Ty:
@@ -142,53 +211,33 @@ def params_ty(params: list) -> Ty:
 
 
 def erase_int_types(ty: Ty) -> Ty:
-    if isinstance(ty, IntTy):
-        return int_backing_ty(ty.size)
-    if isinstance(ty, ProdTy):
-        return ProdTy(erase_int_types(ty.left), erase_int_types(ty.right))
-    return ty
+    return fold(ty, lambda ty: int_backing_ty(ty.size) if isinstance(ty, IntTy) else ty, ProdTy)
 
 
 def value_count(ty: Ty) -> int:
     """The number of inhabitants of ``ty``: 2 per Bool, n per ``int(n)``."""
-    if isinstance(ty, ProdTy):
-        return value_count(ty.left) * value_count(ty.right)
-    if isinstance(ty, IntTy):
-        return ty.size
-    return 2
+    return fold(ty, lambda ty: ty.size if isinstance(ty, IntTy) else 2, operator.mul)
 
 
-def enumerate_values(ty: Ty) -> Iterator[Value]:
+def enumerate_values(ty: Ty) -> list:
     """All inhabitants of ``ty``, the leftmost most significant; ``int(n)`` by index."""
-    if isinstance(ty, BoolTy):
-        yield False
-        yield True
-    elif isinstance(ty, IntTy):
-        for index in range(ty.size):
-            yield one_hot_value(ty.size, index)
-    elif isinstance(ty, ProdTy):
-        for left in enumerate_values(ty.left):
-            for right in enumerate_values(ty.right):
-                yield (left, right)
-    else:
-        raise ValueError(f"cannot enumerate values of {ty}")
+    return fold(ty, _leaf_values, _pairs_of)
+
+
+def _leaf_values(ty: Ty) -> list:
+    if isinstance(ty, IntTy):
+        return [one_hot_value(ty.size, index) for index in range(ty.size)]
+    return [False, True]
+
+
+def _pairs_of(lefts: list, rights: list) -> list:
+    return [(left, right) for left in lefts for right in rights]
 
 
 def ty_of_value(v: Value) -> Ty:
     """The type of a value, or the shape of a formula tuple, whose leaves
     are node handles."""
-    done = []
-    stack = [v]
-    while stack:
-        v = stack.pop()
-        if v is _PAIR:
-            right = done.pop()
-            done[-1] = ProdTy(done[-1], right)
-        elif isinstance(v, int):
-            done.append(BOOL)
-        else:
-            stack += (_PAIR, v[1], v[0])
-    return done[0]
+    return fold(v, lambda _: BOOL, ProdTy) if isinstance(v, tuple) else BOOL
 
 
 def one_hot_value(size: int, index: int) -> Value:
@@ -209,22 +258,31 @@ def one_hot_index(v: Value) -> Optional[int]:
     return leaves.index(True)
 
 
-def value_leaves(v: Value) -> list:
-    """The leaves of ``v``, or of a formula tuple, left to right."""
+def value_leaves(v: Value, split=None) -> list:
+    """The leaves of ``v``, or of a formula tuple, left to right; with
+    ``split``, of any tree of pairs, split as by ``fold``."""
     leaves = []
     stack = [v]
     while stack:
         v = stack.pop()
-        while isinstance(v, tuple):
-            stack.append(v[1])
-            v = v[0]
+        if split is None:
+            while isinstance(v, tuple):
+                stack.append(v[1])
+                v = v[0]
+        else:
+            parts = split(v)
+            while parts is not None:
+                stack.append(parts[1])
+                v = parts[0]
+                parts = split(v)
         leaves.append(v)
     return leaves
 
 
 def format_value(v: Value) -> str:
     """``true``, ``false`` or ``(left, right)``, built on an explicit stack
-    of values and the text that closes them."""
+    of values and the text that closes them; a leaf that is text is copied
+    as it is, so a fold's tree of text prints like a value."""
     out = []
     stack = [v]
     while stack:

@@ -13,7 +13,7 @@ import numpy as np
 
 from flipc import infer, syntax as S
 from flipc.bdd import BddManager
-from flipc.compiler import compile_program, compile_source, iter_leaves, pointwise_iff
+from flipc.compiler import compile_program, compile_source, pointwise_iff
 from flipc.desugar import desugar_program
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
@@ -84,13 +84,13 @@ def test_criterion_4_observation_through_functions():
 
 def test_criterion_5_diamond_network_size():
     compiled, _ = compile_text(benchmark_text("diamond.dice"))
-    formula_nodes = compiled.manager.node_count(*iter_leaves(compiled.formula))
+    formula_nodes = compiled.manager.node_count(*S.value_leaves(compiled.formula))
     assert formula_nodes <= 10
     sizes = []
     ns = [8, 16, 32, 64, 128, 256]
     for n in ns:
         cp, _ = compile_source(diamond_source(n))
-        sizes.append(cp.manager.node_count(*iter_leaves(cp.formula)))
+        sizes.append(cp.manager.node_count(*S.value_leaves(cp.formula)))
     r2 = linear_fit_r2(ns, sizes)
     assert r2 > 0.99
     report(5, f"3-diamond formula has {formula_nodes} nodes; size fit R^2={r2:.6f}")

@@ -444,6 +444,8 @@ DEEP_PROGRAMS = {
     "calls_2000": "fun f(x: Bool): Bool { x } " + "f(" * 2000 + "flip 0.5" + ")" * 2000,
     "projections_2000": "fst " + "snd " * 1999 + "(flip 0.5, " * 2000 + "flip 0.5" + ")" * 2000,
     "tuples_2000": "(flip 0.5, " * 2000 + "flip 0.5" + ")" * 2000,
+    "type_nested_3000": "fun f(x: " + "(" * 3000 + "Bool" + ", Bool)" * 3000 + "): Bool { snd x } "
+    + "f(" + "(" * 3000 + "true" + ", false)" * 3000 + ")",
 }
 
 

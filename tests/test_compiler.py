@@ -24,13 +24,12 @@ from flipc.compiler import (
     compile_source,
     form,
     inline_program,
-    iter_leaves,
     leaf_paths,
     pointwise_iff,
     with_leaves,
 )
 from flipc.desugar import desugar_program
-from flipc.errors import InternalError
+from flipc.errors import InternalError, ShapeMismatchError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import eval_program
 from flipc.parser import parse_program
@@ -62,13 +61,13 @@ class TestForm:
         mgr = BddManager()
         t = form(mgr, "x", S.ProdTy(S.BOOL, S.BOOL))
         assert isinstance(t, tuple)
-        names = [mgr.labels[mgr.level_of(n)].name for n in iter_leaves(t)]
+        names = [mgr.labels[mgr.level_of(n)].name for n in S.value_leaves(t)]
         assert names == ["x_l", "x_r"]
 
     def test_nested_shape(self):
         mgr = BddManager()
         t = form(mgr, "x", S.ProdTy(S.ProdTy(S.BOOL, S.BOOL), S.BOOL))
-        assert len(list(iter_leaves(t))) == 3
+        assert len(list(S.value_leaves(t))) == 3
 
 
 class TestTupleOperators:
@@ -91,13 +90,63 @@ class TestTupleOperators:
             assert mgr.evaluate(node, assignment) == expected
 
 
+def _program(main, *functions):
+    """A core program built by hand, so it may be ill-shaped."""
+    return S.Program(
+        [S.Function(name, [(formal, ty)], S.BOOL, body) for name, formal, ty, body in functions],
+        main,
+    )
+
+
+def _flip_then(body):
+    """``let g = flip 0.5 in body``: a non-constant Bool guard ``g``."""
+    return S.Let("g", S.Flip(0.5), body)
+
+
+IDENTITY = ("f", "x", S.BOOL, S.Ident("x"))
+PAIR = S.Lit((True, False))
+
+
+class TestShapeErrors:
+    # The typechecker rejects every one of these on surface programs, so
+    # each program is built by hand in core syntax.
+    @pytest.mark.parametrize("program, message", [
+        (_program(_flip_then(S.Ite(S.Ident("g"), PAIR, S.Lit(True)))),
+         "conditional branches of mismatched shapes"),
+        (_program(_flip_then(S.Ite(S.Ident("g"), S.Lit(((True, True), False)), PAIR))),
+         "conditional branches of mismatched shapes"),
+        (_program(S.Fst(S.Lit(True))), "fst of a non-tuple"),
+        (_program(S.Snd(S.Lit(False))), "snd of a non-tuple"),
+        (_program(S.Observe(PAIR)), "observe of a non-boolean"),
+        (_program(S.Ite(PAIR, S.Lit(True), S.Lit(False))), "conditional on a non-boolean"),
+        (_program(S.Call("f", PAIR), IDENTITY),
+         "call to f: argument shape does not match the formal"),
+        (_program(S.Lit(True), ("f", "x", S.IntTy(2), S.Lit(True))),
+         "cannot build a form for type int(2)"),
+        (_program(S.Lit(True), ("f", "x", S.ProdTy(S.BOOL, S.IntTy(3)), S.Lit(True))),
+         "cannot build a form for type int(3)"),
+    ], ids=[
+        "ite_branches_leaf_and_pair", "ite_branches_nested", "fst_of_bool", "snd_of_bool",
+        "observe_pair", "ite_on_pair", "call_argument", "form_of_int", "form_of_nested_int",
+    ])
+    def test_an_ill_shaped_program_is_a_shape_error(self, program, message):
+        with pytest.raises(ShapeMismatchError) as error:
+            compile_program(program)
+        assert error.value.message == message
+
+    @pytest.mark.parametrize("a, b", [((1, 1), 1), (1, (1, 1)), (((1, 1), 1), ((1, 1), (1, 1)))])
+    def test_pointwise_iff_of_mismatched_shapes(self, a, b):
+        with pytest.raises(ShapeMismatchError, match="^pointwise iff of mismatched shapes$"):
+            pointwise_iff(BddManager(), a, b)
+
+
 class TestTupleWalkers:
     def test_leaves_paths_and_rebuild_of_a_nested_tuple(self):
         t = ((1, 2), (3, (4, 5)))
-        assert iter_leaves(t) == [1, 2, 3, 4, 5]
+        assert S.value_leaves(t) == [1, 2, 3, 4, 5]
         assert leaf_paths(t) == [("ll", 1), ("lr", 2), ("rl", 3), ("rrl", 4), ("rrr", 5)]
         assert with_leaves(t, [6, 7, 8, 9, 10]) == ((6, 7), (8, (9, 10)))
-        assert (iter_leaves(7), leaf_paths(7), with_leaves(7, [9])) == ([7], [("", 7)], 9)
+        assert (S.value_leaves(7), leaf_paths(7), with_leaves(7, [9])) == ([7], [("", 7)], 9)
 
     def test_a_20000_deep_tuple_needs_no_recursion(self):
         # An int(20000) is a right-nested tuple 20,000 deep.  leaf_paths
@@ -109,14 +158,28 @@ class TestTupleWalkers:
             return t
 
         deep, shallow = nested(20_000), nested(2_000)
+        # (int(1), (int(1), ... Bool)): 20,000 deep and two values, whose
+        # value of index 1 is (true, (true, ... true)).
+        ones = S.BOOL
+        for _ in range(20_000):
+            ones = S.ProdTy(S.IntTy(1), ones)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            leaves = iter_leaves(deep)
+            leaves = S.value_leaves(deep)
             rebuilt = with_leaves(deep, [n + 1 for n in leaves])
             paths = leaf_paths(shallow)
+            shape = S.ty_of_value(deep)
+            erased = S.erase_int_types(ones)
+            same = shape == erased and hash(shape) == hash(erased) and shape != ones
+            counts = S.value_count(ones), S.value_count(shape)
+            keys = infer._value_keys(ones)
+            rendered = infer.render_value(with_leaves(deep, [True] * 20_001), ones)
         finally:
             sys.setrecursionlimit(limit)
+        assert same and counts == (2, 2**20_001)
+        assert keys == ["(0, " * 20_000 + b + ")" * 20_000 for b in ("false", "true")]
+        assert rendered == keys[1]
         assert leaves == list(range(20_001))
         for i in range(20_000):
             assert rebuilt[0] == i + 1
@@ -927,10 +990,10 @@ def instantiations(monkeypatch):
         composed = any(template.formal_levels[0] in m for m in mappings)
         mgr = ctx.mgr
         fresh = list(ctx.weights)[first:]
-        mapping = dict(zip(template.formal_levels, iter_leaves(arg)))
+        mapping = dict(zip(template.formal_levels, S.value_leaves(arg)))
         mapping.update((level, mgr.var(flip)) for level, flip in zip(template.flip_levels, fresh))
-        expected = [compose(mgr, n, mapping) for n in iter_leaves(template.formula)]
-        assert list(iter_leaves(formula)) == expected
+        expected = [compose(mgr, n, mapping) for n in S.value_leaves(template.formula)]
+        assert list(S.value_leaves(formula)) == expected
         # A repeat's accepting formula is pending: build it to compare.
         assert compiler._built(ctx, accepting) == compose(mgr, template.accepting, mapping)
         calls.append((ctx, func_name, composed))
@@ -1165,7 +1228,7 @@ def test_calls_replay_recorded_walks_that_die_with_the_compilation(monkeypatch):
     # the order that the other 62 replay from the compilation's store.
     ladder, _ = compile_text(suite_source("ladder", 64))
     rung = templates["rung"]
-    template_roots = (*iter_leaves(rung.formula), rung.accepting)
+    template_roots = (*S.value_leaves(rung.formula), rung.accepting)
     template_walks = [
         (mapping, order) for roots, mapping, order in walks if roots == template_roots
     ]

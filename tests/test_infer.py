@@ -18,7 +18,6 @@ from flipc.compiler import (
     compile_program,
     compile_source,
     form,
-    iter_leaves,
     pointwise_iff,
 )
 from flipc.errors import (
@@ -134,6 +133,32 @@ class TestProbOfValue:
         finally:
             sys.setrecursionlimit(limit)
         assert S.format_value(wrong).endswith("false" + ")" * 998)
+
+
+class TestWideErasedOutput:
+    # compile_program alone types its output by the formula's shape, so a
+    # flip-free int(5000, 3) is a Bool tuple 5,000 deep, and every query
+    # walks that type.
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        return compile_text("int(5000, 3)")[0]
+
+    def test_the_output_is_a_5000_deep_bool_tuple(self, compiled):
+        assert compiled.output_ty == S.erase_int_types(S.IntTy(5000))
+
+    def test_a_distribution_is_too_wide(self, compiled):
+        with pytest.raises(OutputTooWideError):
+            infer.distribution_result(compiled)
+
+    def test_values_are_answered(self, compiled):
+        assert infer.prob_of_value(compiled, S.one_hot_value(5000, 3)) == 1.0
+        assert infer.prob_of_value(compiled, S.one_hot_value(5000, 4)) == 0.0
+
+    def test_accepting_and_marginals_are_answered(self, compiled):
+        assert infer.accepting_result(compiled).accepting == 1.0
+        entries = infer.marginals_result(compiled).entries
+        assert len(entries) == 5000
+        assert [p for _, p in entries] == [float(i == 3) for i in range(5000)]
 
 
 class TestFullDistribution:
@@ -321,7 +346,7 @@ class TestSelectingRoots:
             mgr = compiled.manager
             for ty, part in infer._components(compiled.output_ty, compiled.formula):
                 if isinstance(ty, S.IntTy):
-                    leaves = iter_leaves(part)
+                    leaves = S.value_leaves(part)
                     assert len(leaves) == ty.size, name
                     violation = mgr.ite(exactly_one(mgr, leaves), FALSE, compiled.accepting)
                     assert violation == FALSE, (name, mode)
