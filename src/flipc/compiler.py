@@ -338,13 +338,13 @@ def _release(ctx: _Compilation, mark: int, formula, accepting):
     is one simultaneous mapping."""
     accepting = _built(ctx, accepting)
     while len(ctx.held) > mark:
-        formula, accepting = _compose(ctx.mgr, formula, accepting, ctx.held.pop())
+        formula, accepting = _compose(ctx.mgr, formula, accepting, ctx.held.pop(), None)
     return formula, accepting
 
 
-def _compose(mgr: BddManager, formula, accepting: int, mapping: dict) -> tuple:
-    """``formula`` and ``accepting`` under ``mapping``, in one composition."""
-    *images, accepting = mgr.compose((*S.value_leaves(formula), accepting), mapping)
+def _compose(mgr: BddManager, formula, accepting: int, mapping: dict, walks) -> tuple:
+    """``formula`` and ``accepting`` under ``mapping``, in one composition through ``walks``."""
+    *images, accepting = mgr.compose((*S.value_leaves(formula), accepting), mapping, walks)
     return with_leaves(formula, images), accepting
 
 
@@ -415,11 +415,9 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
     previous = ctx.formals
     ctx.formals = frozenset(formal_levels)
     try:
-        formula, accepting = S.trampoline(_compile(ctx, {func.formal: formal}, func.body))
+        formula, accepting = compile_expr(ctx, {func.formal: formal}, func.body)
     finally:
         ctx.formals = previous
-    accepting = _built(ctx, accepting)
-    _check_released(ctx, formula, accepting)
     flips = [
         level
         for level in range(first_level, mgr.num_levels())
@@ -455,9 +453,7 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
         mapping = dict(zip(template.formal_levels, arg_leaves))
         for level, flip in zip(template.flip_levels, fresh):
             mapping[level] = mgr.var(flip)
-        roots = (*S.value_leaves(template.formula), template.accepting)
-        *images, accepting = mgr.compose(roots, mapping, ctx.walks)
-        formula = with_leaves(template.formula, images)
+        formula, accepting = _compose(mgr, template.formula, template.accepting, mapping, ctx.walks)
         ctx.instances[key] = (fresh, formula, accepting)
         return formula, accepting
     flips, formula, accepting = instance

@@ -197,17 +197,22 @@ def _render_leaf(node) -> str:
 def _value_keys(ty: S.Ty) -> list:
     """The display key of each value of ``ty``, in ``S.enumerate_values``
     order, read off the type: index i of an ``int(n)`` is ``i``, a Bool
-    ``false`` or ``true`` and a pair ``(l, r)``.  No value is built, so an
-    ``int(n)`` costs n keys, not n one-hot values of n leaves each."""
-    return S.fold(ty, _leaf_keys, _key_pairs)
+    ``false`` or ``true`` and a pair ``(l, r)``.  A product prints once, as a
+    template filled per value: no value is built and no key rewrapped."""
+    if not isinstance(ty, S.ProdTy):
+        return _leaf_keys(ty)
+    fields = []  # each component's keys, left to right
+
+    def field(ty: S.Ty) -> str:
+        fields.append(_leaf_keys(ty))
+        return "%s"
+
+    template = S.format_value(S.fold(ty, field))
+    return [template % keys for keys in itertools.product(*fields)]
 
 
 def _leaf_keys(ty: S.Ty) -> list:
     return [str(i) for i in range(ty.size)] if isinstance(ty, S.IntTy) else ["false", "true"]
-
-
-def _key_pairs(lefts: list, rights: list) -> list:
-    return [f"({left}, {right})" for left in lefts for right in rights]
 
 
 def distribution_result(cp: CompiledProgram) -> InferenceResult:

@@ -7,7 +7,8 @@ subset restricts certain argument positions to *atomic* expressions (literals
 and identifiers); ``desugar.desugar_expr`` lowers the surface language to it.
 
 Types are ``Bool``, products, and (surface only) fixed-size integers, which
-desugar to right-nested one-hot tuples of booleans.
+desugar to right-nested one-hot tuples of booleans.  Types are canonical, one
+object per type, so ``==`` and ``hash`` are identity and walk nothing.
 
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
 A value, a type and a formula tuple are trees of pairs; every walk that builds
@@ -131,37 +132,42 @@ class Span(NamedTuple):
 # Types
 
 
+_TYPES: dict = {}  # (class, *parts) -> the one type with those parts
+
+
 class Ty:
-    pass
+    """A type, canonical as a BDD node is: one object per class and parts."""
+
+    def __new__(cls, *parts):
+        key = (cls, *parts)
+        ty = _TYPES.get(key)
+        if ty is None:
+            # Of two racing constructions, setdefault keeps the first.
+            ty = _TYPES.setdefault(key, object.__new__(cls))
+        return ty
+
+    def __repr__(self) -> str:
+        return str(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoolTy(Ty):
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProdTy(Ty):
-    """A product type, compared and printed by folds and hashed by its text."""
+    """A product type, printed by a fold."""
 
     left: Ty
     right: Ty
-
-    def __eq__(self, other) -> bool:
-        # A leaf pairs one object, or two types at most one of them a product.
-        if not isinstance(other, ProdTy):
-            return NotImplemented
-        return fold((self, other), _same, operator.and_, _zipped_ty_parts)
-
-    def __hash__(self) -> int:
-        return hash(str(self))
 
     def __str__(self) -> str:
         return format_value(fold(self, str))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IntTy(Ty):
     """Surface-only integer type; erased to Bool^size by desugaring."""
 
@@ -172,16 +178,6 @@ class IntTy(Ty):
 
 
 BOOL = BoolTy()
-
-
-def _zipped_ty_parts(pair):
-    a, b = pair
-    if a is not b and isinstance(a, ProdTy) and isinstance(b, ProdTy):
-        return (a.left, b.left), (a.right, b.right)
-
-
-def _same(pair) -> bool:
-    return pair[0] is pair[1] or pair[0] == pair[1]
 
 
 def typed_parts(node):

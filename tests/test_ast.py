@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+import threading
 from types import GeneratorType
 
 import pytest
@@ -49,6 +50,55 @@ class TestTypecheck:
         assert sorted(lets) == sorted(
             [("x", str(pair)), ("y", str(pair)), ("x", "Bool"), ("z", "Bool")]
         )
+
+    def test_every_constructor_returns_the_one_object_per_type(self):
+        def formal_ty(text):
+            return parse_program(f"fun f(x: {text}): Bool {{ true }} true").functions[0].formal_ty
+
+        pair = formal_ty("(Bool, Bool)")
+        assert formal_ty("(Bool, Bool)") is pair
+        assert typecheck_expr(parse_expr("(flip 0.5, true)")) is pair
+        assert S.params_ty([("a", S.BoolTy()), ("b", S.BOOL)]) is pair
+        assert S.int_backing_ty(2) is pair and S.ProdTy(S.BOOL, S.BOOL) is pair
+        assert S.erase_int_types(formal_ty("int(2)")) is pair
+        assert S.ty_of_value((True, False)) is pair
+        assert S.BoolTy() is S.BOOL and S.IntTy(3) is formal_ty("int(3)")
+        assert S.ProdTy(S.BOOL, S.IntTy(2)) is not S.ProdTy(S.IntTy(2), S.BOOL)
+
+    def test_racing_constructions_end_with_one_object(self):
+        # Four threads build the same 20,000 new types with a thread switch
+        # due every microsecond; each type must come out as one object.
+        sizes = range(10**6, 10**6 + 20_000)
+        built = [None] * 4
+
+        def build(i):
+            built[i] = [S.ProdTy(S.IntTy(n), S.BOOL) for n in sizes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(a is b for other in built[1:] for a, b in zip(built[0], other, strict=True))
+
+    def test_repr_of_a_20000_deep_type_needs_no_recursion(self):
+        ty = S.erase_int_types(S.IntTy(20_000))
+        func = S.Function("f", [("x", ty)], ty, S.Ident("x"))
+        program = S.Program([func], S.Call("f", S.Lit(S.one_hot_value(3, 0))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            texts = repr(ty), repr(func), repr(program)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert texts[0] == str(ty) == "(Bool, " * 19_999 + "Bool" + ")" * 19_999
+        assert texts[0] in texts[1] and texts[1] in texts[2]
 
     def test_non_bool_guard_rejected(self):
         with pytest.raises(TypeMismatchError):

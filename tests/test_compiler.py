@@ -158,11 +158,15 @@ class TestTupleWalkers:
             return t
 
         deep, shallow = nested(20_000), nested(2_000)
-        # (int(1), (int(1), ... Bool)): 20,000 deep and two values, whose
-        # value of index 1 is (true, (true, ... true)).
-        ones = S.BOOL
-        for _ in range(20_000):
-            ones = S.ProdTy(S.IntTy(1), ones)
+        # (int(1), (int(1), ... Bool)): 20,000 deep (and 80,000 deep) and
+        # two values, whose value of index 1 is (true, (true, ... true)).
+        def ones_ty(depth):
+            ones = S.BOOL
+            for _ in range(depth):
+                ones = S.ProdTy(S.IntTy(1), ones)
+            return ones
+
+        ones, deeper = ones_ty(20_000), ones_ty(80_000)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
@@ -171,14 +175,16 @@ class TestTupleWalkers:
             paths = leaf_paths(shallow)
             shape = S.ty_of_value(deep)
             erased = S.erase_int_types(ones)
-            same = shape == erased and hash(shape) == hash(erased) and shape != ones
+            same = shape is erased and shape != ones
             counts = S.value_count(ones), S.value_count(shape)
             keys = infer._value_keys(ones)
+            deeper_keys = infer._value_keys(deeper)
             rendered = infer.render_value(with_leaves(deep, [True] * 20_001), ones)
         finally:
             sys.setrecursionlimit(limit)
         assert same and counts == (2, 2**20_001)
         assert keys == ["(0, " * 20_000 + b + ")" * 20_000 for b in ("false", "true")]
+        assert deeper_keys == ["(0, " * 80_000 + b + ")" * 80_000 for b in ("false", "true")]
         assert rendered == keys[1]
         assert leaves == list(range(20_001))
         for i in range(20_000):
