@@ -26,7 +26,6 @@ program by hand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import syntax as S
 from .errors import BifParseError, CyclicNetworkError, MalformedCptError, UnknownQueryVariableError
@@ -34,12 +33,14 @@ from .errors import BifParseError, CyclicNetworkError, MalformedCptError, Unknow
 CPT_ROW_TOLERANCE = 1e-6
 
 
-@dataclass
-class BayesNet:
-    name: str
-    variables: list  # (name, [state labels]) in declaration order
-    parents: dict  # var -> ordered parent list
-    cpts: dict  # var -> {parent-state-index tuple: [probability per state]}
+class BayesNet(S.Record):
+    __slots__ = _fields = ("name", "variables", "parents", "cpts")
+
+    def __init__(self, name: str, variables: list, parents: dict, cpts: dict):
+        self.name = name
+        self.variables = variables  # (name, [state labels]) in declaration order
+        self.parents = parents  # var -> ordered parent list
+        self.cpts = cpts  # var -> {parent-state-index tuple: [probability per state]}
 
     def states(self, var: str) -> list:
         for name, states in self.variables:
@@ -89,12 +90,14 @@ _BIF_TOKEN = re.compile(
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Tok(S.Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 class _BifParser:
@@ -232,7 +235,13 @@ class _BifParser:
         count = int(self.number())
         self.eat("]")
         self.eat("{")
+        first = self.pos
         states = self.words("state label")
+        seen: set = set()
+        for tok in self.tokens[first : self.pos : 2]:  # the labels, not the commas
+            if tok.text in seen:
+                raise BifParseError(f"variable {name!r} repeats state {tok.text!r}", self.span(tok))
+            seen.add(tok.text)
         self.eat("}")
         self.eat(";")
         if self.peek().text == "property":

@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
@@ -44,7 +43,6 @@ from .bif import net_to_program, parse_bif
 from .compiler import compile_program, compile_source, leaf_paths
 from .desugar import desugar_program
 from .errors import FlipcError, InternalError
-from .generate import GenConfig, random_program
 from .oracle import eval_program
 from .parser import pretty_program
 from .typecheck import typecheck_program
@@ -208,7 +206,12 @@ def cmd_selftest(args) -> int:
     """Compile seeded random programs in both modes and compare each with
     the oracle.  The programs go through ``compile_program``, so the query
     enumerates the erased output type: every Bool tuple backing an
-    ``int(n)``, one-hot or not, is compared."""
+    ``int(n)``, one-hot or not, is compared.  The generator is imported
+    here, the one place it is used, so no other command loads it."""
+    import random
+
+    from .generate import GenConfig, random_program
+
     rng = random.Random(args.seed)
     worst = 0.0
     for i in range(args.count):

@@ -74,7 +74,6 @@ subgraphs are stored once (a multi-rooted BDD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -157,27 +156,44 @@ def pointwise_ite(mgr: BddManager, g: int, t, e):
 # Results
 
 
-@dataclass
-class CompiledFunction:
-    formal_levels: tuple  # level of each formal leaf, in leaf order
-    formula: Union[int, tuple]  # formula tuple
-    accepting: int
-    flip_levels: list  # template flips, refreshed per call
+class CompiledFunction(S.Record):
+    __slots__ = _fields = ("formal_levels", "formula", "accepting", "flip_levels")
+
+    def __init__(
+        self, formal_levels: tuple, formula: Union[int, tuple], accepting: int, flip_levels: list
+    ):
+        self.formal_levels = formal_levels  # level of each formal leaf, in leaf order
+        self.formula = formula  # formula tuple
+        self.accepting = accepting
+        self.flip_levels = flip_levels  # template flips, refreshed per call
 
 
-@dataclass
-class CompiledProgram:
-    manager: BddManager
-    formula: Union[int, tuple]  # formula tuple
-    accepting: int
-    weights: dict  # flip level -> theta, one for the program
-    # What a distribution query enumerates: the surface type from
-    # compile_source, the formula's shape from compile_program alone.
-    output_ty: S.Ty
-    flip_count: int  # every flip variable, a template's own included
-    # Flips allocated while compiling function templates: each call samples
-    # fresh copies of them, never the template's own.
-    template_flips: int = 0
+class CompiledProgram(S.Record):
+    __slots__ = _fields = (
+        "manager", "formula", "accepting", "weights", "output_ty", "flip_count", "template_flips"
+    )
+
+    def __init__(
+        self,
+        manager: BddManager,
+        formula: Union[int, tuple],
+        accepting: int,
+        weights: dict,
+        output_ty: S.Ty,
+        flip_count: int,
+        template_flips: int = 0,
+    ):
+        self.manager = manager
+        self.formula = formula  # formula tuple
+        self.accepting = accepting
+        self.weights = weights  # flip level -> theta, one for the program
+        # What a distribution query enumerates: the surface type from
+        # compile_source, the formula's shape from compile_program alone.
+        self.output_ty = output_ty
+        self.flip_count = flip_count  # every flip variable, a template's own included
+        # Flips allocated while compiling function templates: each call samples
+        # fresh copies of them, never the template's own.
+        self.template_flips = template_flips
 
     def node_count(self) -> int:
         """Size of the multi-rooted BDD: all formula roots plus accepting."""
@@ -348,14 +364,16 @@ def _compose(mgr: BddManager, formula, accepting: int, mapping: dict, walks) -> 
     return with_leaves(formula, images), accepting
 
 
-@dataclass(frozen=True)
-class _Pending:
+class _Pending(S.Record):
     """A repeated call's accepting formula, not yet built: the earlier
     instance's accepting ``root`` with each of its fresh flips renamed to
     the repeat's own, ``renaming`` sending level to level."""
 
-    root: int
-    renaming: dict
+    __slots__ = _fields = ("root", "renaming")
+
+    def __init__(self, root: int, renaming: dict):
+        self.root = root
+        self.renaming = renaming
 
 
 def _built(ctx: _Compilation, accepting) -> int:

@@ -10,20 +10,31 @@ given ``random.Random`` seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import syntax as S
 from .desugar import expr_flip_count, static_flip_count
 
 
-@dataclass
-class GenConfig:
-    max_flips: int = 12
-    min_flips: int = 0
-    max_depth: int = 5
-    max_functions: int = 2
-    max_output_leaves: int = 4
-    allow_observe: bool = True
+class GenConfig(S.Record):
+    __slots__ = _fields = (
+        "max_flips", "min_flips", "max_depth", "max_functions", "max_output_leaves", "allow_observe"
+    )
+
+    def __init__(
+        self,
+        max_flips: int = 12,
+        min_flips: int = 0,
+        max_depth: int = 5,
+        max_functions: int = 2,
+        max_output_leaves: int = 4,
+        allow_observe: bool = True,
+    ):
+        self.max_flips = max_flips
+        self.min_flips = min_flips
+        self.max_depth = max_depth
+        self.max_functions = max_functions
+        self.max_output_leaves = max_output_leaves
+        self.allow_observe = allow_observe
 
 
 THETAS = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as S
@@ -55,12 +54,14 @@ from .errors import OutputTooWideError, ShapeMismatchError
 MAX_VALUES = 2**20
 
 
-@dataclass
-class InferenceResult:
-    accepting: float
-    query: str
-    entries: list  # (display key, probability) pairs in enumeration order
-    accepting_scaled: tuple  # the accepting count as a (mantissa, exponent) pair
+class InferenceResult(S.Record):
+    __slots__ = _fields = ("accepting", "query", "entries", "accepting_scaled")
+
+    def __init__(self, accepting: float, query: str, entries: list, accepting_scaled: tuple):
+        self.accepting = accepting
+        self.query = query
+        self.entries = entries  # (display key, probability) pairs in enumeration order
+        self.accepting_scaled = accepting_scaled  # the accepting count as (mantissa, exponent)
 
 
 def _ratio(numerator: tuple, denominator: tuple) -> float:

@@ -29,8 +29,6 @@ when it is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as S
 from .desugar import static_flip_count
 from .errors import BadDistributionError, OracleLimitError
@@ -40,10 +38,12 @@ FLIP_CAP = 24
 Distribution = dict
 
 
-@dataclass
-class OracleResult:
-    unnormalized: Distribution
-    accepting: float
+class OracleResult(S.Record):
+    __slots__ = _fields = ("unnormalized", "accepting")
+
+    def __init__(self, unnormalized: Distribution, accepting: float):
+        self.unnormalized = unnormalized
+        self.accepting = accepting
 
     @property
     def distribution(self) -> Distribution:

@@ -10,6 +10,12 @@ Types are ``Bool``, products, and (surface only) fixed-size integers, which
 desugar to right-nested one-hot tuples of booleans.  Types are canonical, one
 object per type, so ``==`` and ``hash`` are identity and walk nothing.
 
+Expression nodes, functions and programs are ``Record``s: slotted classes,
+each with its own ``__init__``, whose ``==`` and ``repr`` run over the
+class's ``_fields``; a node's type and span are not among them.  The records
+of the later layers (compiled programs, results, configurations) derive from
+the same base.
+
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
 A value, a type and a formula tuple are trees of pairs; every walk that builds
 from one is a ``fold``, on an explicit stack however deep the tree.
@@ -24,7 +30,6 @@ call stack, and a leaf costs no step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -110,13 +115,40 @@ def fold(tree, leaf, join=None, split=None):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """Equality and repr over the class's ``_fields``, in order.  Two records
+    are equal when they are of the same class and their fields are; any
+    other comparison is left to the other operand.  A record may change, so
+    it is not hashable.  A subclass declares ``_fields`` and its own
+    ``__init__``, which assigns each field by name."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [
+            getattr(other, name) for name in self._fields
+        ]
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Source spans
 
 
 class Span(NamedTuple):
-    """Where a node starts and ends.  A tuple, because the parser builds one
-    per node and a frozen dataclass costs one ``object.__setattr__`` per
-    field."""
+    """Where a node starts and ends.  An immutable tuple, because the parser
+    builds one per node and a tuple is built in one step."""
 
     file: str
     start_line: int
@@ -136,42 +168,55 @@ _TYPES: dict = {}  # (class, *parts) -> the one type with those parts
 
 
 class Ty:
-    """A type, canonical as a BDD node is: one object per class and parts."""
+    """A type, canonical as a BDD node is: one object per class and parts.
+    Its parts, one per slot, are set once, when the object is made, and
+    cannot be assigned after."""
+
+    __slots__ = ()
 
     def __new__(cls, *parts):
         key = (cls, *parts)
         ty = _TYPES.get(key)
         if ty is None:
+            if len(parts) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} parts")
+            ty = object.__new__(cls)
+            for name, part in zip(cls.__slots__, parts):
+                object.__setattr__(ty, name, part)
             # Of two racing constructions, setdefault keeps the first.
-            ty = _TYPES.setdefault(key, object.__new__(cls))
+            ty = _TYPES.setdefault(key, ty)
         return ty
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: types are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: types are immutable")
 
     def __repr__(self) -> str:
         return str(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BoolTy(Ty):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ProdTy(Ty):
     """A product type, printed by a fold."""
 
-    left: Ty
-    right: Ty
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return format_value(fold(self, str))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class IntTy(Ty):
     """Surface-only integer type; erased to Bool^size by desugaring."""
 
-    size: int
+    __slots__ = ("size",)
 
     def __str__(self) -> str:
         return f"int({self.size})"
@@ -297,68 +342,110 @@ def format_value(v: Value) -> str:
 # Expressions
 
 
-@dataclass
-class Expr:
-    ty: Optional[Ty] = field(default=None, compare=False, repr=False, kw_only=True)
-    span: Optional[Span] = field(default=None, compare=False, repr=False, kw_only=True)
+class Expr(Record):
+    """An expression.  Its type, set by typechecking, and its source span
+    are keyword-only in every constructor and stay out of ``==`` and
+    ``repr``."""
+
+    __slots__ = ("ty", "span")
 
 
-@dataclass
 class Lit(Expr):
     """A closed value: true, false, or a nested tuple of those."""
 
-    value: Value
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value, *, ty=None, span=None):
+        self.value = value
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Ident(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name, *, ty=None, span=None):
+        self.name = name
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Flip(Expr):
-    theta: float
+    __slots__ = _fields = ("theta",)
+
+    def __init__(self, theta, *, ty=None, span=None):
+        self.theta = theta
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Fst(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, *, ty=None, span=None):
+        self.arg = arg
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Snd(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, *, ty=None, span=None):
+        self.arg = arg
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Tup(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Let(Expr):
-    name: str
-    bound: Expr
-    body: Expr
+    __slots__ = _fields = ("name", "bound", "body")
+
+    def __init__(self, name, bound, body, *, ty=None, span=None):
+        self.name = name
+        self.bound = bound
+        self.body = body
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Ite(Expr):
-    guard: Expr
-    then: Expr
-    orelse: Expr
+    __slots__ = _fields = ("guard", "then", "orelse")
+
+    def __init__(self, guard, then, orelse, *, ty=None, span=None):
+        self.guard = guard
+        self.then = then
+        self.orelse = orelse
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Observe(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, *, ty=None, span=None):
+        self.arg = arg
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = _fields = ("func", "arg")
+
+    def __init__(self, func, arg, *, ty=None, span=None):
+        self.func = func
+        self.arg = arg
+        self.ty = ty
+        self.span = span
 
 
 def mk_tup(left: Expr, right: Expr, span: Optional[Span] = None) -> Expr:
@@ -372,78 +459,118 @@ def mk_tup(left: Expr, right: Expr, span: Optional[Span] = None) -> Expr:
 # Surface-only constructors.
 
 
-@dataclass
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Not(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, *, ty=None, span=None):
+        self.arg = arg
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Eq(Expr):
     """Equality on booleans (iff) or same-size integers."""
 
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Discrete(Expr):
-    params: list
+    __slots__ = _fields = ("params",)
+
+    def __init__(self, params, *, ty=None, span=None):
+        self.params = params
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class IntLit(Expr):
-    size: int
-    value: int
+    __slots__ = _fields = ("size", "value")
+
+    def __init__(self, size, value, *, ty=None, span=None):
+        self.size = size
+        self.value = value
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class IntAdd(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class IntMul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
 
 
-@dataclass
 class Iterate(Expr):
-    func: str
-    init: Expr
-    count: int
+    __slots__ = _fields = ("func", "init", "count")
+
+    def __init__(self, func, init, count, *, ty=None, span=None):
+        self.func = func
+        self.init = init
+        self.count = count
+        self.ty = ty
+        self.span = span
 
 
 # ---------------------------------------------------------------------------
 # Functions and programs
 
 
-@dataclass
-class Function:
+class Function(Record):
     """A non-recursive function.
 
     Surface functions may take several parameters; desugaring rewrites them to
-    a single formal of (right-nested) tuple type.
+    a single formal of (right-nested) tuple type.  The span stays out of
+    ``==`` and ``repr``.
     """
 
-    name: str
-    params: list  # list of (name, Ty)
-    return_ty: Ty
-    body: Expr
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    _fields = ("name", "params", "return_ty", "body")
+    __slots__ = (*_fields, "span")
+
+    def __init__(self, name: str, params: list, return_ty: Ty, body: Expr, span=None):
+        self.name = name
+        self.params = params  # list of (name, Ty)
+        self.return_ty = return_ty
+        self.body = body
+        self.span = span
 
     @property
     def formal(self) -> str:
@@ -458,10 +585,12 @@ class Function:
         return self.params[0][1]
 
 
-@dataclass
-class Program:
-    functions: list  # list of Function, call order: each body only calls earlier ones
-    main: Expr
+class Program(Record):
+    __slots__ = _fields = ("functions", "main")
+
+    def __init__(self, functions: list, main: Expr):
+        self.functions = functions  # call order: each body only calls earlier ones
+        self.main = main
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,16 @@ class TestTypecheck:
         assert S.BoolTy() is S.BOOL and S.IntTy(3) is formal_ty("int(3)")
         assert S.ProdTy(S.BOOL, S.IntTy(2)) is not S.ProdTy(S.IntTy(2), S.BOOL)
 
+    def test_types_cannot_be_changed(self):
+        pair, three = S.ProdTy(S.BOOL, S.BOOL), S.IntTy(3)
+        for ty, name in ((pair, "left"), (pair, "right"), (three, "size"), (S.BOOL, "size")):
+            with pytest.raises(AttributeError):
+                setattr(ty, name, S.BOOL)
+            with pytest.raises(AttributeError):
+                delattr(ty, name)
+        assert (pair.left, pair.right, three.size) == (S.BOOL, S.BOOL, 3)
+        assert S.ProdTy(S.BOOL, S.BOOL) is pair and S.IntTy(3) is three
+
     def test_racing_constructions_end_with_one_object(self):
         # Four threads build the same 20,000 new types with a thread switch
         # due every microsecond; each type must come out as one object.
@@ -198,6 +208,50 @@ def test_typecheck_rejects_built_asts_with_their_span(name):
     with pytest.raises(TypeMismatchError) as raised:
         typecheck_program(REJECTED_ASTS[name])
     assert raised.value.span is SPAN and str(raised.value).startswith("ast:3:7: ")
+
+
+class TestRecords:
+    """Nodes, functions and programs compare and print by their fields,
+    never by their type or span."""
+
+    def test_nodes_that_differ_only_in_span_or_type_are_equal(self):
+        first = S.Let("x", S.Flip(0.5), S.Ident("x"), ty=S.BOOL, span=S.Span("a", 1, 1, 1, 9))
+        second = S.Let("x", S.Flip(0.5), S.Ident("x"), span=S.Span("b", 2, 3, 2, 11))
+        assert first == second and not first != second
+        assert first != S.Let("y", S.Flip(0.5), S.Ident("x"))
+        assert first != S.Let("x", S.Flip(0.25), S.Ident("x"))
+
+    def test_parsed_programs_from_two_files_are_equal(self):
+        text = "fun f(x: Bool): Bool { x && flip 0.3 }\nlet y = flip 0.5 in f(y)"
+        first, second = parse_program(text, "a.dice"), parse_program("\n" + text, "b.dice")
+        typecheck_program(first)
+        assert first.functions[0].span != second.functions[0].span
+        assert first == second
+
+    def test_equality_needs_the_same_class(self):
+        x, y = S.Ident("x"), S.Ident("y")
+        assert S.Fst(x) != S.Snd(x) and S.And(x, y) != S.Or(x, y)
+        assert S.Tup(x, y) != (x, y) and S.Ident("x") != "x"
+
+    def test_nodes_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(S.Ident("x"))
+        with pytest.raises(TypeError):
+            hash(S.Program([], S.Lit(True)))
+
+    def test_repr_shows_fields_only(self):
+        e = S.Let("x", S.Flip(0.5), S.Ident("x"), ty=S.BOOL, span=S.Span("a", 1, 1, 1, 9))
+        assert repr(e) == "Let(name='x', bound=Flip(theta=0.5), body=Ident(name='x'))"
+        func = S.Function("f", [("x", S.BOOL)], S.BOOL, S.Ident("x"), S.Span("a", 1, 1, 1, 9))
+        assert repr(func) == (
+            "Function(name='f', params=[('x', Bool)], return_ty=Bool, body=Ident(name='x'))"
+        )
+
+    def test_positional_and_keyword_construction(self):
+        assert S.IntLit(size=3, value=1) == S.IntLit(3, 1)
+        assert S.Function("f", [], S.BOOL, S.Lit(True), None).span is None
+        with pytest.raises(TypeError):
+            S.Lit(True, S.BOOL)  # a node's type is keyword-only
 
 
 class TestNormalizeAnf:

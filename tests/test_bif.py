@@ -120,13 +120,30 @@ class TestParseBif:
             ("variable B { type discrete [ 2 ] { yes, no }; }", "'B' has no probability block", 1),
             ("probability ( B ) { table 0.3, 0.7; }", "block for undeclared variable 'B'", 1),
             ("variable B { type discrete [ 1 ] { yes }; }", "'B' needs at least two states", 30),
+            ("variable B { type discrete [ 2 ] { x, x }; }", "'B' repeats state 'x'", 39),
         ],
-        ids=["duplicate-variable", "duplicate-block", "no-block", "undeclared", "one-state"],
+        ids=[
+            "duplicate-variable", "duplicate-block", "no-block", "undeclared", "one-state",
+            "repeated-state",
+        ],
     )
     def test_malformed_declarations_rejected(self, extra, message, column):
         with pytest.raises(BifParseError, match=message) as err:
             parse_bif(SINGLE + extra + "\n")
         assert (err.value.span.start_line, err.value.span.start_col) == (5, column)
+
+    def test_repeated_state_of_a_parent_rejected_at_its_declaration(self):
+        # Not at the child's rows, which would read as a duplicate row.
+        bad = """
+        network dup { }
+        variable A { type discrete [ 2 ] { x, x }; }
+        variable B { type discrete [ 2 ] { b0, b1 }; }
+        probability ( A ) { table 0.5, 0.5; }
+        probability ( B | A ) { ( x ) 1.0, 0.0; ( x ) 0.0, 1.0; }
+        """
+        with pytest.raises(BifParseError, match="variable 'A' repeats state 'x'") as err:
+            parse_bif(bad)
+        assert (err.value.span.start_line, err.value.span.start_col) == (3, 47)
 
     def test_unknown_parent_rejected(self):
         bad = """

@@ -315,6 +315,22 @@ def run_fresh(tmp_path, text, *flags):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_loads_neither_dataclasses_nor_the_generator():
+    # Creating dataclasses cost more than the rest of the import, and the
+    # program generator is for selftest alone.  -S keeps site packages from
+    # loading either first.
+    src = str(Path(flipc.__file__).resolve().parents[1])
+    code = (
+        "import sys, flipc, flipc.cli, flipc.bif; "
+        "print(sorted({'dataclasses', 'flipc.generate'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestNesting:
     @pytest.mark.parametrize(
         "text",

@@ -1,7 +1,6 @@
 """Compilation to weighted Boolean formulas: rule-level examples,
 differential correctness against the enumeration oracle, and mode agreement."""
 
-import dataclasses
 import gc
 import hashlib
 import random
@@ -880,7 +879,15 @@ def same_structure(build, mode):
     assert (mgr._var, mgr._hi, mgr._lo) == (other._var, other._hi, other._lo)
     assert (first.formula, first.accepting) == (second.formula, second.accepting)
     assert first.weights.keys() == second.weights.keys()
-    swapped = dataclasses.replace(first, weights=second.weights)
+    swapped = compiler.CompiledProgram(
+        first.manager,
+        first.formula,
+        first.accepting,
+        second.weights,
+        first.output_ty,
+        first.flip_count,
+        first.template_flips,
+    )
     assert infer.accepting_and_distribution(swapped) == infer.accepting_and_distribution(second)
     return first.weights != second.weights
 

@@ -12,6 +12,7 @@ from flipc.desugar import desugar_program, static_flip_count
 from flipc.errors import OracleLimitError
 from flipc.generate import GenConfig, random_program
 from flipc.oracle import (
+    OracleResult,
     accepting_semantics,
     build_func_table,
     distributional_semantics,
@@ -122,6 +123,14 @@ class TestEvalProgram:
         assert eval_program(surface).distribution == expected
         assert eval_program(core).distribution == expected
         assert eval_program_denotational(core).distribution == expected
+
+    def test_results_compare_by_value(self):
+        text = benchmark_text("diamond.dice")
+        first, second = (eval_program(frontend(text, name)[1]) for name in ("a", "b"))
+        assert first is not second and first == second
+        assert first != OracleResult(first.unnormalized, first.accepting / 2)
+        assert first != OracleResult({}, first.accepting)
+        assert first != (first.unnormalized, first.accepting)
 
     def test_cap_counts_flips_through_calls(self):
         text = benchmark_text("diamond.dice")
