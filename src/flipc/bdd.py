@@ -42,11 +42,13 @@ over the child images.  The read-only queries ``support``, ``node_count``,
 order-preserving renaming of levels (how a repeated call renames an earlier
 instance's flips), and returns the handle ``compose`` then ``apply_and``
 would give, without building the relabelled copy of ``f``.  It is one
-Shannon expansion over (f, g) with a memo local to the call, reading
-``f``'s levels through the renaming.  Once the renamed deepest level of
-``f`` precedes ``g``'s top level, it builds that sub-DAG of ``f`` with its
-TRUE rerouted to ``g`` and its levels renamed, node by node over the
-sub-DAG's ``_postorder``.  Every node it makes is a node of the result.
+Shannon expansion over (f, g), reading ``f``'s levels through the
+renaming: the method ``_conjoin_renamed``, which takes the call's memo, the
+renaming's ``get`` and ``walks`` as arguments.  No step is a closure over
+itself, so a call leaves no reference cycle behind.  Once the renamed
+deepest level of ``f`` precedes ``g``'s top level, it builds that sub-DAG
+of ``f`` with its TRUE rerouted to ``g`` and its levels renamed, node by
+node over the sub-DAG's ``_postorder``.  Every node it makes is a node of the result.
 
 ``compose`` and ``and_renamed`` take an optional ``walks`` dict, one store
 of recorded walks that the caller keeps and both fill themselves.
@@ -299,42 +301,42 @@ class BddManager:
         memos live for this call only, and every node made is a node of the
         result, so this makes no node that the composition followed by
         ``apply_and`` would not."""
-        var, hi, lo, maxvar, mk = self._var, self._hi, self._lo, self._maxvar, self._mk
-        rename = renaming.get
-        if walks is None:
-            walks = {}
-        memo = {}
+        return self._conjoin_renamed(f, g, {}, renaming.get, {} if walks is None else walks)
 
-        def conjoin(f: int, g: int) -> int:
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-            key = (f, g)
-            result = memo.get(key)
-            if result is not None:
-                return result
-            deepest = maxvar[f]
-            top_g = var[g]
-            if rename(deepest, deepest) < top_g:
-                order = walks.get(f)
-                if order is None:
-                    order = walks[f] = self._postorder((f,))
-                image = {TRUE: g, FALSE: FALSE}
-                for n in order:
-                    level = var[n]
-                    image[n] = mk(rename(level, level), image[hi[n]], image[lo[n]])
-                result = image[f]
-            else:
-                top_f = rename(var[f], var[f])
-                level = min(top_f, top_g)
-                fh, fl = (hi[f], lo[f]) if top_f == level else (f, f)
-                gh, gl = (hi[g], lo[g]) if top_g == level else (g, g)
-                result = mk(level, conjoin(fh, gh), conjoin(fl, gl))
-            memo[key] = result
+    def _conjoin_renamed(self, f: int, g: int, memo: dict, rename, walks: dict) -> int:
+        """One Shannon step of ``and_renamed``: ``rename`` is the renaming's
+        ``get``.  A method, not a closure over its own cell, so a call
+        leaves no reference cycle behind."""
+        if f == FALSE or g == FALSE:
+            return FALSE
+        if f == TRUE:
+            return g
+        key = (f, g)
+        result = memo.get(key)
+        if result is not None:
             return result
-
-        return conjoin(f, g)
+        var, hi, lo, mk = self._var, self._hi, self._lo, self._mk
+        deepest = self._maxvar[f]
+        top_g = var[g]
+        if rename(deepest, deepest) < top_g:
+            order = walks.get(f)
+            if order is None:
+                order = walks[f] = self._postorder((f,))
+            image = {TRUE: g, FALSE: FALSE}
+            for n in order:
+                level = var[n]
+                image[n] = mk(rename(level, level), image[hi[n]], image[lo[n]])
+            result = image[f]
+        else:
+            top_f = rename(var[f], var[f])
+            level = min(top_f, top_g)
+            fh, fl = (hi[f], lo[f]) if top_f == level else (f, f)
+            gh, gl = (hi[g], lo[g]) if top_g == level else (g, g)
+            conjoin = self._conjoin_renamed
+            high = conjoin(fh, gh, memo, rename, walks)
+            result = mk(level, high, conjoin(fl, gl, memo, rename, walks))
+        memo[key] = result
+        return result
 
     def _postorder(self, roots) -> list[int]:
         """Internal nodes reachable from ``roots``, each once, children

@@ -70,11 +70,23 @@ allocate no variable.
 
 All formula roots and the accepting formula share one manager, so common
 subgraphs are stored once (a multi-rooted BDD).
+
+Compilation makes no reference cycles: its ASTs, formula tuples and node
+store are freed by reference counting alone.  So ``compile_source`` and
+``compile_program`` run with the cyclic garbage collector paused, which
+would otherwise rescan those growing structures at every young-generation
+threshold (about 2,600 collections, ten of them full, while compiling a
+100,001-flip chain).  The pause is process-wide and ends with the call,
+after an error too; if the young generation passed its threshold
+meanwhile, one ``gc.collect(1)`` scans the survivors just before.  A call
+made while the collector is already disabled, by a caller or by the
+enclosing ``compile_source``, leaves it as it is.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import gc
+from functools import partial, wraps
 from typing import Optional, Union
 
 from . import desugar, parser, syntax as S, typecheck
@@ -487,6 +499,28 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     return formula, accepting
 
 
+def _collector_paused(compile_fn):
+    """``compile_fn`` run with the cyclic garbage collector paused (see the
+    module docstring), unless it is disabled already."""
+
+    @wraps(compile_fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return compile_fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return compile_fn(*args, **kwargs)
+        finally:
+            try:
+                if 0 < gc.get_threshold()[0] < gc.get_count()[0]:
+                    gc.collect(1)
+            finally:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def compile_program(
     program: S.Program, mode: str = "modular", max_nodes: Optional[int] = None
 ) -> CompiledProgram:
@@ -529,43 +563,46 @@ def inline_program(program: S.Program) -> S.Program:
     identifier is its formal, and a ``let`` evaluates its bound outside its
     own binding."""
     completed: dict[str, S.Function] = {}
-
-    def transform(e: S.Expr):
-        """Dispatcher: ``e`` with every call inlined; a leaf is its own
-        result, any other node's is computed by the step ``inline``."""
-        if isinstance(e, (S.Lit, S.Ident, S.Flip)):
-            return e
-        return inline(e)
-
-    def inline(e: S.Expr):
-        """Step: ``e``, which has a sub-expression, with every call inlined."""
-        if isinstance(e, S.Let):
-            bound = yield transform(e.bound)
-            return S.Let(e.name, bound, (yield transform(e.body)), ty=e.ty)
-        if isinstance(e, (S.Fst, S.Snd, S.Observe)):
-            return type(e)((yield transform(e.arg)))
-        if isinstance(e, S.Tup):
-            return S.Tup((yield transform(e.left)), (yield transform(e.right)))
-        if isinstance(e, S.Ite):
-            guard = yield transform(e.guard)
-            then = yield transform(e.then)
-            return S.Ite(guard, then, (yield transform(e.orelse)), ty=e.ty)
-        if isinstance(e, S.Call):
-            func = completed[e.func]
-            return S.Let(func.formal, (yield transform(e.arg)), func.body, ty=e.ty)
-        raise InternalError(f"cannot inline non-core expression {type(e).__name__}")
-
     for func in program.functions:
         completed[func.name] = S.Function(
-            func.name, func.params, func.return_ty, S.trampoline(transform(func.body))
+            func.name, func.params, func.return_ty, S.trampoline(_inline(completed, func.body))
         )
-    return S.Program([], S.trampoline(transform(program.main)))
+    return S.Program([], S.trampoline(_inline(completed, program.main)))
+
+
+def _inline(completed: dict, e: S.Expr):
+    """Dispatcher: ``e`` with every call inlined, the callees' bodies read
+    from ``completed``; a leaf is its own result, any other node's is
+    computed by the step ``_inline_step``."""
+    if isinstance(e, (S.Lit, S.Ident, S.Flip)):
+        return e
+    return _inline_step(completed, e)
+
+
+def _inline_step(completed: dict, e: S.Expr):
+    """Step: ``e``, which has a sub-expression, with every call inlined."""
+    if isinstance(e, S.Let):
+        bound = yield _inline(completed, e.bound)
+        return S.Let(e.name, bound, (yield _inline(completed, e.body)), ty=e.ty)
+    if isinstance(e, (S.Fst, S.Snd, S.Observe)):
+        return type(e)((yield _inline(completed, e.arg)))
+    if isinstance(e, S.Tup):
+        return S.Tup((yield _inline(completed, e.left)), (yield _inline(completed, e.right)))
+    if isinstance(e, S.Ite):
+        guard = yield _inline(completed, e.guard)
+        then = yield _inline(completed, e.then)
+        return S.Ite(guard, then, (yield _inline(completed, e.orelse)), ty=e.ty)
+    if isinstance(e, S.Call):
+        func = completed[e.func]
+        return S.Let(func.formal, (yield _inline(completed, e.arg)), func.body, ty=e.ty)
+    raise InternalError(f"cannot inline non-core expression {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Convenience front end
 
 
+@_collector_paused
 def compile_source(
     text: str, filename: str = "<input>", mode: str = "modular", max_nodes: Optional[int] = None
 ):

@@ -14,17 +14,21 @@ scaling suites generate sources parameterized by a size ``n``:
 
 from __future__ import annotations
 
-from importlib import resources
-
 SUITES = ("chained-flips", "diamond", "ladder", "caesar-mini")
 
 
 def benchmark_names() -> list:
+    # Imported here: no CLI command lists or reads the bundled files, and
+    # importlib.resources pulls in zipfile, tempfile and more.
+    from importlib import resources
+
     root = resources.files("flipc").joinpath("benchmarks")
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".dice"))
 
 
 def benchmark_text(name: str) -> str:
+    from importlib import resources
+
     return resources.files("flipc").joinpath("benchmarks", name).read_text()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -77,3 +78,13 @@ def all_benchmarks():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled, and
+    re-enable it, so no later test runs without it."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the test left the cyclic garbage collector disabled"

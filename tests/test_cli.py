@@ -316,13 +316,14 @@ def run_fresh(tmp_path, text, *flags):
 
 
 def test_import_loads_neither_dataclasses_nor_the_generator():
-    # Creating dataclasses cost more than the rest of the import, and the
-    # program generator is for selftest alone.  -S keeps site packages from
-    # loading either first.
+    # Creating dataclasses cost more than the rest of the import, the
+    # program generator is for selftest alone, and importlib.resources, which
+    # pulls in zipfile and tempfile, only lists and reads the bundled files.
+    # -S keeps site packages from loading any of them first.
     src = str(Path(flipc.__file__).resolve().parents[1])
     code = (
         "import sys, flipc, flipc.cli, flipc.bif; "
-        "print(sorted({'dataclasses', 'flipc.generate'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'flipc.generate', 'importlib.resources'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
