@@ -22,7 +22,6 @@ from .compiler import (
 from .desugar import desugar_expr, desugar_program, static_flip_count
 from .infer import (
     InferenceResult,
-    accepting_and_distribution,
     accepting_probability,
     full_distribution,
     marginals,

@@ -29,6 +29,7 @@ import re
 
 from . import syntax as S
 from .errors import BifParseError, CyclicNetworkError, MalformedCptError, UnknownQueryVariableError
+from .parser import KEYWORDS, Token
 
 CPT_ROW_TOLERANCE = 1e-6
 
@@ -90,16 +91,6 @@ _BIF_TOKEN = re.compile(
 )
 
 
-class _Tok(S.Record):
-    __slots__ = _fields = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
 class _BifParser:
     def __init__(self, text: str, filename: str):
         self.filename = filename
@@ -117,7 +108,7 @@ class _BifParser:
                     S.Span(self.filename, line, col, line, col + 1),
                 )
             if m.lastgroup not in ("ws", "comment"):
-                tokens.append(_Tok(m.lastgroup, m.group(), line, col))
+                tokens.append(Token(m.lastgroup, m.group(), line, col))
             newlines = m.group().count("\n")
             if newlines:
                 line += newlines
@@ -125,19 +116,19 @@ class _BifParser:
             else:
                 col += len(m.group())
             pos = m.end()
-        tokens.append(_Tok("eof", "", line, col))
+        tokens.append(Token("eof", "", line, col))
         return tokens
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def span(self, tok: _Tok) -> S.Span:
+    def span(self, tok: Token) -> S.Span:
         return S.Span(self.filename, tok.line, tok.col, tok.line, tok.col + max(1, len(tok.text)))
 
     def fail(self, message: str):
@@ -145,7 +136,7 @@ class _BifParser:
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise BifParseError(f"{message}, found {shown!r}", self.span(tok))
 
-    def eat(self, text: str) -> _Tok:
+    def eat(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text:
             self.fail(f"expected {text!r}")
@@ -346,8 +337,6 @@ _KEYWORD_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _sanitize_names(names: list) -> dict:
-    from .parser import KEYWORDS
-
     mapping = {}
     used: set = set()
     for name in names:

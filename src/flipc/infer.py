@@ -143,14 +143,7 @@ def _select(cp: CompiledProgram, literals: list) -> int:
 
 def full_distribution(cp: CompiledProgram) -> dict:
     """Posterior over every inhabitant of the output type."""
-    return accepting_and_distribution(cp)[1]
-
-
-def accepting_and_distribution(cp: CompiledProgram) -> tuple:
-    """The accepting probability and the posterior over every inhabitant of
-    the output type, from one counting pass."""
-    accepting, _, posteriors = _distribution(cp)
-    return accepting, dict(zip(S.enumerate_values(cp.output_ty), posteriors))
+    return dict(zip(S.enumerate_values(cp.output_ty), _distribution(cp)[2]))
 
 
 def _distribution(cp: CompiledProgram) -> tuple:

@@ -56,7 +56,10 @@ class OracleResult(S.Record):
         return self.unnormalized.get(v, 0.0)
 
     def posterior(self, v: S.Value) -> float:
-        return self.distribution.get(v, 0.0)
+        """``distribution.get(v, 0.0)``, without building the distribution."""
+        if self.accepting == 0.0:
+            return 0.0
+        return self.mass(v) / self.accepting
 
 
 def eval_program(program: S.Program) -> OracleResult:
@@ -80,10 +83,7 @@ def eval_program(program: S.Program) -> OracleResult:
 
 
 def _has_observe(program: S.Program) -> bool:
-    for func in program.functions:
-        if any(isinstance(n, S.Observe) for n in S.walk_nodes(func.body)):
-            return True
-    return any(isinstance(n, S.Observe) for n in S.walk_nodes(program.main))
+    return any(isinstance(n, S.Observe) for n in S.program_nodes(program))
 
 
 def _walk(e: S.Expr, env: dict, functions: dict):

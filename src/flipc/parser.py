@@ -97,7 +97,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # 'number' | 'ident' | 'keyword' | 'op' | 'eof'
+    kind: str  # 'number' | 'ident' | 'keyword' | 'op' | 'eof'; BIF adds 'word' | 'punct'
     text: str
     line: int
     col: int

@@ -10,11 +10,14 @@ Types are ``Bool``, products, and (surface only) fixed-size integers, which
 desugar to right-nested one-hot tuples of booleans.  Types are canonical, one
 object per type, so ``==`` and ``hash`` are identity and walk nothing.
 
-Expression nodes, functions and programs are ``Record``s: slotted classes,
-each with its own ``__init__``, whose ``==`` and ``repr`` run over the
-class's ``_fields``; a node's type and span are not among them.  The records
-of the later layers (compiled programs, results, configurations) derive from
-the same base.
+Expression nodes, functions and programs are ``Record``s: slotted classes
+whose ``==`` and ``repr`` run over the class's ``_fields``; a node's type and
+span are not among them.  There is one constructor per operand shape: the
+nodes of one operand derive theirs from ``_Unary`` and those of two from
+``_Binary``, and every other node writes its own.  ``children`` reads a
+node's sub-expressions from its ``_fields``, so no class lists them twice.
+The records of the later layers (compiled programs, results, configurations)
+derive from the same base.
 
 Runtime values are plain Python: ``bool`` for booleans and 2-tuples for pairs.
 A value, a type and a formula tuple are trees of pairs; every walk that builds
@@ -122,8 +125,8 @@ class Record:
     """Equality and repr over the class's ``_fields``, in order.  Two records
     are equal when they are of the same class and their fields are; any
     other comparison is left to the other operand.  A record may change, so
-    it is not hashable.  A subclass declares ``_fields`` and its own
-    ``__init__``, which assigns each field by name."""
+    it is not hashable.  A subclass declares ``_fields`` and an
+    ``__init__``, its own or a base's, which assigns each field by name."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -350,6 +353,29 @@ class Expr(Record):
     __slots__ = ("ty", "span")
 
 
+class _Unary(Expr):
+    """A node of one operand; each subclass only names it."""
+
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, *, ty=None, span=None):
+        self.arg = arg
+        self.ty = ty
+        self.span = span
+
+
+class _Binary(Expr):
+    """A node of two operands; each subclass only names it."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, ty=None, span=None):
+        self.left = left
+        self.right = right
+        self.ty = ty
+        self.span = span
+
+
 class Lit(Expr):
     """A closed value: true, false, or a nested tuple of those."""
 
@@ -379,32 +405,16 @@ class Flip(Expr):
         self.span = span
 
 
-class Fst(Expr):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg, *, ty=None, span=None):
-        self.arg = arg
-        self.ty = ty
-        self.span = span
+class Fst(_Unary):
+    __slots__ = ()
 
 
-class Snd(Expr):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg, *, ty=None, span=None):
-        self.arg = arg
-        self.ty = ty
-        self.span = span
+class Snd(_Unary):
+    __slots__ = ()
 
 
-class Tup(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+class Tup(_Binary):
+    __slots__ = ()
 
 
 class Let(Expr):
@@ -429,13 +439,8 @@ class Ite(Expr):
         self.span = span
 
 
-class Observe(Expr):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg, *, ty=None, span=None):
-        self.arg = arg
-        self.ty = ty
-        self.span = span
+class Observe(_Unary):
+    __slots__ = ()
 
 
 class Call(Expr):
@@ -459,45 +464,22 @@ def mk_tup(left: Expr, right: Expr, span: Optional[Span] = None) -> Expr:
 # Surface-only constructors.
 
 
-class And(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+class And(_Binary):
+    __slots__ = ()
 
 
-class Or(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+class Or(_Binary):
+    __slots__ = ()
 
 
-class Not(Expr):
-    __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg, *, ty=None, span=None):
-        self.arg = arg
-        self.ty = ty
-        self.span = span
+class Not(_Unary):
+    __slots__ = ()
 
 
-class Eq(Expr):
+class Eq(_Binary):
     """Equality on booleans (iff) or same-size integers."""
 
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+    __slots__ = ()
 
 
 class Discrete(Expr):
@@ -519,24 +501,12 @@ class IntLit(Expr):
         self.span = span
 
 
-class IntAdd(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+class IntAdd(_Binary):
+    __slots__ = ()
 
 
-class IntMul(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, ty=None, span=None):
-        self.left = left
-        self.right = right
-        self.ty = ty
-        self.span = span
+class IntMul(_Binary):
+    __slots__ = ()
 
 
 class Iterate(Expr):
@@ -574,15 +544,17 @@ class Function(Record):
 
     @property
     def formal(self) -> str:
-        if len(self.params) != 1:
-            raise ValueError(f"function {self.name} has {len(self.params)} params")
-        return self.params[0][0]
+        return self._param()[0]
 
     @property
     def formal_ty(self) -> Ty:
+        return self._param()[1]
+
+    def _param(self) -> tuple:
+        """The single ``(name, Ty)`` of a function lowered by desugaring."""
         if len(self.params) != 1:
             raise ValueError(f"function {self.name} has {len(self.params)} params")
-        return self.params[0][1]
+        return self.params[0]
 
 
 class Program(Record):
@@ -604,21 +576,8 @@ def is_atomic(e: Expr) -> bool:
 
 
 def children(e: Expr) -> list:
-    if isinstance(e, (Lit, Ident, Flip, IntLit, Discrete)):
-        return []
-    if isinstance(e, (Fst, Snd, Not, Observe)):
-        return [e.arg]
-    if isinstance(e, (Tup, And, Or, Eq, IntAdd, IntMul)):
-        return [e.left, e.right]
-    if isinstance(e, Let):
-        return [e.bound, e.body]
-    if isinstance(e, Ite):
-        return [e.guard, e.then, e.orelse]
-    if isinstance(e, Call):
-        return [e.arg]
-    if isinstance(e, Iterate):
-        return [e.init]
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    """The fields of ``e`` that hold an expression, in field order."""
+    return [c for name in e._fields if isinstance(c := getattr(e, name), Expr)]
 
 
 def walk_nodes(e: Expr) -> Iterator[Expr]:
@@ -643,10 +602,8 @@ def is_core(e: Expr) -> bool:
             return False
         if isinstance(node, Ite) and not is_atomic(node.guard):
             return False
-        if isinstance(node, (Fst, Snd, Observe)) and not is_atomic(node.arg):
+        if isinstance(node, (Fst, Snd, Observe, Call)) and not is_atomic(node.arg):
             return False
         if isinstance(node, Tup) and not (is_atomic(node.left) and is_atomic(node.right)):
-            return False
-        if isinstance(node, Call) and not is_atomic(node.arg):
             return False
     return True

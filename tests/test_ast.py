@@ -254,6 +254,71 @@ class TestRecords:
             S.Lit(True, S.BOOL)  # a node's type is keyword-only
 
 
+_X, _Y, _Z = S.Ident("x"), S.Ident("y"), S.Ident("z")
+
+# One instance of every expression class, with its children in field order.
+NODE_SHAPES = [
+    (S.Lit((True, False)), []),
+    (S.Ident("x"), []),
+    (S.Flip(0.5), []),
+    (S.Fst(_X), [_X]),
+    (S.Snd(_X), [_X]),
+    (S.Tup(_X, _Y), [_X, _Y]),
+    (S.Let("w", _X, _Y), [_X, _Y]),
+    (S.Ite(_X, _Y, _Z), [_X, _Y, _Z]),
+    (S.Observe(_X), [_X]),
+    (S.Call("f", _X), [_X]),
+    (S.And(_X, _Y), [_X, _Y]),
+    (S.Or(_X, _Y), [_X, _Y]),
+    (S.Not(_X), [_X]),
+    (S.Eq(_X, _Y), [_X, _Y]),
+    (S.Discrete([0.25, 0.75]), []),
+    (S.IntLit(3, 1), []),
+    (S.IntAdd(_X, _Y), [_X, _Y]),
+    (S.IntMul(_X, _Y), [_X, _Y]),
+    (S.Iterate("f", _X, 3), [_X]),
+]
+
+
+def _node_classes(base):
+    for cls in base.__subclasses__():
+        if not cls.__name__.startswith("_"):
+            yield cls
+        yield from _node_classes(cls)
+
+
+class TestNodeShapes:
+    """``children`` reads a node's fields, and the one- and two-operand
+    nodes share one constructor per shape without losing their identity."""
+
+    def test_every_expression_class_is_covered(self):
+        covered = {type(e) for e, _ in NODE_SHAPES}
+        assert covered == set(_node_classes(S.Expr)) and len(covered) == 19
+
+    @pytest.mark.parametrize(
+        "e, expected", NODE_SHAPES, ids=[type(e).__name__ for e, _ in NODE_SHAPES]
+    )
+    def test_children_in_field_order_and_no_dict(self, e, expected):
+        got = S.children(e)
+        assert got == expected and all(a is b for a, b in zip(got, expected))
+        assert not hasattr(e, "__dict__")
+
+    @pytest.mark.parametrize("base", [S._Unary, S._Binary], ids=lambda b: b.__name__)
+    def test_shape_siblings_stay_apart(self, base):
+        siblings = list(_node_classes(base))
+        assert len(siblings) == {S._Unary: 4, S._Binary: 6}[base]
+        operands = (_X,) if base is S._Unary else (_X, _Y)
+        for cls in siblings:
+            assert "__init__" not in vars(cls)
+            e = cls(*operands, ty=S.BOOL, span=S.Span("a", 1, 1, 1, 2))
+            assert (e.ty, e.span) == (S.BOOL, S.Span("a", 1, 1, 1, 2))
+            assert e == cls(*operands)
+            assert repr(e).startswith(f"{cls.__name__}(")
+            for other in siblings:
+                if other is not cls:
+                    assert e != other(*operands)
+
+
 class TestNormalizeAnf:
     """``desugar_expr`` emits A-normal form directly."""
 

@@ -888,7 +888,8 @@ def same_structure(build, mode):
         first.flip_count,
         first.template_flips,
     )
-    assert infer.accepting_and_distribution(swapped) == infer.accepting_and_distribution(second)
+    assert infer.accepting_probability(swapped) == infer.accepting_probability(second)
+    assert infer.full_distribution(swapped) == infer.full_distribution(second)
     return first.weights != second.weights
 
 

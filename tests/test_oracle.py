@@ -182,6 +182,28 @@ class TestOracleInvariants:
             count += 1
             assert eval_program(core).accepting == 1.0
 
+    def test_posterior_is_the_distributions_entry(self, rng):
+        # Bit for bit, on every value of the erased output type (a value of
+        # it the program never returns among them), on a value of another
+        # shape, and on a program that rejects every execution.
+        _, rejecting = frontend("let x = observe false in flip 0.5")
+        results = [eval_program(rejecting), eval_program_denotational(rejecting)]
+        assert results[0].accepting == results[1].accepting == 0.0
+        values = [[True, False]] * 2
+        for _ in range(60):
+            program = random_program(rng, GenConfig(max_flips=8, max_depth=3))
+            typecheck_program(program)
+            _, core = frontend_program(program)
+            results += [eval_program(core), eval_program_denotational(core)]
+            values += [S.enumerate_values(S.erase_int_types(program.main.ty))] * 2
+        missing = 0
+        for result, inhabitants in zip(results, values):
+            for v in [*inhabitants, ("not", "a value")]:
+                expected = result.distribution.get(v, 0.0)
+                assert result.posterior(v).hex() == expected.hex()
+                missing += v not in result.distribution
+        assert missing > len(results)
+
     def test_path_enumeration_matches_denotational(self, rng):
         for _ in range(60):
             program = random_program(rng, GenConfig(max_flips=8, max_depth=4))
