@@ -9,9 +9,10 @@ Supported BIF constructs::
     probability ( <child> | <parent>, ... ) { ( <state>, ... ) p1, ..., pn; ... }
 
 Anything else (continuous variables, ``property`` lines, ``default`` rows)
-is rejected with its location.  Every conditional-probability row must sum
-to one (within 1e-6) and every parent-state combination must appear exactly
-once.
+is rejected with its location.  A state count must be a whole number, a
+block may list a parent only once, every conditional-probability row must
+sum to one (within 1e-6) and every parent-state combination must appear
+exactly once.
 
 The translation emits variables in topological order.  A root becomes a
 ``discrete(...)``; a child dispatches on its parents' one-hot indicators
@@ -25,6 +26,7 @@ program by hand.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import syntax as S
@@ -81,11 +83,12 @@ class BayesNet(S.Record):
 
 _BIF_TOKEN = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
+    (?P<skip>(?:\s+|//[^\n]*|/\*.*?\*/)+)
   | (?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_.\-]*)
   | (?P<punct>[{}()\[\];,|])
+  | (?P<eof>\Z)
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -98,101 +101,88 @@ class _BifParser:
         self.pos = 0
 
     def _lex(self, text: str) -> list:
+        # Columns are offsets from the start of the current line; only a
+        # skipped match can hold a newline.
         tokens = []
-        line, col, pos = 1, 1, 0
-        while pos < len(text):
-            m = _BIF_TOKEN.match(text, pos)
-            if m is None:
+        line, line_start = 1, 0
+        for m in _BIF_TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "skip":
+                newlines = text.count("\n", m.start(), m.end())
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", m.start(), m.end()) + 1
+                continue
+            col = m.start() - line_start + 1
+            if kind == "bad":
                 raise BifParseError(
-                    f"unexpected character {text[pos]!r}",
+                    f"unexpected character {m[kind]!r}",
                     S.Span(self.filename, line, col, line, col + 1),
                 )
-            if m.lastgroup not in ("ws", "comment"):
-                tokens.append(Token(m.lastgroup, m.group(), line, col))
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                col = len(m.group()) - m.group().rfind("\n")
-            else:
-                col += len(m.group())
-            pos = m.end()
-        tokens.append(Token("eof", "", line, col))
+            tokens.append(Token(kind, m[kind], line, col))
         return tokens
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    # -- token plumbing ----------------------------------------------------
+    #
+    # The eof token's text is empty and its kind is no grammar kind, so a
+    # matched token is never eof and consuming it is ``self.pos += 1``.
 
-    def next(self) -> Token:
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
+
+    def eat(self, text: str) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok.text != text:
+            self.fail(f"expected {text!r}")
+        self.pos += 1
         return tok
+
+    def take(self, kind: str, what: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return tok
+
+    def listed(self, kind: str, what: str) -> list:
+        """One or more tokens of ``kind``, separated by commas."""
+        tokens = [self.take(kind, what)]
+        while self.at(","):
+            self.pos += 1
+            tokens.append(self.take(kind, what))
+        return tokens
 
     def span(self, tok: Token) -> S.Span:
         return S.Span(self.filename, tok.line, tok.col, tok.line, tok.col + max(1, len(tok.text)))
 
     def fail(self, message: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise BifParseError(f"{message}, found {shown!r}", self.span(tok))
-
-    def eat(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}")
-        return self.next()
-
-    def word(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "word":
-            self.fail(f"expected {what}")
-        return self.next().text
-
-    def number(self) -> float:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected a number")
-        return float(self.next().text)
-
-    def numbers(self) -> list:
-        values = [self.number()]
-        while self.peek().text == ",":
-            self.next()
-            values.append(self.number())
-        return values
-
-    def words(self, what: str) -> list:
-        values = [self.word(what)]
-        while self.peek().text == ",":
-            self.next()
-            values.append(self.word(what))
-        return values
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> BayesNet:
         self.eat("network")
-        name = self.word("network name")
+        name = self.take("word", "network name").text
         self.eat("{")
-        while self.peek().text != "}":
-            if self.peek().text == "property":
-                self.fail("unsupported construct 'property'")
+        if self.at("property"):
+            self.fail("unsupported construct 'property'")
+        if not self.at("}"):
             self.fail("unexpected token in network block")
-        self.eat("}")
-        variables: list = []
-        declared: dict = {}
+        self.pos += 1
+        declared: dict = {}  # variable name -> its states, in declaration order
         declared_at: dict = {}  # variable name -> its 'variable' token
         parents: dict = {}
         cpts: dict = {}
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.tokens[self.pos].kind != "eof":
+            tok = self.tokens[self.pos]
             if tok.text == "variable":
                 var_name, states = self.variable_block()
                 if var_name in declared:
                     raise BifParseError(f"duplicate variable {var_name!r}", self.span(tok))
                 declared[var_name] = states
                 declared_at[var_name] = tok
-                variables.append((var_name, states))
             elif tok.text == "probability":
                 child, parent_list, rows = self.probability_block(declared)
                 if child in cpts:
@@ -201,85 +191,83 @@ class _BifParser:
                 cpts[child] = rows
             else:
                 self.fail("expected 'variable' or 'probability'")
-        for var_name, _ in variables:
+        for var_name, tok in declared_at.items():
             if var_name not in cpts:
-                raise BifParseError(
-                    f"variable {var_name!r} has no probability block", self.span(declared_at[var_name])
-                )
-        net = BayesNet(name, variables, parents, cpts)
+                raise BifParseError(f"variable {var_name!r} has no probability block", self.span(tok))
+        net = BayesNet(name, list(declared.items()), parents, cpts)
         net.topological_order()  # raises on cycles
         return net
 
     def variable_block(self):
         self.eat("variable")
-        name = self.word("variable name")
+        name = self.take("word", "variable name").text
         self.eat("{")
-        type_tok = self.peek()
-        self.eat("type")
-        kind = self.word("variable type")
+        type_tok = self.eat("type")
+        kind = self.take("word", "variable type").text
         if kind != "discrete":
             raise BifParseError(
                 f"unsupported variable type {kind!r} (only discrete)", self.span(type_tok)
             )
         self.eat("[")
-        count_tok = self.peek()
-        count = int(self.number())
+        count_tok = self.take("number", "a number")
+        if not count_tok.text.isdecimal():
+            raise BifParseError(
+                f"variable {name!r} has state count {count_tok.text!r}, not a whole number",
+                self.span(count_tok),
+            )
         self.eat("]")
         self.eat("{")
-        first = self.pos
-        states = self.words("state label")
+        labels = self.listed("word", "state label")
         seen: set = set()
-        for tok in self.tokens[first : self.pos : 2]:  # the labels, not the commas
+        for tok in labels:
             if tok.text in seen:
                 raise BifParseError(f"variable {name!r} repeats state {tok.text!r}", self.span(tok))
             seen.add(tok.text)
         self.eat("}")
         self.eat(";")
-        if self.peek().text == "property":
+        if self.at("property"):
             self.fail("unsupported construct 'property'")
         self.eat("}")
-        if count != len(states):
+        count = int(count_tok.text)
+        if count != len(labels):
             raise BifParseError(
-                f"variable {name!r} declares {count} states but lists {len(states)}",
+                f"variable {name!r} declares {count} states but lists {len(labels)}",
                 self.span(count_tok),
             )
-        if len(states) < 2:
+        if count < 2:
             raise BifParseError(f"variable {name!r} needs at least two states", self.span(count_tok))
-        return name, states
+        return name, [tok.text for tok in labels]
 
     def probability_block(self, declared: dict):
-        start = self.peek()
-        self.eat("probability")
+        start = self.eat("probability")
         self.eat("(")
-        child = self.word("variable name")
+        child = self.take("word", "variable name").text
         if child not in declared:
             raise BifParseError(f"probability block for undeclared variable {child!r}", self.span(start))
         parent_list: list = []
-        if self.peek().text == "|":
-            self.next()
-            parent_list = self.words("parent name")
+        if self.at("|"):
+            self.pos += 1
+            parent_list = [tok.text for tok in self.listed("word", "parent name")]
         self.eat(")")
         for parent in parent_list:
             if parent not in declared:
                 raise BifParseError(f"undeclared parent {parent!r}", self.span(start))
-        child_states = declared[child]
+        for i, parent in enumerate(parent_list):
+            if parent in parent_list[:i]:
+                raise BifParseError(f"parent {parent!r} is listed twice", self.span(start))
+        arity = len(declared[child])
         self.eat("{")
-        rows: dict = {}
         if not parent_list:
-            tok = self.peek()
-            self.eat("table")
-            values = self.numbers()
-            self.eat(";")
-            self._check_row(child, values, len(child_states), tok)
-            rows[()] = values
+            rows = {(): self._row(child, arity, self.eat("table"))}
         else:
+            rows = {}
             parent_state_lists = [declared[p] for p in parent_list]
-            while self.peek().text != "}":
-                tok = self.peek()
+            while not self.at("}"):
+                tok = self.tokens[self.pos]
                 if tok.text in ("table", "default"):
                     self.fail(f"unsupported row form {tok.text!r} in a conditional block")
                 self.eat("(")
-                labels = self.words("state label")
+                labels = [t.text for t in self.listed("word", "state label")]
                 self.eat(")")
                 if len(labels) != len(parent_list):
                     raise BifParseError(
@@ -298,13 +286,8 @@ class _BifParser:
                     raise MalformedCptError(
                         f"duplicate row for parent states {labels}", self.span(tok)
                     )
-                values = self.numbers()
-                self.eat(";")
-                self._check_row(child, values, len(child_states), tok)
-                rows[key] = values
-            expected_rows = 1
-            for states in parent_state_lists:
-                expected_rows *= len(states)
+                rows[key] = self._row(child, arity, tok)
+            expected_rows = math.prod(map(len, parent_state_lists))
             if len(rows) != expected_rows:
                 raise MalformedCptError(
                     f"probability block for {child!r} has {len(rows)} rows, "
@@ -314,7 +297,11 @@ class _BifParser:
         self.eat("}")
         return child, parent_list, rows
 
-    def _check_row(self, child: str, values: list, arity: int, tok):
+    def _row(self, child: str, arity: int, tok: Token) -> list:
+        """The numbers of a CPT row and its ';', checked against the child's
+        ``arity``; ``tok`` starts the row and spans its errors."""
+        values = [float(t.text) for t in self.listed("number", "a number")]
+        self.eat(";")
         if len(values) != arity:
             raise MalformedCptError(
                 f"row for {child!r} has {len(values)} entries, expected {arity}",
@@ -324,6 +311,7 @@ class _BifParser:
             raise MalformedCptError(
                 f"row for {child!r} sums to {sum(values)!r}, not 1", self.span(tok)
             )
+        return values
 
 
 def parse_bif(text: str, filename: str = "<bif>") -> BayesNet:

@@ -1,5 +1,6 @@
 """BIF-subset ingestion and the network-to-program translation."""
 
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,9 @@ from flipc.errors import (
 from flipc.parser import parse_program, pretty_program
 from flipc.typecheck import typecheck_program
 
+from conftest import layered_bif
+
+
 def load_cancer() -> str:
     from importlib import resources
 
@@ -45,6 +49,9 @@ probability ( B | A ) {
   ( a1 ) 0.0, 1.0;
 }
 """
+
+# sha256 of the parsed networks in test_parsed_networks_are_pinned.
+PARSE_DIGEST = "c9f2aacc7bc71015dbf47b1a33c92ec62abb085d37254f6ac6044c423a15dd7b"
 
 
 class TestParseBif:
@@ -121,16 +128,62 @@ class TestParseBif:
             ("probability ( B ) { table 0.3, 0.7; }", "block for undeclared variable 'B'", 1),
             ("variable B { type discrete [ 1 ] { yes }; }", "'B' needs at least two states", 30),
             ("variable B { type discrete [ 2 ] { x, x }; }", "'B' repeats state 'x'", 39),
+            (
+                "variable B { type discrete [ 2.5 ] { yes, no }; }",
+                "'B' has state count '2.5', not a whole number",
+                30,
+            ),
+            (
+                "variable B { type discrete [ 2 ] { yes, no }; } probability ( B | A, A ) {"
+                " ( yes, yes ) 0.5, 0.5; ( yes, no ) 0.5, 0.5;"
+                " ( no, yes ) 0.5, 0.5; ( no, no ) 0.5, 0.5; }",
+                "parent 'A' is listed twice",
+                49,
+            ),
         ],
         ids=[
             "duplicate-variable", "duplicate-block", "no-block", "undeclared", "one-state",
-            "repeated-state",
+            "repeated-state", "fractional-count", "repeated-parent",
         ],
     )
     def test_malformed_declarations_rejected(self, extra, message, column):
         with pytest.raises(BifParseError, match=message) as err:
             parse_bif(SINGLE + extra + "\n")
         assert (err.value.span.start_line, err.value.span.start_col) == (5, column)
+
+    # Lines are counted through both comment forms and CRLF line ends, and an
+    # unterminated '/*' is refused where it starts.
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (SINGLE + "/* one\n   two\n   three */ bogus\n", "found 'bogus'", (7, 13)),
+            (SINGLE + "// one\n// two\n  bogus // three\n", "found 'bogus'", (7, 3)),
+            (
+                SINGLE.replace("yes, no", "yes, yes").replace("\n", "\r\n"),
+                "'A' repeats state 'yes'",
+                (3, 41),
+            ),
+            (
+                SINGLE + "variable B /* a\n b */ {\n  /* never closed",
+                "unexpected character '/'",
+                (7, 3),
+            ),
+        ],
+        ids=["block-comment", "line-comments", "crlf", "unterminated-comment"],
+    )
+    def test_positions_count_lines_past_comments(self, text, message, position):
+        with pytest.raises(BifParseError, match=message) as err:
+            parse_bif(text)
+        assert (err.value.span.start_line, err.value.span.start_col) == position
+
+    def test_parsed_networks_are_pinned(self):
+        # cancer.bif and ten seeded layered nets of two to five layers, two to
+        # four columns and two or three states each.
+        texts = [load_cancer()] + [
+            layered_bif(2 + seed % 4, 2 + seed % 3, 2 + seed % 2, seed)[0] for seed in range(10)
+        ]
+        parsed = "\n".join(repr(parse_bif(text)) for text in texts)
+        assert hashlib.sha256(parsed.encode()).hexdigest() == PARSE_DIGEST
 
     def test_repeated_state_of_a_parent_rejected_at_its_declaration(self):
         # Not at the child's rows, which would read as a duplicate row.
