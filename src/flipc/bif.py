@@ -228,7 +228,13 @@ class _BifParser:
         if self.at("property"):
             self.fail("unsupported construct 'property'")
         self.eat("}")
-        count = int(count_tok.text)
+        try:
+            count = int(count_tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise BifParseError(
+                f"variable {name!r} has a state count of {len(count_tok.text)} digits, too many",
+                self.span(count_tok),
+            ) from None
         if count != len(labels):
             raise BifParseError(
                 f"variable {name!r} declares {count} states but lists {len(labels)}",

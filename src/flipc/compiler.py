@@ -17,7 +17,14 @@ the environment and conjoins accepting formulas.
 Functions compile once to a template over placeholder argument variables;
 each call refreshes the template's flips with fresh variables, registered
 in one step, and substitutes the actual argument formulas by BDD
-composition.  A call whose argument formulas repeat an earlier call's to
+composition.  The placeholders follow the formal's surface type, which
+desugaring records on the function (``placeholders``): one per Bool leaf,
+and ceil(log2 n) code placeholders per ``int(n)`` component, the binary
+encoding of Cao et al. (UAI 2023) used at this boundary only.  The
+template's integer leaves are decoded from the codes, and a call sends
+each code bit to the OR of the argument leaves whose index sets it.  So a
+template covers the n values of an integer, not all 2^n combinations of
+its one-hot leaves.  A call whose argument formulas repeat an earlier call's to
 the same function does not compose the template again: it renames the
 earlier instance's fresh flips to its own.  The argument formulas predate
 both calls' fresh flips, and the new flips are the newest levels, so the
@@ -46,22 +53,35 @@ compiles over the placeholders, and one simultaneous composition then
 substitutes the held formulas back.  Binding the formulas themselves would
 make every later layer copy them, so the store would grow quadratically
 along a chain of lets while the live BDD grows linearly.  The bound's
-surface type, which desugaring records on it, decides which leaves are
-held.  The leaves of an ``int(n)`` component never are: they are mutually
-exclusive, and independent placeholders would make the body build cases
-for value combinations that cannot happen.  Every other leaf is held when
-it mentions a level the bound registered (one of its flips or an inner
-placeholder) and its deepest level lies at least three below its root's; a
-narrower leaf has at most five nodes, too few to repay a level and a
-composition.  A leaf that only combines earlier levels (a partial sum of
-``x + y``) is bound as it is: its placeholder would sit below the leaf's
-own levels, and composing it back would re-expand the formula through
-``ite``.  A ``let`` in the bound of another ``let`` leaves its composition
-to the enclosing one, which composes the newest group first.  No leaf
-rooted at a function's formal is held, since composing through the formals,
-which precede the template's flips, would be a full Shannon expansion.
-Every placeholder is composed away before a template or the program is
-finished, so the result is the same canonical BDD.
+surface type, which desugaring records on it, decides how leaves are
+held.  A Bool leaf is held when it mentions a level the bound registered
+(one of its flips or an inner placeholder) and its deepest level lies at
+least three below its root's; a narrower leaf has at most five nodes, too
+few to repay a level and a composition.  An ``int(n)`` component, n >= 2,
+is held as a whole, by the same rule read over its leaves (one mentions a
+level the bound registered, the widest spans three levels), behind the
+code placeholders of a formal of its type.  Its leaves are mutually
+exclusive, so independent placeholders per leaf would make the body build
+cases for value combinations that cannot happen; its codes make the body
+build one case per value.  A leaf that only combines earlier levels (a
+partial sum of ``x + y``) is bound as it is: its placeholder would sit
+below the leaf's own levels, and composing it back would re-expand the
+formula through ``ite``.  A ``let`` in the bound of another ``let`` leaves
+its composition to the enclosing one, which composes the newest group
+first.  No leaf rooted at a function's formal is held, since composing
+through the formals, which precede the template's flips, would be a full
+Shannon expansion.  Every placeholder is composed away before a template
+or the program is finished, so the result is the same canonical BDD.
+
+Codes are sound where the integer's leaves are exactly one true on every
+assignment, accepting or not: then the decoded leaves composed back are
+the leaves themselves, and by canonicity the same handles.  Every integer
+formula is: a literal and a ``discrete`` are one-hot in every branch, a
+conditional picks one of two such, ``+`` and ``*`` give each value pair
+one result, and a decoded integer is exactly one true on every code, the
+unused codes n to 2^b-1 included, since its last leaf is the negation of
+the OR of the others.  The tests check it on every held integer and every
+integer argument.
 
 Flip variables enter the global BDD order in the syntactic order compilation
 reaches them; a call's refreshed flips are allocated contiguously at the
@@ -76,7 +96,8 @@ store are freed by reference counting alone.  So ``compile_source`` and
 ``compile_program`` run with the cyclic garbage collector paused, which
 would otherwise rescan those growing structures at every young-generation
 threshold (about 2,600 collections, ten of them full, while compiling a
-100,001-flip chain).  The pause is process-wide and ends with the call,
+100,001-flip chain).  The queries in ``infer`` run paused too.  The pause
+(``collector_paused``) is process-wide and ends with the call,
 after an error too; if the young generation passed its threshold
 meanwhile, one ``gc.collect(1)`` scans the survivors just before.  A call
 made while the collector is already disabled, by a caller or by the
@@ -113,18 +134,70 @@ def with_leaves(t, leaves: list):
     return S.fold(t, partial(next, iter(leaves)))
 
 
-def form(mgr: BddManager, name: str, ty: S.Ty):
-    """Placeholder variables for an argument of type ``ty``: one free
-    variable per Bool leaf, components suffixed _l and _r, registered left
-    to right."""
+def placeholders(mgr: BddManager, name: str, ty: S.Ty, coded: bool = True) -> tuple:
+    """Placeholder variables for a value of type ``ty``, registered left to
+    right, components suffixed _l and _r: one per Bool leaf, and b =
+    ceil(log2 n) code placeholders per ``int(n)`` component, suffixed #0
+    (the most significant bit) to #b-1.  With ``coded`` false ``ty`` is a
+    core type, which keeps no ``int(n)``: one in it has no form.
+
+    Returns the value's formula tuple over the placeholders, each integer
+    decoded totally (``_decoded``), and per placeholder, in level order, its
+    level and the indices of the value's leaves (left to right) whose OR it
+    composes back to: a Bool leaf's own, and for code bit j the leaves of
+    its integer whose index sets bit j.  The module docstring says why
+    composing codes back gives the integer itself."""
+    sources = []
+    start = 0  # index of the component's first value leaf
 
     def leaf(node):
+        nonlocal start
         name, ty = node
+        if isinstance(ty, S.IntTy) and coded:
+            decoded = _decoded(mgr, name, ty.size, start, sources)
+            start += ty.size
+            return decoded
         if not isinstance(ty, S.BoolTy):
             raise ShapeMismatchError(f"cannot build a form for type {ty}")
-        return mgr.var(mgr.new_free(name))
+        level = mgr.new_free(name)
+        sources.append((level, (start,)))
+        start += 1
+        return mgr.var(level)
 
-    return S.fold((name, ty), leaf, split=_form_parts)
+    return S.fold((name, ty), leaf, split=_form_parts), sources
+
+
+def _decoded(mgr: BddManager, name: str, size: int, start: int, sources: list):
+    """The leaves of an ``int(size)`` component, from value leaf ``start``
+    on, decoded totally from fresh code placeholders, whose sources go on
+    ``sources``: leaf i < size-1 is the code of i, and leaf size-1 the codes
+    from size-1 up, the negation of the OR of the others.  So every code,
+    the unused ones included, decodes to exactly one leaf.  Each leaf is
+    built bottom up, one node per code bit at most."""
+    width = (size - 1).bit_length()
+    levels = [mgr.new_free(f"{name}#{j}") for j in range(width)]
+    for j, level in enumerate(levels):
+        bit = width - 1 - j
+        sources.append((level, tuple(start + i for i in range(size) if i >> bit & 1)))
+    mk = mgr._mk
+    t = None
+    for i in reversed(range(size)):
+        # Leaf size-1 holds on every code above its own: where its code has
+        # a 0, the placeholder's 1 branch is TRUE.
+        above = TRUE if i == size - 1 else FALSE
+        code = TRUE
+        for bit, level in enumerate(reversed(levels)):
+            code = mk(level, code, FALSE) if i >> bit & 1 else mk(level, above, code)
+        t = code if t is None else (code, t)
+    return t
+
+
+def form(mgr: BddManager, name: str, ty: S.Ty):
+    """Placeholder variables for an argument of type ``ty``, as the formula
+    tuple ``placeholders`` returns: a free variable per Bool leaf,
+    components suffixed _l and _r, and each ``int(n)`` component's leaves
+    decoded from its code placeholders."""
+    return placeholders(mgr, name, ty)[0]
 
 
 def _form_parts(node):
@@ -169,12 +242,20 @@ def pointwise_ite(mgr: BddManager, g: int, t, e):
 
 
 class CompiledFunction(S.Record):
-    __slots__ = _fields = ("formal_levels", "formula", "accepting", "flip_levels")
+    __slots__ = _fields = ("formal_sources", "arity", "formula", "accepting", "flip_levels")
 
     def __init__(
-        self, formal_levels: tuple, formula: Union[int, tuple], accepting: int, flip_levels: list
+        self,
+        formal_sources: tuple,
+        arity: int,
+        formula: Union[int, tuple],
+        accepting: int,
+        flip_levels: list,
     ):
-        self.formal_levels = formal_levels  # level of each formal leaf, in leaf order
+        # (level, argument leaf indices) per formal placeholder, in level
+        # order: a call sends the level to the OR of those argument leaves.
+        self.formal_sources = formal_sources
+        self.arity = arity  # argument leaves a call passes
         self.formula = formula  # formula tuple
         self.accepting = accepting
         self.flip_levels = flip_levels  # template flips, refreshed per call
@@ -305,7 +386,7 @@ def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
     mark = len(ctx.held)
     first_level = mgr.num_levels()
     bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, True)
-    if isinstance(e.bound, _BUILDS) and not isinstance(e.bound.ty, S.IntTy):
+    if isinstance(e.bound, _BUILDS):
         bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
     old = env.get(e.name, _MISSING)
     env[e.name] = bound_formula
@@ -324,10 +405,11 @@ def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
 _BUILDS = (S.Ite, S.Call, S.Let)
 
 def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
-    """``t``, of surface type ``ty``, with each wide Bool leaf that mentions
-    a level from ``first_level`` on replaced by a fresh placeholder
-    variable; the leaves replaced go on ``ctx.held`` as one group.  A bound
-    without a type holds as if every leaf were Bool."""
+    """``t``, of surface type ``ty``, with each wide Bool leaf and ``int(n)``
+    component that mentions a level from ``first_level`` on replaced by
+    fresh placeholder variables (``_held_leaf``); what they stand for goes
+    on ``ctx.held`` as one group.  A bound without a type holds as if every
+    leaf were Bool."""
     group = {}
     if isinstance(t, tuple):
         leaf = partial(_held_leaf, ctx, first_level, group)
@@ -340,15 +422,19 @@ def _hold(ctx: _Compilation, t, ty: Optional[S.Ty], first_level: int):
 
 
 def _held_leaf(ctx: _Compilation, first_level: int, group: dict, node):
-    """``_hold`` of one (type, leaf) pair: the leaf, or a placeholder in ``group``."""
+    """``_hold`` of one (type, component) pair: a Bool leaf as it is or
+    behind one placeholder, an ``int(n)`` component as it is or decoded
+    from its code placeholders (``_held_int``).  Each placeholder goes in
+    ``group`` with the formula it composes back to."""
     ty, t = node
+    if isinstance(ty, S.IntTy):
+        return _held_int(ctx, first_level, group, ty, t)
     mgr = ctx.mgr
     if (
-        isinstance(ty, S.IntTy)
         # A terminal, or a leaf that only combines earlier levels: its
         # placeholder would sit below its own levels, so composing it
         # back would re-expand it.
-        or mgr._maxvar[t] < first_level
+        mgr._maxvar[t] < first_level
         or mgr._maxvar[t] - mgr.level_of(t) < 3
         or mgr.level_of(t) in ctx.formals
     ):
@@ -357,6 +443,28 @@ def _held_leaf(ctx: _Compilation, first_level: int, group: dict, node):
     ctx.placeholders.add(placeholder)
     group[placeholder] = t
     return mgr.var(placeholder)
+
+
+def _held_int(ctx: _Compilation, first_level: int, group: dict, ty: S.IntTy, t):
+    """``_held_leaf`` of an ``int(n)`` component: held behind its code
+    placeholders, each composed back as the OR of the leaves whose index
+    sets its bit, by the Bool leaf's rule read over all its leaves."""
+    mgr = ctx.mgr
+    if ty.size < 2:
+        return t
+    leaves = S.value_leaves(t)
+    maxvar, levels = mgr._maxvar, mgr._var
+    if (
+        max(maxvar[leaf] for leaf in leaves) < first_level
+        or max(maxvar[leaf] - levels[leaf] for leaf in leaves) < 3
+        or any(levels[leaf] in ctx.formals for leaf in leaves)
+    ):
+        return t
+    decoded, sources = placeholders(mgr, f"$hold{len(ctx.placeholders)}", ty)
+    codes = _images(mgr, sources, leaves)
+    ctx.placeholders.update(codes)
+    group.update(codes)
+    return decoded
 
 
 def _release(ctx: _Compilation, mark: int, formula, accepting):
@@ -436,14 +544,19 @@ def _compile_atom(ctx: _Compilation, env: dict, e: S.Expr):
 
 
 def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
-    """The template of ``func``.  Its flips are the flip levels registered
+    """The template of ``func``, over the ``placeholders`` of its formal's
+    surface type: a core function built by hand, which records none, must
+    have a formal of Bool leaves.  Its flips are the flip levels registered
     while compiling it, in ascending level order."""
     mgr = ctx.mgr
-    formal = form(mgr, func.formal, func.formal_ty)
-    formal_levels = tuple(mgr.level_of(n) for n in S.value_leaves(formal))
+    surface = func.surface_ty
+    if surface is None:
+        formal, sources = placeholders(mgr, func.formal, func.formal_ty, coded=False)
+    else:
+        formal, sources = placeholders(mgr, func.formal, surface)
     first_level = mgr.num_levels()
     previous = ctx.formals
-    ctx.formals = frozenset(formal_levels)
+    ctx.formals = frozenset(level for level, _ in sources)
     try:
         formula, accepting = compile_expr(ctx, {func.formal: formal}, func.body)
     finally:
@@ -453,14 +566,29 @@ def compile_function(ctx: _Compilation, func: S.Function) -> CompiledFunction:
         for level in range(first_level, mgr.num_levels())
         if mgr.labels[level].kind == "flip"
     ]
-    return CompiledFunction(formal_levels, formula, accepting, flips)
+    arity = len(S.value_leaves(formal))
+    return CompiledFunction(tuple(sources), arity, formula, accepting, flips)
+
+
+def _images(mgr: BddManager, sources, leaves) -> dict:
+    """Each placeholder level of ``sources`` (see ``placeholders``) sent to
+    the OR of the ``leaves`` it composes back to: a Bool placeholder to its
+    leaf itself, a code bit to the leaves whose index sets it."""
+    images = {}
+    for level, indices in sources:
+        image = leaves[indices[0]]
+        for i in indices[1:]:
+            image = mgr.apply_or(image, leaves[i])
+        images[level] = image
+    return images
 
 
 def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     """Instantiate a compiled function: refresh its flips with fresh
-    variables and substitute the argument formulas for the formal's
-    placeholders, both in one simultaneous composition.  If an earlier call
-    passed the same argument formulas, its instance's formula leaves are
+    variables and send each formal placeholder to the OR of the argument
+    leaves it receives (``_images``), both in one simultaneous composition.
+    If an earlier call passed the same argument formulas, its instance's
+    formula leaves are
     composed with the renaming of its fresh flips to these instead (unless
     all constant), and its accepting formula, unless a constant, is
     returned pending (``_Pending``) under that renaming.  Every composition
@@ -473,14 +601,14 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     for level, flip in zip(template.flip_levels, fresh):
         weights[flip] = weights[level]
     arg_leaves = tuple(S.value_leaves(arg))
-    if len(template.formal_levels) != len(arg_leaves):
+    if template.arity != len(arg_leaves):
         raise ShapeMismatchError(
             f"call to {func_name}: argument shape does not match the formal"
         )
     key = (func_name, arg_leaves)
     instance = ctx.instances.get(key)
     if instance is None:
-        mapping = dict(zip(template.formal_levels, arg_leaves))
+        mapping = _images(mgr, template.formal_sources, arg_leaves)
         for level, flip in zip(template.flip_levels, fresh):
             mapping[level] = mgr.var(flip)
         formula, accepting = _compose(mgr, template.formula, template.accepting, mapping, ctx.walks)
@@ -499,17 +627,18 @@ def apply_call(ctx: _Compilation, func_name: str, arg) -> tuple:
     return formula, accepting
 
 
-def _collector_paused(compile_fn):
-    """``compile_fn`` run with the cyclic garbage collector paused (see the
-    module docstring), unless it is disabled already."""
+def collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused (see the module
+    docstring), unless it is disabled already.  Compilation and the queries
+    (``infer``) run so; neither makes a reference cycle."""
 
-    @wraps(compile_fn)
+    @wraps(fn)
     def paused(*args, **kwargs):
         if not gc.isenabled():
-            return compile_fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         gc.disable()
         try:
-            return compile_fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
             try:
                 if 0 < gc.get_threshold()[0] < gc.get_count()[0]:
@@ -520,7 +649,7 @@ def _collector_paused(compile_fn):
     return paused
 
 
-@_collector_paused
+@collector_paused
 def compile_program(
     program: S.Program, mode: str = "modular", max_nodes: Optional[int] = None
 ) -> CompiledProgram:
@@ -602,7 +731,7 @@ def _inline_step(completed: dict, e: S.Expr):
 # Convenience front end
 
 
-@_collector_paused
+@collector_paused
 def compile_source(
     text: str, filename: str = "<input>", mode: str = "modular", max_nodes: Optional[int] = None
 ):

@@ -17,15 +17,17 @@ they can never capture user names.
 
 All entry points expect a typechecked input: integer desugaring reads the
 operand sizes off the ``ty`` annotations.  The input is not modified.  The
-output is not typechecked, and the tests check that it is well typed.  Its
-one type annotation the compiler reads is on a ``let`` bound: the surface
-type of a surface ``let``'s bound, a ``$t`` temporary's operand, an integer
-operator's operand or an ``iterate`` argument, stored once per bound
-without a walk over the type.  It keeps ``int(n)``, so the compiler can
-tell a one-hot integer's leaves, which it never holds behind independent
-placeholders, from independent Bools.  Bounds over Bool terms that
+output is not typechecked, and the tests check that it is well typed.  The
+compiler reads two type annotations, both surface types that keep
+``int(n)``, so it can tell a one-hot integer's leaves, which it holds
+behind code placeholders, from independent Bools.  One is on a ``let``
+bound: the surface type of a surface ``let``'s bound, a ``$t`` temporary's
+operand, an integer operator's operand or an ``iterate`` argument, stored
+once per bound without a walk over the type.  Bounds over Bool terms that
 desugaring writes itself (an integer operator's or-chains, the sides of a
-Bool ``==``) may carry none, which the compiler reads as Bool.
+Bool ``==``) may carry none, which the compiler reads as Bool.  The other
+is a function's ``surface_ty``, its formal's type before erasure; its
+``params`` hold the erased type.
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ def desugar_program(program: S.Program) -> S.Program:
     for func in lowered.functions:
         body = desugar_expr(func.body)
         params = [(func.formal, S.erase_int_types(func.formal_ty))]
-        functions.append(S.Function(func.name, params, S.erase_int_types(func.return_ty), body))
+        functions.append(
+            S.Function(
+                func.name, params, S.erase_int_types(func.return_ty), body,
+                surface_ty=func.formal_ty,
+            )
+        )
     return S.Program(functions, desugar_expr(lowered.main))
 
 

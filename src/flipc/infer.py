@@ -37,7 +37,10 @@ makes every posterior zero.
 
 Compilation happens once; queries reuse the manager.  The conjunctions a
 query builds do create nodes, so queries are serialized (run them from one
-thread); they perform no other construction.
+thread); they perform no other construction.  A query makes no reference
+cycle either, so ``distribution_result``, ``marginals_result`` and
+``accepting_result`` run with the cyclic collector paused, as compilation
+does (``compiler.collector_paused``).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Optional
 
 from . import syntax as S
 from .bdd import FALSE, TRUE
-from .compiler import CompiledProgram, leaf_paths
+from .compiler import CompiledProgram, collector_paused, leaf_paths
 from .errors import OutputTooWideError, ShapeMismatchError
 
 MAX_VALUES = 2**20
@@ -209,18 +212,21 @@ def _leaf_keys(ty: S.Ty) -> list:
     return [str(i) for i in range(ty.size)] if isinstance(ty, S.IntTy) else ["false", "true"]
 
 
+@collector_paused
 def distribution_result(cp: CompiledProgram) -> InferenceResult:
     accepting, denominator, posteriors = _distribution(cp)
     entries = list(zip(_value_keys(cp.output_ty), posteriors))
     return InferenceResult(accepting, "distribution", entries, denominator)
 
 
+@collector_paused
 def marginals_result(cp: CompiledProgram) -> InferenceResult:
     accepting, denominator, marginal = _marginals(cp)
     entries = [(path if path else "value", p) for path, p in marginal]
     return InferenceResult(accepting, "marginals", entries, denominator)
 
 
+@collector_paused
 def accepting_result(cp: CompiledProgram) -> InferenceResult:
     accepting, denominator, _ = _query(cp, [])
     return InferenceResult(accepting, "accepting", [], denominator)

@@ -244,8 +244,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind != "number" or not tok.text.isdigit():
             self.fail(f"expected {what}")
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            message = f"{what} has {len(tok.text)} digits, too many"
+            raise ParseError(message, self.span(tok)) from None
         self.pos += 1
-        return int(tok.text)
+        return value
 
     def number(self, what: str) -> tuple[float, Token]:
         """Decimal literal or fraction a/b."""

@@ -528,19 +528,25 @@ class Function(Record):
     """A non-recursive function.
 
     Surface functions may take several parameters; desugaring rewrites them to
-    a single formal of (right-nested) tuple type.  The span stays out of
-    ``==`` and ``repr``.
+    a single formal of (right-nested) tuple type with ``int(n)`` erased, and
+    records the formal's surface type in ``surface_ty``, as it records a
+    ``let`` bound's on the bound, so compilation can tell an integer's leaves
+    from independent Bools.  The span and ``surface_ty`` stay out of ``==``
+    and ``repr``.
     """
 
     _fields = ("name", "params", "return_ty", "body")
-    __slots__ = (*_fields, "span")
+    __slots__ = (*_fields, "span", "surface_ty")
 
-    def __init__(self, name: str, params: list, return_ty: Ty, body: Expr, span=None):
+    def __init__(
+        self, name: str, params: list, return_ty: Ty, body: Expr, span=None, surface_ty=None
+    ):
         self.name = name
         self.params = params  # list of (name, Ty)
         self.return_ty = return_ty
         self.body = body
         self.span = span
+        self.surface_ty = surface_ty  # Optional[Ty]
 
     @property
     def formal(self) -> str:

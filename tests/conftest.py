@@ -34,7 +34,11 @@ def layered_bif(layers, width, states, seed):
     first of the last layer).  Each layer has ``width`` variables of
     ``states`` states; a variable past the first layer has two parents in
     the layer before it, at its own column and the next one (wrapping), and
-    every CPT row is drawn at random."""
+    every CPT row is drawn at random.  Under two columns those two parents
+    would be one variable, which the BIF reader refuses, so a width under 2
+    is refused here."""
+    if width < 2:
+        raise ValueError(f"layered_bif needs a width of at least 2 for two parents, not {width}")
     rng = random.Random(seed)
     labels = ", ".join(f"s{k}" for k in range(states))
     names = [[f"v{layer}_{col}" for col in range(width)] for layer in range(layers)]

@@ -185,6 +185,12 @@ class TestParseBif:
         parsed = "\n".join(repr(parse_bif(text)) for text in texts)
         assert hashlib.sha256(parsed.encode()).hexdigest() == PARSE_DIGEST
 
+    def test_a_layered_net_under_two_columns_is_refused(self):
+        # At width 1 both parents would be the one variable of the layer
+        # before, which the reader refuses as a parent listed twice.
+        with pytest.raises(ValueError, match="width of at least 2"):
+            layered_bif(3, 1, 2, seed=0)
+
     def test_repeated_state_of_a_parent_rejected_at_its_declaration(self):
         # Not at the child's rows, which would read as a duplicate row.
         bad = """

@@ -203,6 +203,14 @@ class TestInfer:
         assert code == 1
         assert "bad.dice:1:" in err
 
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        # int() refuses more than 4,300 digits; the reader reports where.
+        path = tmp_path / "big.dice"
+        path.write_text("int(" + "1" * 5000 + ", 1)")
+        code, out, err = run(capsys, "infer", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:1:5: integer size has 5000 digits, too many\n"
+
     def test_marginals_query(self, capsys, tmp_path):
         path = tmp_path / "pair.dice"
         path.write_text("(flip 0.2, flip 0.7)")
@@ -258,6 +266,21 @@ class TestTranslate:
         code, _, err = run(capsys, "translate", str(bif), "--query", "A", "-o", "/tmp/x.dice")
         assert code == 1
         assert "sums to" in err
+
+    def test_a_state_count_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        bif = tmp_path / "big.bif"
+        bif.write_text(
+            "network x { }\n"
+            f"variable A {{ type discrete [ {'2' * 5000} ] {{ a, b }}; }}\n"
+            "probability ( A ) { table 0.4, 0.6; }\n"
+        )
+        out_path = tmp_path / "big.dice"
+        code, out, err = run(capsys, "translate", str(bif), "--query", "A", "-o", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {bif}:2:30: variable 'A' has a state count of 5000 digits, too many\n"
+        )
+        assert not out_path.exists()
 
 
 class TestBench:

@@ -81,14 +81,16 @@ def test_compiling_and_querying_leaves_no_reference_cycle(mode):
 def test_a_100000_flip_chain_compiles_with_at_most_one_young_collection():
     """The paper's scale, at tier-1's cost: chained-flips at 25,000 blocks.
     With the collector running, compiling it took about 2,600 collections,
-    ten of them full."""
+    ten of them full, and its query 139, one of them full."""
     text = suite_source("chained-flips", 25_000)
     with Collections() as seen:
         compiled, _ = compile_source(text)
     assert len(seen.generations) <= 1 and 2 not in seen.generations, seen.generations
     assert (compiled.flip_count, compiled.node_count()) == (100_001, 100_003)
     assert len(compiled.manager._var) == 349_998
-    result = infer.distribution_result(compiled)
+    with Collections() as seen:
+        result = infer.distribution_result(compiled)
+    assert len(seen.generations) <= 1 and 2 not in seen.generations, seen.generations
     assert len(compiled.manager._var) == 349_998
     assert [(key, p.hex()) for key, p in result.entries] == [
         ("false", "0x1.0cede62433b79p-1"),

@@ -250,7 +250,7 @@ class TestFunctions:
         mgr = BddManager()
         ctx = _Compilation(mgr)
         template = compile_function(ctx, core.functions[0])
-        (arg_level,) = template.formal_levels
+        ((arg_level, _),) = template.formal_sources
         assert len(template.flip_levels) == 1
         flip_node = mgr.var(template.flip_levels[0])
         expected = mgr.apply_or(mgr.var(arg_level), flip_node)
@@ -313,9 +313,10 @@ class TestFunctions:
                 ctx.funcs[earlier.name] = compile_function(ctx, earlier)
             template = compile_function(ctx, func)
             table = build_func_table(core)
-            for v in S.enumerate_values(func.formal_ty):
+            # An int(n) formal takes its n one-hot values only.
+            for v in S.enumerate_values(func.surface_ty):
                 leaves = [TRUE if bit else FALSE for bit in S.value_leaves(v)]
-                mapping = dict(zip(template.formal_levels, leaves))
+                mapping = compiler._images(mgr, template.formal_sources, leaves)
                 gamma = mgr.compose(template.accepting, mapping)
                 total = 0.0
                 for w in S.enumerate_values(func.return_ty):
@@ -511,12 +512,14 @@ class TestBundledBenchmarks:
 # by pointwise iff, the selecting roots negated the output BDD: the query
 # added 257, 127, 252 and 17 nodes in both modes.  Modular caesar-mini
 # stored 2,905 nodes after compile while each repeated call built its
-# renamed accepting formula before the enclosing let conjoined it.
+# renamed accepting formula before the enclosing let conjoined it, and
+# 1,958 while its template took one placeholder per one-hot leaf of its two
+# int(4) formals, not two code placeholders each.
 PINNED_STORE_SIZES = {
     "chained-flips": ({"modular": (894, 894), "inline": (894, 894)}, 259),
     "diamond": ({"modular": (580, 580), "inline": (1075, 1075)}, 130),
     "ladder": ({"modular": (2201, 2201), "inline": (2306, 2306)}, 255),
-    "caesar-mini": ({"modular": (1958, 1970), "inline": (6267, 6279)}, 843),
+    "caesar-mini": ({"modular": (1263, 1275), "inline": (6267, 6279)}, 843),
 }
 
 
@@ -560,19 +563,82 @@ def test_store_grows_linearly(suite, mode):
     assert store_size(suite, 128, mode) <= 2.1 * store_size(suite, 64, mode)
 
 
-@pytest.mark.parametrize("mode", ["modular", "inline"])
-@pytest.mark.parametrize("suite", SUITES)
+def layered_net_core(layers, width, states):
+    text, query = layered_bif(layers, width, states, seed=0)
+    return net_core(parse_bif(text), query)
+
+
+def int_formals_source(n, calls=16):
+    """A caesar-like program over int(n) letters: a uniform key, and
+    ``calls`` calls of a function of two int(n) formals, each passing the
+    key and a constant."""
+    uniform = uniform_discrete(n)
+    calls_text = "".join(f"let c{i} = sendchar(key, int({n}, {i % n})) in " for i in range(calls))
+    return (
+        f"fun sendchar(key: int({n}), seen: int({n})): Bool {{ let letter = {uniform} in "
+        f"let e = letter + key in observe e == seen }}\n"
+        f"let key = {uniform} in {calls_text}key"
+    )
+
+
+def slope_family(suite):
+    """The core programs of a family at three sizes, the structure of each
+    about twice that of the one before."""
+    if suite == "binary-nets":
+        return [layered_net_core(layers, 4, 2) for layers in (5, 10, 20)]
+    if suite == "int-formals":
+        return [frontend(int_formals_source(n))[1] for n in (8, 16, 32)]
+    return [frontend(suite_source(suite, n))[1] for n in (64, 128, 256)]
+
+
+@pytest.mark.parametrize(
+    "suite, mode",
+    [(suite, mode) for suite in SUITES for mode in ("modular", "inline")]
+    + [("binary-nets", "modular"), ("int-formals", "modular")],
+)
 def test_compiled_size_grows_with_structure_not_paths(suite, mode):
     # The paper's central claim as a slope: while the number of execution
-    # paths doubles with every flip, each doubling of n doubles the live
-    # BDD, and the store does not grow faster than the live nodes.
-    live, ratio = [], []
-    for n in (64, 128, 256):
-        compiled, _ = compile_text(suite_source(suite, n), mode=mode)
-        live.append(compiled.node_count())
-        ratio.append(len(compiled.manager._var) / live[-1])
-    assert all(1.8 <= bigger / smaller <= 2.2 for smaller, bigger in zip(live, live[1:])), live
-    assert ratio[-1] <= ratio[0] + 0.25, ratio
+    # paths doubles with every flip, the live BDD grows as the core program
+    # does, and the store does not grow faster than the live nodes.  Growth
+    # is compared as the ratio of the two increments between the three
+    # sizes: the nets' live count has a negative intercept, and the
+    # int-formals' core program grows as n^2 (its + and ==).  Before integers
+    # were held behind code placeholders, the nets' store grew 2.8 times as
+    # fast as their live BDD (11x to 99x live), and the int-formals' template
+    # took one placeholder per one-hot leaf: over 3 million nodes at n = 16.
+    cores = slope_family(suite)
+    structure = [sum(1 for _ in S.program_nodes(core)) for core in cores]
+    # The cap makes an exponential store fail fast instead of filling memory.
+    compiled = [compile_program(core, mode=mode, max_nodes=1_000_000) for core in cores]
+    live = [program.node_count() for program in compiled]
+    store = [len(program.manager._var) for program in compiled]
+    ratio = [stored / alive for stored, alive in zip(store, live)]
+
+    def growth(sizes):
+        return (sizes[2] - sizes[1]) / (sizes[1] - sizes[0])
+
+    assert 0.9 <= growth(live) / growth(structure) <= 1.1, (structure, live)
+    assert growth(store) <= 1.1 * growth(live), (live, store)
+    if suite in SUITES:
+        # Each doubling of n doubles the live BDD.
+        assert all(1.8 <= bigger / smaller <= 2.2 for smaller, bigger in zip(live, live[1:])), live
+        assert ratio[-1] <= ratio[0] + 0.25, ratio
+    if suite == "binary-nets":
+        assert max(ratio) <= 7, ratio
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_int_formals_store_no_more_modular_than_inline(n):
+    # A template over one placeholder per one-hot leaf stored 62,455 nodes
+    # at n = 8, against 9,291 inline, and over 3 million at n = 16: the cap
+    # makes that fail fast.
+    modular, inline = (
+        compile_source(int_formals_source(n), mode=mode, max_nodes=1_000_000)[0]
+        for mode in ("modular", "inline")
+    )
+    assert modular.node_count() == inline.node_count()
+    assert len(modular.manager._var) <= len(inline.manager._var)
+    assert answers_hex(modular) == answers_hex(inline)
 
 
 def test_a_512_block_chain_fits_a_100000_node_store():
@@ -647,7 +713,7 @@ def store_digests(compiled):
 # only the nodes the distribution query adds.
 PINNED_STORE_DIGESTS = {
     ('caesar-mini', 'inline'): ('afe1594f79800c41', '6e97417ae173868e'),
-    ('caesar-mini', 'modular'): ('d30d788d3de89a01', '33590524727cf6bf'),
+    ('caesar-mini', 'modular'): ('101ad46df58c7d15', '25654cc5e80b3057'),
     ('chained-flips', 'inline'): ('09ae9dd60ea099ab', None),
     ('chained-flips', 'modular'): ('09ae9dd60ea099ab', None),
     ('diamond', 'inline'): ('458b08d87889d2e7', None),
@@ -693,11 +759,12 @@ def sum_of_discretes(n):
 # The partial or-chains of x + y only combine x's and y's flips.  Held, each
 # sat behind a placeholder below its own levels, and composing it back
 # re-expanded the sum through ite: n=20 stored 305,137 nodes and n=30 about
-# 3 million, for the same 230 and 495 live ones.  x and y themselves are
-# int(n): their leaves are never held.  Held by size, the leaves of x and
-# y past the 32nd became independent placeholders, and n=40 stored
-# 2,592,610 nodes.
-PINNED_SUM_STORES = {20: (8400, 230), 30: (27900, 495), 40: (65600, 860)}
+# 3 million, for the same 230 and 495 live ones.  Held by size, the leaves
+# of x and y past the 32nd became independent placeholders, and n=40 stored
+# 2,592,610 nodes.  x and y are int(n) discretes, held behind code
+# placeholders; never held, they left the sum n^3 nodes to build: 8,400,
+# 27,900 and 65,600.
+PINNED_SUM_STORES = {20: (3830, 230), 30: (8173, 495), 40: (16288, 860)}
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_SUM_STORES))
@@ -747,9 +814,73 @@ def test_a_25_value_discrete_matches_the_oracle(mode, rng):
     assert compiled_vs_oracle_delta(compiled, core) < 1e-12
 
 
-def test_held_lets_in_random_programs_match_the_oracle():
+# Soundness of code placeholders: an int(n) component composed back from its
+# codes gives its leaves again only where they are exactly one true on every
+# assignment, accepting or not.  The hook checks that on every integer a let
+# holds and every int(n) argument a call passes.
+
+
+def exactly_one(mgr, leaves) -> bool:
+    """No two of ``leaves`` are true together, and one is, on every assignment."""
+    seen = FALSE
+    for leaf in leaves:
+        if mgr.apply_and(seen, leaf) != FALSE:
+            return False
+        seen = mgr.apply_or(seen, leaf)
+    return seen == TRUE
+
+
+@pytest.fixture
+def exactly_one_checked(monkeypatch):
+    """Check exactly-one on every held integer and every int(n) argument.
+    Yields the counts checked: [held integers, integer arguments]."""
+    checked = [0, 0]
+    surface = {}  # (id(ctx), function name) -> the formal's surface type
+    held_int = compiler._held_int
+    compile_function_ = compiler.compile_function
+    apply_call_ = compiler.apply_call
+
+    def held(ctx, first_level, group, ty, t):
+        result = held_int(ctx, first_level, group, ty, t)
+        if result is not t:
+            assert exactly_one(ctx.mgr, S.value_leaves(t)), ty
+            checked[0] += 1
+        return result
+
+    def compiled(ctx, func):
+        surface[id(ctx), func.name] = func.surface_ty
+        return compile_function_(ctx, func)
+
+    def called(ctx, func_name, arg):
+        for ty, part in S.value_leaves((surface[id(ctx), func_name], arg), S.typed_parts):
+            if isinstance(ty, S.IntTy):
+                assert exactly_one(ctx.mgr, S.value_leaves(part)), (func_name, ty)
+                checked[1] += 1
+        return apply_call_(ctx, func_name, arg)
+
+    monkeypatch.setattr(compiler, "_held_int", held)
+    monkeypatch.setattr(compiler, "compile_function", compiled)
+    monkeypatch.setattr(compiler, "apply_call", called)
+    return checked
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+def test_held_integers_and_integer_arguments_are_exactly_one(exactly_one_checked, mode):
+    for suite in SUITES:
+        compile_text(suite_source(suite, 64), mode=mode)
+    for shape in PINNED_NET_STORES:
+        compile_program(layered_net_core(*shape), mode=mode)
+    compile_text(sum_of_discretes(20), mode=mode)
+    compile_text(int_formals_source(6), mode=mode)
+    held, arguments = exactly_one_checked
+    # caesar-mini and int-formals pass int(n) arguments in modular mode only.
+    assert held > 0 and (arguments > 0) == (mode == "modular")
+
+
+def test_held_lets_in_random_programs_match_the_oracle(exactly_one_checked):
     # Random programs of up to 24 flips hold a let now and then: the
-    # referee must see some, or this test says nothing.
+    # referee must see some, or this test says nothing.  Every held integer
+    # and integer argument is checked exactly one on every assignment.
     rng = random.Random(0)
     held = 0
     for _ in range(200):
@@ -762,6 +893,7 @@ def test_held_lets_in_random_programs_match_the_oracle():
             for compiled in modes:
                 assert compiled_vs_oracle_delta(compiled, core) < ORACLE_TOLERANCE
     assert held >= 10
+    assert min(exactly_one_checked) > 0, exactly_one_checked
 
 
 # Canonicity referee: holding a let changes how a BDD is built, never which
@@ -811,19 +943,24 @@ def test_holding_changes_no_sum_result(monkeypatch):
     )
 
 
-def compile_net(net, query):
+def net_core(net, query):
     program = net_to_program(net, query)
     typecheck_program(program)
-    return compile_program(desugar_program(program))
+    return desugar_program(program)
+
+
+def compile_net(net, query):
+    return compile_program(net_core(net, query))
 
 
 # (layers, width, states) -> (store after compile and the queries of
 # same_without_holding, node_count()) at seed 0.  Every variable is an
-# int(states), so nothing is held: the store is what ite builds.  Held by
-# size, the 5x4 binary net stored 11,914 nodes and the 4x4 three-state one
-# 65,251.  The three-state query built 1,366 more when each selecting root
-# was a pointwise iff (33,697).
-PINNED_NET_STORES = {(5, 4, 2): (4366, 392), (4, 4, 3): (32331, 2069)}
+# int(states), held behind code placeholders once its leaves span three
+# levels.  Held by size, the 5x4 binary net stored 11,914 nodes and the
+# 4x4 three-state one 65,251; with no integer held, 4,366 and 32,331.  The
+# three-state query built 1,366 more when each selecting root was a
+# pointwise iff (33,697).
+PINNED_NET_STORES = {(5, 4, 2): (2344, 392), (4, 4, 3): (17060, 2069)}
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_NET_STORES))
@@ -982,29 +1119,36 @@ def test_a_30000_let_chain_compiles_and_is_queried_in_linear_memory():
 @pytest.fixture
 def instantiations(monkeypatch):
     """Wrap apply_call so that each instantiation is also built by composing
-    the template with the full mapping, and must give the same handles.
-    Yields a list of (ctx, function name, whether the call composed the
-    template): a full composition is the only one whose mapping sends the
-    formal's levels."""
+    the template with the full mapping, and must give the same handles.  The
+    formal's part of that mapping is the one apply_call built (``_images``)
+    at the call that composed the template with these arguments.  Yields a
+    list of (ctx, function name, whether the call composed the template): a
+    full composition is the only one that builds a formal mapping."""
     calls = []
-    mappings = []
+    built = []  # the formal mapping built during the current call, if any
+    formal_mappings = {}  # (id(ctx), function name, argument leaves) -> mapping
     original = compiler.apply_call
+    images = compiler._images
     compose = BddManager.compose
 
-    def spy(mgr, f, mapping, walks=None):
-        mappings.append(mapping)
-        return compose(mgr, f, mapping, walks)
+    def spy(mgr, sources, arg_leaves):
+        mapping = images(mgr, sources, arg_leaves)
+        built.append(mapping)
+        return mapping
 
     def checked(ctx, func_name, arg):
         template = ctx.funcs[func_name]
         first = len(ctx.weights)
-        mappings.clear()
+        built.clear()
         result = original(ctx, func_name, arg)
         formula, accepting = result
-        composed = any(template.formal_levels[0] in m for m in mappings)
+        composed = bool(built)
+        key = (id(ctx), func_name, tuple(S.value_leaves(arg)))
+        if composed:
+            formal_mappings[key] = built[0]
         mgr = ctx.mgr
         fresh = list(ctx.weights)[first:]
-        mapping = dict(zip(template.formal_levels, S.value_leaves(arg)))
+        mapping = dict(formal_mappings[key])
         mapping.update((level, mgr.var(flip)) for level, flip in zip(template.flip_levels, fresh))
         expected = [compose(mgr, n, mapping) for n in S.value_leaves(template.formula)]
         assert list(S.value_leaves(formula)) == expected
@@ -1013,7 +1157,7 @@ def instantiations(monkeypatch):
         calls.append((ctx, func_name, composed))
         return result
 
-    monkeypatch.setattr(BddManager, "compose", spy)
+    monkeypatch.setattr(compiler, "_images", spy)
     monkeypatch.setattr(compiler, "apply_call", checked)
     return calls
 
