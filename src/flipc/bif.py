@@ -31,7 +31,7 @@ import re
 
 from . import syntax as S
 from .errors import BifParseError, CyclicNetworkError, MalformedCptError, UnknownQueryVariableError
-from .parser import KEYWORDS, Token
+from .parser import KEYWORDS, Token, TokenReader, excerpt
 
 CPT_ROW_TOLERANCE = 1e-6
 
@@ -94,73 +94,34 @@ _BIF_TOKEN = re.compile(
 )
 
 
-class _BifParser:
-    def __init__(self, text: str, filename: str):
-        self.filename = filename
-        self.tokens = self._lex(text)
-        self.pos = 0
+def _lex(text: str, filename: str) -> list:
+    # Columns are offsets from the start of the current line; only a
+    # skipped match can hold a newline (see the note at ``parser._lex``).
+    tokens = []
+    line, line_start = 1, 0
+    for m in _BIF_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            newlines = text.count("\n", m.start(), m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", m.start(), m.end()) + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise BifParseError(
+                f"unexpected character {m[kind]!r}", S.Span(filename, line, col, line, col + 1)
+            )
+        tokens.append(Token(kind, m[kind], line, col))
+    return tokens
 
-    def _lex(self, text: str) -> list:
-        # Columns are offsets from the start of the current line; only a
-        # skipped match can hold a newline.
-        tokens = []
-        line, line_start = 1, 0
-        for m in _BIF_TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "skip":
-                newlines = text.count("\n", m.start(), m.end())
-                if newlines:
-                    line += newlines
-                    line_start = text.rfind("\n", m.start(), m.end()) + 1
-                continue
-            col = m.start() - line_start + 1
-            if kind == "bad":
-                raise BifParseError(
-                    f"unexpected character {m[kind]!r}",
-                    S.Span(self.filename, line, col, line, col + 1),
-                )
-            tokens.append(Token(kind, m[kind], line, col))
-        return tokens
 
-    # -- token plumbing ----------------------------------------------------
-    #
-    # The eof token's text is empty and its kind is no grammar kind, so a
-    # matched token is never eof and consuming it is ``self.pos += 1``.
+class _BifParser(TokenReader):
+    """The BIF reader, on the program reader's token API.  Its grammar
+    matches keywords by text: ``network``, ``variable`` and the rest are
+    words."""
 
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
-
-    def eat(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
-            self.fail(f"expected {text!r}")
-        self.pos += 1
-        return tok
-
-    def take(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            self.fail(f"expected {what}")
-        self.pos += 1
-        return tok
-
-    def listed(self, kind: str, what: str) -> list:
-        """One or more tokens of ``kind``, separated by commas."""
-        tokens = [self.take(kind, what)]
-        while self.at(","):
-            self.pos += 1
-            tokens.append(self.take(kind, what))
-        return tokens
-
-    def span(self, tok: Token) -> S.Span:
-        return S.Span(self.filename, tok.line, tok.col, tok.line, tok.col + max(1, len(tok.text)))
-
-    def fail(self, message: str):
-        tok = self.tokens[self.pos]
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise BifParseError(f"{message}, found {shown!r}", self.span(tok))
-
-    # -- grammar -----------------------------------------------------------
+    error = BifParseError
 
     def parse(self) -> BayesNet:
         self.eat("network")
@@ -212,7 +173,7 @@ class _BifParser:
         count_tok = self.take("number", "a number")
         if not count_tok.text.isdecimal():
             raise BifParseError(
-                f"variable {name!r} has state count {count_tok.text!r}, not a whole number",
+                f"variable {name!r} has state count {excerpt(count_tok.text)}, not a whole number",
                 self.span(count_tok),
             )
         self.eat("]")
@@ -321,7 +282,7 @@ class _BifParser:
 
 
 def parse_bif(text: str, filename: str = "<bif>") -> BayesNet:
-    return _BifParser(text, filename).parse()
+    return _BifParser(_lex(text, filename), filename).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ class FlipcError(Exception):
 
 
 class ParseError(FlipcError):
-    def __init__(self, message: str, span, expected: frozenset[str] = frozenset()):
-        super().__init__(message, span)
-        self.expected = expected
+    pass
 
 
 class UnboundIdentifierError(FlipcError):

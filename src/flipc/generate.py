@@ -17,7 +17,7 @@ from .desugar import expr_flip_count, static_flip_count
 
 class GenConfig(S.Record):
     __slots__ = _fields = (
-        "max_flips", "min_flips", "max_depth", "max_functions", "max_output_leaves", "allow_observe"
+        "max_flips", "min_flips", "max_depth", "max_output_leaves", "allow_observe"
     )
 
     def __init__(
@@ -25,19 +25,19 @@ class GenConfig(S.Record):
         max_flips: int = 12,
         min_flips: int = 0,
         max_depth: int = 5,
-        max_functions: int = 2,
         max_output_leaves: int = 4,
         allow_observe: bool = True,
     ):
         self.max_flips = max_flips
         self.min_flips = min_flips
         self.max_depth = max_depth
-        self.max_functions = max_functions
         self.max_output_leaves = max_output_leaves
         self.allow_observe = allow_observe
 
 
 THETAS = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+# A random program defines at most this many functions.
+MAX_FUNCTIONS = 2
 
 
 class _Gen:
@@ -195,7 +195,7 @@ def random_program(rng: random.Random, cfg: GenConfig | None = None) -> S.Progra
     cfg = cfg or GenConfig()
     while True:
         gen = _Gen(rng, cfg)
-        for i in range(rng.randint(0, cfg.max_functions)):
+        for i in range(rng.randint(0, MAX_FUNCTIONS)):
             gen.function(i)
         output_ty = gen.ty(2, cfg.max_output_leaves)
         main = gen.expr({}, output_ty, cfg.max_depth)

@@ -35,6 +35,10 @@ print an atom in a plain call and every other form in a step run by
 ``syntax.trampoline``, so nesting depth costs no interpreter stack.  Types
 are read the same way.
 
+``_Parser`` reads through ``TokenReader``, the token API (``at``, ``eat``,
+``take``, ``listed``, ``span``, ``fail``) that the BIF reader in ``bif``
+shares; each reader has its own lexer and error class.
+
 Lexical conventions (the kind of thing no formal grammar pins down, so they
 are fixed here): line comments start with ``//``; identifiers match
 ``[A-Za-z_][A-Za-z0-9_']*`` and may not be keywords; ``T``/``F`` are keyword
@@ -97,7 +101,9 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # 'number' | 'ident' | 'keyword' | 'op' | 'eof'; BIF adds 'word' | 'punct'
+    # 'number' | 'ident' | 'keyword' | 'op' | 'eof' from ``_lex``;
+    # 'number' | 'word' | 'punct' | 'eof' from the BIF lexer, ``bif._lex``
+    kind: str
     text: str
     line: int
     col: int
@@ -109,6 +115,11 @@ class Token(NamedTuple):
 _new = tuple.__new__
 
 
+# The BIF reader keeps its own lexer, ``bif._lex``, and shares only the
+# token API below.  This one takes one match per token and counts a line at
+# each newline match; the BIF lexer skips block comments, which may hold
+# newlines, and counts those inside the skipped match.  One loop for both
+# would branch on which reader called it.
 def _lex(text: str, filename: str) -> list[Token]:
     # Columns are offsets from the start of the current line.
     tokens = []
@@ -137,21 +148,32 @@ def _lex(text: str, filename: str) -> list[Token]:
             append(new(Token, (kind, m[kind], line, m.start(kind) - line_start + 1)))
 
 
-_BOOLS = {"true": True, "T": True, "false": False, "F": False}
+# ``excerpt`` quotes at most this many characters of a token.
+QUOTE_CAP = 40
 
 
-class _Parser:
+def excerpt(text: str, show=repr) -> str:
+    """``show(text)``, or for a text past ``QUOTE_CAP`` characters ``show``
+    of its first ``QUOTE_CAP`` and the full length, so that a message stays
+    one short line however long the token it quotes."""
+    if len(text) <= QUOTE_CAP:
+        return show(text)
+    return f"{show(text[:QUOTE_CAP])} (first {QUOTE_CAP} of {len(text)} characters)"
+
+
+class TokenReader:
+    """The token API of both readers, over a token list that ends with an
+    eof token.  ``pos`` indexes the next token; a reader raises ``error``.
+
+    The eof token's text is empty and its kind is no kind a grammar takes,
+    so a matched token is never eof and consuming it is ``self.pos += 1``."""
+
+    error = ParseError
+
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
-
-    # -- token plumbing ----------------------------------------------------
-    #
-    # Only keyword and op tokens can carry the texts the grammar matches on
-    # (identifiers are never keywords), so a text test needs no kind test.
-    # The eof token's text is empty and matches nothing, so a matched token
-    # is never eof and consuming it is ``self.pos += 1``.
 
     def at(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
@@ -159,20 +181,42 @@ class _Parser:
     def eat(self, text: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.text != text:
-            self.fail(f"expected {text!r}", expected=frozenset({text}))
+            self.fail(f"expected {text!r}")
         self.pos += 1
         return tok
+
+    def take(self, kind: str, what: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return tok
+
+    def listed(self, kind: str, what: str) -> list:
+        """One or more tokens of ``kind``, separated by commas."""
+        tokens = [self.take(kind, what)]
+        while self.at(","):
+            self.pos += 1
+            tokens.append(self.take(kind, what))
+        return tokens
 
     def span(self, tok: Token) -> S.Span:
         line, col = tok.line, tok.col
         return _new(S.Span, (self.filename, line, col, line, col + (len(tok.text) or 1)))
 
-    def fail(self, message: str, expected: frozenset = frozenset()):
+    def fail(self, message: str):
         tok = self.tokens[self.pos]
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"{message}, found {shown!r}", self.span(tok), expected)
+        shown = excerpt(tok.text) if tok.kind != "eof" else "'end of input'"
+        raise self.error(f"{message}, found {shown}", self.span(tok))
 
-    # -- nonterminals ------------------------------------------------------
+
+_BOOLS = {"true": True, "T": True, "false": False, "F": False}
+
+
+class _Parser(TokenReader):
+    """The program reader: one method per nonterminal.  Only keyword and op
+    tokens can carry the texts this grammar matches on (identifiers are
+    never keywords), so a text test needs no kind test."""
 
     def program(self) -> S.Program:
         functions = []
@@ -187,7 +231,7 @@ class _Parser:
 
     def function(self) -> S.Function:
         start = self.eat("fun")
-        name = self.ident("function name")
+        name = self.take("ident", "function name").text
         self.eat("(")
         params = [self.param()]
         while self.at(","):
@@ -202,16 +246,9 @@ class _Parser:
         return S.Function(name, params, ret, body, span=self.span(start))
 
     def param(self):
-        name = self.ident("parameter name")
+        name = self.take("ident", "parameter name").text
         self.eat(":")
         return (name, S.trampoline(self.ty()))
-
-    def ident(self, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            self.fail(f"expected {what}")
-        self.pos += 1
-        return tok.text
 
     def ty(self):
         """Dispatcher: a type; for a product the step that reads it."""
@@ -297,7 +334,7 @@ class _Parser:
                 self.eat(")")
             if not 0.0 <= theta <= 1.0:
                 raise ParseError(
-                    f"flip probability {theta_tok.text} is outside [0, 1]",
+                    f"flip probability {excerpt(theta_tok.text, str)} is outside [0, 1]",
                     self.span(theta_tok),
                 )
             e = S.Flip(theta, span=self.span(tok))
@@ -368,7 +405,7 @@ class _Parser:
             e = S.Call(text, arg, span=self.span(tok))
         elif text == "let" and min_prec == 0:
             self.pos += 1
-            name = self.ident("binding name")
+            name = self.take("ident", "binding name").text
             self.eat("=")
             bound = yield self.expr()
             self.eat("in")
@@ -400,7 +437,7 @@ class _Parser:
         elif text == "iterate":
             self.pos += 1
             self.eat("(")
-            func = self.ident("function name")
+            func = self.take("ident", "function name").text
             self.eat(",")
             init = yield self.expr()
             self.eat(",")

@@ -185,6 +185,38 @@ class TestParseBif:
         parsed = "\n".join(repr(parse_bif(text)) for text in texts)
         assert hashlib.sha256(parsed.encode()).hexdigest() == PARSE_DIGEST
 
+    # A token past 40 characters is quoted by its first 40 and its length;
+    # the span still covers all of it.  At 40 it is quoted whole.
+    @pytest.mark.parametrize(
+        "text, message, width",
+        [
+            (
+                "network n { } " + "w" * 5000,
+                f"expected 'variable' or 'probability', found '{'w' * 40}'"
+                " (first 40 of 5000 characters)",
+                5000,
+            ),
+            (
+                SINGLE.replace("[ 2 ]", f"[ 2.{'5' * 5000} ]"),
+                f"variable 'A' has state count '2.{'5' * 38}' (first 40 of 5002 characters),"
+                " not a whole number",
+                5002,
+            ),
+            (
+                SINGLE.replace("[ 2 ]", f"[ 2.{'5' * 38} ]"),
+                f"variable 'A' has state count '2.{'5' * 38}', not a whole number",
+                40,
+            ),
+        ],
+        ids=["fail", "state-count", "state-count-at-cap"],
+    )
+    def test_an_oversized_token_is_quoted_by_its_start(self, text, message, width):
+        with pytest.raises(BifParseError) as err:
+            parse_bif(text)
+        assert err.value.message == message
+        span = err.value.span
+        assert span.end_col - span.start_col == width
+
     def test_a_layered_net_under_two_columns_is_refused(self):
         # At width 1 both parents would be the one variable of the layer
         # before, which the reader refuses as a parent listed twice.

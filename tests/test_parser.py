@@ -5,9 +5,19 @@ import random
 import pytest
 
 from flipc import syntax as S
-from flipc.errors import ParseError
+from flipc.bif import _BifParser, parse_bif
+from flipc.errors import BifParseError, ParseError
 from flipc.generate import GenConfig, random_program
-from flipc.parser import _lex, parse_expr, parse_program, pretty_expr, pretty_program
+from flipc.parser import (
+    QUOTE_CAP,
+    TokenReader,
+    _lex,
+    _Parser,
+    parse_expr,
+    parse_program,
+    pretty_expr,
+    pretty_program,
+)
 from flipc.suites import SUITES, benchmark_names, benchmark_text, suite_source
 
 
@@ -186,6 +196,55 @@ class TestParse:
             parse_expr("int(0, 0)")
         with pytest.raises(ParseError, match="integer size must be at least 1"):
             parse_program("fun f(x: int(0)): Bool { true } f(int(1, 0))")
+
+    # A token past QUOTE_CAP characters is quoted by its first QUOTE_CAP and
+    # its length; the span still covers all of it.  At the cap it is whole.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "flip " + "1" * 5000,
+                f"flip probability {'1' * 40} (first 40 of 5000 characters) is outside [0, 1]",
+            ),
+            (
+                "let x = flip 0.5 in " + "1" * 5000,
+                f"expected an expression, found '{'1' * 40}' (first 40 of 5000 characters)",
+            ),
+            ("flip " + "2" * 40, f"flip probability {'2' * 40} is outside [0, 1]"),
+            ("x " + "y" * 40, f"expected end of input, found '{'y' * 40}'"),
+        ],
+        ids=["flip-range", "fail", "flip-range-at-cap", "fail-at-cap"],
+    )
+    def test_an_oversized_token_is_quoted_by_its_start(self, text, message):
+        assert QUOTE_CAP == 40
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert err.value.message == message
+        span = err.value.span
+        assert span.end_col - span.start_col == len(text.split()[-1])
+
+
+class TestTokenReader:
+    """Both readers read through one token API, defined on ``TokenReader``
+    alone; each raises its own error class."""
+
+    API = ("at", "eat", "take", "listed", "span", "fail")
+
+    def test_the_token_api_is_defined_once(self):
+        assert all(name in vars(TokenReader) for name in self.API)
+        for reader in (_Parser, _BifParser):
+            assert issubclass(reader, TokenReader)
+            assert not set(vars(reader)) & {"__init__", *self.API}
+
+    def test_each_reader_raises_its_own_error_class(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("let = 1")
+        assert type(err.value) is ParseError
+        assert str(err.value) == "<input>:1:5: expected binding name, found '='"
+        with pytest.raises(BifParseError) as err:
+            parse_bif("network n { } ;")
+        assert type(err.value) is BifParseError
+        assert str(err.value) == "<bif>:1:15: expected 'variable' or 'probability', found ';'"
 
 
 # The token text each node's span must start at, by node type; a
