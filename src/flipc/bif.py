@@ -69,7 +69,7 @@ class BayesNet(S.Record):
             progress = [v for v in remaining if all(p in placed for p in self.parents[v])]
             if not progress:
                 raise CyclicNetworkError(
-                    f"network has no topological order (cycle through {remaining[0]!r})"
+                    f"network has no topological order (cycle through {excerpt(remaining[0])})"
                 )
             for v in progress:
                 order.append(v)
@@ -141,20 +141,24 @@ class _BifParser(TokenReader):
             if tok.text == "variable":
                 var_name, states = self.variable_block()
                 if var_name in declared:
-                    raise BifParseError(f"duplicate variable {var_name!r}", self.span(tok))
+                    raise BifParseError(f"duplicate variable {excerpt(var_name)}", self.span(tok))
                 declared[var_name] = states
                 declared_at[var_name] = tok
             elif tok.text == "probability":
                 child, parent_list, rows = self.probability_block(declared)
                 if child in cpts:
-                    raise BifParseError(f"duplicate probability block for {child!r}", self.span(tok))
+                    raise BifParseError(
+                        f"duplicate probability block for {excerpt(child)}", self.span(tok)
+                    )
                 parents[child] = parent_list
                 cpts[child] = rows
             else:
                 self.fail("expected 'variable' or 'probability'")
         for var_name, tok in declared_at.items():
             if var_name not in cpts:
-                raise BifParseError(f"variable {var_name!r} has no probability block", self.span(tok))
+                raise BifParseError(
+                    f"variable {excerpt(var_name)} has no probability block", self.span(tok)
+                )
         net = BayesNet(name, list(declared.items()), parents, cpts)
         net.topological_order()  # raises on cycles
         return net
@@ -162,18 +166,19 @@ class _BifParser(TokenReader):
     def variable_block(self):
         self.eat("variable")
         name = self.take("word", "variable name").text
+        shown = excerpt(name)
         self.eat("{")
         type_tok = self.eat("type")
         kind = self.take("word", "variable type").text
         if kind != "discrete":
             raise BifParseError(
-                f"unsupported variable type {kind!r} (only discrete)", self.span(type_tok)
+                f"unsupported variable type {excerpt(kind)} (only discrete)", self.span(type_tok)
             )
         self.eat("[")
         count_tok = self.take("number", "a number")
         if not count_tok.text.isdecimal():
             raise BifParseError(
-                f"variable {name!r} has state count {excerpt(count_tok.text)}, not a whole number",
+                f"variable {shown} has state count {excerpt(count_tok.text)}, not a whole number",
                 self.span(count_tok),
             )
         self.eat("]")
@@ -182,7 +187,9 @@ class _BifParser(TokenReader):
         seen: set = set()
         for tok in labels:
             if tok.text in seen:
-                raise BifParseError(f"variable {name!r} repeats state {tok.text!r}", self.span(tok))
+                raise BifParseError(
+                    f"variable {shown} repeats state {excerpt(tok.text)}", self.span(tok)
+                )
             seen.add(tok.text)
         self.eat("}")
         self.eat(";")
@@ -193,16 +200,17 @@ class _BifParser(TokenReader):
             count = int(count_tok.text)
         except ValueError:  # past the interpreter's limit on digits
             raise BifParseError(
-                f"variable {name!r} has a state count of {len(count_tok.text)} digits, too many",
+                f"variable {shown} has a state count of {len(count_tok.text)} digits, too many",
                 self.span(count_tok),
             ) from None
         if count != len(labels):
             raise BifParseError(
-                f"variable {name!r} declares {count} states but lists {len(labels)}",
+                f"variable {shown} declares {excerpt(str(count), str)} states"
+                f" but lists {len(labels)}",
                 self.span(count_tok),
             )
         if count < 2:
-            raise BifParseError(f"variable {name!r} needs at least two states", self.span(count_tok))
+            raise BifParseError(f"variable {shown} needs at least two states", self.span(count_tok))
         return name, [tok.text for tok in labels]
 
     def probability_block(self, declared: dict):
@@ -210,7 +218,9 @@ class _BifParser(TokenReader):
         self.eat("(")
         child = self.take("word", "variable name").text
         if child not in declared:
-            raise BifParseError(f"probability block for undeclared variable {child!r}", self.span(start))
+            raise BifParseError(
+                f"probability block for undeclared variable {excerpt(child)}", self.span(start)
+            )
         parent_list: list = []
         if self.at("|"):
             self.pos += 1
@@ -218,10 +228,10 @@ class _BifParser(TokenReader):
         self.eat(")")
         for parent in parent_list:
             if parent not in declared:
-                raise BifParseError(f"undeclared parent {parent!r}", self.span(start))
+                raise BifParseError(f"undeclared parent {excerpt(parent)}", self.span(start))
         for i, parent in enumerate(parent_list):
             if parent in parent_list[:i]:
-                raise BifParseError(f"parent {parent!r} is listed twice", self.span(start))
+                raise BifParseError(f"parent {excerpt(parent)} is listed twice", self.span(start))
         arity = len(declared[child])
         self.eat("{")
         if not parent_list:
@@ -245,7 +255,8 @@ class _BifParser(TokenReader):
                 for parent, states, label in zip(parent_list, parent_state_lists, labels):
                     if label not in states:
                         raise BifParseError(
-                            f"{label!r} is not a state of parent {parent!r}", self.span(tok)
+                            f"{excerpt(label)} is not a state of parent {excerpt(parent)}",
+                            self.span(tok),
                         )
                     combo.append(states.index(label))
                 key = tuple(combo)
@@ -257,7 +268,7 @@ class _BifParser(TokenReader):
             expected_rows = math.prod(map(len, parent_state_lists))
             if len(rows) != expected_rows:
                 raise MalformedCptError(
-                    f"probability block for {child!r} has {len(rows)} rows, "
+                    f"probability block for {excerpt(child)} has {len(rows)} rows, "
                     f"expected {expected_rows}",
                     self.span(start),
                 )
@@ -271,12 +282,12 @@ class _BifParser(TokenReader):
         self.eat(";")
         if len(values) != arity:
             raise MalformedCptError(
-                f"row for {child!r} has {len(values)} entries, expected {arity}",
+                f"row for {excerpt(child)} has {len(values)} entries, expected {arity}",
                 self.span(tok),
             )
         if abs(sum(values) - 1.0) > CPT_ROW_TOLERANCE:
             raise MalformedCptError(
-                f"row for {child!r} sums to {sum(values)!r}, not 1", self.span(tok)
+                f"row for {excerpt(child)} sums to {sum(values)!r}, not 1", self.span(tok)
             )
         return values
 

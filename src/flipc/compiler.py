@@ -379,25 +379,31 @@ def _compile_ite(ctx: _Compilation, env: dict, e: S.Ite):
 
 
 def _compile_let(ctx: _Compilation, env: dict, e: S.Let, in_bound: bool):
-    """Step: the (formula tuple, accepting formula) of a ``let``.  One that
-    is the bound of another (``in_bound``) leaves its held groups on
-    ``ctx.held`` for the enclosing ``let`` to compose."""
-    mgr = ctx.mgr
-    mark = len(ctx.held)
-    first_level = mgr.num_levels()
-    bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, True)
-    if isinstance(e.bound, _BUILDS):
-        bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
-    old = env.get(e.name, _MISSING)
-    env[e.name] = bound_formula
-    formula, accepting = yield _compile(ctx, env, e.body)
-    accepting = _conjoin(ctx, bound_accepting, accepting)
-    if old is _MISSING:
-        del env[e.name]
-    else:
-        env[e.name] = old
-    if len(ctx.held) > mark and not in_bound:
-        formula, accepting = _release(ctx, mark, formula, accepting)
+    """Step: the (formula tuple, accepting formula) of a chain of ``let``s,
+    ``e`` and the ``let``s down its bodies, unwound newest first.  The
+    outermost, when it is the bound of another ``let`` (``in_bound``),
+    leaves its held groups on ``ctx.held`` for the enclosing one to
+    compose; the inner ones are bodies and release theirs."""
+    lets = None  # (held mark, bound's accepting, name, shadowed binding, the lets above)
+    while type(e) is S.Let:
+        mark = len(ctx.held)
+        first_level = ctx.mgr.num_levels()
+        bound_formula, bound_accepting = yield _compile(ctx, env, e.bound, True)
+        if isinstance(e.bound, _BUILDS):
+            bound_formula = _hold(ctx, bound_formula, e.bound.ty, first_level)
+        lets = (mark, bound_accepting, e.name, env.get(e.name, _MISSING), lets)
+        env[e.name] = bound_formula
+        e = e.body
+    formula, accepting = yield _compile(ctx, env, e)
+    while lets is not None:
+        mark, bound_accepting, name, old, lets = lets
+        accepting = _conjoin(ctx, bound_accepting, accepting)
+        if old is _MISSING:
+            del env[name]
+        else:
+            env[name] = old
+        if len(ctx.held) > mark and (lets is not None or not in_bound):
+            formula, accepting = _release(ctx, mark, formula, accepting)
     return formula, accepting
 
 

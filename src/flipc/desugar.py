@@ -121,11 +121,20 @@ def _ds(e: S.Expr, fresh, temps):
 
 def _ds_step(e: S.Expr, fresh, temps):
     """Step: ``e``, a node with a sub-expression other than an integer
-    operator or ``==``, lowered to core ANF."""
-    if isinstance(e, S.Let):
-        bound = yield _ds(e.bound, fresh, temps)
-        bound.ty = e.bound.ty
-        return S.Let(e.name, bound, (yield _ds(e.body, fresh, temps)), span=e.span)
+    operator or ``==``, lowered to core ANF.  A ``let`` is lowered with the
+    chain of ``let``s down its bodies, in one step."""
+    if type(e) is S.Let:
+        lets = None  # (let, lowered bound, the lets above) of the last let walked
+        while type(e) is S.Let:
+            bound = yield _ds(e.bound, fresh, temps)
+            bound.ty = e.bound.ty
+            lets = (e, bound, lets)
+            e = e.body
+        body = yield _ds(e, fresh, temps)
+        while lets is not None:
+            e, bound, lets = lets
+            body = S.Let(e.name, bound, body, span=e.span)
+        return body
     if isinstance(e, S.Iterate):
         # f(f(... f(init))), each call's argument hoisted innermost first.
         result = yield _ds(e.init, fresh, temps)

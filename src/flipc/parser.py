@@ -389,7 +389,8 @@ class _Parser(TokenReader):
 
     def _form(self, tok: Token, min_prec: int):
         """Step: an expression whose first token ``tok`` starts no atom,
-        read from that token on (see ``expr``)."""
+        read from that token on (see ``expr``).  A chain of ``let``s, each
+        the body of the one before, is one step."""
         tokens = self.tokens
         text = tok.text
         if tok.kind == "ident":
@@ -404,12 +405,19 @@ class _Parser(TokenReader):
                 arg = S.mk_tup(prev, arg, self.span(tok))
             e = S.Call(text, arg, span=self.span(tok))
         elif text == "let" and min_prec == 0:
-            self.pos += 1
-            name = self.take("ident", "binding name").text
-            self.eat("=")
-            bound = yield self.expr()
-            self.eat("in")
-            return S.Let(name, bound, (yield self.expr()), span=self.span(tok))
+            lets = None  # (name, bound, let token, the lets above) of the last let read
+            while tok.text == "let":
+                self.pos += 1
+                name = self.take("ident", "binding name").text
+                self.eat("=")
+                lets = (name, (yield self.expr()), tok, lets)
+                self.eat("in")
+                tok = tokens[self.pos]
+            e = yield self.expr()
+            while lets is not None:
+                name, bound, tok, lets = lets
+                e = S.Let(name, bound, e, span=self.span(tok))
+            return e
         elif text == "if" and min_prec == 0:
             self.pos += 1
             guard = yield self.expr()

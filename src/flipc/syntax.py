@@ -27,7 +27,9 @@ Every front-end pass over expressions (parsing, typechecking, desugaring,
 compilation, inlining, printing) is a plain dispatcher that answers a node
 with no sub-expression at once and hands every other node to a *step* run by
 ``trampoline``, so the depth of a program never becomes depth of the Python
-call stack, and a leaf costs no step.
+call stack, and a leaf costs no step.  Parsing, typechecking, desugaring and
+compilation walk a chain of ``let``s, each the body of the one before, in
+one step, so a straight-line program of any length is one step.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def trampoline(step):
     pass computes may be a generator.  Steps must not use ``yield from``,
     which nests on the C stack again.  An exception raised in a dispatcher
     or a step propagates out of ``trampoline`` unchanged; no step is
-    resumed after it.
+    resumed after it.  The stack holds one step per node still waiting on
+    a child; a step that walks a chain of ``let``s waits as one node, so
+    the depth counts chains, not ``let``s.
     """
     if type(step) is not GeneratorType:
         return step

@@ -83,7 +83,8 @@ def _check(e: S.Expr, env: dict, signatures: dict):
 
 def _check_step(e: S.Expr, env: dict, signatures: dict):
     """Step: the type of ``e``, which has a sub-expression, also recorded
-    in ``e.ty``."""
+    in ``e.ty``.  A ``let`` is checked with the chain of ``let``s down its
+    bodies, in one step; each gets the type of the chain's last body."""
     if isinstance(e, (S.Fst, S.Snd)):
         arg = yield _check(e.arg, env, signatures)
         if not isinstance(arg, S.ProdTy):
@@ -92,16 +93,23 @@ def _check_step(e: S.Expr, env: dict, signatures: dict):
     elif isinstance(e, S.Tup):
         left = yield _check(e.left, env, signatures)
         ty = S.ProdTy(left, (yield _check(e.right, env, signatures)))
-    elif isinstance(e, S.Let):
-        # Bind in place and undo after the body: no copy of env per binder.
-        bound = yield _check(e.bound, env, signatures)
-        old = env.get(e.name, _MISSING)
-        env[e.name] = bound
-        ty = yield _check(e.body, env, signatures)
-        if old is _MISSING:
-            del env[e.name]
-        else:
-            env[e.name] = old
+    elif type(e) is S.Let:
+        # Bind in place and undo after the body, newest first: no env copy.
+        lets = None  # (let, shadowed binding, the lets above) of the last let walked
+        while type(e) is S.Let:
+            bound = yield _check(e.bound, env, signatures)
+            lets = (e, env.get(e.name, _MISSING), lets)
+            env[e.name] = bound
+            e = e.body
+        ty = yield _check(e, env, signatures)
+        while lets is not None:
+            e, old, lets = lets
+            if old is _MISSING:
+                del env[e.name]
+            else:
+                env[e.name] = old
+            e.ty = ty
+        return ty
     elif isinstance(e, S.Ite):
         guard = yield _check(e.guard, env, signatures)
         if guard != S.BOOL:

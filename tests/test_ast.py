@@ -17,6 +17,7 @@ from flipc import desugar
 from flipc.desugar import desugar_expr, desugar_program
 from flipc.errors import (
     BadDistributionError,
+    FlipcError,
     ObserveNonBoolError,
     RecursiveCallError,
     SizeMismatchError,
@@ -188,6 +189,27 @@ def test_typecheck_rejects_with_class_and_span(name):
     with pytest.raises(error) as raised:
         typecheck_program(parse_program(text, "p.dice"))
     assert str(raised.value.span) == f"p.dice:{position}"
+
+
+# An error in a bound halfway down a chain of lets, in each front-end pass:
+# raised where the bound is, as when each let was a step of its own.
+CHAIN_ERRORS = {
+    "parse-bound": ("let a = flip 0.5 in let b = in a", "1:29: expected an expression, found 'in'"),
+    "parse-name": ("let a = flip 0.5 in let = c in a", "1:25: expected binding name, found '='"),
+    "typecheck": ("let a = flip 0.5 in let b = c in a", "1:29: unbound identifier 'c'"),
+    "desugar": (
+        "let a = flip 0.5 in let b = discrete(0.5, 0.6) in a",
+        "1:29: discrete probabilities sum to 1.1, not 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ERRORS))
+def test_an_error_halfway_down_a_let_chain_keeps_its_message_and_span(name):
+    text, message = CHAIN_ERRORS[name]
+    with pytest.raises(FlipcError) as raised:
+        compile_source(text, "p.dice")
+    assert str(raised.value) == f"p.dice:{message}"
 
 
 SPAN = S.Span("ast", 3, 7, 3, 9)
@@ -559,7 +581,8 @@ class TestDesugarProgram:
         "let x = discrete(0.5, 0.5) in x + x",
         "fun f(k: int(3), b: Bool): int(3) { if b then k * k else k + int(3, 1) }"
         " let y = discrete(0.2, 0.3, 0.5) in (f(y, flip 0.5) == y, !(fst (y == y, y)))",
-    ], ids=["int_sum", "int_function"])
+        "let x = flip 0.3 in let x = !x in let y = x in (x, y)",
+    ], ids=["int_sum", "int_function", "shadowing_chain"])
     def test_desugaring_leaves_its_input_alone(self, text):
         program = parse_program(text)
         typecheck_program(program)
@@ -726,6 +749,28 @@ class TestStepProtocol:
         run("compile", lambda: compile_program(core), lambda _: S.program_nodes(core))
         for name, (steps, waiting, roots) in passes.items():
             assert 0 < steps <= waiting + roots, (name, steps, waiting, roots)
+
+    def test_a_let_chain_is_one_step_in_every_pass(self, monkeypatch):
+        # Each pass walks a chain of lets down its bodies in one step; the
+        # chain's bounds and body are leaves here, so that step is all.
+        counter = _CountingTrampoline()
+        monkeypatch.setattr(S, "trampoline", counter)
+        text = DEEP_PROGRAMS["let_chain_30000"]
+        steps = {}
+
+        def run(name, work, nodes_of):
+            counter.steps = counter.roots = 0
+            result = work()
+            waiting = sum(1 for node in nodes_of(result) if S.children(node))
+            assert 0 < counter.steps <= waiting + counter.roots, (name, counter.steps)
+            steps[name] = counter.steps
+            return result
+
+        surface = run("parse", lambda: parse_program(text), S.program_nodes)
+        run("typecheck", lambda: typecheck_program(surface), lambda _: S.program_nodes(surface))
+        core = run("desugar", lambda: desugar_program(surface), S.program_nodes)
+        run("compile", lambda: compile_program(core), lambda _: S.program_nodes(core))
+        assert steps == {"parse": 1, "typecheck": 1, "desugar": 1, "compile": 1}
 
 
 class _CountingTrampoline:

@@ -50,6 +50,10 @@ probability ( B | A ) {
 }
 """
 
+# A name past the 40 characters an error message quotes, and its quote.
+LONG = "v" * 60
+LONG_QUOTED = f"'{'v' * 40}' (first 40 of 60 characters)"
+
 # sha256 of the parsed networks in test_parsed_networks_are_pinned.
 PARSE_DIGEST = "c9f2aacc7bc71015dbf47b1a33c92ec62abb085d37254f6ac6044c423a15dd7b"
 
@@ -186,7 +190,8 @@ class TestParseBif:
         assert hashlib.sha256(parsed.encode()).hexdigest() == PARSE_DIGEST
 
     # A token past 40 characters is quoted by its first 40 and its length;
-    # the span still covers all of it.  At 40 it is quoted whole.
+    # the span is unchanged, so it still covers all of an offending token.
+    # At 40 it is quoted whole.
     @pytest.mark.parametrize(
         "text, message, width",
         [
@@ -207,8 +212,42 @@ class TestParseBif:
                 f"variable 'A' has state count '2.{'5' * 38}', not a whole number",
                 40,
             ),
+            (
+                SINGLE.replace("type discrete", f"type {LONG}"),
+                f"unsupported variable type {LONG_QUOTED} (only discrete)",
+                len("type"),
+            ),
+            (
+                CHAIN.replace("( a1 )", f"( {LONG} )"),
+                f"{LONG_QUOTED} is not a state of parent 'A'",
+                len("("),
+            ),
+            (
+                SINGLE + f"probability ( {LONG} ) {{ table 0.3, 0.7; }}",
+                f"probability block for undeclared variable {LONG_QUOTED}",
+                len("probability"),
+            ),
+            (
+                CHAIN.replace("( B | A )", f"( B | {LONG} )"),
+                f"undeclared parent {LONG_QUOTED}",
+                len("probability"),
+            ),
+            (
+                CHAIN.replace("( B | A )", f"( B | {'v' * 40} )"),
+                f"undeclared parent '{'v' * 40}'",
+                len("probability"),
+            ),
+            (
+                SINGLE.replace("[ 2 ]", f"[ 1{'0' * 59} ]"),
+                f"variable 'A' declares 1{'0' * 39} (first 40 of 60 characters) states but lists 2",
+                60,
+            ),
         ],
-        ids=["fail", "state-count", "state-count-at-cap"],
+        ids=[
+            "fail", "state-count", "state-count-at-cap", "type", "state-label",
+            "undeclared-variable", "undeclared-parent", "undeclared-parent-at-cap",
+            "declared-count",
+        ],
     )
     def test_an_oversized_token_is_quoted_by_its_start(self, text, message, width):
         with pytest.raises(BifParseError) as err:

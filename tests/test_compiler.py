@@ -124,9 +124,12 @@ class TestShapeErrors:
          "cannot build a form for type int(2)"),
         (_program(S.Lit(True), ("f", "x", S.ProdTy(S.BOOL, S.IntTy(3)), S.Lit(True))),
          "cannot build a form for type int(3)"),
+        (_program(_flip_then(S.Let("h", S.Ite(S.Ident("g"), PAIR, S.Lit(True)), S.Ident("g")))),
+         "conditional branches of mismatched shapes"),
     ], ids=[
         "ite_branches_leaf_and_pair", "ite_branches_nested", "fst_of_bool", "snd_of_bool",
         "observe_pair", "ite_on_pair", "call_argument", "form_of_int", "form_of_nested_int",
+        "ite_halfway_down_a_let_chain",
     ])
     def test_an_ill_shaped_program_is_a_shape_error(self, program, message):
         with pytest.raises(ShapeMismatchError) as error:
@@ -673,6 +676,12 @@ HELD_PROGRAMS = {
     f"let x = if c then (let y = ({FLIPS}{PAIRS}) in y && flip 0.7) else flip 0.5 in x || c",
     "held_call_result": f"fun large(s: Bool): Bool {{ ({FLIPS}{PAIRS}) || s }}\n"
     "let c = flip 0.4 in let r = large(c) in r && flip 0.6",
+    # A chain of lets in a bound: its outermost let, y, leaves its group for
+    # x to compose; z, a body, composes its own.
+    "chain_in_bound": f"let x = (let y = ({FLIPS}{PAIRS} || flip 0.1) in "
+    "let z = (y || flip 0.2) && (flip 0.3 || flip 0.4) in z) in x || flip 0.5",
+    # x is bound twice in one chain; y reads the newer binding.
+    "shadowing_chain": f"let x = ({FLIPS}{PAIRS}) || flip 0.3 in let x = !x in let y = x in (x, y)",
 }
 
 
@@ -714,6 +723,8 @@ def store_digests(compiled):
 PINNED_STORE_DIGESTS = {
     ('caesar-mini', 'inline'): ('afe1594f79800c41', '6e97417ae173868e'),
     ('caesar-mini', 'modular'): ('101ad46df58c7d15', '25654cc5e80b3057'),
+    ('chain_in_bound', 'inline'): ('d583c5fb56e1e796', None),
+    ('chain_in_bound', 'modular'): ('d583c5fb56e1e796', None),
     ('chained-flips', 'inline'): ('09ae9dd60ea099ab', None),
     ('chained-flips', 'modular'): ('09ae9dd60ea099ab', None),
     ('diamond', 'inline'): ('458b08d87889d2e7', None),
@@ -731,6 +742,8 @@ PINNED_STORE_DIGESTS = {
     ('nested_groups', 'modular'): ('844fc98676ea00e9', None),
     ('observe_in_held_bound', 'inline'): ('70d52d84894495a8', 'cf6e0069f3a2008c'),
     ('observe_in_held_bound', 'modular'): ('70d52d84894495a8', 'cf6e0069f3a2008c'),
+    ('shadowing_chain', 'inline'): ('f75663a0fc682c8e', None),
+    ('shadowing_chain', 'modular'): ('f75663a0fc682c8e', None),
     ('shadowing_let_in_bound', 'inline'): ('3512ca646404d2dd', None),
     ('shadowing_let_in_bound', 'modular'): ('3512ca646404d2dd', None),
 }
