@@ -36,7 +36,10 @@ or sent to a positive literal whose level precedes both child images (a
 call's refreshed flips usually are), keeps the order: its image is made by
 ``_mk`` directly.  Every other image is an ``ite`` of the mapped formula
 over the child images.  The read-only queries ``support``, ``node_count``,
-``to_dot`` and ``wmc`` share one post-order walk, ``_postorder``.
+``to_dot`` and ``wmc`` share one walk, ``_reachable``, that collects the
+reachable nodes and sorts them by handle.  ``_mk`` appends a node only
+after both its children exist, so a child's handle is below its parent's
+and ascending handle order lists children first.
 
 ``and_renamed(f, renaming, g)`` conjoins ``g`` with ``f`` relabelled by an
 order-preserving renaming of levels (how a repeated call renames an earlier
@@ -77,13 +80,15 @@ weighs the level's literals theta and 1 - theta; a theta outside [0, 1],
 or NaN, raises ``BadDistributionError``.  For every double theta in
 [0, 1] the two weights sum to exactly 1.0, so a variable a branch skips
 contributes a factor of exactly 1, and the count is linear in the BDD: the
-post-order walk gives the reachable nodes and the support, and one
-bottom-up pass visits each node once, weighting its children's counts by
-its literal weights.  Every count lies in [0, 1].  A count is a plain
-double while it is at least 2^-960 (``_TINY``).  A node whose count would
-fall below that, or whose child's count is held as a pair, takes the exact
-step instead: the children's counts and its weights as ``math.frexp``
-(mantissa, exponent) pairs, the sum renormalised by ``frexp``.  A result
+walk gives the reachable nodes in handle order and the support, and one
+bottom-up pass over them visits each node once, weighting its children's
+counts by its literal weights.  A counted level without a weight is
+refused before the pass, the lowest such level named.  Every count lies
+in [0, 1].  A count is a plain double while it is at least 2^-960
+(``_TINY``).  A node whose count would fall below that, or whose child's
+count is held as a pair, takes the exact step instead: the children's
+counts and its weights as ``math.frexp`` (mantissa, exponent) pairs, the
+sum renormalised by ``frexp``.  A result
 below 2^-960, or a zero, stays a pair.  Above 2^-960 a product that
 underflows is too small to change how a sum rounds, so every count is the
 pair the exact step alone would give, bit for bit, and no count
@@ -112,7 +117,13 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import BadDistributionError, MissingWeightError, NodeLimitError, UnboundFreeVariableError
+from .errors import (
+    BadDistributionError,
+    FlipcError,
+    MissingWeightError,
+    NodeLimitError,
+    UnboundFreeVariableError,
+)
 
 FALSE = 0
 TRUE = 1
@@ -340,7 +351,9 @@ class BddManager:
 
     def _postorder(self, roots) -> list[int]:
         """Internal nodes reachable from ``roots``, each once, children
-        before parents; the high child is walked before the low one."""
+        before parents; the high child is walked before the low one.  Only
+        ``and_renamed`` walks this way: it creates nodes in the order it
+        lists them, so the order fixes the handles of what it builds."""
         hi, lo = self._hi, self._lo
         order = []
         seen = {FALSE, TRUE}
@@ -356,6 +369,30 @@ class BddManager:
                     stack.append(lo[n])
                 if hi[n] not in seen:
                     stack.append(hi[n])
+        return order
+
+    def _reachable(self, roots) -> list[int]:
+        """Internal nodes reachable from ``roots``, each once, in ascending
+        handle order.  ``_mk`` appends a node only after both its children
+        exist, so every child's handle is below its parent's, and this
+        order too lists children before parents."""
+        hi, lo = self._hi, self._lo
+        # A terminal is its own high and low child, so a terminal root adds
+        # nothing to the set.
+        stack = list(roots)
+        seen = {FALSE, TRUE, *stack}
+        while stack:
+            n = stack.pop()
+            h = hi[n]
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+            l = lo[n]
+            if l not in seen:
+                seen.add(l)
+                stack.append(l)
+        order = sorted(seen)
+        del order[:2]  # FALSE and TRUE, always in the set, the two smallest
         return order
 
     # -- substitution -----------------------------------------------------------
@@ -456,20 +493,20 @@ class BddManager:
 
     def support(self, *roots: int) -> list[int]:
         """Sorted levels of all variables reachable from ``roots``."""
-        return sorted({self._var[n] for n in self._postorder(roots)})
+        return sorted({self._var[n] for n in self._reachable(roots)})
 
     def wmc(self, root, weights: dict):
         """Weighted model count over the support of ``root``.
 
         ``weights`` maps each flip level to its probability theta, and the
-        level's literals weigh theta and 1 - theta; a counted level whose
-        theta is not in [0, 1] raises ``BadDistributionError``, and no node
-        is made.  One linear pass: each reachable node is visited once, and
-        a skipped variable weighs 1.  Counts are plain doubles, and a count
-        below the normal range is rescaled to a (mantissa, exponent) pair,
-        so none underflows.  The root's count as a ``math.frexp`` pair is
-        kept in ``last_wmc_scaled``; the float ``ldexp(mantissa, exponent)``
-        is returned.  The number of entries computed, one per reachable node
+        level's literals weigh theta and 1 - theta.  One linear pass over
+        the reachable nodes in handle order, which is children first: each
+        node is visited once, and a skipped variable weighs 1.  Counts are
+        plain doubles, kept by handle, and a count below the normal range
+        is rescaled to a (mantissa, exponent) pair, so none underflows.  The
+        root's count as a ``math.frexp`` pair is kept in
+        ``last_wmc_scaled``; the float ``ldexp(mantissa, exponent)`` is
+        returned.  The number of entries computed, one per reachable node
         and one more per node when a root is complemented, is kept in
         ``last_wmc_visits``.
 
@@ -481,40 +518,52 @@ class BddManager:
         ``root`` may also be a tuple of roots, all counted in the same pass
         over the union of their supports: then a tuple of floats is returned
         and ``last_wmc_scaled`` holds a tuple of pairs, one per root, each
-        the root's single-root count.  A level without a weight raises
-        ``UnboundFreeVariableError`` if it is a free variable and
-        ``MissingWeightError`` otherwise.
+        the root's single-root count.
+
+        A counted level without a weight, or whose theta is not in [0, 1],
+        is refused before any count, and no node is made.  The error names
+        the lowest such level: ``UnboundFreeVariableError`` for a free
+        variable without a weight, ``MissingWeightError`` for another, and
+        ``BadDistributionError`` for a theta out of range.
         """
         self.wmc_calls += 1
         roots = root if isinstance(root, tuple) else (root,)
         var, hi_arr, lo_arr = self._var, self._hi, self._lo
         complemented = min(roots) < 0
-        order = self._postorder([r if r >= 0 else ~r for r in roots] if complemented else roots)
+        order = self._reachable([r if r >= 0 else ~r for r in roots] if complemented else roots)
         flipped = order if complemented else ()
         # Per support level, its literal weights theta and 1 - theta.
         frexp, ldexp = math.frexp, math.ldexp
         tiny = _TINY
+        levels = {var[n] for n in order}
         literals = {}
-        for level in {var[n] for n in order}:
-            label = self.labels[level]
-            if level not in weights:
-                if label.kind == "free":
-                    raise UnboundFreeVariableError(
-                        f"free variable {label.name} reachable from the counted formulas"
-                    )
-                raise MissingWeightError(f"no weight for variable {label.name}")
-            theta = weights[level]
-            if not 0.0 <= theta <= 1.0:
-                raise BadDistributionError(f"probability {theta!r} of {label.name} is not in [0, 1]")
-            literals[level] = (theta, 1.0 - theta)
+        try:
+            for level in levels:
+                theta = weights[level]
+                if not 0.0 <= theta <= 1.0:
+                    raise self._weight_error(levels, weights)
+                literals[level] = (theta, 1.0 - theta)
+        except KeyError:
+            raise self._weight_error(levels, weights) from None
 
         # ``direct`` holds each node's count and, when a root is complemented,
         # ``complement`` the counts of their complements: the same recurrence,
-        # terminals swapped.  A zero, or a count the exact step leaves below
-        # the plain range, is held in ``exact`` as a (mantissa, exponent) pair;
-        # its plain entry is NaN, so every parent's plain count is NaN too and
-        # the parent takes the exact step.
-        direct, complement = {FALSE: 0.0, TRUE: 1.0}, {FALSE: 1.0, TRUE: 0.0}
+        # terminals swapped.  Both are lists indexed by handle, up to the
+        # largest reachable one, while the reachable nodes fill at least a
+        # quarter of that range; a sparser range (a store mostly of nodes the
+        # roots do not reach) takes dicts, which cost about four list slots
+        # per entry.  A zero, or a count the exact step leaves below the
+        # plain range, is held in ``exact`` as a (mantissa, exponent) pair;
+        # its plain entry is NaN, so every parent's plain count is NaN too
+        # and the parent takes the exact step.
+        size = order[-1] + 1 if order else 2
+        dense = 4 * len(order) >= size
+        direct = [0.0] * size if dense else {}
+        direct[FALSE], direct[TRUE] = 0.0, 1.0
+        complement = None
+        if complemented:
+            complement = [0.0] * size if dense else {}
+            complement[FALSE], complement[TRUE] = 1.0, 0.0
         exact_direct, exact_complement = {}, {}
         passes = ((order, direct, exact_direct), (flipped, complement, exact_complement))
         for nodes, q, exact in passes:
@@ -565,10 +614,25 @@ class BddManager:
         self.last_wmc_scaled = pairs[0]
         return counts[0]
 
+    def _weight_error(self, levels, weights: dict) -> FlipcError:
+        """The error for the lowest of ``levels`` that has no weight in
+        ``weights``, or whose theta is not in [0, 1]."""
+        for level in sorted(levels):
+            label = self.labels[level]
+            if level not in weights:
+                if label.kind == "free":
+                    return UnboundFreeVariableError(
+                        f"free variable {label.name} reachable from the counted formulas"
+                    )
+                return MissingWeightError(f"no weight for variable {label.name}")
+            theta = weights[level]
+            if not 0.0 <= theta <= 1.0:
+                return BadDistributionError(f"probability {theta!r} of {label.name} is not in [0, 1]")
+
     def node_count(self, *roots: int) -> int:
         """Distinct internal nodes reachable from ``roots`` plus reachable
         terminals; shared subgraphs count once."""
-        order = self._postorder(roots)
+        order = self._reachable(roots)
         terminals = {r for r in roots if r <= 1}
         terminals.update(c for n in order for c in (self._hi[n], self._lo[n]) if c <= 1)
         return len(order) + len(terminals)
@@ -588,7 +652,7 @@ class BddManager:
             '  false [shape=box, label="F"];',
             '  true [shape=box, label="T"];',
         ]
-        order = sorted(self._postorder(roots.values()))
+        order = self._reachable(roots.values())
 
         def ref(n: int) -> str:
             return "true" if n == TRUE else "false" if n == FALSE else f"n{n}"

@@ -204,10 +204,11 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Compile seeded random programs in both modes and compare each with
-    the oracle.  The programs go through ``compile_program``, so the query
-    enumerates the erased output type: every Bool tuple backing an
-    ``int(n)``, one-hot or not, is compared.  The generator is imported
-    here, the one place it is used, so no other command loads it."""
+    the oracle.  The query enumerates the surface output type, an
+    ``int(n)`` by its n values; mass the oracle gives any other Bool tuple
+    backing one is a mismatch (``_oracle_delta``).  The generator is
+    imported here, the one place it is used, so no other command loads
+    it."""
     import random
 
     from .generate import GenConfig, random_program

@@ -280,8 +280,9 @@ class CompiledProgram(S.Record):
         self.formula = formula  # formula tuple
         self.accepting = accepting
         self.weights = weights  # flip level -> theta, one for the program
-        # What a distribution query enumerates: the surface type from
-        # compile_source, the formula's shape from compile_program alone.
+        # What a distribution query enumerates: the surface type that
+        # desugaring records on the core program, or the formula's shape
+        # for a core program built by hand, which records none.
         self.output_ty = output_ty
         self.flip_count = flip_count  # every flip variable, a template's own included
         # Flips allocated while compiling function templates: each call samples
@@ -664,8 +665,9 @@ def compile_program(
     Modular mode compiles each function once and instantiates it per call;
     inline mode first binds each call's argument to the callee's formal in a
     ``let`` over its body (``inline_program``).  Both produce the same
-    inference results.  The output type is the shape of the compiled
-    formula tuple.
+    inference results.  The output type is the surface type desugaring
+    recorded on ``program``; a core program built by hand records none, and
+    its output type is the shape of the compiled formula tuple.
     """
     if mode not in ("modular", "inline"):
         raise FlipcError(f"unknown compilation mode {mode!r}")
@@ -681,7 +683,7 @@ def compile_program(
         formula,
         accepting,
         ctx.weights,
-        S.ty_of_value(formula),
+        S.ty_of_value(formula) if program.surface_ty is None else program.surface_ty,
         len(ctx.weights),
         template_flips=template_flips,
     )
@@ -702,7 +704,9 @@ def inline_program(program: S.Program) -> S.Program:
         completed[func.name] = S.Function(
             func.name, func.params, func.return_ty, S.trampoline(_inline(completed, func.body))
         )
-    return S.Program([], S.trampoline(_inline(completed, program.main)))
+    return S.Program(
+        [], S.trampoline(_inline(completed, program.main)), surface_ty=program.surface_ty
+    )
 
 
 def _inline(completed: dict, e: S.Expr):
@@ -741,13 +745,11 @@ def _inline_step(completed: dict, e: S.Expr):
 def compile_source(
     text: str, filename: str = "<input>", mode: str = "modular", max_nodes: Optional[int] = None
 ):
-    """parse -> typecheck -> desugar -> compile; returns the compiled program,
-    its output type the surface type, and the core program (the oracle's input)."""
+    """parse -> typecheck -> desugar -> compile; returns the compiled program
+    and the core program (the oracle's input)."""
     # The stages are read off their modules at each call, so a wrapper
     # installed on a module attribute (perfbench's spans) sees every call.
     ast = parser.parse_program(text, filename)
-    surface_ty = typecheck.typecheck_program(ast)
+    typecheck.typecheck_program(ast)
     core = desugar.desugar_program(ast)
-    compiled = compile_program(core, mode=mode, max_nodes=max_nodes)
-    compiled.output_ty = surface_ty
-    return compiled, core
+    return compile_program(core, mode=mode, max_nodes=max_nodes), core

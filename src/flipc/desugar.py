@@ -27,7 +27,9 @@ once per bound without a walk over the type.  Bounds over Bool terms that
 desugaring writes itself (an integer operator's or-chains, the sides of a
 Bool ``==``) may carry none, which the compiler reads as Bool.  The other
 is a function's ``surface_ty``, its formal's type before erasure; its
-``params`` hold the erased type.
+``params`` hold the erased type.  The core program records its main's
+surface type the same way, as its ``surface_ty``, which a distribution
+query enumerates.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def desugar_program(program: S.Program) -> S.Program:
                 surface_ty=func.formal_ty,
             )
         )
-    return S.Program(functions, desugar_expr(lowered.main))
+    return S.Program(functions, desugar_expr(lowered.main), surface_ty=lowered.main.ty)
 
 
 # ---------------------------------------------------------------------------

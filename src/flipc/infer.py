@@ -15,8 +15,8 @@ program: a free variable reachable from it raises
 ``UnboundFreeVariableError``.
 
 A distribution query enumerates the values of ``CompiledProgram.output_ty``,
-at most ``MAX_VALUES``: from ``compile_source`` the type as written, where an
-``int(n)`` has its n one-hot values.  A value is selected by one literal per
+at most ``MAX_VALUES``: the type as written, which desugaring records on
+the core program, where an ``int(n)`` has its n one-hot values.  A value is selected by one literal per
 component of that type, folded into the accepting formula by ``ite``: a
 Bool component's leaf or its complement, and an ``int(n)`` component's leaf
 i alone for index i.  Desugaring keeps integers one-hot (on every accepting

@@ -568,11 +568,18 @@ class Function(Record):
 
 
 class Program(Record):
-    __slots__ = _fields = ("functions", "main")
+    """A program.  Desugaring records the surface type of ``main`` in
+    ``surface_ty``, as it records a function formal's, so a compiled core
+    program enumerates ``int(n)`` outputs by value.  ``surface_ty`` stays
+    out of ``==`` and ``repr``."""
 
-    def __init__(self, functions: list, main: Expr):
+    _fields = ("functions", "main")
+    __slots__ = (*_fields, "surface_ty")
+
+    def __init__(self, functions: list, main: Expr, surface_ty=None):
         self.functions = functions  # call order: each body only calls earlier ones
         self.main = main
+        self.surface_ty = surface_ty  # Optional[Ty]
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,8 @@ class TestNormalizeAnf:
 
     def test_core_after_pipeline(self, rng):
         """Desugared output is core ANF and well typed: its main has the
-        erased surface type and the compiled output type, each body its
-        erased return type."""
+        erased surface type, each body its erased return type, and the
+        compiled output type is the surface type."""
         programs = [
             random_program(rng, GenConfig(max_flips=16, max_depth=4)) for _ in range(100)
         ]
@@ -392,7 +392,7 @@ class TestNormalizeAnf:
             for func, surface in zip(core.functions, program.functions, strict=True):
                 assert func.body.ty == S.erase_int_types(surface.return_ty)
             for mode in ("modular", "inline"):
-                assert compile_program(core, mode=mode).output_ty == core_ty
+                assert compile_program(core, mode=mode).output_ty == surface_ty
 
     def test_preserves_distribution(self, rng):
         for _ in range(60):

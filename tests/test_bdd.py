@@ -328,6 +328,8 @@ def test_postorder_lists_each_reachable_node_once_children_first(data):
 
     visit(roots[0])
     assert mgr._postorder(roots[:1]) == expected
+    # _reachable lists the same nodes in handle order, whatever the roots.
+    assert mgr._reachable([*roots, FALSE, TRUE, *roots]) == sorted(reachable)
 
 
 @settings(max_examples=80, deadline=None)
@@ -954,6 +956,29 @@ class TestMultiRootWmc:
             mgr.wmc((mgr.var(levels[0]), free), weights)
         with pytest.raises(MissingWeightError):
             mgr.wmc((mgr.var(levels[0]), free), {})
+
+    @pytest.mark.parametrize("free_level", [1, 9])
+    def test_the_lowest_unweighted_level_is_named_in_either_root_order(self, free_level):
+        # Levels 1 and 9 have no weight; they share a slot in a small set,
+        # so the set of counted levels gives them no fixed order.  The
+        # lowest is named: a free variable as unbound, a flip as missing.
+        mgr = BddManager()
+        for level in range(10):
+            if level == free_level:
+                mgr.new_free("x")
+            else:
+                mgr.new_flip()
+        weights = {level: 0.5 for level in range(10) if level not in (1, 9)}
+        low, high = mgr.var(1), mgr.apply_and(mgr.var(0), mgr.var(9))
+        error = UnboundFreeVariableError if free_level == 1 else MissingWeightError
+        for roots in ((low, high), (high, low)):
+            with pytest.raises(error, match=rf"\b{mgr.labels[1].name}\b"):
+                mgr.wmc(roots, weights)
+        # A theta out of range at a lower level is named first.
+        weights[0] = 1.5
+        for roots in ((low, high), (high, low)):
+            with pytest.raises(BadDistributionError, match=rf"\b{mgr.labels[0].name}\b"):
+                mgr.wmc(roots, weights)
 
 
 @given(st.floats(0.0, 1.0))

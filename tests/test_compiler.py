@@ -3,6 +3,7 @@ differential correctness against the enumeration oracle, and mode agreement."""
 
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import types
@@ -420,6 +421,19 @@ class TestCompileProgram:
         ) < ORACLE_TOLERANCE
         assert eval_program(inline_program(core)) == reference
 
+    @pytest.mark.parametrize("mode", ["modular", "inline"])
+    def test_a_compiled_core_program_keeps_the_surface_output_type(self, mode):
+        # Desugaring records main's surface type on the core program, and
+        # inlining keeps it, so both entry points enumerate an int(16) output
+        # by its 16 values, not by the 65,536 Bool tuples that back it.
+        text = "fun f(x: int(16)): int(16) { x } f(discrete(" + ", ".join(["0.0625"] * 16) + "))"
+        from_source = infer.full_distribution(compile_source(text, mode=mode)[0])
+        _, core = frontend(text)
+        compiled = compile_program(core, mode=mode)
+        assert compiled.output_ty == S.IntTy(16)
+        assert infer.full_distribution(compiled) == from_source
+        assert len(from_source) == 16
+
 
 class TestCompilationCorrectness:
     def test_value_masses_match_oracle(self, rng):
@@ -517,12 +531,14 @@ class TestBundledBenchmarks:
 # stored 2,905 nodes after compile while each repeated call built its
 # renamed accepting formula before the enclosing let conjoined it, and
 # 1,958 while its template took one placeholder per one-hot leaf of its two
-# int(4) formals, not two code placeholders each.
+# int(4) formals, not two code placeholders each.  Its query added 12
+# nodes, not 9, while a compiled core program enumerated its int(4) output
+# as 16 Bool tuples.
 PINNED_STORE_SIZES = {
     "chained-flips": ({"modular": (894, 894), "inline": (894, 894)}, 259),
     "diamond": ({"modular": (580, 580), "inline": (1075, 1075)}, 130),
     "ladder": ({"modular": (2201, 2201), "inline": (2306, 2306)}, 255),
-    "caesar-mini": ({"modular": (1263, 1275), "inline": (6267, 6279)}, 843),
+    "caesar-mini": ({"modular": (1263, 1272), "inline": (6267, 6276)}, 843),
 }
 
 
@@ -537,19 +553,46 @@ def test_store_sizes_are_pinned(suite, mode):
     assert compiled.node_count() == nodes
 
 
-@pytest.mark.parametrize("mode", ["modular", "inline"])
-@pytest.mark.parametrize("suite", SUITES)
-def test_every_stored_node_is_ordered_reduced_and_unique(suite, mode):
-    # compose builds order-preserving images with _mk directly, not
-    # through ite; every node in the store must still be canonical.
-    compiled, _ = compile_text(suite_source(suite, 64), mode=mode)
+def assert_store_canonical(compiled):
+    """After the distribution query, every stored node is ordered, reduced
+    and unique, and its children's handles are below its own: ascending
+    handle order is children first, the order ``wmc`` counts in.  So the
+    handles ``_reachable`` sorts are the nodes ``_postorder`` walks."""
+    infer.distribution_result(compiled)
     mgr = compiled.manager
     var, hi, lo = mgr._var, mgr._hi, mgr._lo
     for n in range(2, len(var)):
         assert var[n] < var[hi[n]] and var[n] < var[lo[n]], n
         assert hi[n] != lo[n], n
+        assert hi[n] < n and lo[n] < n, n
         assert mgr._unique[(var[n], hi[n], lo[n])] == n
     assert len(mgr._unique) == len(var) - 2
+    roots = (*S.value_leaves(compiled.formula), compiled.accepting)
+    assert mgr._reachable(roots) == sorted(set(mgr._postorder(roots)))
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_stored_node_is_ordered_reduced_and_unique(suite, mode):
+    # compose builds order-preserving images with _mk directly, not
+    # through ite; every node in the store must still be canonical.
+    assert_store_canonical(compile_text(suite_source(suite, 64), mode=mode)[0])
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+@pytest.mark.parametrize("shape", [(5, 4, 2), (4, 4, 3)], ids=["binary", "three_state"])
+def test_every_stored_net_node_is_ordered_reduced_and_unique(shape, mode):
+    text, query = layered_bif(*shape, seed=0)
+    assert_store_canonical(compile_program(net_core(parse_bif(text), query), mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["modular", "inline"])
+def test_every_stored_random_program_node_is_ordered_reduced_and_unique(mode):
+    rng = random.Random(36)
+    for _ in range(200):
+        program = random_program(rng, GenConfig(max_flips=16, max_depth=5))
+        typecheck_program(program)
+        assert_store_canonical(compile_program(desugar_program(program), mode=mode))
 
 
 def store_size(suite, n, mode):
@@ -721,8 +764,8 @@ def store_digests(compiled):
 # The compile half is the whole store after compile; the query half covers
 # only the nodes the distribution query adds.
 PINNED_STORE_DIGESTS = {
-    ('caesar-mini', 'inline'): ('afe1594f79800c41', '6e97417ae173868e'),
-    ('caesar-mini', 'modular'): ('101ad46df58c7d15', '25654cc5e80b3057'),
+    ('caesar-mini', 'inline'): ('afe1594f79800c41', '35b155d01b582b8b'),
+    ('caesar-mini', 'modular'): ('101ad46df58c7d15', 'd4c22a858384b643'),
     ('chain_in_bound', 'inline'): ('d583c5fb56e1e796', None),
     ('chain_in_bound', 'modular'): ('d583c5fb56e1e796', None),
     ('chained-flips', 'inline'): ('09ae9dd60ea099ab', None),
@@ -972,8 +1015,9 @@ def compile_net(net, query):
 # levels.  Held by size, the 5x4 binary net stored 11,914 nodes and the
 # 4x4 three-state one 65,251; with no integer held, 4,366 and 32,331.  The
 # three-state query built 1,366 more when each selecting root was a
-# pointwise iff (33,697).
-PINNED_NET_STORES = {(5, 4, 2): (2344, 392), (4, 4, 3): (17060, 2069)}
+# pointwise iff (33,697), and the store held 17,060 while a compiled core
+# program enumerated the int(3) output as eight Bool triples.
+PINNED_NET_STORES = {(5, 4, 2): (2344, 392), (4, 4, 3): (16377, 2069)}
 
 
 @pytest.mark.parametrize("shape", sorted(PINNED_NET_STORES))
@@ -1061,11 +1105,13 @@ STRUCTURE_PROGRAMS = {suite: suite_source(suite, 8) for suite in SUITES} | {
 @pytest.mark.parametrize("mode", ["modular", "inline"])
 @pytest.mark.parametrize("name", sorted(STRUCTURE_PROGRAMS))
 def test_parameters_do_not_change_a_program_structure(name, mode):
-    def build(redraw):
-        program = surface(STRUCTURE_PROGRAMS[name])
-        return redraw_parameters(program, random.Random(1)) if redraw else program
+    for seed in range(1, 4):
 
-    assert same_structure(build, mode)
+        def build(redraw):
+            program = surface(STRUCTURE_PROGRAMS[name])
+            return redraw_parameters(program, random.Random(seed)) if redraw else program
+
+        assert same_structure(build, mode)
 
 
 @pytest.mark.parametrize("mode", ["modular", "inline"])
@@ -1085,13 +1131,18 @@ def test_parameters_do_not_change_a_random_program_structure(mode):
 
 
 def test_parameters_do_not_change_a_layered_net_structure():
-    def build(redraw):
-        text, query = layered_bif(3, 4, 3, seed=0)
-        program = net_to_program(parse_bif(text), query)
-        typecheck_program(program)
-        return redraw_parameters(program, random.Random(2)) if redraw else program
+    # The binary and the three-state net, in both modes, at three redraws.
+    for shape, mode, seed in itertools.product(
+        [(4, 4, 2), (3, 4, 3)], ["modular", "inline"], range(1, 4)
+    ):
 
-    assert same_structure(build, "modular")
+        def build(redraw):
+            text, query = layered_bif(*shape, seed=0)
+            program = net_to_program(parse_bif(text), query)
+            typecheck_program(program)
+            return redraw_parameters(program, random.Random(seed)) if redraw else program
+
+        assert same_structure(build, mode)
 
 
 def _keep_held(ctx, mark, formula, accepting):

@@ -31,7 +31,16 @@ from flipc.parser import pretty_program
 from flipc.suites import SUITES, benchmark_names, benchmark_text, caesar_source, suite_source
 from flipc.typecheck import typecheck_program
 
-from conftest import compile_text, layered_bif, max_distribution_delta
+from conftest import compile_text, frontend, layered_bif, max_distribution_delta
+
+
+def compile_erased(text):
+    """``text`` compiled from a core program that records no surface type,
+    as one built by hand: its output is typed by the formula's shape, so an
+    ``int(n)`` is n Bools."""
+    _, core = frontend(text)
+    core.surface_ty = None
+    return compile_program(core)
 
 
 class TestAcceptingProbability:
@@ -136,12 +145,12 @@ class TestProbOfValue:
 
 
 class TestWideErasedOutput:
-    # compile_program alone types its output by the formula's shape, so a
-    # flip-free int(5000, 3) is a Bool tuple 5,000 deep, and every query
-    # walks that type.
+    # A core program that records no surface type is typed by the formula's
+    # shape, so a flip-free int(5000, 3) is a Bool tuple 5,000 deep, and
+    # every query walks that type.
     @pytest.fixture(scope="class")
     def compiled(self):
-        return compile_text("int(5000, 3)")[0]
+        return compile_erased("int(5000, 3)")
 
     def test_the_output_is_a_5000_deep_bool_tuple(self, compiled):
         assert compiled.output_ty == S.erase_int_types(S.IntTy(5000))
@@ -169,8 +178,7 @@ class TestFullDistribution:
         assert dist[False] == pytest.approx(0.529, abs=1e-12)
 
     def test_one_hot_distribution_with_structural_zeros(self):
-        compiled, _ = compile_text("discrete(0.1, 0.4, 0.5)")
-        dist = infer.full_distribution(compiled)
+        dist = infer.full_distribution(compile_erased("discrete(0.1, 0.4, 0.5)"))
         assert len(dist) == 8
         expected = {S.one_hot_value(3, i): p for i, p in enumerate((0.1, 0.4, 0.5))}
         for value, p in dist.items():
@@ -286,7 +294,7 @@ class TestSurfaceValues:
                 continue  # no integer in the output type
             checked += 1
             surface = infer.full_distribution(compiled)
-            erased = infer.full_distribution(compile_text(text)[0])
+            erased = infer.full_distribution(compile_erased(text))
             assert len(surface) == S.value_count(compiled.output_ty)
             for value, p in erased.items():
                 if value in surface:
