@@ -549,20 +549,16 @@ class BddManager:
         # ``direct`` holds each node's count and, when a root is complemented,
         # ``complement`` the counts of their complements: the same recurrence,
         # terminals swapped.  Both are lists indexed by handle, up to the
-        # largest reachable one, while the reachable nodes fill at least a
-        # quarter of that range; a sparser range (a store mostly of nodes the
-        # roots do not reach) takes dicts, which cost about four list slots
-        # per entry.  A zero, or a count the exact step leaves below the
-        # plain range, is held in ``exact`` as a (mantissa, exponent) pair;
-        # its plain entry is NaN, so every parent's plain count is NaN too
-        # and the parent takes the exact step.
+        # largest reachable one.  A zero, or a count the exact step leaves
+        # below the plain range, is held in ``exact`` as a (mantissa,
+        # exponent) pair; its plain entry is NaN, so every parent's plain
+        # count is NaN too and the parent takes the exact step.
         size = order[-1] + 1 if order else 2
-        dense = 4 * len(order) >= size
-        direct = [0.0] * size if dense else {}
+        direct = [0.0] * size
         direct[FALSE], direct[TRUE] = 0.0, 1.0
         complement = None
         if complemented:
-            complement = [0.0] * size if dense else {}
+            complement = [0.0] * size
             complement[FALSE], complement[TRUE] = 1.0, 0.0
         exact_direct, exact_complement = {}, {}
         passes = ((order, direct, exact_direct), (flipped, complement, exact_complement))

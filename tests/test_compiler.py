@@ -799,6 +799,35 @@ def test_store_contents_are_pinned(name, mode):
     assert store_digests(compiled) == PINNED_STORE_DIGESTS[name, mode]
 
 
+def compile_erased(core, mode="modular"):
+    """``core`` compiled as a hand-built core program, with no surface
+    type recorded: its output is typed by the formula's shape, so an
+    ``int(n)`` is queried as n Bools."""
+    core.surface_ty = None
+    return compile_program(core, mode=mode)
+
+
+# caesar-mini's store sizes and digests with its int(4) output typed by the
+# formula's shape, queried as 16 Bool tuples.  These are the figures pinned
+# before a compiled core program kept its surface output type, so they pin
+# the engine's own work apart from how the output is enumerated.
+PINNED_ERASED_STORES = {
+    "modular": ((1263, 1275), ("101ad46df58c7d15", "25654cc5e80b3057")),
+    "inline": ((6267, 6279), ("afe1594f79800c41", "6e97417ae173868e")),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_ERASED_STORES))
+def test_an_erased_output_type_builds_the_store_it_built(mode):
+    _, core = frontend(suite_source("caesar-mini", 64))
+    compiled = compile_erased(core, mode=mode)
+    after_compile = len(compiled.manager._var)
+    digests = store_digests(compiled)
+    sizes = (after_compile, len(compiled.manager._var))
+    assert (sizes, digests) == PINNED_ERASED_STORES[mode]
+    assert compiled.node_count() == PINNED_STORE_SIZES["caesar-mini"][1]
+
+
 def discrete_of(params):
     return "discrete(" + ", ".join(repr(p) for p in params) + ")"
 
@@ -1026,6 +1055,20 @@ def test_holding_changes_no_layered_net_result(monkeypatch, shape):
     net = parse_bif(text)
     compiled = same_without_holding(monkeypatch, lambda: compile_net(net, query))
     assert (len(compiled.manager._var), compiled.node_count()) == PINNED_NET_STORES[shape]
+
+
+# The same stores with the query variable typed by the formula's shape, as in
+# a hand-built core program: the three-state net's int(3) output is then
+# queried as eight Bool triples.
+PINNED_ERASED_NET_STORES = {(5, 4, 2): (2344, 392), (4, 4, 3): (17060, 2069)}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_ERASED_NET_STORES))
+def test_an_erased_output_type_builds_the_net_store_it_built(monkeypatch, shape):
+    text, query = layered_bif(*shape, seed=0)
+    net = parse_bif(text)
+    compiled = same_without_holding(monkeypatch, lambda: compile_erased(net_core(net, query)))
+    assert (len(compiled.manager._var), compiled.node_count()) == PINNED_ERASED_NET_STORES[shape]
 
 
 def test_a_layered_net_matches_joint_enumeration():
